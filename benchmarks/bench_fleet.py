@@ -1,27 +1,22 @@
-"""Benchmark the fleet layer: mega-batching speedup + users/second.
+"""Benchmark the fleet layer: users/second plus the invariance gates.
 
 Simulates a reproducible heterogeneous cohort (``repro.fleet``) on the
 standard MHEALTH-like experiment and writes the machine-readable
 results to ``benchmarks/results/BENCH_fleet.json``:
 
-1. **Identity + speedup** — a cohort slice runs twice over *warm*
-   material memos: once as one kernel mega-batch (one
-   ``BatchGroup`` per user through ``run_group_batch``) and once as
-   the reference per-user ``HARExperiment.run`` loop.  Both must be
-   byte-identical; the mega-batch must be at least
-   ``SPEEDUP_FLOOR``x faster (``SMOKE_SPEEDUP_FLOOR`` under
-   ``--smoke``, where the horizon is short and fixed costs loom
-   larger).
-2. **Headline** — ``FleetRunner.run`` over the full cohort, reporting
+1. **Headline** — ``FleetRunner.run`` over the full cohort, reporting
    simulated **users/second** (the committed figure).
-3. **Invariance** — the same cohort re-run with a different shard
+2. **Invariance** — the same cohort re-run with a different shard
    size and with a worker pool must reproduce the sequential
    aggregate statistics byte for byte, and a journal truncated after
    one cell must resume to the same bytes.
 
+That each user's row equals its own ``HARExperiment.run`` of every
+policy is a unit test (``tests/test_fleet_runner.py``), not a timed leg.
+
 ``--smoke`` shrinks the cohort/horizon so CI finishes quickly and
 leaves the committed JSON untouched unless ``--output`` is given; the
-identity, speedup-floor, invariance and resume gates all still apply.
+invariance and resume gates still apply.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_fleet.py``.
 """
@@ -35,7 +30,7 @@ import tempfile
 
 from repro.core.policies import origin_policy
 from repro.fleet.aggregate import FleetAggregate
-from repro.fleet.runner import FleetRunner, _MaterialMemo, simulate_users
+from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import CohortSpec
 from repro.sim.experiment import HARExperiment, SimulationConfig
 
@@ -45,14 +40,6 @@ except ImportError:  # invoked as a script: sibling import
     from runmeta import WallClock, write_stamped_json
 
 DEFAULT_OUTPUT = os.path.join(os.path.dirname(__file__), "results", "BENCH_fleet.json")
-
-#: Minimum mega-batch speedup over the per-user run loop (warm
-#: materials, identical results) at the full horizon.
-SPEEDUP_FLOOR = 3.0
-
-#: The same gate under ``--smoke``: per-run python fixed costs
-#: (scheduler objects, result assembly) weigh more at short horizons.
-SMOKE_SPEEDUP_FLOOR = 2.5
 
 
 def parse_args(argv=None):
@@ -64,12 +51,6 @@ def parse_args(argv=None):
     )
     parser.add_argument(
         "--users", type=int, default=None, help="headline cohort size"
-    )
-    parser.add_argument(
-        "--speedup-users",
-        type=int,
-        default=None,
-        help="cohort slice for the mega-vs-loop comparison",
     )
     parser.add_argument(
         "--n-windows", type=int, default=None, help="slots per user"
@@ -86,42 +67,11 @@ def parse_args(argv=None):
     args = parser.parse_args(argv)
     if args.users is None:
         args.users = 300 if args.smoke else 2000
-    if args.speedup_users is None:
-        args.speedup_users = 32 if args.smoke else 64
     if args.n_windows is None:
         args.n_windows = 60 if args.smoke else 200
     if args.shard_size is None:
         args.shard_size = 64 if args.smoke else 256
     return args
-
-
-def speedup_leg(experiment, spec, policies, count):
-    """Mega-batch vs per-user loop over identical warm materials."""
-    users = list(spec.users(0, count))
-    memo = _MaterialMemo(experiment)
-    for user in users:
-        memo.material(user)  # warm: time simulation, not window building
-
-    with WallClock() as loop_clock:
-        loop_rows = simulate_users(
-            experiment, users, policies, mega=False, materials=memo
-        )
-    with WallClock() as mega_clock:
-        mega_rows = simulate_users(
-            experiment, users, policies, mega=True, materials=memo
-        )
-
-    if mega_rows != loop_rows:
-        raise SystemExit("FAIL: mega-batched results diverge from per-user runs")
-    speedup = loop_clock.elapsed_s / mega_clock.elapsed_s
-    return {
-        "users": count,
-        "policies": [policy.name for policy in policies],
-        "per_user_loop_s": round(loop_clock.elapsed_s, 3),
-        "mega_batch_s": round(mega_clock.elapsed_s, 3),
-        "speedup": round(speedup, 2),
-        "identical": True,
-    }
 
 
 def headline_leg(runner, workers):
@@ -173,7 +123,6 @@ def headline_leg(runner, workers):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    floor = SMOKE_SPEEDUP_FLOOR if args.smoke else SPEEDUP_FLOOR
     print(
         f"fleet bench: {args.users} users, {args.n_windows} windows, "
         f"shard {args.shard_size}, workers {args.workers}"
@@ -185,20 +134,6 @@ def main(argv=None) -> int:
         experiment = HARExperiment.standard_mhealth(seed=7, config=config)
         spec = CohortSpec(size=args.users, seed=args.seed, base=experiment.config)
         policies = [origin_policy(12)]
-
-        speedup = speedup_leg(
-            experiment, spec, policies, min(args.speedup_users, args.users)
-        )
-        print(
-            f"mega-batch: {speedup['mega_batch_s']} s vs per-user loop "
-            f"{speedup['per_user_loop_s']} s -> {speedup['speedup']}x "
-            f"(identical results)"
-        )
-        if speedup["speedup"] < floor:
-            raise SystemExit(
-                f"FAIL: mega-batch speedup {speedup['speedup']}x below "
-                f"the {floor}x floor"
-            )
 
         runner = FleetRunner(
             experiment, spec, policies=policies, shard_size=args.shard_size
@@ -226,11 +161,9 @@ def main(argv=None) -> int:
             "shard_size": args.shard_size,
             "workers": args.workers,
             "cohort_seed": args.seed,
-            "speedup_floor": floor,
             "smoke": args.smoke,
         },
         "users_per_second": headline["users_per_second"],
-        "speedup": speedup,
         "headline": headline,
         "cohort_event_accuracy": {
             "mean": round(origin.mean, 4),

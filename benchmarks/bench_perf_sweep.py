@@ -1,35 +1,35 @@
 """Benchmark the sweep performance layer (prediction cache + workers).
 
-Times the paper policy grid three ways on a standard MHEALTH-like
-experiment and writes the machine-readable comparison to
+Times the paper policy grid on a standard MHEALTH-like experiment and
+writes the machine-readable results to
 ``benchmarks/results/BENCH_sweep.json``:
 
-1. sequential, cache off — every run rebuilds its own material
-   (timeline, windows, batched softmax) from scratch;
-2. sequential, cache on — one material per seed shared by all
-   policies of the grid;
-3. parallel, cache on — the same cached sweep fanned out over a
-   process pool.
+1. sequential — one material per seed shared by every policy of the
+   grid, each seed's policies batched through the slot kernel;
+2. parallel — the same sweep fanned out over a supervised process pool.
 
-All three must produce byte-identical per-slot records; the script
-exits nonzero if they diverge, which is what the CI smoke step checks
+Both must produce byte-identical per-slot records; the script exits
+nonzero if they diverge, which is what the CI smoke step checks
 (``--smoke`` shrinks the horizon/seeds so it finishes quickly and
 leaves the committed JSON untouched unless ``--output`` is given).
 
-A fourth pass re-runs the cached sequential sweep under a fully
-enabled :class:`repro.obs.Observability` (tracer + metrics + a
-streaming :class:`~repro.obs.timeline.TimeSeriesRecorder` at a 50 ms
-cadence) and reports the combined tracing + live-recording overhead as
-a percentage of the untraced wall time — the budget is <10%, enforced
-in ``--smoke`` mode.  Both overhead legs force the scalar slot loop
-(``use_kernel=False``): observability disables the vectorized kernel,
-so a kernel-fast baseline would misreport the kernel speedup as tracing
-overhead.
+A third pass re-runs the sequential sweep under a fully enabled
+:class:`repro.obs.Observability` (tracer + metrics + a streaming
+:class:`~repro.obs.timeline.TimeSeriesRecorder` at a 50 ms cadence) and
+reports the combined tracing + live-recording overhead as a percentage
+of the untraced wall time — the budget is <10%, enforced in ``--smoke``
+mode.  Observability routes every run through the scalar slot loop, so
+the untraced baseline is the same cells as per-cell
+``HARExperiment.run(..., kernel=False)`` calls on the same shared
+material: a kernel-fast baseline would misreport the kernel speedup as
+tracing overhead.  The traced sweep and the baseline must match the
+other sweeps byte for byte.
 
 ``--kernel`` benchmarks the vectorized slot kernel instead
 (``--kernel-smoke`` is the CI shorthand for ``--kernel --smoke``): the
-full policy grid is swept scalar vs kernel (cached, uncached and
-parallel — all must stay byte-identical), and the per-slot physics
+full policy grid is swept through the kernel (sequential and parallel)
+and compared with per-cell ``HARExperiment.run(..., kernel=False)``
+runs, all byte-identical, and the per-slot physics
 (``SensorNode.harvest`` + ``active_slot`` vs ``SlotKernel.advance``
 over the same batched lanes) is micro-benchmarked with a >=5x speedup
 gate.  Results go to ``benchmarks/results/BENCH_kernel.json``.
@@ -58,12 +58,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
-
-import math
 
 import numpy as np
 
@@ -72,8 +71,8 @@ from repro.obs.timeline import attach_recorder
 from repro.resilience import ChaosAction, ChaosPlan
 from repro.sim.experiment import HARExperiment, SimulationConfig
 from repro.sim.kernel import SlotKernel
-from repro.sim.predcache import build_run_material
-from repro.sim.sweep import PolicySweep, _split_indices, paper_policy_grid
+from repro.sim.predcache import PredictionCache, build_run_material
+from repro.sim.sweep import PolicySweep, SweepResult, _merge_runs, paper_policy_grid
 from repro.utils.rng import SeedSequenceFactory
 
 try:
@@ -274,37 +273,31 @@ def results_identical(a, b):
     return True
 
 
-def timed_sweep(
-    experiment,
-    policies,
-    *,
-    n_seeds,
-    seed,
-    cache,
-    workers,
-    obs=None,
-    use_kernel=None,
-    **run_kwargs,
-):
+def timed_sweep(experiment, policies, *, n_seeds, seed, workers, obs=None, **run_kwargs):
     """One sweep run, wall-timed; returns (seconds, SweepResult)."""
-    sweep = PolicySweep(
-        experiment,
-        n_seeds=n_seeds,
-        include_baselines=False,
-        use_prediction_cache=cache,
-        use_kernel=use_kernel,
-    )
+    sweep = PolicySweep(experiment, n_seeds=n_seeds, include_baselines=False)
     with WallClock() as clock:
         result = sweep.run(policies, seed=seed, workers=workers, obs=obs, **run_kwargs)
     return clock.elapsed_s, result
 
 
-def _sweep_unit_count(n_policies: int, n_seeds: int, workers: int) -> int:
-    """How many work units ``PolicySweep._run_parallel`` will build
-    (mirrors its chunking so the chaos plan can cover every unit)."""
-    chunks = max(1, math.ceil(workers / n_seeds))
-    per_seed = len(_split_indices(n_policies, min(chunks, n_policies)))
-    return n_seeds * per_seed
+def timed_scalar_cells(experiment, policies, *, n_seeds, seed):
+    """The sweep's cells as per-cell ``HARExperiment.run(kernel=False)``
+    calls, seed-major on one shared material per seed, merged like the
+    sweep; wall-timed, returns (seconds, SweepResult)."""
+    runs = {spec.name: [] for spec in policies}
+    with WallClock() as clock:
+        cache = PredictionCache(experiment)
+        for run_seed in range(seed, seed + n_seeds):
+            material = cache.material(run_seed)
+            for spec in policies:
+                runs[spec.name].append(
+                    experiment.run(spec, seed=run_seed, material=material, kernel=False)
+                )
+        result = SweepResult(activities=list(experiment.dataset.spec.activities))
+        for name, seed_runs in runs.items():
+            result.policies[name] = _merge_runs(seed_runs)
+    return clock.elapsed_s, result
 
 
 def run_chaos(args) -> int:
@@ -316,13 +309,22 @@ def run_chaos(args) -> int:
     else:
         n_windows, n_seeds = args.n_windows, args.seeds
         task_timeout_s, hang_s = 120.0, 150.0
+    print(
+        f"building experiment (n_windows={n_windows}, grid={len(policies)} "
+        f"policies, seeds={n_seeds}) ...",
+        flush=True,
+    )
+    experiment = HARExperiment.standard_mhealth(
+        seed=7, config=SimulationConfig(n_windows=n_windows)
+    )
+    sweep = PolicySweep(experiment, n_seeds=n_seeds, include_baselines=False)
     # Keep the pool smaller than the unit count so the hang victim (the
     # last unit) is still queued while the crash wave breaks the pool;
     # otherwise BrokenProcessPool converts the in-flight hang into a
     # crash charge and the timeout path goes unexercised.
     workers = max(2, args.workers)
     while True:
-        n_units = _sweep_unit_count(len(policies), n_seeds, workers)
+        n_units = len(sweep.units(policies, workers=workers))
         if workers < n_units or workers <= 2:
             break
         workers = n_units - 1
@@ -335,16 +337,12 @@ def run_chaos(args) -> int:
     n_hung = 1
 
     print(
-        f"building experiment (n_windows={n_windows}, grid={len(policies)} policies, "
-        f"seeds={n_seeds}, workers={workers}, units={n_units}: "
-        f"{n_crashed} crash + {n_hung} hang scheduled) ...",
+        f"workers={workers}, units={n_units}: "
+        f"{n_crashed} crash + {n_hung} hang scheduled",
         flush=True,
     )
-    experiment = HARExperiment.standard_mhealth(
-        seed=7, config=SimulationConfig(n_windows=n_windows)
-    )
     run = lambda **kw: timed_sweep(  # noqa: E731
-        experiment, policies, n_seeds=n_seeds, seed=11, cache=True, **kw
+        experiment, policies, n_seeds=n_seeds, seed=11, **kw
     )
     with WallClock() as total_clock:
         t_seq, r_seq = run(workers=1)
@@ -540,24 +538,22 @@ def run_kernel(args) -> int:
         experiment, policies, n_seeds=n_seeds, seed=11, **kw
     )
     with WallClock() as total_clock:
-        t_scalar, r_scalar = run(cache=True, workers=1, use_kernel=False)
-        print(f"sequential scalar     : {t_scalar:8.2f} s", flush=True)
-        t_batched, r_batched = run(cache=True, workers=1)
+        t_scalar, r_scalar = timed_scalar_cells(
+            experiment, policies, n_seeds=n_seeds, seed=11
+        )
+        print(f"per-cell scalar       : {t_scalar:8.2f} s", flush=True)
+        t_batched, r_batched = run(workers=1)
         print(f"sequential kernel     : {t_batched:8.2f} s", flush=True)
-        t_uncached, r_uncached = run(cache=False, workers=1)
-        print(f"uncached kernel       : {t_uncached:8.2f} s", flush=True)
-        t_parallel, r_parallel = run(cache=True, workers=args.workers)
+        t_parallel, r_parallel = run(workers=args.workers)
         print(f"parallel kernel x{args.workers}    : {t_parallel:8.2f} s", flush=True)
 
-        identical = (
-            results_identical(r_scalar, r_batched)
-            and results_identical(r_scalar, r_uncached)
-            and results_identical(r_scalar, r_parallel)
+        identical = results_identical(r_scalar, r_batched) and results_identical(
+            r_scalar, r_parallel
         )
         if not identical:
             print("FAIL: kernel sweeps diverged from the scalar reference")
             return 1
-        print("per-slot records byte-identical across all four modes", flush=True)
+        print("per-slot records byte-identical across all three modes", flush=True)
 
         t_phys_scalar, t_phys_kernel, n_lanes, phys_identical = _bench_slot_physics(
             experiment,
@@ -601,7 +597,6 @@ def run_kernel(args) -> int:
         "timings_s": {
             "sweep_sequential_scalar": round(t_scalar, 3),
             "sweep_sequential_kernel": round(t_batched, 3),
-            "sweep_uncached_kernel": round(t_uncached, 3),
             f"sweep_parallel_kernel_x{args.workers}": round(t_parallel, 3),
             "physics_scalar_loop": round(t_phys_scalar, 4),
             "physics_kernel_scan": round(t_phys_kernel, 4),
@@ -651,39 +646,36 @@ def main(argv=None) -> int:
         experiment, policies, n_seeds=n_seeds, seed=11, **kw
     )
     with WallClock() as total_clock:
-        t_uncached, r_uncached = run(cache=False, workers=1)
-        print(f"sequential uncached : {t_uncached:8.2f} s", flush=True)
-        t_cached, r_cached = run(cache=True, workers=1)
-        print(f"sequential cached   : {t_cached:8.2f} s", flush=True)
-        t_parallel, r_parallel = run(cache=True, workers=args.workers)
-        print(f"parallel cached x{args.workers}  : {t_parallel:8.2f} s", flush=True)
+        t_seq, r_seq = run(workers=1)
+        print(f"sequential          : {t_seq:8.2f} s", flush=True)
+        t_parallel, r_parallel = run(workers=args.workers)
+        print(f"parallel x{args.workers}          : {t_parallel:8.2f} s", flush=True)
 
-        # Overhead pass: same cached sequential sweep, full observability.
+        # Overhead pass: the sequential sweep under full observability
+        # against the same cells run untraced through the scalar loop,
+        # which is where observability sends every run; a kernel-fast
+        # baseline would book the kernel speedup as tracing overhead.
         # In smoke mode each leg takes a fraction of a second, so take
         # min-of-3 interleaved pairs to keep the budget gate stable
-        # against machine noise.  Both legs force the scalar slot loop:
-        # observability disables the vectorized kernel anyway, and a
-        # kernel-fast baseline would book the kernel speedup as tracing
-        # overhead and blow the budget for the wrong reason.
-        # The traced leg also streams a TimeSeriesRecorder at a hot
-        # cadence, so the <10% budget gates tracing AND live recording
-        # together — a watchable run must not cost more than a traced
-        # one did.
+        # against machine noise.  The traced leg also streams a
+        # TimeSeriesRecorder at a hot cadence, so the <10% budget gates
+        # tracing AND live recording together — a watchable run must
+        # not cost more than a traced one did.
         reps = 3 if args.smoke else 1
         t_base, t_traced = None, None
         ts_samples = 0
         with tempfile.TemporaryDirectory(prefix="bench-ts-") as ts_dir:
             for rep in range(reps):
-                t_plain_i, _ = run(cache=True, workers=1, use_kernel=False)
+                t_plain_i, r_scalar = timed_scalar_cells(
+                    experiment, policies, n_seeds=n_seeds, seed=11
+                )
                 obs = Observability()
                 recorder = attach_recorder(
                     obs,
                     os.path.join(ts_dir, f"timeseries-{rep}.jsonl"),
                     interval_s=0.05,
                 )
-                t_traced_i, r_traced = run(
-                    cache=True, workers=1, obs=obs, use_kernel=False
-                )
+                t_traced_i, r_traced = run(workers=1, obs=obs)
                 recorder.close()
                 ts_samples = recorder.samples_written
                 t_base = t_plain_i if t_base is None else min(t_base, t_plain_i)
@@ -692,19 +684,18 @@ def main(argv=None) -> int:
                 )
         overhead = (t_traced - t_base) / t_base
         print(
-            f"traced cached       : {t_traced:8.2f} s "
-            f"({overhead:+.1%} vs untraced, {len(obs.tracer.events)} events, "
+            f"traced              : {t_traced:8.2f} s "
+            f"({overhead:+.1%} vs untraced scalar cells {t_base:.2f} s, "
+            f"{len(obs.tracer.events)} events, "
             f"{ts_samples} timeseries sample(s))",
             flush=True,
         )
 
-    identical = (
-        results_identical(r_uncached, r_cached)
-        and results_identical(r_uncached, r_parallel)
-        and results_identical(r_uncached, r_traced)
+    identical = all(
+        results_identical(r_seq, other) for other in (r_parallel, r_traced, r_scalar)
     )
     if not identical:
-        print("FAIL: cached/parallel/traced sweeps diverged from the baseline")
+        print("FAIL: parallel/traced/scalar sweeps diverged from the sequential sweep")
         return 1
     print("per-slot records byte-identical across all four modes")
     if args.smoke and overhead > OVERHEAD_BUDGET:
@@ -714,7 +705,6 @@ def main(argv=None) -> int:
         )
         return 1
 
-    best = min(t_cached, t_parallel)
     report = {
         "bench": "policy_sweep_performance",
         "config": {
@@ -727,15 +717,10 @@ def main(argv=None) -> int:
             "smoke": args.smoke,
         },
         "timings_s": {
-            "sequential_uncached": round(t_uncached, 3),
-            "sequential_cached": round(t_cached, 3),
-            f"parallel_cached_x{args.workers}": round(t_parallel, 3),
-            "sequential_cached_traced": round(t_traced, 3),
-        },
-        "speedup": {
-            "cached_vs_uncached": round(t_uncached / t_cached, 2),
-            "parallel_vs_uncached": round(t_uncached / t_parallel, 2),
-            "best_vs_uncached": round(t_uncached / best, 2),
+            "sequential": round(t_seq, 3),
+            f"parallel_x{args.workers}": round(t_parallel, 3),
+            "sequential_scalar_cells": round(t_base, 3),
+            "sequential_traced": round(t_traced, 3),
         },
         "tracing": {
             "overhead_fraction": round(overhead, 4),
@@ -745,7 +730,7 @@ def main(argv=None) -> int:
         },
         "records_identical": identical,
     }
-    print(json.dumps({**report["speedup"], **report["tracing"]}, indent=2))
+    print(json.dumps(report["tracing"], indent=2))
 
     output = args.output
     if output is None and not args.smoke:

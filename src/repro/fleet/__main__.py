@@ -5,14 +5,16 @@ Usage::
     python -m repro.fleet run --users 10000 [--seed 42] [--dataset mhealth]
         [--policy origin|aas|aasr|rr] [--rr-length 12] [--n-windows 600]
         [--timelines 4] [--shard-size 256] [--workers 1]
-        [--journal fleet.journal] [--no-resume] [--per-user]
+        [--journal fleet.journal] [--no-resume]
         [--output fleet.json] [--run-dir runs/cohort-a] [--registry DIR]
     python -m repro.fleet summarize fleet.json
 
 ``run`` trains (or store-loads) the standard experiment, simulates the
 cohort and prints the users/second headline plus per-policy percentile
 tables; ``--output`` also writes the exact aggregate as JSON, which
-``summarize`` re-renders without re-simulating.
+``summarize`` re-renders without re-simulating.  Each shard is one
+kernel mega-batch and one journal cell, run in this process or, with
+``--workers N``, on a supervised pool of ``N`` processes.
 
 ``--run-dir DIR`` arms the run for live observability: the journal goes
 to ``DIR/fleet.journal``, a :class:`~repro.obs.timeline.TimeSeriesRecorder`
@@ -61,8 +63,18 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--timelines", type=int, default=4, help="distinct activity timelines"
     )
-    run.add_argument("--shard-size", type=int, default=256)
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument(
+        "--shard-size",
+        type=int,
+        default=256,
+        help="users per kernel mega-batch, journal cell and executor unit",
+    )
+    run.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="supervised pool processes (1 runs the shards in this process)",
+    )
     run.add_argument(
         "--journal", default=None, help="checkpoint shard aggregates here"
     )
@@ -70,11 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-resume",
         action="store_true",
         help="discard an existing journal instead of resuming it",
-    )
-    run.add_argument(
-        "--per-user",
-        action="store_true",
-        help="reference per-user loop instead of kernel mega-batching",
     )
     run.add_argument("--output", default=None, help="write the result JSON here")
     run.add_argument(
@@ -171,7 +178,6 @@ def _run(args: argparse.Namespace) -> int:
     try:
         result = runner.run(
             workers=args.workers,
-            mega=not args.per_user,
             journal=journal,
             resume=not args.no_resume,
             obs=obs,

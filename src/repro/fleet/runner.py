@@ -1,16 +1,18 @@
 """Population-scale execution: cohorts through the mega-batched kernel.
 
-Three speed layers, matching the package docstring:
+:meth:`FleetRunner.run` is a thin front end over the journaled unit
+executor :func:`repro.resilience.executor.run_units`, with one layer of
+speed on each side of it:
 
 1. **Kernel mega-batching** — every user of a shard contributes one
    :class:`~repro.sim.kernel.BatchGroup` (its own seed, traces, gains,
    capacitor sizing and material) to a single
    :func:`~repro.sim.kernel.run_group_batch` call, so the whole shard's
    slot physics advances as one stacked structure-of-arrays kernel.
-2. **Sharded execution** — ``(lo, hi)`` user ranges run under a
-   :class:`~repro.resilience.SupervisedPool` with store-keyed bundle
-   rehydration and a :class:`~repro.resilience.SweepJournal` recording
-   each shard's exact aggregate for crash-tolerant resume.
+2. **Sharded execution** — each ``[lo, hi)`` user range is one executor
+   unit and one journal cell holding the shard's exact aggregate, run
+   in-process or on a :class:`~repro.resilience.SupervisedPool` with
+   store-keyed bundle rehydration, and resumable after a crash.
 3. **Streaming aggregation** — shards reduce to
    :class:`~repro.fleet.aggregate.FleetAggregate` tables whose merge is
    exact and order-invariant, so 1, 3 or N shards (or a resumed run)
@@ -24,7 +26,6 @@ discrete distribution.
 
 from __future__ import annotations
 
-import copy
 import logging
 import time
 from collections import OrderedDict
@@ -36,13 +37,18 @@ from repro.errors import ConfigurationError, FleetError
 from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.spec import CohortSpec, UserSpec
 from repro.obs import NULL_OBS, Observability
+from repro.resilience.executor import (
+    Unit,
+    check_on_failure,
+    each_cell,
+    open_journal,
+    run_units,
+)
 from repro.resilience.journal import SweepJournal, _digest, sweep_fingerprint
-from repro.resilience.pool import SupervisedPool, SupervisedTask
 from repro.sim.experiment import HARExperiment
 from repro.sim.kernel import BatchGroup, run_group_batch
 from repro.sim.predcache import RunMaterial, build_run_material
 from repro.sim.results import ExperimentResult
-from repro.sim.sweep import _init_sweep_worker, worker_experiment_payload
 
 __all__ = [
     "FleetResult",
@@ -63,7 +69,7 @@ logger = logging.getLogger(__name__)
 #: memo evicts least-recently-used entries and rebuilds on demand.
 MATERIAL_MEMO_CAP = 64
 
-_FLEET_HEADER_KIND = "fleet-journal"
+_JOURNAL_KIND = "fleet-journal"
 FLEET_SCHEMA_VERSION = 1
 
 
@@ -130,7 +136,7 @@ def user_metrics(
 class _MaterialMemo:
     """LRU cache of :class:`RunMaterial` keyed by ``(seed, dwell)``.
 
-    One per worker process (and one in the parent for sequential runs).
+    One per executor worker state (in-process or in a pool worker).
     Sharing is what amortizes the window/softmax build across every
     user on the same timeline.
     """
@@ -216,45 +222,28 @@ def simulate_users(
     users: Sequence[UserSpec],
     policies: Sequence[PolicySpec],
     *,
-    mega: bool = True,
     materials: Optional[_MaterialMemo] = None,
 ) -> List[List[ExperimentResult]]:
     """Run every policy for every user; one result row per user.
 
-    ``mega=True`` packs the whole slice into one
-    :func:`run_group_batch` call (one :class:`BatchGroup` per user);
-    ``mega=False`` is the reference per-user loop through
-    ``HARExperiment.run`` that the benchmark's identity assertion and
-    speedup headline compare against.  Both paths consume identical
-    materials, so their results are byte-identical.
+    The whole slice is one :func:`run_group_batch` call (one
+    :class:`BatchGroup` per user), each row byte-identical to that
+    user's ``HARExperiment.run`` of every policy.
     """
     users = list(users)
     if not users:
         return []
     memo = materials if materials is not None else _MaterialMemo(experiment)
-    prepared = [(user, memo.material(user)) for user in users]
-    if mega:
-        groups = [
-            BatchGroup(
-                policies=policies,
-                seed=user.seed,
-                config=user.config,
-                material=material,
-            )
-            for user, material in prepared
-        ]
-        return run_group_batch(experiment, groups)
-    rows: List[List[ExperimentResult]] = []
-    for user, material in prepared:
-        solo = copy.copy(experiment)
-        solo.config = user.config
-        rows.append(
-            [
-                solo.run(policy, seed=user.seed, material=material)
-                for policy in policies
-            ]
+    groups = [
+        BatchGroup(
+            policies=policies,
+            seed=user.seed,
+            config=user.config,
+            material=memo.material(user),
         )
-    return rows
+        for user in users
+    ]
+    return run_group_batch(experiment, groups)
 
 
 def shard_aggregate(
@@ -264,7 +253,6 @@ def shard_aggregate(
     lo: int,
     hi: int,
     *,
-    mega: bool = True,
     materials: Optional[_MaterialMemo] = None,
     references: Optional[_ReferenceMemo] = None,
 ) -> FleetAggregate:
@@ -281,7 +269,7 @@ def shard_aggregate(
         if references is not None
         else _ReferenceMemo(experiment, spec, policies)
     )
-    rows = simulate_users(experiment, users, policies, mega=mega, materials=memo)
+    rows = simulate_users(experiment, users, policies, materials=memo)
     for user, row in zip(users, rows):
         material = memo.material(user)
         reference_row = refs.results(user, material)
@@ -314,7 +302,7 @@ def fleet_fingerprint(
     """
     return _digest(
         {
-            "kind": _FLEET_HEADER_KIND,
+            "kind": _JOURNAL_KIND,
             "schema_version": FLEET_SCHEMA_VERSION,
             "sweep": sweep_fingerprint(experiment),
             "spec": spec.to_dict(),
@@ -330,56 +318,42 @@ def shard_cell(lo: int, hi: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# pool workers
+# the shard unit (module level so the pool pickles it by name)
 # ---------------------------------------------------------------------------
 
-_FLEET_SPEC: Optional[CohortSpec] = None
-_FLEET_POLICIES: Optional[List[PolicySpec]] = None
-_FLEET_MATERIALS: Optional[_MaterialMemo] = None
-_FLEET_REFERENCES: Optional[_ReferenceMemo] = None
-_FLEET_MEGA: bool = True
+
+class _FleetWorker:
+    """One worker's cohort state: spec, policies and the memos that
+    amortize materials and reference runs across its shards."""
+
+    def __init__(
+        self,
+        experiment: HARExperiment,
+        spec: CohortSpec,
+        policies: Sequence[PolicySpec],
+    ) -> None:
+        self.experiment = experiment
+        self.spec = spec
+        self.policies = list(policies)
+        self.materials = _MaterialMemo(experiment)
+        self.references = _ReferenceMemo(experiment, spec, self.policies)
 
 
-def _init_fleet_worker(
-    experiment: HARExperiment,
-    store_key: Optional[str],
-    recipe: Any,
-    spec: CohortSpec,
-    policies: List[PolicySpec],
-    mega: bool,
-) -> None:
-    """Install the cohort in this worker process.
-
-    Delegates bundle rehydration (store key -> load, miss -> exact
-    retrain) to the sweep's worker initializer, then pins the spec,
-    policy list and the per-process material/reference memos.
-    """
-    global _FLEET_SPEC, _FLEET_POLICIES, _FLEET_MATERIALS, _FLEET_REFERENCES
-    global _FLEET_MEGA
-    _init_sweep_worker(experiment, False, store_key, recipe)
-    # _init_sweep_worker rehydrated the bundle onto this same object.
-    _FLEET_SPEC = spec
-    _FLEET_POLICIES = list(policies)
-    _FLEET_MATERIALS = _MaterialMemo(experiment)
-    _FLEET_REFERENCES = _ReferenceMemo(experiment, spec, _FLEET_POLICIES)
-    _FLEET_MEGA = bool(mega)
-
-
-def _run_fleet_shard(lo: int, hi: int) -> Dict[str, Any]:
-    """Worker entry point: one shard to an exact aggregate document."""
-    if _FLEET_SPEC is None or _FLEET_MATERIALS is None:
-        raise ConfigurationError("fleet worker used before initialization")
-    aggregate = shard_aggregate(
-        _FLEET_MATERIALS.experiment,
-        _FLEET_SPEC,
-        _FLEET_POLICIES,
-        lo,
-        hi,
-        mega=_FLEET_MEGA,
-        materials=_FLEET_MATERIALS,
-        references=_FLEET_REFERENCES,
+def _shard_unit(
+    state: _FleetWorker, shards: Sequence[Tuple[int, int]], *, obs: Observability
+) -> List[Any]:
+    """Each ``[lo, hi)`` shard to an exact aggregate document."""
+    return each_cell(
+        lambda shard: shard_aggregate(
+            state.experiment,
+            state.spec,
+            state.policies,
+            *shard,
+            materials=state.materials,
+            references=state.references,
+        ).to_dict(),
+        shards,
     )
-    return aggregate.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +421,7 @@ class FleetRunner:
     policies:
         Policy set every user runs (default: ``origin_policy(12)``).
     shard_size:
-        Users per kernel mega-batch / journal cell / pool task.
-    worker_rehydrate:
-        Forwarded to :func:`worker_experiment_payload` — ``None`` lets
-        store-keyed bundles rehydrate by key instead of pickling.
+        Users per kernel mega-batch / journal cell / executor unit.
     """
 
     def __init__(
@@ -460,7 +431,6 @@ class FleetRunner:
         *,
         policies: Optional[Sequence[PolicySpec]] = None,
         shard_size: int = 256,
-        worker_rehydrate: Optional[bool] = None,
     ) -> None:
         if shard_size < 1:
             raise ConfigurationError(f"shard_size must be >= 1, got {shard_size}")
@@ -470,7 +440,6 @@ class FleetRunner:
         if not self.policies:
             raise ConfigurationError("fleet needs at least one policy")
         self.shard_size = int(shard_size)
-        self.worker_rehydrate = worker_rehydrate
 
     def shards(self) -> List[Tuple[int, int]]:
         """The ``[lo, hi)`` user ranges, in index order."""
@@ -489,7 +458,6 @@ class FleetRunner:
         self,
         *,
         workers: int = 1,
-        mega: bool = True,
         journal: Optional[str] = None,
         resume: bool = True,
         obs: Optional[Observability] = None,
@@ -503,15 +471,15 @@ class FleetRunner:
         ``journal`` (a path) checkpoints each shard's exact aggregate:
         an interrupted run resumes from completed cells, and the merged
         output is byte-identical to an uninterrupted one.  ``workers >
-        1`` shards over a :class:`SupervisedPool`; ``on_failure`` is
-        ``"raise"`` (default — a shard that exhausts retries raises
-        :class:`FleetError`) or ``"salvage"`` (drop it, report it in
+        1`` runs the shards on a :class:`SupervisedPool`, ``workers=1``
+        in this process.  At every worker count ``on_failure`` is
+        ``"raise"`` (default — a shard that raises or exhausts its
+        retries raises :class:`FleetError` after the other shards
+        finished; in-process the first original exception is its
+        ``__cause__``) or ``"salvage"`` (drop it, report it in
         ``FleetResult.failed``).
         """
-        if on_failure not in ("raise", "salvage"):
-            raise ConfigurationError(
-                f'on_failure must be "raise" or "salvage", got {on_failure!r}'
-            )
+        check_on_failure(on_failure)
         obs = obs if obs is not None else NULL_OBS
         shards = self.shards()
         started = time.perf_counter()
@@ -528,39 +496,68 @@ class FleetRunner:
                 )
                 timeseries.sample(force=True)
 
+        def progress(done: List[Tuple[int, int]]) -> None:
+            # Journal hits never get here, so the progress counters (and
+            # any watcher rate derived from them) count users simulated
+            # this run, once per shard and parent-side: the totals are
+            # the same for any worker layout.
+            obs.metrics.inc("fleet.progress.users", sum(hi - lo for lo, hi in done))
+            obs.metrics.inc("fleet.progress.shards", len(done))
+
         book: Optional[SweepJournal] = None
         if journal is not None:
-            book = self._open_journal(journal, resume=resume)
+            try:
+                book = open_journal(journal, self.fingerprint(), resume=resume)
+            except Exception as error:
+                raise FleetError(
+                    f"fleet journal {journal!r} could not be opened: {error}"
+                ) from error
         try:
-            payloads, journal_hits, failed = self._execute(
-                shards,
-                book,
-                workers=workers,
-                mega=mega,
+            done = run_units(
+                [Unit(cells=(shard_cell(lo, hi),), items=((lo, hi),)) for lo, hi in shards],
+                _shard_unit,
+                _FleetWorker,
+                self.experiment,
+                state_args=(self.spec, self.policies),
+                journal=book,
                 obs=obs,
-                on_failure=on_failure,
+                progress=progress,
+                workers=workers,
                 task_timeout_s=task_timeout_s,
                 max_retries=max_retries,
                 retry_backoff_s=retry_backoff_s,
             )
         finally:
-            if book is not None:
+            if book is not None and book is not journal:
                 book.close()
+
+        failed = [(lost.cell, lost.attempts, lost.cause) for lost in done.lost]
+        if failed and on_failure == "raise":
+            detail = "; ".join(
+                f"{cell} after {attempts} attempt(s): {cause}"
+                for cell, attempts, cause in failed
+            )
+            raise FleetError(
+                f"{len(failed)} fleet shard(s) failed: {detail}"
+            ) from done.first_error
 
         bounds = default_metric_bounds(
             self.spec.base.n_windows, len(self.experiment.dataset.spec.locations)
         )
         total = FleetAggregate(bounds=bounds)
-        for payload in payloads:
-            total.merge(FleetAggregate.from_dict(payload))
+        for lo, hi in shards:
+            payload = done.results.get(shard_cell(lo, hi))
+            if payload is not None:
+                total.merge(FleetAggregate.from_dict(payload))
         elapsed = time.perf_counter() - started
+        served = set(done.served)
         users_simulated = total.users - sum(
-            hi - lo for (lo, hi), hit in zip(shards, journal_hits) if hit
+            hi - lo for lo, hi in shards if shard_cell(lo, hi) in served
         )
         if obs.enabled:
             obs.metrics.inc("fleet.users", users_simulated)
             obs.metrics.inc("fleet.shards", len(shards))
-            obs.metrics.inc("fleet.journal.hit", sum(journal_hits))
+            obs.metrics.inc("fleet.journal.hit", len(served))
             obs.metrics.inc("fleet.failed_shards", len(failed))
             obs.metrics.timer("fleet.run").record(elapsed)
             timeseries = obs.timeseries
@@ -579,7 +576,7 @@ class FleetRunner:
             elapsed_s=elapsed,
             users_simulated=users_simulated,
             shards=len(shards),
-            journal_hits=sum(journal_hits),
+            journal_hits=len(served),
             failed=failed,
         )
         logger.info(
@@ -590,162 +587,3 @@ class FleetRunner:
             result.users_per_second,
         )
         return result
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _record_shard_progress(obs: Observability, lo: int, hi: int) -> None:
-        """Count one simulated shard toward live progress.
-
-        Journal-hit shards never pass through here, so the progress
-        counters (and any watcher rate derived from them) reflect users
-        actually simulated this run.  The totals are identical for any
-        worker layout — every simulated shard is counted exactly once,
-        parent-side — so the counters stay inside the deterministic
-        metrics contract.
-        """
-        if not obs.enabled:
-            return
-        obs.metrics.inc("fleet.progress.users", hi - lo)
-        obs.metrics.inc("fleet.progress.shards")
-        timeseries = obs.timeseries
-        if timeseries is not None:
-            timeseries.sample()
-
-    def _open_journal(self, path: str, *, resume: bool) -> SweepJournal:
-        try:
-            return SweepJournal.open(path, self.fingerprint(), resume=resume)
-        except Exception as error:
-            raise FleetError(
-                f"fleet journal {path!r} could not be opened: {error}"
-            ) from error
-
-    def _execute(
-        self,
-        shards: List[Tuple[int, int]],
-        book: Optional[SweepJournal],
-        *,
-        workers: int,
-        mega: bool,
-        obs: Observability,
-        on_failure: str,
-        task_timeout_s: Optional[float],
-        max_retries: int,
-        retry_backoff_s: float,
-    ) -> Tuple[List[Dict[str, Any]], List[bool], List[Tuple[str, int, str]]]:
-        """Produce one aggregate payload per surviving shard, in order."""
-        journal_hits = [False] * len(shards)
-        payloads: Dict[int, Dict[str, Any]] = {}
-        pending: List[int] = []
-        for index, (lo, hi) in enumerate(shards):
-            cached = book.get(shard_cell(lo, hi)) if book is not None else None
-            if cached is not None:
-                payloads[index] = cached
-                journal_hits[index] = True
-            else:
-                pending.append(index)
-
-        failed: List[Tuple[str, int, str]] = []
-        if pending and workers <= 1:
-            materials = _MaterialMemo(self.experiment)
-            references = _ReferenceMemo(self.experiment, self.spec, self.policies)
-            for index in pending:
-                lo, hi = shards[index]
-                aggregate = shard_aggregate(
-                    self.experiment,
-                    self.spec,
-                    self.policies,
-                    lo,
-                    hi,
-                    mega=mega,
-                    materials=materials,
-                    references=references,
-                )
-                payload = aggregate.to_dict()
-                payloads[index] = payload
-                if book is not None:
-                    book.record(shard_cell(lo, hi), payload)
-                self._record_shard_progress(obs, lo, hi)
-        elif pending:
-            failed = self._run_pool(
-                shards,
-                pending,
-                payloads,
-                book,
-                mega=mega,
-                workers=workers,
-                obs=obs,
-                task_timeout_s=task_timeout_s,
-                max_retries=max_retries,
-                retry_backoff_s=retry_backoff_s,
-            )
-            if failed and on_failure == "raise":
-                detail = "; ".join(
-                    f"{cell} after {attempts} attempt(s): {cause}"
-                    for cell, attempts, cause in failed
-                )
-                raise FleetError(f"{len(failed)} fleet shard(s) failed: {detail}")
-
-        ordered = [payloads[index] for index in sorted(payloads)]
-        return ordered, journal_hits, failed
-
-    def _run_pool(
-        self,
-        shards: List[Tuple[int, int]],
-        pending: List[int],
-        payloads: Dict[int, Dict[str, Any]],
-        book: Optional[SweepJournal],
-        *,
-        mega: bool,
-        workers: int,
-        obs: Observability,
-        task_timeout_s: Optional[float],
-        max_retries: int,
-        retry_backoff_s: float,
-    ) -> List[Tuple[str, int, str]]:
-        stub, store_key, recipe = worker_experiment_payload(
-            self.experiment, rehydrate=self.worker_rehydrate
-        )
-        tasks = [
-            SupervisedTask(
-                fn=_run_fleet_shard,
-                args=shards[index],
-                label=shard_cell(*shards[index]),
-            )
-            for index in pending
-        ]
-
-        def checkpoint(outcome: Any) -> None:
-            if outcome.ok:
-                index = pending[outcome.index]
-                if book is not None:
-                    book.record(shard_cell(*shards[index]), outcome.result)
-                self._record_shard_progress(obs, *shards[index])
-
-        pool = SupervisedPool(
-            workers,
-            initializer=_init_fleet_worker,
-            initargs=(stub, store_key, recipe, self.spec, self.policies, mega),
-            task_timeout_s=task_timeout_s,
-            max_retries=max_retries,
-            backoff_s=retry_backoff_s,
-            obs=obs,
-        )
-        outcomes = pool.run(tasks, on_outcome=checkpoint)
-
-        failed: List[Tuple[str, int, str]] = []
-        for position, outcome in enumerate(outcomes):
-            index = pending[position]
-            if outcome.ok:
-                payloads[index] = outcome.result
-            else:
-                cell = shard_cell(*shards[index])
-                cause = outcome.cause or "unknown"
-                logger.error(
-                    "fleet shard %s lost after %d attempt(s): %s",
-                    cell,
-                    outcome.attempts,
-                    cause,
-                )
-                failed.append((cell, outcome.attempts, cause))
-        return failed

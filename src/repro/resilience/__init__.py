@@ -17,6 +17,12 @@ layers compose:
   sweeps run with ``on_failure="salvage"``: which cells failed, why and
   after how many attempts.
 
+:func:`run_units` (:mod:`repro.resilience.executor`) composes them into
+the one journaled unit executor behind ``PolicySweep.run`` and
+``FleetRunner.run``: it serves journaled cells, runs the rest in-process
+or on the pool, journals each unit as it finishes and folds results,
+metrics and traces back in unit order.
+
 :mod:`repro.resilience.chaos` is the matching test harness: it injects
 scheduled worker crashes, hangs and store-entry deletions so the
 recovery paths above are exercised by tests and by
@@ -24,6 +30,7 @@ recovery paths above are exercised by tests and by
 """
 
 from repro.resilience.chaos import ChaosAction, ChaosPlan, apply_chaos
+from repro.resilience.executor import Unit, run_units
 from repro.resilience.journal import (
     JOURNAL_SCHEMA_VERSION,
     SweepJournal,
@@ -48,6 +55,7 @@ __all__ = [
     "SupervisedTask",
     "SweepJournal",
     "TaskOutcome",
+    "Unit",
     "apply_chaos",
     "baseline_cell",
     "decode_baseline_result",
@@ -55,5 +63,6 @@ __all__ = [
     "encode_baseline_result",
     "encode_experiment_result",
     "policy_cell",
+    "run_units",
     "sweep_fingerprint",
 ]

@@ -405,10 +405,10 @@ class SupervisedPool:
             if proc.is_alive():
                 proc.terminate()
         for proc in workers:
-            proc.join(timeout=2.0)
+            _reap(proc)
             if proc.is_alive():  # pragma: no cover - stubborn worker
                 proc.kill()
-                proc.join(timeout=2.0)
+                _reap(proc)
 
     def _shutdown(self, *, force: bool) -> None:
         """Final cleanup: graceful when the run completed, hard kill
@@ -420,3 +420,15 @@ class SupervisedPool:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _reap(proc: Any, timeout_s: float = 2.0) -> None:
+    """Join ``proc`` until it is seen dead or ``timeout_s`` passes.
+
+    The executor's own management thread may be reaping the same worker:
+    a ``join`` racing it can return while ``is_alive()`` still reads
+    true, so poll instead of trusting a single ``join``.
+    """
+    deadline = time.monotonic() + timeout_s
+    while proc.is_alive() and time.monotonic() < deadline:
+        proc.join(timeout=0.05)

@@ -1,36 +1,32 @@
 """Policy grids for Figs. 4/5 and Table I.
 
 The sweep is the hot path of every headline experiment: the full ladder
-is 16 policies x ``n_seeds`` runs.  Two performance layers keep it fast:
+is 16 policies x ``n_seeds`` runs, plus both baselines per seed.
+:meth:`PolicySweep.run` is a thin front end over the journaled unit
+executor :func:`repro.resilience.executor.run_units`: it cuts the grid
+into seed-major policy chunks and merges the results.
 
-* a per-seed :class:`~repro.sim.predcache.PredictionCache` shares the
+* A per-seed :class:`~repro.sim.predcache.PredictionCache` shares the
   timeline/window/softmax precompute across every policy of a seed, and
-* ``run(..., workers=N)`` fans ``(policy, seed)`` work out across a
-  process pool with picklable run specs; work units are grouped
-  seed-major so each worker builds one material per seed it owns.
+  each chunk runs as one batched :func:`~repro.sim.kernel.run_policy_batch`
+  call.  A chunk runs cell by cell instead when observability is on, its
+  material is kernel-ineligible or the batch fails.
+* ``run(..., workers=N)`` runs the chunks on a
+  :class:`~repro.resilience.SupervisedPool` — per-task timeouts,
+  bounded deterministic-backoff retries and ``BrokenProcessPool``
+  recovery — whose workers rehydrate the trained bundle by store key.
+* ``run(journal=...)`` checkpoints every completed cell to a
+  :class:`~repro.resilience.SweepJournal`, making interrupted sweeps
+  resumable; ``run(on_failure="salvage")`` returns the merged surviving
+  cells plus a :class:`~repro.resilience.DegradationReport`.
 
-A resilience layer (``repro.resilience``) keeps the parallel path alive
-under real-world failures:
-
-* the pool is a :class:`~repro.resilience.SupervisedPool` — per-task
-  timeouts, bounded deterministic-backoff retries and
-  ``BrokenProcessPool`` recovery, so a crashed or hung worker costs one
-  retry instead of the sweep;
-* ``run(journal=...)`` checkpoints every completed ``(policy, seed)``
-  cell to a :class:`~repro.resilience.SweepJournal` keyed by the
-  sweep's bundle/config digest, making interrupted sweeps resumable;
-* ``run(on_failure="salvage")`` returns the merged surviving cells plus
-  a :class:`~repro.resilience.DegradationReport` when retries exhaust,
-  instead of raising.
-
-All layers are bit-transparent: cached, uncached, parallel, resumed and
-chaos-perturbed sweeps produce byte-identical results (asserted by the
-test suite and the CI benchmark smoke).
+Sequential, parallel, resumed and chaos-perturbed sweeps produce
+byte-identical results (asserted by the test suite, the CI benchmark
+smoke and the committed benchmark golden digests).
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from dataclasses import dataclass, field
@@ -51,10 +47,15 @@ from repro.core.policies import (
 from repro.datasets.activities import Activity
 from repro.errors import ConfigurationError, ResilienceError
 from repro.faults.stats import FaultStats
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import NULL_OBS, Observability
-from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
-from repro.resilience.chaos import ChaosAction, ChaosPlan, apply_chaos
+from repro.resilience.chaos import ChaosPlan
+from repro.resilience.executor import (
+    Unit,
+    check_on_failure,
+    each_cell,
+    open_journal,
+    run_units,
+)
 from repro.resilience.journal import (
     SweepJournal,
     baseline_cell,
@@ -65,19 +66,17 @@ from repro.resilience.journal import (
     policy_cell,
     sweep_fingerprint,
 )
-from repro.resilience.pool import SupervisedPool, SupervisedTask
 from repro.resilience.report import DegradationReport, FailedCell
 from repro.sim.baselines import BaselineResult, evaluate_baseline
 from repro.sim.experiment import HARExperiment
 from repro.sim.predcache import PredictionCache
 from repro.sim.results import ExperimentResult
-from repro.sim.training import TrainedSensorBundle, TrainingConfig
 from repro.wsn.node import NodeStats
 
 logger = logging.getLogger(__name__)
 
-#: ``run(on_failure=...)`` modes: fail the sweep, or keep what survived.
-ON_FAILURE_MODES = ("raise", "salvage")
+#: The fully-powered baselines every sweep reports, in report order.
+_BASELINES: Tuple[BaselineSpec, ...] = (Baseline1, Baseline2)
 
 
 def paper_policy_grid(rr_lengths: Sequence[int] = (3, 6, 9, 12)) -> List[PolicySpec]:
@@ -172,35 +171,8 @@ class PolicySweep:
     Parameters
     ----------
     experiment / n_seeds / include_baselines:
-        What to sweep and how many seeds to merge.
-    use_prediction_cache:
-        Share each seed's :class:`~repro.sim.predcache.RunMaterial`
-        across every policy (default).  ``False`` rebuilds the material
-        per run — byte-identical results, just slower; kept as the
-        benchmark baseline and as a bisection tool.
-    use_kernel:
-        Route eligible runs through the vectorized
-        :mod:`repro.sim.kernel` slot engine.  ``None`` (default) and
-        ``True`` enable it: with the prediction cache on and no
-        observability, each seed's pending policies run as one batched
-        :func:`~repro.sim.kernel.run_policy_batch` (sharing a single
-        ``(n_runs, n_slots)`` timeline); otherwise each run decides
-        individually via ``HARExperiment.run(kernel=...)``'s
-        eligibility rules.  ``False`` forces the scalar slot loop
-        everywhere — the bisection/benchmark baseline.  All modes are
-        byte-identical.
-    worker_rehydrate:
-        How ``run(workers=N)`` ships the trained bundle to worker
-        processes.  ``None`` (default, auto): when the experiment's
-        bundle carries an artifact-store key and the store holds the
-        entry, workers receive only the key and rehydrate the bundle
-        from disk instead of unpickling the ~8 MB of model weights;
-        otherwise the full experiment is pickled exactly as before.
-        ``True``/``False`` force the respective path (forcing ``True``
-        without a store key falls back to pickling).  A worker whose
-        rehydration fails (entry GC'd mid-sweep) retrains
-        deterministically from the bundle's recorded recipe, so results
-        are byte-identical on every path.
+        What to sweep, how many seeds to merge, and whether to evaluate
+        Baseline-1/2 too.
     """
 
     def __init__(
@@ -209,18 +181,44 @@ class PolicySweep:
         *,
         n_seeds: int = 1,
         include_baselines: bool = True,
-        use_prediction_cache: bool = True,
-        use_kernel: Optional[bool] = None,
-        worker_rehydrate: Optional[bool] = None,
     ) -> None:
         if n_seeds < 1:
             raise ConfigurationError(f"n_seeds must be >= 1, got {n_seeds}")
         self.experiment = experiment
         self.n_seeds = int(n_seeds)
         self.include_baselines = bool(include_baselines)
-        self.use_prediction_cache = bool(use_prediction_cache)
-        self.use_kernel = use_kernel
-        self.worker_rehydrate = worker_rehydrate
+
+    def units(
+        self,
+        policies: Sequence[PolicySpec],
+        *,
+        seed: Optional[int] = None,
+        workers: int = 1,
+    ) -> List[Unit]:
+        """The seed-major policy chunks ``run`` executes, in unit order.
+
+        With no more workers than seeds each unit is a whole seed (one
+        material build per unit); with more workers each seed's policy
+        list is split into contiguous chunks so every worker stays busy.
+        """
+        if not policies:
+            return []
+        base_seed = self.experiment.seed if seed is None else int(seed)
+        chunks = min(len(policies), max(1, math.ceil(workers / self.n_seeds)))
+        step = math.ceil(len(policies) / chunks)
+        units = []
+        for offset in range(self.n_seeds):
+            run_seed = base_seed + offset
+            for start in range(0, len(policies), step):
+                specs = tuple(policies[start:start + step])
+                units.append(
+                    Unit(
+                        cells=tuple(policy_cell(spec, run_seed) for spec in specs),
+                        items=specs,
+                        args=(run_seed,),
+                    )
+                )
+        return units
 
     def run(
         self,
@@ -239,14 +237,15 @@ class PolicySweep:
     ) -> SweepResult:
         """Run the grid; multi-seed runs are merged slot-wise.
 
-        ``workers > 1`` fans the (policy, seed) grid out across a
+        ``workers > 1`` fans the grid's units out across a
         :class:`~repro.resilience.SupervisedPool` of that many
-        processes — a crashed, hung or poisoned worker is retried up to
+        processes: a crashed, hung or poisoned worker is retried up to
         ``max_retries`` times (``task_timeout_s`` bounds each attempt,
         ``retry_backoff_s`` spaces resubmissions deterministically).
-        ``workers=1`` is the plain sequential loop.  Results are merged
-        in policy-grid order either way, so the returned
-        :class:`SweepResult` is identical for any worker count.
+        ``workers=1`` runs the same units in this process.  Results are
+        merged in policy-grid order either way, so the returned
+        :class:`SweepResult` is identical for any worker count.  The
+        baselines run in this process after the grid.
 
         ``journal`` (a path or an open
         :class:`~repro.resilience.SweepJournal`) checkpoints every
@@ -256,85 +255,81 @@ class PolicySweep:
         the resumed sweep is byte-identical to a clean one.
         ``resume=False`` discards a passed path's existing content.
 
-        ``on_failure`` decides what happens when a cell exhausts its
-        retries: ``"raise"`` (default) raises
-        :class:`~repro.errors.ResilienceError` after the rest of the
-        grid finished (completed cells stay journaled), ``"salvage"``
-        merges the surviving cells and attaches a
+        ``on_failure`` decides what happens to grid cells that raise or
+        exhaust their retries, at every worker count: ``"raise"``
+        (default) raises :class:`~repro.errors.ResilienceError` after
+        the rest of the grid finished (completed cells stay journaled;
+        in-process the first original exception is its ``__cause__``),
+        ``"salvage"`` merges the surviving cells and attaches a
         :class:`~repro.resilience.DegradationReport` as
-        ``result.degradation``.
+        ``result.degradation``.  A failing baseline always raises
+        :class:`~repro.errors.ResilienceError`.
 
         ``chaos`` injects a :class:`~repro.resilience.ChaosPlan` of
         scheduled worker crashes/hangs and store-entry deletions into
-        the parallel path — the test/bench harness for everything
-        above.
+        the pool — the test/bench harness for everything above.
 
-        ``obs`` instruments the sweep.  Sequentially the bundle is
-        threaded straight into every run; with ``workers > 1`` each
-        work unit records into a fresh registry in its process and the
-        parent folds the per-unit snapshots back in deterministic unit
-        order, so counters and histograms merge to exactly the
-        sequential values (see
-        :meth:`repro.obs.MetricsRegistry.deterministic_dict`).  Unit
-        traces are re-sequenced into the parent tracer in the same
+        ``obs`` instruments the sweep.  In this process the runs record
+        straight into it; a pool unit records into a fresh registry in
+        its worker and the sweep folds the per-unit snapshots back in
+        unit order, so counters and histograms merge to the sequential
+        values (see :meth:`repro.obs.MetricsRegistry.deterministic_dict`);
+        unit traces are re-sequenced into the sweep's tracer in the same
         order.  Supervision incidents land in ``resilience.*`` counters
         (nothing is recorded on the clean path).
         """
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if on_failure not in ON_FAILURE_MODES:
-            raise ConfigurationError(
-                f"on_failure must be one of {ON_FAILURE_MODES}, got {on_failure!r}"
-            )
-        if chaos is not None and not chaos.empty and workers == 1:
-            raise ConfigurationError(
-                "chaos injection needs workers > 1 (there is no pool to "
-                "perturb in the sequential path)"
-            )
+        check_on_failure(on_failure)
         policies = list(policies) if policies is not None else paper_policy_grid()
         base_seed = self.experiment.seed if seed is None else int(seed)
+        seeds = [base_seed + offset for offset in range(self.n_seeds)]
         obs = obs if obs is not None else NULL_OBS
+        book = (
+            open_journal(journal, sweep_fingerprint(self.experiment), resume=resume)
+            if journal is not None
+            else None
+        )
+        units = self.units(policies, seed=base_seed, workers=workers)
+        owners = {
+            cell: (spec, unit.args[0])
+            for unit in units
+            for cell, spec in zip(unit.cells, unit.items)
+        }
 
-        own_journal = False
-        if journal is not None and not isinstance(journal, SweepJournal):
-            journal = SweepJournal.open(
-                journal, sweep_fingerprint(self.experiment), resume=resume
-            )
-            own_journal = True
-        elif isinstance(journal, SweepJournal):
-            expected = sweep_fingerprint(self.experiment)
-            if journal.fingerprint != expected:
-                raise ResilienceError(
-                    f"journal {journal.path} was opened for fingerprint "
-                    f"{journal.fingerprint!r}; this sweep is {expected!r}"
-                )
+        def progress(done: List[PolicySpec]) -> None:
+            obs.metrics.inc("sweep.progress.cells", len(done))
 
         result = SweepResult(activities=list(self.experiment.dataset.spec.activities))
-        failed: List[FailedCell] = []
-        incidents: Dict[str, int] = {}
         if obs.enabled:
             obs.metrics.gauge("sweep.total_cells").set(len(policies) * self.n_seeds)
         try:
             with obs.timed("sweep.run"):
-                if workers == 1 or not policies:
-                    runs_by_policy = self._run_sequential(
-                        policies, base_seed, obs,
-                        journal=journal, on_failure=on_failure, failed=failed,
-                    )
-                else:
-                    runs_by_policy, incidents = self._run_parallel(
-                        policies, base_seed, workers, obs,
-                        journal=journal, on_failure=on_failure, failed=failed,
-                        task_timeout_s=task_timeout_s, max_retries=max_retries,
-                        retry_backoff_s=retry_backoff_s, chaos=chaos,
-                    )
-                for spec in policies:
-                    surviving = [
-                        run for run in runs_by_policy[spec.name] if run is not None
-                    ]
+                grid = run_units(
+                    units, _policy_unit, _SweepWorker, self.experiment,
+                    journal=book, encode=encode_experiment_result,
+                    decode=decode_experiment_result, obs=obs, progress=progress,
+                    workers=workers, task_timeout_s=task_timeout_s,
+                    max_retries=max_retries, retry_backoff_s=retry_backoff_s,
+                    chaos=chaos,
+                )
+                runs: Dict[str, List[ExperimentResult]] = {spec.name: [] for spec in policies}
+                for cell, (spec, _) in owners.items():  # seed-major
+                    if cell in grid.results:
+                        runs[spec.name].append(grid.results[cell])
+                for name, surviving in runs.items():
                     if surviving:
-                        result.policies[spec.name] = _merge_runs(surviving)
+                        result.policies[name] = _merge_runs(surviving)
 
+                failed = [
+                    FailedCell(
+                        cell=lost.cell,
+                        seed=owners[lost.cell][1],
+                        attempts=lost.attempts,
+                        cause=lost.cause,
+                        policy=owners[lost.cell][0].name,
+                    )
+                    for lost in grid.lost
+                ]
+                incidents = grid.incidents
                 if failed or any(incidents.values()):
                     result.degradation = DegradationReport(
                         total_cells=len(policies) * self.n_seeds,
@@ -345,525 +340,98 @@ class PolicySweep:
                         pool_restarts=incidents.get("pool_restarts", 0),
                     )
                 if failed and on_failure == "raise":
-                    raise ResilienceError(result.degradation.summary())
+                    raise ResilienceError(result.degradation.summary()) from grid.first_error
 
                 if self.include_baselines:
-                    for baseline in (Baseline1, Baseline2):
-                        runs = [
-                            self._baseline_run(baseline, base_seed + offset, journal, obs)
-                            for offset in range(self.n_seeds)
-                        ]
-                        result.baselines[baseline.name] = _merge_baselines(runs)
+                    pairs = [(baseline, run_seed) for baseline in _BASELINES for run_seed in seeds]
+                    unit = Unit(
+                        cells=tuple(baseline_cell(b.name, s) for b, s in pairs),
+                        items=tuple(pairs),
+                    )
+                    done = run_units(
+                        [unit], _baseline_unit, _SweepWorker, self.experiment,
+                        journal=book, encode=encode_baseline_result,
+                        decode=decode_baseline_result, obs=obs,
+                    )
+                    if done.lost:
+                        lost = "; ".join(f"{c.cell}: {c.cause}" for c in done.lost)
+                        raise ResilienceError(f"baseline(s) failed: {lost}") from done.first_error
+                    for baseline in _BASELINES:
+                        result.baselines[baseline.name] = _merge_baselines(
+                            [done.results[baseline_cell(baseline.name, s)] for s in seeds]
+                        )
         finally:
-            if own_journal:
-                journal.close()
+            if book is not None and book is not journal:
+                book.close()
         return result
 
-    # ------------------------------------------------------------------
-    # execution backends
-    # ------------------------------------------------------------------
 
-    def _run_sequential(
-        self,
-        policies: Sequence[PolicySpec],
-        base_seed: int,
-        obs: Observability,
-        *,
-        journal: Optional[SweepJournal] = None,
-        on_failure: str = "raise",
-        failed: Optional[List[FailedCell]] = None,
-    ) -> Dict[str, List[Optional[ExperimentResult]]]:
-        """Seed-major loop: one material build serves every policy.
-
-        Journal hits skip both the run and — when a whole seed is
-        already journaled — that seed's material build.  With the
-        prediction cache on (and no observability) a seed's pending
-        policies run as one batched kernel call; a batch failure falls
-        back to the per-run loop so salvage semantics stay per-cell.
-        """
-        cache = (
-            PredictionCache(self.experiment, obs=obs)
-            if self.use_prediction_cache
-            else None
-        )
-        runs: Dict[str, List[Optional[ExperimentResult]]] = {
-            spec.name: [None] * self.n_seeds for spec in policies
-        }
-        batchable = (
-            self.use_kernel is not False and cache is not None and not obs.enabled
-        )
-        for offset in range(self.n_seeds):
-            run_seed = base_seed + offset
-            material = None
-            pending: List[PolicySpec] = []
-            for spec in policies:
-                cell = policy_cell(spec, run_seed)
-                if journal is not None:
-                    payload = journal.get(cell)
-                    if payload is not None:
-                        if obs.enabled:
-                            obs.metrics.inc("resilience.journal.hit")
-                        runs[spec.name][offset] = decode_experiment_result(payload)
-                        continue
-                pending.append(spec)
-            if not pending:
-                continue
-
-            if batchable:
-                material = cache.material(run_seed)
-                batch = _kernel_batch(self.experiment, pending, run_seed, material)
-                if batch is not None:
-                    for spec, run in zip(pending, batch):
-                        if journal is not None:
-                            journal.record(
-                                policy_cell(spec, run_seed),
-                                encode_experiment_result(run),
-                            )
-                        runs[spec.name][offset] = run
-                    continue
-
-            if cache is not None and material is None:
-                material = cache.material(run_seed)
-            for spec in pending:
-                cell = policy_cell(spec, run_seed)
-                try:
-                    run = self.experiment.run(
-                        spec, seed=run_seed, material=material, obs=obs,
-                        kernel=self.use_kernel,
-                    )
-                except Exception as error:
-                    if on_failure != "salvage":
-                        raise
-                    logger.error("cell %s failed; salvaging: %s", cell, error)
-                    failed.append(
-                        FailedCell(
-                            cell=cell,
-                            seed=run_seed,
-                            attempts=1,
-                            cause=f"{type(error).__name__}: {error}",
-                            policy=spec.name,
-                        )
-                    )
-                    continue
-                if journal is not None:
-                    journal.record(cell, encode_experiment_result(run))
-                runs[spec.name][offset] = run
-                if obs.enabled:
-                    obs.metrics.inc("sweep.progress.cells")
-                    timeseries = obs.timeseries
-                    if timeseries is not None:
-                        timeseries.sample()
-        return runs
-
-    def _run_parallel(
-        self,
-        policies: Sequence[PolicySpec],
-        base_seed: int,
-        workers: int,
-        obs: Observability,
-        *,
-        journal: Optional[SweepJournal],
-        on_failure: str,
-        failed: List[FailedCell],
-        task_timeout_s: Optional[float],
-        max_retries: int,
-        retry_backoff_s: float,
-        chaos: Optional[ChaosPlan],
-    ) -> Tuple[Dict[str, List[Optional[ExperimentResult]]], Dict[str, int]]:
-        """Fan (policy, seed) units out over a supervised process pool.
-
-        Units are seed-major chunks of the (journal-filtered) policy
-        list: with fewer workers than seeds each unit is a whole seed
-        (one material build per unit); with more workers each seed's
-        policy list is split so every worker stays busy.  Unit order —
-        and therefore result order, metrics-merge order and trace
-        order — is deterministic; retries do not perturb it because
-        outcomes fold in unit order regardless of completion order.
-        """
-        runs: Dict[str, List[Optional[ExperimentResult]]] = {
-            spec.name: [None] * self.n_seeds for spec in policies
-        }
-        remaining: List[Tuple[int, List[int]]] = []
-        for offset in range(self.n_seeds):
-            run_seed = base_seed + offset
-            left: List[int] = []
-            for index, spec in enumerate(policies):
-                payload = (
-                    journal.get(policy_cell(spec, run_seed))
-                    if journal is not None
-                    else None
-                )
-                if payload is not None:
-                    if obs.enabled:
-                        obs.metrics.inc("resilience.journal.hit")
-                    runs[spec.name][offset] = decode_experiment_result(payload)
-                else:
-                    left.append(index)
-            if left:
-                remaining.append((offset, left))
-        if not remaining:
-            return runs, {}
-
-        chunks = max(1, math.ceil(workers / len(remaining)))
-        units: List[Tuple[int, List[int]]] = []
-        for offset, indices in remaining:
-            for split in _split_indices(len(indices), min(chunks, len(indices))):
-                units.append((offset, [indices[i] for i in split]))
-        logger.debug(
-            "parallel sweep: %d unit(s) over %d worker(s), %d policies x %d seeds",
-            len(units), workers, len(policies), self.n_seeds,
-        )
-
-        with_obs = obs.enabled
-        with_trace = with_obs and obs.tracer.enabled
-        initargs = self._worker_initargs()
-        if chaos is not None and chaos.drop_store_keys:
-            # Deleted *after* initargs were computed, so workers that
-            # planned to rehydrate must fall back to the recorded
-            # deterministic-retrain recipe.
-            apply_chaos_store_drops(chaos.drop_store_keys)
-
-        tasks: List[SupervisedTask] = []
-        for unit_index, (offset, indices) in enumerate(units):
-            specs = [policies[i] for i in indices]
-            run_seed = base_seed + offset
-
-            def args_for(
-                attempt: int,
-                specs: List[PolicySpec] = specs,
-                run_seed: int = run_seed,
-                unit_index: int = unit_index,
-            ) -> Tuple[Any, ...]:
-                action = (
-                    chaos.action_for(unit_index, attempt)
-                    if chaos is not None
-                    else None
-                )
-                return (specs, run_seed, with_obs, with_trace, action)
-
-            tasks.append(
-                SupervisedTask(
-                    fn=_run_sweep_unit,
-                    args_for_attempt=args_for,
-                    label=f"unit{unit_index}:seed{run_seed}x{len(specs)}",
-                )
-            )
-
-        def checkpoint(outcome: Any) -> None:
-            # Runs in completion order: each finished unit is journaled
-            # immediately, so an interrupt loses at most in-flight work.
-            if not outcome.ok:
-                return
-            offset, indices = units[outcome.index]
-            unit_runs = outcome.result[0]
-            if journal is not None:
-                for index, run in zip(indices, unit_runs):
-                    journal.record(
-                        policy_cell(policies[index], base_seed + offset),
-                        encode_experiment_result(run),
-                    )
-            if obs.enabled:
-                # One increment per finished cell, parent-side, so the
-                # total matches the sequential path for any layout.
-                obs.metrics.inc("sweep.progress.cells", len(indices))
-                timeseries = obs.timeseries
-                if timeseries is not None:
-                    timeseries.sample()
-
-        pool = SupervisedPool(
-            workers,
-            initializer=_init_sweep_worker,
-            initargs=initargs,
-            task_timeout_s=task_timeout_s,
-            max_retries=max_retries,
-            backoff_s=retry_backoff_s,
-            obs=obs,
-        )
-        outcomes = pool.run(tasks, on_outcome=checkpoint)
-
-        for (offset, indices), outcome in zip(units, outcomes):
-            if outcome.ok:
-                unit_runs, unit_metrics, unit_events = outcome.result
-                for index, run in zip(indices, unit_runs):
-                    runs[policies[index].name][offset] = run
-                # Fold worker observability back in unit order — the
-                # order is deterministic, so the merged registry is
-                # identical for any worker count.
-                if unit_metrics is not None:
-                    obs.metrics.merge(MetricsRegistry.from_dict(unit_metrics))
-                if unit_events is not None:
-                    obs.tracer.extend(unit_events)
-            else:
-                run_seed = base_seed + offset
-                for index in indices:
-                    failed.append(
-                        FailedCell(
-                            cell=policy_cell(policies[index], run_seed),
-                            seed=run_seed,
-                            attempts=outcome.attempts,
-                            cause=outcome.cause or "unknown",
-                            policy=policies[index].name,
-                        )
-                    )
-        return runs, dict(pool.stats)
-
-    def _worker_initargs(self) -> Tuple[Any, ...]:
-        """What each pool worker is initialized with.
-
-        Preferred: a bundle-less experiment stub plus the store key —
-        workers rehydrate the trained bundle from the artifact store,
-        so the pickled payload shrinks to the dataset + config.  The
-        full-experiment pickle remains the fallback whenever the bundle
-        has no store provenance, the store is disabled, or the entry is
-        gone.
-        """
-        stub, store_key, recipe = worker_experiment_payload(
-            self.experiment, rehydrate=self.worker_rehydrate
-        )
-        return (stub, self.use_prediction_cache, store_key, recipe, self.use_kernel)
-
-    def _run_baseline(self, baseline: BaselineSpec, seed: int) -> BaselineResult:
-        return evaluate_baseline(
-            self.experiment.dataset,
-            self.experiment.bundle,
-            baseline,
-            n_windows=self.experiment.config.n_windows,
-            seed=seed,
-            dwell_scale=self.experiment.config.dwell_scale,
-        )
-
-    def _baseline_run(
-        self,
-        baseline: BaselineSpec,
-        seed: int,
-        journal: Optional[SweepJournal],
-        obs: Observability,
-    ) -> BaselineResult:
-        """One baseline run, served from / recorded into the journal."""
-        if journal is not None:
-            payload = journal.get(baseline_cell(baseline.name, seed))
-            if payload is not None:
-                if obs.enabled:
-                    obs.metrics.inc("resilience.journal.hit")
-                return decode_baseline_result(payload)
-        run = self._run_baseline(baseline, seed)
-        if journal is not None:
-            journal.record(
-                baseline_cell(baseline.name, seed), encode_baseline_result(run)
-            )
-        return run
+# ---------------------------------------------------------------------------
+# units (module level so the pool pickles them by name)
+# ---------------------------------------------------------------------------
 
 
-def _kernel_batch(
-    experiment: HARExperiment,
+class _SweepWorker:
+    """One worker's sweep state: the experiment and its prediction cache."""
+
+    def __init__(self, experiment: HARExperiment) -> None:
+        self.experiment = experiment
+        self.cache = PredictionCache(experiment)
+
+
+def _policy_unit(
+    state: _SweepWorker,
     specs: Sequence[PolicySpec],
     seed: int,
-    material,
-) -> Optional[List[ExperimentResult]]:
-    """One seed's policies through the batched kernel, or ``None``.
+    *,
+    obs: Observability,
+) -> List[Any]:
+    """One seed's chunk of policies on the seed's shared material.
 
-    ``None`` (material ineligible or the batch failed) tells the caller
-    to fall back to the per-run loop, which preserves per-cell error
-    semantics; kernel-vs-scalar identity means the fallback changes
-    nothing but speed.
+    The chunk runs as one batched kernel call; it runs cell by cell
+    (each cell's error caught alone) when observability is on, the
+    material is kernel-ineligible or the batch fails.  Kernel-vs-scalar
+    identity means the fallback changes nothing but speed.
     """
     from repro.sim.kernel import kernel_eligible, run_policy_batch
 
-    if not kernel_eligible(
+    experiment = state.experiment
+    material = state.cache.material(seed)
+    if not obs.enabled and kernel_eligible(
         material=material, window_transform=None, faults=None, obs=None
     ):
-        return None
-    try:
-        return run_policy_batch(experiment, specs, seed, material=material)
-    except Exception as error:
-        logger.warning(
-            "kernel batch failed for seed %d (%s); falling back to scalar runs",
-            seed, error,
-        )
-        return None
-
-
-# ---------------------------------------------------------------------------
-# process-pool plumbing (module level so everything pickles)
-# ---------------------------------------------------------------------------
-
-_WORKER_EXPERIMENT: Optional[HARExperiment] = None
-_WORKER_CACHE: Optional[PredictionCache] = None
-_WORKER_USE_KERNEL: Optional[bool] = None
-
-
-@dataclass(frozen=True)
-class _BundleRecipe:
-    """Enough provenance to retrain a bundle deterministically.
-
-    Shipped to workers alongside the store key so a rehydration miss
-    (the entry was GC'd between submit and worker start) degrades to an
-    identical retrain instead of a failed sweep.
-    """
-
-    budget_j: float
-    seed: Optional[int]
-    config: Optional[TrainingConfig]
-    cost_model: Any
-
-
-def _store_has_entry(key: str) -> bool:
-    """Whether the default artifact store currently holds ``key``."""
-    from repro.store.core import default_store
-
-    store = default_store()
-    return store.enabled and store.contains(key)
-
-
-def worker_experiment_payload(
-    experiment: HARExperiment, *, rehydrate: Optional[bool] = None
-) -> Tuple[HARExperiment, Optional[str], Optional[_BundleRecipe]]:
-    """``(experiment stub, store key, recipe)`` to ship to pool workers.
-
-    The store-keyed rehydration contract shared by the sweep and fleet
-    executors: when the bundle has artifact-store provenance (and the
-    entry exists), the returned stub is bundle-less and workers
-    rehydrate it by key — falling back to a deterministic retrain from
-    ``recipe`` if the entry vanished.  Otherwise the full experiment is
-    returned with ``(None, None)`` and pickles as before.  ``rehydrate``
-    forces either path (forcing ``True`` without an available entry
-    still falls back to pickling).
-    """
-    bundle = experiment.bundle
-    store_key = getattr(bundle, "store_key", None)
-    if rehydrate is None or rehydrate:
-        available = store_key is not None and _store_has_entry(store_key)
-        rehydrate = available if rehydrate is None else (rehydrate and available)
-    if not rehydrate:
-        return experiment, None, None
-    stub = copy.copy(experiment)
-    stub.bundle = None
-    recipe = _BundleRecipe(
-        budget_j=bundle.budget_j,
-        seed=bundle.train_seed,
-        config=bundle.train_config,
-        cost_model=bundle.cost_model,
-    )
-    logger.debug("pool workers rehydrate bundle from key %s", store_key)
-    return stub, store_key, recipe
-
-
-def apply_chaos_store_drops(keys: Sequence[str]) -> None:
-    """Delete artifact-store entries on the chaos plan's behalf."""
-    from repro.store.core import default_store
-
-    store = default_store()
-    if not store.enabled:
-        return
-    for key in keys:
-        logger.warning("chaos: dropping store entry %s before the sweep", key)
-        store.invalidate(key)
-
-
-def _worker_bundle(
-    experiment: HARExperiment, store_key: str, recipe: Optional[_BundleRecipe]
-) -> TrainedSensorBundle:
-    """Rehydrate the trained bundle in a worker, retraining on a miss."""
-    from repro.store.bundles import load_trained_bundle
-    from repro.store.core import default_store
-
-    store = default_store()
-    if store.enabled:
-        # Deliberately unobserved: worker-side store traffic must not
-        # perturb the workers=N == workers=1 metrics-merge contract.
-        bundle = load_trained_bundle(store, store_key, experiment.dataset)
-        if bundle is not None:
-            return bundle
-    if recipe is None or recipe.seed is None or recipe.config is None:
-        raise ConfigurationError(
-            f"store entry {store_key} vanished and no training recipe was "
-            "recorded; cannot rehydrate the sweep worker"
-        )
-    logger.warning(
-        "store entry %s unavailable in worker; retraining deterministically",
-        store_key,
-    )
-    return TrainedSensorBundle.train(
-        experiment.dataset,
-        recipe.budget_j,
-        seed=recipe.seed,
-        config=recipe.config,
-        cost_model=recipe.cost_model,
-    )
-
-
-def _init_sweep_worker(
-    experiment: HARExperiment,
-    use_prediction_cache: bool,
-    store_key: Optional[str] = None,
-    recipe: Optional[_BundleRecipe] = None,
-    use_kernel: Optional[bool] = None,
-) -> None:
-    """Install the (pickled-once) experiment in this worker process.
-
-    With a ``store_key`` the experiment arrives bundle-less and the
-    trained bundle is rehydrated from the artifact store (or retrained
-    from ``recipe`` if the entry vanished) before the prediction cache
-    is built.
-    """
-    global _WORKER_EXPERIMENT, _WORKER_CACHE, _WORKER_USE_KERNEL
-    if store_key is not None:
-        experiment.bundle = _worker_bundle(experiment, store_key, recipe)
-    _WORKER_EXPERIMENT = experiment
-    _WORKER_CACHE = PredictionCache(experiment) if use_prediction_cache else None
-    _WORKER_USE_KERNEL = use_kernel
-
-
-def _run_sweep_unit(
-    specs: List[PolicySpec],
-    seed: int,
-    with_obs: bool = False,
-    with_trace: bool = False,
-    chaos: Optional[ChaosAction] = None,
-) -> Tuple[List[ExperimentResult], Optional[Dict[str, Any]], Optional[List[TraceEvent]]]:
-    """Run one seed's chunk of policies inside a worker process.
-
-    Returns the runs plus (when requested) this unit's metrics snapshot
-    and trace events, which the parent folds back in unit order.
-    ``chaos`` (injected per attempt by the harness) fires before any
-    work, so a crashed/hung attempt contributes nothing and the clean
-    retry produces the full, deterministic unit result.
-    """
-    if _WORKER_EXPERIMENT is None:
-        raise ConfigurationError("sweep worker used before initialization")
-    apply_chaos(chaos)
-    if with_obs:
-        obs = Observability(tracer=Tracer() if with_trace else NULL_TRACER)
-    else:
-        obs = NULL_OBS
-    material = _WORKER_CACHE.material(seed) if _WORKER_CACHE is not None else None
-    runs = None
-    if _WORKER_USE_KERNEL is not False and material is not None and not with_obs:
-        runs = _kernel_batch(_WORKER_EXPERIMENT, specs, seed, material)
-    if runs is None:
-        runs = [
-            _WORKER_EXPERIMENT.run(
-                spec, seed=seed, material=material, obs=obs,
-                kernel=_WORKER_USE_KERNEL,
+        try:
+            return run_policy_batch(experiment, specs, seed, material=material)
+        except Exception as error:
+            logger.warning(
+                "kernel batch failed for seed %d (%s); running its cells one by one",
+                seed, error,
             )
-            for spec in specs
-        ]
-    if not with_obs:
-        return runs, None, None
-    return (
-        runs,
-        obs.metrics.to_dict(),
-        obs.tracer.events if with_trace else None,
+    return each_cell(
+        lambda spec: experiment.run(spec, seed=seed, material=material, obs=obs),
+        specs,
     )
 
 
-def _split_indices(count: int, chunks: int) -> List[List[int]]:
-    """``range(count)`` as ``chunks`` near-equal contiguous index lists."""
-    step = math.ceil(count / chunks)
-    return [
-        list(range(start, min(start + step, count)))
-        for start in range(0, count, step)
-    ]
+def _baseline_unit(
+    state: _SweepWorker,
+    pairs: Sequence[Tuple[BaselineSpec, int]],
+    *,
+    obs: Observability,
+) -> List[BaselineResult]:
+    """Fully-powered baseline runs, one per ``(baseline, seed)``."""
+    experiment = state.experiment
+    return each_cell(
+        lambda pair: evaluate_baseline(
+            experiment.dataset,
+            experiment.bundle,
+            pair[0],
+            n_windows=experiment.config.n_windows,
+            seed=pair[1],
+            dwell_scale=experiment.config.dwell_scale,
+        ),
+        pairs,
+    )
 
 
 # ---------------------------------------------------------------------------

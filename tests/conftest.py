@@ -58,3 +58,43 @@ def tiny_experiment(tiny_dataset, tiny_bundle):
         config=SimulationConfig(n_windows=60),
         seed=3,
     )
+
+
+@pytest.fixture(scope="session")
+def per_cell_sweep():
+    """A sweep's reference built cell by cell, with no shared material.
+
+    Every ``(policy, seed)`` cell is its own ``HARExperiment.run`` (extra
+    keywords such as ``kernel=False`` pass through), merged across seeds
+    the way ``PolicySweep`` merges them; both baselines are evaluated
+    directly per seed.
+    """
+    from repro.core.policies import Baseline1, Baseline2
+    from repro.sim.baselines import evaluate_baseline
+    from repro.sim.sweep import SweepResult, _merge_baselines, _merge_runs
+
+    def build(experiment, policies, *, n_seeds, seed=None, **run_kwargs):
+        base = experiment.seed if seed is None else seed
+        seeds = [base + offset for offset in range(n_seeds)]
+        result = SweepResult(activities=list(experiment.dataset.spec.activities))
+        for spec in policies:
+            result.policies[spec.name] = _merge_runs(
+                [experiment.run(spec, seed=s, **run_kwargs) for s in seeds]
+            )
+        for baseline in (Baseline1, Baseline2):
+            result.baselines[baseline.name] = _merge_baselines(
+                [
+                    evaluate_baseline(
+                        experiment.dataset,
+                        experiment.bundle,
+                        baseline,
+                        n_windows=experiment.config.n_windows,
+                        seed=s,
+                        dwell_scale=experiment.config.dwell_scale,
+                    )
+                    for s in seeds
+                ]
+            )
+        return result
+
+    return build

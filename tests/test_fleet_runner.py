@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -11,7 +12,6 @@ from repro.errors import ConfigurationError, FleetError
 from repro.fleet import CohortSpec, FleetRunner
 from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.runner import (
-    _MaterialMemo,
     default_metric_bounds,
     shard_aggregate,
     shard_cell,
@@ -20,6 +20,7 @@ from repro.fleet.runner import (
 )
 from repro.obs import Observability
 from repro.obs.summarize import _kernel_line
+from repro.resilience import SweepJournal
 
 
 @pytest.fixture(scope="module")
@@ -37,13 +38,12 @@ class TestSimulateUsers:
     def test_mega_batch_equals_per_user_runs(self, tiny_experiment, fleet_spec):
         policies = [origin_policy(12), aas_policy(6)]
         users = list(fleet_spec.users(0, 4))
-        memo = _MaterialMemo(tiny_experiment)
-        mega = simulate_users(
-            tiny_experiment, users, policies, mega=True, materials=memo
-        )
-        solo = simulate_users(
-            tiny_experiment, users, policies, mega=False, materials=memo
-        )
+        mega = simulate_users(tiny_experiment, users, policies)
+        solo = []
+        for user in users:
+            experiment = copy.copy(tiny_experiment)
+            experiment.config = user.config
+            solo.append([experiment.run(policy, seed=user.seed) for policy in policies])
         assert mega == solo
 
     def test_per_user_config_actually_applied(self, tiny_experiment, fleet_spec):
@@ -173,6 +173,48 @@ class TestFleetRunner:
         assert runner.fingerprint() != FleetRunner(
             tiny_experiment, fleet_spec, shard_size=4
         ).fingerprint()
+
+
+class TestFailurePolicy:
+    """``on_failure`` in this process: the same contract as the pool's."""
+
+    @pytest.fixture
+    def broken_shard(self, monkeypatch):
+        import repro.fleet.runner as runner_mod
+
+        real = runner_mod.shard_aggregate
+
+        def flaky(experiment, spec, policies, lo, hi, **kwargs):
+            if lo == 4:
+                raise RuntimeError("synthetic shard failure")
+            return real(experiment, spec, policies, lo, hi, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "shard_aggregate", flaky)
+
+    def test_sequential_salvage_reports_failed_shard(
+        self, tiny_experiment, fleet_spec, broken_shard
+    ):
+        runner = FleetRunner(tiny_experiment, fleet_spec, shard_size=4)
+        result = runner.run(on_failure="salvage")
+        assert [(cell, attempts) for cell, attempts, _ in result.failed] == [
+            ("shard:4-8", 1)
+        ]
+        assert "synthetic shard failure" in result.failed[0][2]
+        assert result.lost_users == 4
+        assert result.users == 8
+
+    def test_sequential_raise_names_failed_shard(
+        self, tiny_experiment, fleet_spec, broken_shard, tmp_path
+    ):
+        runner = FleetRunner(tiny_experiment, fleet_spec, shard_size=4)
+        path = str(tmp_path / "fleet.journal")
+        with pytest.raises(FleetError, match="shard:4-8") as excinfo:
+            runner.run(journal=path)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        # The surviving shards finished and stayed journaled.
+        journal = SweepJournal.open(path, runner.fingerprint())
+        assert journal.cells == ["shard:0-4", "shard:8-12"]
+        journal.close()
 
 
 class TestUserMetrics:

@@ -270,7 +270,6 @@ def _write_bench_files(results_dir):
     fleet = {
         "benchmark": "fleet",  # the one BENCH file with the old key
         "users_per_second": 180.0,
-        "speedup": {"speedup": 3.16},
         "meta": {"git_sha": "abc1234", "timestamp_utc": "2026-01-01T00:00:00Z"},
     }
     chaos = {  # no meta block, like the oldest committed BENCH file
@@ -295,10 +294,7 @@ class TestBenchTrajectory:
         assert kernel["headlines"] == {"speedup.physics_kernel_vs_scalar": 11.81}
         fleet = extract_headlines(str(results / "BENCH_fleet.json"))
         assert fleet["bench"] == "fleet"
-        assert fleet["headlines"] == {
-            "users_per_second": 180.0,
-            "speedup.speedup": 3.16,
-        }
+        assert fleet["headlines"] == {"users_per_second": 180.0}
         chaos = extract_headlines(str(results / "BENCH_chaos.json"))
         assert chaos["git_sha"] is None  # meta-less file still records
 
@@ -308,8 +304,8 @@ class TestBenchTrajectory:
         with pytest.raises(ObservabilityError, match="no HEADLINES entry"):
             extract_headlines(str(unknown))
         partial = tmp_path / "BENCH_partial.json"
-        partial.write_text(json.dumps({"bench": "fleet", "users_per_second": 1.0}))
-        with pytest.raises(ObservabilityError, match="speedup.speedup"):
+        partial.write_text(json.dumps({"bench": "fleet"}))
+        with pytest.raises(ObservabilityError, match="users_per_second"):
             extract_headlines(str(partial))
 
     def test_update_appends_once(self, tmp_path):

@@ -15,7 +15,13 @@ import pytest
 from repro.core.policies import origin_policy, rr_policy
 from repro.errors import ConfigurationError, ResilienceError
 from repro.obs.observer import Observability
-from repro.resilience import ChaosAction, ChaosPlan, SweepJournal, sweep_fingerprint
+from repro.resilience import (
+    ChaosAction,
+    ChaosPlan,
+    SweepJournal,
+    policy_cell,
+    sweep_fingerprint,
+)
 from repro.sim.sweep import PolicySweep
 
 GRID = [rr_policy(3), origin_policy(3)]
@@ -36,6 +42,33 @@ def _assert_identical(a, b, *, baselines=True):
             lhs, rhs = a.baseline(name), b.baseline(name)
             np.testing.assert_array_equal(lhs.true_labels, rhs.true_labels)
             np.testing.assert_array_equal(lhs.predicted_labels, rhs.predicted_labels)
+
+
+def _fail_cells(monkeypatch, experiment, *names):
+    """Make the named policies' cells raise.
+
+    Failing every multi-policy kernel batch sends each seed's chunk down
+    the cell-by-cell path, where ``HARExperiment.run`` raises for
+    ``names`` (single-run kernel calls stay live).
+    """
+    import repro.sim.kernel as kernel_mod
+
+    real_batch = kernel_mod.run_policy_batch
+
+    def no_batch(experiment, policies, seed, **kwargs):
+        if len(list(policies)) > 1:
+            raise RuntimeError("synthetic batch failure")
+        return real_batch(experiment, policies, seed, **kwargs)
+
+    real_run = type(experiment).run
+
+    def flaky(self, spec, **kwargs):
+        if spec.name in names:
+            raise RuntimeError("synthetic cell failure")
+        return real_run(self, spec, **kwargs)
+
+    monkeypatch.setattr(kernel_mod, "run_policy_batch", no_batch)
+    monkeypatch.setattr(type(experiment), "run", flaky)
 
 
 @pytest.fixture(scope="module")
@@ -166,21 +199,9 @@ class TestSalvage:
 
     def test_sequential_salvage_catches_cell_errors(self, tiny_experiment,
                                                     monkeypatch):
-        # Inject the failure at experiment.run, so pin the sweep to the
-        # scalar per-cell path (the batched kernel path never calls it;
-        # its fallback salvage is covered in test_sim_kernel.py).
-        scalar_sweep = PolicySweep(
-            tiny_experiment, n_seeds=2, include_baselines=True, use_kernel=False
-        )
-        real_run = type(tiny_experiment).run
-
-        def flaky(self, spec, **kwargs):
-            if spec.name == GRID[0].name:
-                raise RuntimeError("synthetic cell failure")
-            return real_run(self, spec, **kwargs)
-
-        monkeypatch.setattr(type(tiny_experiment), "run", flaky)
-        result = scalar_sweep.run(GRID, workers=1, on_failure="salvage")
+        sweep = PolicySweep(tiny_experiment, n_seeds=2, include_baselines=True)
+        _fail_cells(monkeypatch, tiny_experiment, GRID[0].name)
+        result = sweep.run(GRID, workers=1, on_failure="salvage")
         report = result.degradation
         assert report is not None and report.failed_cells == 2  # both seeds
         assert GRID[0].name not in result.policies
@@ -191,16 +212,41 @@ class TestSalvage:
 
     def test_sequential_raise_propagates_original_error(self, tiny_experiment,
                                                         monkeypatch):
-        scalar_sweep = PolicySweep(
-            tiny_experiment, n_seeds=2, include_baselines=True, use_kernel=False
-        )
+        sweep = PolicySweep(tiny_experiment, n_seeds=2, include_baselines=True)
+        _fail_cells(monkeypatch, tiny_experiment, *(spec.name for spec in GRID))
+        with pytest.raises(ResilienceError, match="0/4 cell") as excinfo:
+            sweep.run(GRID, workers=1, on_failure="raise")
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert "synthetic cell failure" in str(cause)
 
-        def broken(self, spec, **kwargs):
-            raise RuntimeError("synthetic cell failure")
+    def test_sequential_raise_journals_surviving_cells(self, tiny_experiment,
+                                                       monkeypatch, tmp_path):
+        # The failing cells do not stop the rest of the grid: the
+        # surviving cells are journaled before the sweep raises.
+        sweep = PolicySweep(tiny_experiment, n_seeds=2, include_baselines=True)
+        _fail_cells(monkeypatch, tiny_experiment, GRID[0].name)
+        path = str(tmp_path / "sweep.jsonl")
+        with pytest.raises(ResilienceError, match="2/4 cell") as excinfo:
+            sweep.run(GRID, workers=1, journal=path, on_failure="raise")
+        assert "synthetic cell failure" in str(excinfo.value.__cause__)
+        journal = SweepJournal.open(path, sweep_fingerprint(tiny_experiment))
+        seeds = (tiny_experiment.seed, tiny_experiment.seed + 1)
+        assert journal.cells == sorted(policy_cell(GRID[1], seed) for seed in seeds)
+        journal.close()
 
-        monkeypatch.setattr(type(tiny_experiment), "run", broken)
-        with pytest.raises(RuntimeError, match="synthetic cell failure"):
-            scalar_sweep.run(GRID, workers=1, on_failure="raise")
+    def test_failing_baseline_raises_even_when_salvaging(self, tiny_experiment,
+                                                          monkeypatch):
+        import repro.sim.sweep as sweep_mod
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("synthetic baseline failure")
+
+        monkeypatch.setattr(sweep_mod, "evaluate_baseline", broken)
+        sweep = PolicySweep(tiny_experiment, n_seeds=1, include_baselines=True)
+        with pytest.raises(ResilienceError, match="baseline") as excinfo:
+            sweep.run(GRID, workers=1, on_failure="salvage")
+        assert "synthetic baseline failure" in str(excinfo.value.__cause__)
 
     def test_parallel_raise_reports_after_finishing(self, sweep):
         plan = ChaosPlan(actions={0: ChaosAction(kind="crash")})

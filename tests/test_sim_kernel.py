@@ -501,33 +501,27 @@ SWEEP_GRID = [rr_policy(3), origin_policy(3)]
 
 
 class TestSweepKernelPath:
-    def test_sequential_batch_matches_scalar_sweep(self, tiny_experiment):
+    def test_sequential_batch_matches_scalar_sweep(self, tiny_experiment, per_cell_sweep):
         fast = PolicySweep(tiny_experiment, n_seeds=2).run(SWEEP_GRID, workers=1)
-        slow = PolicySweep(tiny_experiment, n_seeds=2, use_kernel=False).run(
-            SWEEP_GRID, workers=1
-        )
+        slow = per_cell_sweep(tiny_experiment, SWEEP_GRID, n_seeds=2, kernel=False)
         _assert_sweeps_equal(fast, slow)
 
-    def test_uncached_sweep_matches(self, tiny_experiment):
+    def test_uncached_sweep_matches(self, tiny_experiment, per_cell_sweep):
         # Without the prediction cache there is no shared material to
         # batch on; per-run kernel eligibility still applies and stays
-        # identical to the forced-scalar sweep.
-        fast = PolicySweep(
-            tiny_experiment, n_seeds=1, use_prediction_cache=False
-        ).run(SWEEP_GRID, workers=1)
-        slow = PolicySweep(
-            tiny_experiment, n_seeds=1, use_kernel=False
-        ).run(SWEEP_GRID, workers=1)
+        # identical to the scalar loop.
+        fast = per_cell_sweep(tiny_experiment, SWEEP_GRID, n_seeds=1)
+        slow = per_cell_sweep(tiny_experiment, SWEEP_GRID, n_seeds=1, kernel=False)
         _assert_sweeps_equal(fast, slow)
 
-    def test_parallel_kernel_matches_scalar(self, tiny_experiment):
-        slow = PolicySweep(tiny_experiment, n_seeds=2, use_kernel=False).run(
-            SWEEP_GRID, workers=1
-        )
+    def test_parallel_kernel_matches_scalar(self, tiny_experiment, per_cell_sweep):
+        slow = per_cell_sweep(tiny_experiment, SWEEP_GRID, n_seeds=2, kernel=False)
         fast = PolicySweep(tiny_experiment, n_seeds=2).run(SWEEP_GRID, workers=2)
         _assert_sweeps_equal(fast, slow)
 
-    def test_batch_failure_falls_back_identically(self, tiny_experiment, monkeypatch):
+    def test_batch_failure_falls_back_identically(
+        self, tiny_experiment, per_cell_sweep, monkeypatch
+    ):
         # A failing batch must degrade to the per-run loop with no
         # change in results.  Only multi-policy (batch) calls fail;
         # single-run kernel calls from experiment.run stay live.
@@ -542,9 +536,7 @@ class TestSweepKernelPath:
 
         monkeypatch.setattr(kernel_mod, "run_policy_batch", flaky_batch)
         fast = PolicySweep(tiny_experiment, n_seeds=2).run(SWEEP_GRID, workers=1)
-        slow = PolicySweep(tiny_experiment, n_seeds=2, use_kernel=False).run(
-            SWEEP_GRID, workers=1
-        )
+        slow = per_cell_sweep(tiny_experiment, SWEEP_GRID, n_seeds=2, kernel=False)
         _assert_sweeps_equal(fast, slow)
 
     def test_batch_failure_preserves_salvage_accounting(

@@ -115,14 +115,12 @@ class TestCacheBitIdentity:
         uncached = tiny_experiment.run(spec, seed=4)
         _assert_results_identical(cached, uncached)
 
-    def test_cached_sweep_matches_uncached_sweep(self, tiny_experiment):
+    def test_cached_sweep_matches_uncached_sweep(self, tiny_experiment, per_cell_sweep):
+        # The sweep shares one material per seed; runs that each build
+        # their own must match it byte for byte.
         policies = [rr_policy(3), origin_policy(3)]
-        cached = PolicySweep(
-            tiny_experiment, n_seeds=2, use_prediction_cache=True
-        ).run(policies, seed=4)
-        uncached = PolicySweep(
-            tiny_experiment, n_seeds=2, use_prediction_cache=False
-        ).run(policies, seed=4)
+        cached = PolicySweep(tiny_experiment, n_seeds=2).run(policies, seed=4)
+        uncached = per_cell_sweep(tiny_experiment, policies, n_seeds=2, seed=4)
         for spec in policies:
             _assert_results_identical(
                 cached.policy(spec.name), uncached.policy(spec.name)

@@ -20,7 +20,12 @@ from repro.datasets.mhealth import make_mhealth
 from repro.errors import ConfigurationError
 from repro.obs.observer import Observability
 from repro.sim.experiment import HARExperiment, SimulationConfig
-from repro.sim.sweep import PolicySweep, _BundleRecipe, _worker_bundle
+from repro.resilience.executor import (
+    _BundleRecipe,
+    _worker_bundle,
+    worker_experiment_payload,
+)
+from repro.sim.sweep import PolicySweep
 from repro.sim.training import TrainedSensorBundle, TrainingConfig
 from repro.store import (
     ENV_STORE_DIR,
@@ -217,8 +222,7 @@ class TestSweepRehydration:
         )
 
     def test_initargs_prefer_rehydration(self, stored_experiment, monkeypatch):
-        sweep = PolicySweep(stored_experiment, n_seeds=2, include_baselines=False)
-        experiment, use_cache, key, recipe, _ = sweep._worker_initargs()
+        experiment, key, recipe = worker_experiment_payload(stored_experiment)
         assert key == stored_experiment.bundle.store_key
         assert experiment.bundle is None  # the stub ships without weights
         assert stored_experiment.bundle is not None  # original untouched
@@ -226,20 +230,14 @@ class TestSweepRehydration:
         assert recipe.config == stored_experiment.bundle.train_config
         # Disabled store → full pickle fallback.
         monkeypatch.setenv(ENV_STORE_SWITCH, "off")
-        experiment, _, key, recipe, _ = sweep._worker_initargs()
+        experiment, key, recipe = worker_experiment_payload(stored_experiment)
         assert key is None and recipe is None
         assert experiment.bundle is not None
 
     def test_initargs_pickle_without_provenance(self, tiny_experiment):
-        sweep = PolicySweep(tiny_experiment, n_seeds=1, include_baselines=False)
-        experiment, _, key, recipe, _ = sweep._worker_initargs()
+        experiment, key, recipe = worker_experiment_payload(tiny_experiment)
         assert key is None and recipe is None
         assert experiment is tiny_experiment
-        # Forcing rehydration without a key still falls back safely.
-        forced = PolicySweep(
-            tiny_experiment, n_seeds=1, include_baselines=False, worker_rehydrate=True
-        )
-        assert forced._worker_initargs()[2] is None
 
     def test_parallel_rehydration_matches_sequential(self, stored_experiment):
         policies = [rr_policy(3), origin_policy(3)]
