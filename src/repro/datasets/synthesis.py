@@ -10,12 +10,17 @@ signature model in :mod:`repro.datasets.profiles`:
 Per-window log-normal amplitude jitter and frequency wobble provide
 intra-class variability, so two windows of the same activity are similar
 but never identical.
+
+:meth:`SignalSynthesizer.batch` makes each window's random draws in
+window order, then the arithmetic for a block of windows at once, so it
+equals that many one-window calls bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import groupby
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,6 +73,10 @@ class StyleWobble:
 #: Fixed per-axis phase offsets: axes of one rigid segment move with a
 #: stable relative phase (e.g. vertical acceleration leads the pitch).
 _AXIS_PHASE = np.array([0.0, 1.25, 2.1, 0.6, 1.9, 2.8])
+
+#: Windows per vectorized pass of ``batch``: bounds its float64
+#: temporaries (6 KB per window each).
+_BLOCK = 64
 
 
 class SignalSynthesizer:
@@ -134,49 +143,102 @@ class SignalSynthesizer:
         subject: Optional[SubjectProfile] = None,
         seed: SeedLike = None,
         *,
-        style: Optional[StyleWobble] = None,
+        style: Union[StyleWobble, Sequence[StyleWobble], None] = None,
     ) -> np.ndarray:
-        """``count`` windows, shape ``(count, N_CHANNELS, window_size)``."""
+        """``count`` windows, shape ``(count, N_CHANNELS, window_size)``.
+
+        ``style`` is one wobble for every window, a sequence of one
+        wobble per window, or ``None`` to draw one per window.
+        """
         if count < 1:
             raise DatasetError(f"count must be >= 1, got {count}")
+        styles = [style] * count if style is None or isinstance(style, StyleWobble) else style
+        if len(styles) != count:
+            raise DatasetError(f"got {len(styles)} styles for {count} windows")
         rng = as_generator(seed)
         subject = subject or SubjectProfile.canonical()
         signature = self.signatures.signature(location, activity)
         noise_sigma = self.signatures.noise(location) * subject.noise_factor
 
         windows = np.empty((count, N_CHANNELS, self.window_size), dtype=np.float32)
-        for index in range(count):
-            wobble = style if style is not None else StyleWobble.sample(rng)
-            windows[index] = self._one_window(
-                signature, subject, noise_sigma, wobble, rng
+        for lo in range(0, count, _BLOCK):
+            windows[lo : lo + _BLOCK] = self._block(
+                signature, subject, noise_sigma, styles[lo : lo + _BLOCK], rng
             )
         return windows
+
+    def stream(
+        self,
+        activities: Sequence[Activity],
+        location: BodyLocation,
+        subject: Optional[SubjectProfile] = None,
+        seed: SeedLike = None,
+        *,
+        styles: Sequence[StyleWobble],
+    ) -> np.ndarray:
+        """One window per slot of an activity timeline, with the slot's style.
+
+        Each dwell run (consecutive slots of one activity) is one
+        :meth:`batch` call, so the stream equals a :meth:`window` call
+        per slot, in slot order, on one generator.
+        """
+        if len(styles) != len(activities):
+            raise DatasetError(f"got {len(styles)} styles for {len(activities)} slots")
+        rng = as_generator(seed)
+        stream = np.empty((len(activities), N_CHANNELS, self.window_size), dtype=np.float32)
+        start = 0
+        for activity, run in groupby(activities):
+            stop = start + len(list(run))
+            stream[start:stop] = self.batch(
+                activity, location, count=stop - start, subject=subject, seed=rng,
+                style=styles[start:stop],
+            )
+            start = stop
+        return stream
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    def _one_window(
+    def _block(
         self,
         signature: ActivitySignature,
         subject: SubjectProfile,
         noise_sigma: float,
-        style: StyleWobble,
+        styles: Sequence[Optional[StyleWobble]],
         rng: np.random.Generator,
     ) -> np.ndarray:
+        """One window per style: every random draw window by window, then
+        the arithmetic over the block in the one-window operation order."""
         jitter = signature.jitter
-        freq = (
-            signature.frequency_hz
-            * subject.frequency_scale
-            * style.frequency_scale
-            * float(np.exp(rng.normal(0.0, 0.03 + 0.25 * jitter)))
-        )
-        amp_scale = (
-            subject.amplitude_scale
-            * style.amplitude_scale
-            * float(np.exp(rng.normal(0.0, jitter)))
-        )
-        window_phase = float(rng.uniform(0.0, 2.0 * np.pi)) + subject.phase_offset
+        draws = []
+        noise = np.empty((len(styles), N_CHANNELS, self.window_size)) if noise_sigma > 0 else None
+        for index, style in enumerate(styles):
+            style = style if style is not None else StyleWobble.sample(rng)
+            freq = (
+                signature.frequency_hz
+                * subject.frequency_scale
+                * style.frequency_scale
+                * float(np.exp(rng.normal(0.0, 0.03 + 0.25 * jitter)))
+            )
+            amp_scale = (
+                subject.amplitude_scale
+                * style.amplitude_scale
+                * float(np.exp(rng.normal(0.0, jitter)))
+            )
+            window_phase = float(rng.uniform(0.0, 2.0 * np.pi)) + subject.phase_offset
+            # Impact train: a start sample, then one log-normal scale per burst.
+            period_samples = max(int(self.sample_rate_hz / max(freq, 1e-3)), 2)
+            start, scales = 0, []
+            if signature.impact > 0:
+                start = int(rng.integers(0, period_samples))
+                n_bursts = len(range(start, self.window_size, period_samples))
+                amplitude = signature.impact * amp_scale
+                scales = [amplitude * float(np.exp(z)) for z in rng.normal(0.0, 0.2, n_bursts)]
+            draws.append((freq, amp_scale, window_phase, start, period_samples, scales))
+            if noise is not None:
+                noise[index] = rng.normal(0.0, noise_sigma, size=(N_CHANNELS, self.window_size))
+        freq, amp_scale, window_phase, start, period_samples, scales = zip(*draws)
 
         amplitudes = np.concatenate(
             [np.asarray(signature.accel_amplitude), np.asarray(signature.gyro_amplitude)]
@@ -184,9 +246,10 @@ class SignalSynthesizer:
         gravity = np.concatenate([np.asarray(signature.gravity), np.zeros(3)])
 
         # Periodic component: harmonic series per channel.
-        signal = np.tile(gravity[:, None], (1, self.window_size)).astype(np.float64)
-        phases = _AXIS_PHASE[:, None] + window_phase
-        omega_t = 2.0 * np.pi * freq * self._time[None, :]
+        signal = np.tile(gravity[:, None], (len(styles), 1, self.window_size)).astype(np.float64)
+        phases = _AXIS_PHASE[:, None] + np.array(window_phase)[:, None, None]
+        omega_t = (2.0 * np.pi * np.array(freq))[:, None, None] * self._time
+        amp_scale = np.array(amp_scale)[:, None, None]
         for order, weight in enumerate(signature.harmonics, start=1):
             if weight <= 0:
                 continue
@@ -198,29 +261,31 @@ class SignalSynthesizer:
             )
 
         # Impact spikes at each footfall (decaying half-sine bursts on the
-        # accelerometer channels only).
+        # accelerometer channels only).  Burst j of a window covers
+        # max(period // 6, 2) samples from start + j * period on: at most
+        # a period, so bursts never overlap.
         if signature.impact > 0:
-            signal[:3] += self._impact_train(signature.impact * amp_scale, freq, rng)
+            periods = np.array(period_samples)[:, None]
+            burst_len = np.maximum(periods // 6, 2)
+            since_start = np.arange(self.window_size) - np.array(start)[:, None]
+            burst, offset = np.divmod(since_start, periods)
+            rows, samples = np.nonzero((burst >= 0) & (offset < burst_len))
+            scale = np.zeros((len(scales), max(map(len, scales))))
+            for row, values in enumerate(scales):
+                scale[row, : len(values)] = values
+            decay = np.zeros((len(scales), int(burst_len.max())))
+            for length in set(burst_len.flat):
+                decay[burst_len[:, 0] == length, :length] = np.exp(-np.linspace(0.0, 4.0, length))
+            direction = np.array([0.3, 1.0, 0.35])
+            impacts = np.zeros((len(scales), 3, self.window_size))
+            impacts[rows, :, samples] = (
+                direction[:, None] * scale[rows, burst[rows, samples]]
+                * decay[rows, offset[rows, samples]]
+            ).T
+            signal[:, :3] += impacts
 
         # Per-channel subject gains and white sensor noise.
         signal *= np.asarray(subject.channel_gains)[:, None]
-        if noise_sigma > 0:
-            signal += rng.normal(0.0, noise_sigma, size=signal.shape)
+        if noise is not None:
+            signal += noise
         return signal.astype(np.float32)
-
-    def _impact_train(
-        self, amplitude: float, freq: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sharp decaying impacts once per period, on 3 accel axes."""
-        impacts = np.zeros((3, self.window_size))
-        period_samples = max(int(self.sample_rate_hz / max(freq, 1e-3)), 2)
-        burst_len = max(period_samples // 6, 2)
-        decay = np.exp(-np.linspace(0.0, 4.0, burst_len))
-        start = int(rng.integers(0, period_samples))
-        direction = np.array([0.3, 1.0, 0.35])
-        while start < self.window_size:
-            stop = min(start + burst_len, self.window_size)
-            scale = amplitude * float(np.exp(rng.normal(0.0, 0.2)))
-            impacts[:, start:stop] += direction[:, None] * scale * decay[: stop - start]
-            start += period_samples
-        return impacts

@@ -3,9 +3,9 @@
 Baseline-1 (unpruned DNNs) and Baseline-2 (energy-aware pruned DNNs)
 both run on steady power: every sensor classifies every window and the
 host takes a naive majority vote.  To compare apples to apples with the
-EH policy runs, the evaluator replays the *same* Markov activity
-timeline and subject that :meth:`repro.sim.experiment.HARExperiment.run`
-would generate for the same seed.
+EH policy runs, the evaluator classifies the seed's run material: the
+Markov activity timeline, subject and sensed windows that
+:meth:`repro.sim.experiment.HARExperiment.run` consumes for the seed.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.core.policies import BaselineSpec
-from repro.sim.training import TrainedSensorBundle
 from repro.datasets.activities import Activity
 from repro.datasets.base import HARDataset
-from repro.datasets.markov import MarkovActivityModel
 from repro.datasets.subjects import SubjectProfile
 from repro.datasets.synthesis import StyleWobble
 from repro.errors import SimulationError
+from repro.sim.predcache import RunMaterial, build_run_material, default_subject
+from repro.sim.training import TrainedSensorBundle
 from repro.utils.rng import SeedSequenceFactory
 
 
@@ -53,6 +53,15 @@ class BaselineResult:
         return report
 
 
+def _majority_vote(votes: np.ndarray, n_classes: int) -> np.ndarray:
+    """Naive majority vote over ``votes`` (sensors x windows).
+
+    Ties resolve to the lowest label (fixed, unbiased across a run).
+    """
+    counts = (votes[:, None, :] == np.arange(n_classes)[:, None]).sum(axis=0)
+    return counts.argmax(axis=0)
+
+
 def per_sensor_accuracy(
     dataset: HARDataset,
     bundle: TrainedSensorBundle,
@@ -71,54 +80,32 @@ def per_sensor_accuracy(
     location label to ``{activity: accuracy}`` and ``majority`` is the
     naive-majority ensemble's ``{activity: accuracy}``.
     """
+    if windows_per_class < 1:
+        raise SimulationError(f"windows_per_class must be >= 1, got {windows_per_class}")
     factory = SeedSequenceFactory(seed)
     spec = dataset.spec
-    subject = subject or (
-        dataset.eval_subjects[0] if dataset.eval_subjects else SubjectProfile.canonical()
-    )
+    subject = subject or default_subject(dataset)
     labels = [
         activity for activity in spec.activities for _ in range(windows_per_class)
     ]
-    n_windows = len(labels)
     true = np.array([spec.label_of(activity) for activity in labels], dtype=np.int64)
     style_rng = factory.generator("style")
-    styles = [StyleWobble.sample(style_rng) for _ in range(n_windows)]
+    styles = [StyleWobble.sample(style_rng) for _ in labels]
+
+    def accuracy(name: str, predicted: np.ndarray) -> Dict[Activity, float]:
+        result = BaselineResult(name, list(spec.activities), true, predicted)
+        return result.per_activity_accuracy()
 
     models = bundle.models(pruned=pruned)
-    votes = {}
+    votes = []
     per_sensor: Dict[str, Dict[Activity, float]] = {}
     for location in spec.locations:
         node_id = bundle.node_id_of(location)
         rng = factory.generator(f"windows/{location.value}")
-        batch = np.stack(
-            [
-                dataset.synthesizer.window(activity, location, subject, rng, style=style)
-                for activity, style in zip(labels, styles)
-            ]
-        )
-        votes[node_id] = models[node_id].predict(batch)
-        report = {}
-        for label, activity in enumerate(spec.activities):
-            mask = true == label
-            report[activity] = (
-                float((votes[node_id][mask] == label).mean()) if mask.any() else 0.0
-            )
-        per_sensor[location.label] = report
-
-    stacked = np.stack([votes[bundle.node_id_of(loc)] for loc in spec.locations])
-    predicted = np.array(
-        [
-            int(np.bincount(stacked[:, index], minlength=spec.n_classes).argmax())
-            for index in range(n_windows)
-        ]
-    )
-    majority = {}
-    for label, activity in enumerate(spec.activities):
-        mask = true == label
-        majority[activity] = (
-            float((predicted[mask] == label).mean()) if mask.any() else 0.0
-        )
-    return per_sensor, majority
+        batch = dataset.synthesizer.stream(labels, location, subject, rng, styles=styles)
+        votes.append(models[node_id].predict(batch))
+        per_sensor[location.label] = accuracy(location.label, votes[-1])
+    return per_sensor, accuracy("majority", _majority_vote(np.stack(votes), spec.n_classes))
 
 
 def evaluate_baseline(
@@ -131,61 +118,38 @@ def evaluate_baseline(
     subject: Optional[SubjectProfile] = None,
     dwell_scale: float = 1.0,
     window_transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    material: Optional[RunMaterial] = None,
 ) -> BaselineResult:
     """Run one baseline over a simulated activity timeline.
 
-    Uses the same seed-derivation labels as the EH simulation, so for a
-    given ``seed`` the baseline sees exactly the timeline the policies
-    saw.
+    Classifies the :class:`~repro.sim.predcache.RunMaterial` of the
+    seed, so the baseline sees exactly the timeline and windows the
+    policies saw.  Pass ``material`` when the caller already has it
+    (built for any model variant: only its windows are read).
     """
     if n_windows < 1:
         raise SimulationError(f"n_windows must be >= 1, got {n_windows}")
-    factory = SeedSequenceFactory(seed)
     spec = dataset.spec
-    subject = subject or (
-        dataset.eval_subjects[0] if dataset.eval_subjects else SubjectProfile.canonical()
-    )
-
-    markov = MarkovActivityModel(
-        list(spec.activities),
-        window_duration_s=spec.window_duration_s,
-        dwell_scale=dwell_scale,
-    )
-    labels = markov.sample_labels(n_windows, factory.generator("timeline"))
-    true = np.array([spec.label_of(activity) for activity in labels], dtype=np.int64)
+    subject = subject or default_subject(dataset)
+    params = dict(seed=seed, n_windows=n_windows, dwell_scale=dwell_scale, subject=subject)
+    if material is None:
+        material = build_run_material(dataset, bundle, with_predictions=False, **params)
+    else:
+        material.check_compatible(use_pruned_models=material.use_pruned_models, **params)
+    true = np.array([spec.label_of(activity) for activity in material.labels], dtype=np.int64)
 
     models = bundle.models(pruned=baseline.pruned)
-    synthesizer = dataset.synthesizer
-
-    # Shared execution style per window (same stream the EH sim uses).
-    style_rng = factory.generator("style")
-    styles = [StyleWobble.sample(style_rng) for _ in range(n_windows)]
-
-    # Synthesize per-location window batches, then batch-predict.
     votes = np.empty((len(models), n_windows), dtype=np.int64)
     for row, location in enumerate(spec.locations):
         node_id = bundle.node_id_of(location)
-        rng = factory.generator(f"windows/{location.value}")
-        batch = np.stack(
-            [
-                synthesizer.window(activity, location, subject, rng, style=style)
-                for activity, style in zip(labels, styles)
-            ]
-        )
+        batch = material.windows[node_id]
         if window_transform is not None:
             batch = np.stack([window_transform(window) for window in batch])
         votes[row] = models[node_id].predict(batch)
-
-    # Naive majority vote; ties resolve to the lowest label (fixed,
-    # unbiased across a run).
-    predicted = np.empty(n_windows, dtype=np.int64)
-    for index in range(n_windows):
-        counts = np.bincount(votes[:, index], minlength=spec.n_classes)
-        predicted[index] = int(counts.argmax())
 
     return BaselineResult(
         baseline_name=baseline.name,
         activities=list(spec.activities),
         true_labels=true,
-        predicted_labels=predicted,
+        predicted_labels=_majority_vote(votes, spec.n_classes),
     )

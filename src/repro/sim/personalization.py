@@ -20,7 +20,7 @@ transmitted confidence updates the matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.datasets.synthesis import StyleWobble
 from repro.datasets.subjects import SubjectProfile, sample_subjects
 from repro.errors import ConfigurationError
 from repro.sim.experiment import HARExperiment
+from repro.sim.predcache import default_subject
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.stats import confidence_from_softmax
 
@@ -154,21 +155,14 @@ class PersonalizationExperiment:
             list(spec.activities), window_duration_s=spec.window_duration_s
         )
         rng = factory.generator("base-accuracy")
-        subject = (
-            dataset.eval_subjects[0] if dataset.eval_subjects else SubjectProfile.canonical()
-        )
+        subject = default_subject(dataset)
         labels = markov.sample_labels(n_windows, rng)
         true = np.array([spec.label_of(activity) for activity in labels])
         styles = [StyleWobble.sample(rng) for _ in range(n_windows)]
         votes = {}
         for node_id in sorted(models):
             location = bundle.location_of(node_id)
-            batch = np.stack(
-                [
-                    dataset.synthesizer.window(activity, location, subject, rng, style=style)
-                    for activity, style in zip(labels, styles)
-                ]
-            )
+            batch = dataset.synthesizer.stream(labels, location, subject, rng, styles=styles)
             votes[node_id] = models[node_id].predict_proba(batch)
         correct = 0
         for index in range(n_windows):
@@ -220,13 +214,7 @@ class PersonalizationExperiment:
             ]
             probabilities = {}
             for node_id in node_ids:
-                location = locations[node_id]
-                batch = np.stack(
-                    [
-                        synthesizer.window(activity, location, user, rng, style=style)
-                        for activity, style in zip(labels, styles)
-                    ]
-                )
+                batch = synthesizer.stream(labels, locations[node_id], user, rng, styles=styles)
                 snr = self.snr_db - float(rng.uniform(0.0, 6.0))
                 batch = add_gaussian_noise_snr(batch, snr, rng)
                 probabilities[node_id] = models[node_id].predict_proba(batch)

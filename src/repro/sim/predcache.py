@@ -6,16 +6,18 @@ the per-slot style wobbles, every node's sensed-window stream — and
 therefore every node's softmax output for every slot it could possibly
 classify.  A policy sweep evaluates the whole RR/AAS/AASR/Origin ladder
 on exactly those seeds, so this module materializes the shared part once
-per seed (:func:`build_run_material`) and lets every policy run consume
-it (:class:`PredictionCache`), removing window synthesis and DNN
-inference from the per-policy cost.
+per seed (:func:`build_run_material`) and lets every policy run and both
+fully-powered baselines consume it (:class:`PredictionCache`), removing
+window synthesis and DNN inference from the per-policy cost.
 
 Determinism contract
 --------------------
 Windows are drawn for *all* slots up front from each node's labeled RNG
-stream (exactly like the style stream always was), so the window a node
-senses at slot ``s`` does not depend on which earlier slots the policy
-made it active in.  That is what makes the material policy-independent.
+stream (exactly like the style stream always was), one
+:meth:`~repro.datasets.synthesis.SignalSynthesizer.batch` per dwell run,
+so the window a node senses at slot ``s`` does not depend on which
+earlier slots the policy made it active in.  That is what makes the
+material policy-independent.
 Predictions are computed with one batched ``predict_proba`` pass per
 node; since the per-slot runtime consumes the same arrays in every mode,
 cached, uncached (per-run rebuilt) and parallel runs are byte-identical
@@ -33,7 +35,6 @@ import numpy as np
 from repro.datasets.activities import Activity
 from repro.datasets.base import HARDataset
 from repro.datasets.markov import MarkovActivityModel
-from repro.datasets.profiles import N_CHANNELS
 from repro.datasets.subjects import SubjectProfile
 from repro.datasets.synthesis import StyleWobble
 from repro.errors import ConfigurationError
@@ -183,20 +184,13 @@ def build_run_material(
     style_rng = factory.generator("style")
     styles = [StyleWobble.sample(style_rng) for _ in range(n_windows)]
 
-    synthesizer = dataset.synthesizer
     windows: Dict[int, np.ndarray] = {}
     with obs.timed("predcache.windows"):
         for location in spec.locations:
-            node_id = bundle.node_id_of(location)
             rng = factory.generator(f"windows/{location.value}")
-            stream = np.empty(
-                (n_windows, N_CHANNELS, synthesizer.window_size), dtype=np.float32
+            windows[bundle.node_id_of(location)] = dataset.synthesizer.stream(
+                labels, location, subject, rng, styles=styles
             )
-            for slot, activity in enumerate(labels):
-                stream[slot] = synthesizer.window(
-                    activity, location, subject, rng, style=styles[slot]
-                )
-            windows[node_id] = stream
 
     probabilities: Optional[Dict[int, np.ndarray]] = None
     if with_predictions:
@@ -268,7 +262,10 @@ class PredictionCache:
         subject: Optional[SubjectProfile] = None,
         with_predictions: bool = True,
     ) -> RunMaterial:
-        """The (memoized) material for ``seed`` under the experiment config."""
+        """The (memoized) material for ``seed`` under the experiment config.
+
+        A material built with predictions also serves requests without.
+        """
         config = self.experiment.config
         subject = subject or default_subject(self.experiment.dataset)
         key = (
@@ -277,10 +274,9 @@ class PredictionCache:
             config.dwell_scale,
             config.use_pruned_models,
             subject.subject_id,
-            bool(with_predictions),
         )
         cached = self._materials.get(key)
-        if cached is not None:
+        if cached is not None and (cached.probabilities is not None or not with_predictions):
             self.hits += 1
             if self.obs.enabled:
                 self.obs.metrics.set_gauge("predcache.hits", self.hits)

@@ -4,14 +4,16 @@ The sweep is the hot path of every headline experiment: the full ladder
 is 16 policies x ``n_seeds`` runs, plus both baselines per seed.
 :meth:`PolicySweep.run` is a thin front end over the journaled unit
 executor :func:`repro.resilience.executor.run_units`: it cuts the grid
-into seed-major policy chunks and merges the results.
+into seed-major policy chunks, then one baseline unit per seed, runs
+them in one executor pass and merges the results.
 
 * A per-seed :class:`~repro.sim.predcache.PredictionCache` shares the
-  timeline/window/softmax precompute across every policy of a seed, and
-  each chunk runs as one batched :func:`~repro.sim.kernel.run_policy_batch`
-  call.  A chunk runs cell by cell instead when observability is on, its
-  material is kernel-ineligible or the batch fails.
-* ``run(..., workers=N)`` runs the chunks on a
+  timeline/window/softmax precompute across every policy and both
+  baselines of a seed, and each policy chunk runs as one batched
+  :func:`~repro.sim.kernel.run_policy_batch` call.  A chunk runs cell by
+  cell instead when observability is on, its material is
+  kernel-ineligible or the batch fails.
+* ``run(..., workers=N)`` runs the units on a
   :class:`~repro.resilience.SupervisedPool` — per-task timeouts,
   bounded deterministic-backoff retries and ``BrokenProcessPool``
   recovery — whose workers rehydrate the trained bundle by store key.
@@ -195,20 +197,26 @@ class PolicySweep:
         seed: Optional[int] = None,
         workers: int = 1,
     ) -> List[Unit]:
-        """The seed-major policy chunks ``run`` executes, in unit order.
+        """The units ``run`` executes: seed-major policy chunks, then baselines.
 
-        With no more workers than seeds each unit is a whole seed (one
-        material build per unit); with more workers each seed's policy
-        list is split into contiguous chunks so every worker stays busy.
+        With no more workers than seeds each policy unit is a whole seed
+        (one material build per unit); with more workers each seed's
+        policy list is split into contiguous chunks so every worker
+        stays busy.  With baselines, one unit per seed runs both.
         """
-        if not policies:
-            return []
         base_seed = self.experiment.seed if seed is None else int(seed)
+        seeds = [base_seed + offset for offset in range(self.n_seeds)]
+        baselines = [
+            Unit(tuple(baseline_cell(b.name, s) for b in _BASELINES), _BASELINES, (s,))
+            for s in seeds
+            if self.include_baselines
+        ]
+        if not policies:
+            return baselines
         chunks = min(len(policies), max(1, math.ceil(workers / self.n_seeds)))
         step = math.ceil(len(policies) / chunks)
         units = []
-        for offset in range(self.n_seeds):
-            run_seed = base_seed + offset
+        for run_seed in seeds:
             for start in range(0, len(policies), step):
                 specs = tuple(policies[start:start + step])
                 units.append(
@@ -218,7 +226,7 @@ class PolicySweep:
                         args=(run_seed,),
                     )
                 )
-        return units
+        return units + baselines
 
     def run(
         self,
@@ -245,7 +253,8 @@ class PolicySweep:
         ``workers=1`` runs the same units in this process.  Results are
         merged in policy-grid order either way, so the returned
         :class:`SweepResult` is identical for any worker count.  The
-        baselines run in this process after the grid.
+        baselines are trailing units (:meth:`units`) on their seed's
+        material.
 
         ``journal`` (a path or an open
         :class:`~repro.resilience.SweepJournal`) checkpoints every
@@ -258,7 +267,7 @@ class PolicySweep:
         ``on_failure`` decides what happens to grid cells that raise or
         exhaust their retries, at every worker count: ``"raise"``
         (default) raises :class:`~repro.errors.ResilienceError` after
-        the rest of the grid finished (completed cells stay journaled;
+        the other units finished (completed cells stay journaled;
         in-process the first original exception is its ``__cause__``),
         ``"salvage"`` merges the surviving cells and attaches a
         :class:`~repro.resilience.DegradationReport` as
@@ -295,8 +304,10 @@ class PolicySweep:
             for cell, spec in zip(unit.cells, unit.items)
         }
 
-        def progress(done: List[PolicySpec]) -> None:
-            obs.metrics.inc("sweep.progress.cells", len(done))
+        def progress(done: List[Any]) -> None:
+            cells = sum(isinstance(spec, PolicySpec) for spec in done)
+            if cells:
+                obs.metrics.inc("sweep.progress.cells", cells)
 
         result = SweepResult(activities=list(self.experiment.dataset.spec.activities))
         if obs.enabled:
@@ -304,21 +315,23 @@ class PolicySweep:
         try:
             with obs.timed("sweep.run"):
                 grid = run_units(
-                    units, _policy_unit, _SweepWorker, self.experiment,
-                    journal=book, encode=encode_experiment_result,
-                    decode=decode_experiment_result, obs=obs, progress=progress,
+                    units, _sweep_unit, _SweepWorker, self.experiment,
+                    journal=book, encode=_encode_result,
+                    decode=_decode_result, obs=obs, progress=progress,
                     workers=workers, task_timeout_s=task_timeout_s,
                     max_retries=max_retries, retry_backoff_s=retry_backoff_s,
                     chaos=chaos,
                 )
                 runs: Dict[str, List[ExperimentResult]] = {spec.name: [] for spec in policies}
                 for cell, (spec, _) in owners.items():  # seed-major
-                    if cell in grid.results:
+                    if isinstance(spec, PolicySpec) and cell in grid.results:
                         runs[spec.name].append(grid.results[cell])
                 for name, surviving in runs.items():
                     if surviving:
                         result.policies[name] = _merge_runs(surviving)
 
+                lost_policies = [c for c in grid.lost if isinstance(owners[c.cell][0], PolicySpec)]
+                lost_baselines = [c for c in grid.lost if c not in lost_policies]
                 failed = [
                     FailedCell(
                         cell=lost.cell,
@@ -327,7 +340,7 @@ class PolicySweep:
                         cause=lost.cause,
                         policy=owners[lost.cell][0].name,
                     )
-                    for lost in grid.lost
+                    for lost in lost_policies
                 ]
                 incidents = grid.incidents
                 if failed or any(incidents.values()):
@@ -341,24 +354,15 @@ class PolicySweep:
                     )
                 if failed and on_failure == "raise":
                     raise ResilienceError(result.degradation.summary()) from grid.first_error
+                if lost_baselines:
+                    lost = "; ".join(f"{c.cell}: {c.cause}" for c in lost_baselines)
+                    cause = next((c.error for c in lost_baselines if c.error is not None), None)
+                    raise ResilienceError(f"baseline(s) failed: {lost}") from cause
 
                 if self.include_baselines:
-                    pairs = [(baseline, run_seed) for baseline in _BASELINES for run_seed in seeds]
-                    unit = Unit(
-                        cells=tuple(baseline_cell(b.name, s) for b, s in pairs),
-                        items=tuple(pairs),
-                    )
-                    done = run_units(
-                        [unit], _baseline_unit, _SweepWorker, self.experiment,
-                        journal=book, encode=encode_baseline_result,
-                        decode=decode_baseline_result, obs=obs,
-                    )
-                    if done.lost:
-                        lost = "; ".join(f"{c.cell}: {c.cause}" for c in done.lost)
-                        raise ResilienceError(f"baseline(s) failed: {lost}") from done.first_error
                     for baseline in _BASELINES:
                         result.baselines[baseline.name] = _merge_baselines(
-                            [done.results[baseline_cell(baseline.name, s)] for s in seeds]
+                            [grid.results[baseline_cell(baseline.name, s)] for s in seeds]
                         )
         finally:
             if book is not None and book is not journal:
@@ -379,23 +383,35 @@ class _SweepWorker:
         self.cache = PredictionCache(experiment)
 
 
-def _policy_unit(
+def _sweep_unit(
     state: _SweepWorker,
-    specs: Sequence[PolicySpec],
+    specs: Sequence[Union[PolicySpec, BaselineSpec]],
     seed: int,
     *,
     obs: Observability,
 ) -> List[Any]:
-    """One seed's chunk of policies on the seed's shared material.
+    """One seed's chunk of policies, or its baselines, on the seed's shared material.
 
-    The chunk runs as one batched kernel call; it runs cell by cell
+    A policy chunk runs as one batched kernel call; it runs cell by cell
     (each cell's error caught alone) when observability is on, the
     material is kernel-ineligible or the batch fails.  Kernel-vs-scalar
-    identity means the fallback changes nothing but speed.
+    identity means the fallback changes nothing but speed.  Baselines
+    read only the material's windows, so a worker that ran none of the
+    seed's policies builds it without softmax.
     """
     from repro.sim.kernel import kernel_eligible, run_policy_batch
 
     experiment = state.experiment
+    if isinstance(specs[0], BaselineSpec):
+        material = state.cache.material(seed, with_predictions=False)
+        return each_cell(
+            lambda baseline: evaluate_baseline(
+                experiment.dataset, experiment.bundle, baseline, seed=seed,
+                n_windows=experiment.config.n_windows,
+                dwell_scale=experiment.config.dwell_scale, material=material,
+            ),
+            specs,
+        )
     material = state.cache.material(seed)
     if not obs.enabled and kernel_eligible(
         material=material, window_transform=None, faults=None, obs=None
@@ -413,25 +429,16 @@ def _policy_unit(
     )
 
 
-def _baseline_unit(
-    state: _SweepWorker,
-    pairs: Sequence[Tuple[BaselineSpec, int]],
-    *,
-    obs: Observability,
-) -> List[BaselineResult]:
-    """Fully-powered baseline runs, one per ``(baseline, seed)``."""
-    experiment = state.experiment
-    return each_cell(
-        lambda pair: evaluate_baseline(
-            experiment.dataset,
-            experiment.bundle,
-            pair[0],
-            n_windows=experiment.config.n_windows,
-            seed=pair[1],
-            dwell_scale=experiment.config.dwell_scale,
-        ),
-        pairs,
-    )
+def _encode_result(result: Union[ExperimentResult, BaselineResult]) -> Dict[str, Any]:
+    if isinstance(result, BaselineResult):
+        return encode_baseline_result(result)
+    return encode_experiment_result(result)
+
+
+def _decode_result(payload: Dict[str, Any]) -> Union[ExperimentResult, BaselineResult]:
+    if payload["type"] == "baseline":
+        return decode_baseline_result(payload)
+    return decode_experiment_result(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.policies import origin_policy, rr_policy
+from repro.core.policies import Baseline1, Baseline2, origin_policy, rr_policy
 from repro.errors import ConfigurationError, ResilienceError
 from repro.obs.observer import Observability
 from repro.resilience import (
     ChaosAction,
     ChaosPlan,
     SweepJournal,
+    baseline_cell,
     policy_cell,
     sweep_fingerprint,
 )
@@ -222,8 +223,9 @@ class TestSalvage:
 
     def test_sequential_raise_journals_surviving_cells(self, tiny_experiment,
                                                        monkeypatch, tmp_path):
-        # The failing cells do not stop the rest of the grid: the
-        # surviving cells are journaled before the sweep raises.
+        # The failing cells do not stop the rest of the sweep: the
+        # surviving policy cells and the baselines (trailing units of
+        # the same executor pass) are journaled before the sweep raises.
         sweep = PolicySweep(tiny_experiment, n_seeds=2, include_baselines=True)
         _fail_cells(monkeypatch, tiny_experiment, GRID[0].name)
         path = str(tmp_path / "sweep.jsonl")
@@ -232,7 +234,10 @@ class TestSalvage:
         assert "synthetic cell failure" in str(excinfo.value.__cause__)
         journal = SweepJournal.open(path, sweep_fingerprint(tiny_experiment))
         seeds = (tiny_experiment.seed, tiny_experiment.seed + 1)
-        assert journal.cells == sorted(policy_cell(GRID[1], seed) for seed in seeds)
+        assert journal.cells == sorted(
+            [policy_cell(GRID[1], seed) for seed in seeds]
+            + [baseline_cell(b.name, seed) for b in (Baseline1, Baseline2) for seed in seeds]
+        )
         journal.close()
 
     def test_failing_baseline_raises_even_when_salvaging(self, tiny_experiment,

@@ -185,6 +185,81 @@ class TestParallelSweep:
 
 
 # ---------------------------------------------------------------------------
+# one synthesis per seed: the baselines read the policies' material
+# ---------------------------------------------------------------------------
+
+
+def _assert_baselines_identical(a, b):
+    assert a.baseline_name == b.baseline_name
+    assert a.activities == b.activities
+    np.testing.assert_array_equal(a.true_labels, b.true_labels)
+    np.testing.assert_array_equal(a.predicted_labels, b.predicted_labels)
+
+
+class TestSharedMaterialBaselines:
+    def test_each_seed_is_synthesized_once(self, tiny_experiment, monkeypatch):
+        from repro.core.policies import Baseline1, Baseline2
+        from repro.datasets.synthesis import SignalSynthesizer
+        from repro.sim.baselines import evaluate_baseline
+
+        real_batch = SignalSynthesizer.batch
+        windows = []
+
+        def counting(self, activity, location, count, *args, **kwargs):
+            windows.append(count)
+            return real_batch(self, activity, location, count, *args, **kwargs)
+
+        monkeypatch.setattr(SignalSynthesizer, "batch", counting)
+        n_seeds = 2
+        sweep = PolicySweep(tiny_experiment, n_seeds=n_seeds, include_baselines=True)
+        sequential = sweep.run([rr_policy(3), origin_policy(3)], seed=4, workers=1)
+        config = tiny_experiment.config
+        locations = tiny_experiment.dataset.spec.locations
+        assert sum(windows) == n_seeds * config.n_windows * len(locations)
+        monkeypatch.undo()
+
+        material = PredictionCache(tiny_experiment).material(4)
+        for baseline in (Baseline1, Baseline2):
+            kwargs = dict(
+                n_windows=config.n_windows, seed=4, dwell_scale=config.dwell_scale
+            )
+            _assert_baselines_identical(
+                evaluate_baseline(
+                    tiny_experiment.dataset, tiny_experiment.bundle, baseline,
+                    material=material, **kwargs,
+                ),
+                evaluate_baseline(
+                    tiny_experiment.dataset, tiny_experiment.bundle, baseline, **kwargs
+                ),
+            )
+
+        parallel = sweep.run([rr_policy(3), origin_policy(3)], seed=4, workers=2)
+        assert sorted(parallel.baselines) == sorted(sequential.baselines)
+        for name in sequential.baselines:
+            _assert_baselines_identical(parallel.baseline(name), sequential.baseline(name))
+
+    def test_baseline_rejects_foreign_material(self, tiny_experiment):
+        from repro.core.policies import Baseline2
+        from repro.sim.baselines import evaluate_baseline
+
+        material = PredictionCache(tiny_experiment).material(4)
+        with pytest.raises(ConfigurationError):
+            evaluate_baseline(
+                tiny_experiment.dataset, tiny_experiment.bundle, Baseline2,
+                n_windows=tiny_experiment.config.n_windows, seed=5, material=material,
+            )
+
+    def test_windows_only_request_reuses_predicted_material(self, tiny_experiment):
+        cache = PredictionCache(tiny_experiment)
+        windows_only = cache.material(4, with_predictions=False)
+        assert windows_only.probabilities is None
+        predicted = cache.material(4)
+        assert predicted.probabilities is not None
+        assert cache.material(4, with_predictions=False) is predicted
+        assert cache.hits == 1 and cache.misses == 2
+
+
+# ---------------------------------------------------------------------------
 # multi-seed merge accounting (the bugfix)
 # ---------------------------------------------------------------------------
 
