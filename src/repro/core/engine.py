@@ -19,20 +19,32 @@ and reports as an offline run produces the identical decision stream.
 
 Per slot::
 
-    active = engine.begin_slot(slot, states)     # scheduling decision
+    active = engine.begin_slot(slot, ready, online=online)  # scheduling
     ... the caller runs/receives the physics for `active` ...
-    final = engine.finish_slot(slot, outcomes)   # vote + adaptation
+    final = engine.finish_slot(slot, outcomes)              # vote + adaptation
 
-``states`` maps node id -> :class:`NodeSlotState` in **node construction
-order** (python dicts preserve insertion order; the scheduling context
-dicts are rebuilt in that order, which ER-r/AAS tie-breaking depends
-on).  ``outcomes`` are :class:`~repro.wsn.node.InferenceOutcome`-shaped
-objects — the serving path feeds wire-decoded reports that duck-type the
-same fields.
+``ready`` and ``online`` are per-node flags in **node construction
+order** (ER-r/AAS tie-breaking follows that order): the kernel passes
+its run's slice of ``SlotKernel.ready_mask()``, the scalar loop
+``can_start_inference()`` per node, and a serving session unpacks the
+wire's :class:`NodeSlotState` records.  ``outcomes`` are
+:class:`~repro.wsn.node.InferenceOutcome`-shaped objects — the serving
+path feeds wire-decoded reports that duck-type the same fields.
+
+Both phases pay only for what happens on the slot.  On a slot the
+scheduler declares pure harvesting (:meth:`~repro.core.scheduling.base.
+SchedulingPolicy.is_compute_slot`) ``begin_slot`` returns ``[]``
+without building a scheduling context.  ``finish_slot`` reuses the
+previous recall vote while nothing it reads has changed — the host's
+memory version, the confidence matrix's update count — and recall can
+neither expire nor fade; the host still counts, observes and traces the
+reused decision exactly as a fresh one.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -50,11 +62,13 @@ __all__ = ["DecisionEngine", "NodeSlotState", "make_vote"]
 
 @dataclass(frozen=True)
 class NodeSlotState:
-    """One node's scheduler-visible state at the top of a slot.
+    """One node's state at the top of a slot, as a device reports it.
 
+    The wire record of :mod:`repro.serve`: the engine itself takes the
+    ``ready`` and ``online`` flags (see :meth:`DecisionEngine.begin_slot`).
     ``online=False`` models a dead/browned-out node: the scheduler sees
-    zero energy and not-ready, and the node is filtered out of the
-    active set even if the policy insists on it.
+    it not-ready, and the node is filtered out of the active set even if
+    the policy insists on it.
     """
 
     energy_j: float
@@ -69,6 +83,31 @@ def make_vote(spec: PolicySpec, confidence: ConfidenceMatrix):
     if spec.aggregation is AggregationMode.CONFIDENCE_RECALL:
         return WeightedMajorityVote(confidence)
     raise SimulationError(f"{spec.aggregation} has no host-side vote")
+
+
+class _RecalledVote:
+    """A host vote rerun only when something it reads has changed.
+
+    Sound only while recall can neither expire nor fade: the host then
+    passes every remembered vote at full weight, so an unchanged memory
+    version and matrix update count mean an unchanged vote.  The host
+    owns this object, so it is held weakly; a cycle would keep every
+    finished run alive until the garbage collector next ran.
+    """
+
+    def __init__(self, vote, host: HostDevice, confidence: ConfidenceMatrix) -> None:
+        self.vote = vote
+        self._host = weakref.ref(host)
+        self._confidence = confidence
+        self._key: Optional[tuple] = None
+        self._label: Optional[int] = None
+
+    def __call__(self, votes: Sequence, current_slot: int) -> Optional[int]:
+        key = (self._host().memory_version, self._confidence.updates)
+        if key != self._key:
+            self._label = self.vote(votes, current_slot)
+            self._key = key
+        return self._label
 
 
 class DecisionEngine:
@@ -113,16 +152,18 @@ class DecisionEngine:
         obs: Observability = NULL_OBS,
     ) -> None:
         self.policy = policy
+        self._uses_recall = policy.uses_recall
         self.node_ids = list(node_ids)
+        self._position = {node_id: k for k, node_id in enumerate(self.node_ids)}
         self.confidence = confidence
         self.obs = obs
         self.host = HostDevice(
-            make_vote(policy, confidence)
-            if policy.uses_recall
-            else MajorityVote(),
+            make_vote(policy, confidence) if self._uses_recall else MajorityVote(),
             max_recall_age_slots=max_recall_age_slots,
             staleness_half_life_slots=staleness_half_life_slots,
         )
+        if max_recall_age_slots is None and staleness_half_life_slots is None:
+            self.host.vote = _RecalledVote(self.host.vote, self.host, confidence)
         if obs.enabled:
             self.host.attach_obs(obs)
         self.scheduler = policy.make_scheduler(self.node_ids, rank_table)
@@ -143,33 +184,51 @@ class DecisionEngine:
     def begin_slot(
         self,
         slot: int,
-        states: Dict[int, NodeSlotState],
+        ready: Sequence[bool],
         *,
+        online: Optional[Sequence[bool]] = None,
         node_responsive: Optional[Dict[int, bool]] = None,
     ) -> List[int]:
         """Scheduling phase: pick (and trace) this slot's active set.
 
-        Offline nodes are masked exactly as the scalar loop masks them:
-        the scheduler sees zero stored energy and not-ready, and any
-        offline id it picks anyway is dropped from the returned set.
+        ``ready`` holds one ``can_start_inference`` flag per node and
+        ``online`` (default: all up) one power flag per node, both in
+        construction order.  Offline nodes are masked exactly as the
+        scalar loop masks them: the scheduler sees them not-ready, and
+        any offline id it picks anyway is dropped from the returned set.
         """
-        context = SchedulingContext(
-            node_energy_j={
-                node_id: (state.energy_j if state.online else 0.0)
-                for node_id, state in states.items()
-            },
-            node_ready={
-                node_id: (state.ready and state.online)
-                for node_id, state in states.items()
-            },
-            anticipated_label=self.last_final,
-            node_responsive=node_responsive if node_responsive is not None else {},
-        )
-        active = [
-            node_id
-            for node_id in self.scheduler.active_nodes(slot, context)
-            if states[node_id].online
-        ]
+        if not isinstance(ready, list) and isinstance(ready, Mapping):
+            raise TypeError(
+                "begin_slot takes per-node ready flags in construction "
+                "order, not a mapping"
+            )
+        node_ids = self.node_ids
+        if len(ready) != len(node_ids) or (
+            online is not None and len(online) != len(node_ids)
+        ):
+            raise SimulationError(
+                f"begin_slot needs one flag per node ({len(node_ids)})"
+            )
+        scheduler = self.scheduler
+        if not scheduler.is_compute_slot(slot):
+            active: List[int] = []
+        else:
+            if online is None:
+                node_ready = dict(zip(node_ids, ready))
+            else:
+                node_ready = {
+                    node_id: (is_ready and is_up)
+                    for node_id, is_ready, is_up in zip(node_ids, ready, online)
+                }
+            context = SchedulingContext(
+                node_ready=node_ready,
+                anticipated_label=self.last_final,
+                node_responsive=node_responsive if node_responsive is not None else {},
+            )
+            active = scheduler.active_nodes(slot, context)
+            if online is not None:
+                position = self._position
+                active = [node_id for node_id in active if online[position[node_id]]]
         trace = self.obs.tracer
         if trace.enabled:
             trace.append(
@@ -190,6 +249,10 @@ class DecisionEngine:
         on_completion: Optional[Callable] = None,
     ) -> Optional[int]:
         """Decision phase: ingest reports, adapt, vote, observe.
+
+        When recall can neither expire nor fade, the vote itself reruns
+        only if the host's memory version or the matrix's update count
+        moved since the last one; otherwise the host reuses its label.
 
         Parameters
         ----------
@@ -241,7 +304,7 @@ class DecisionEngine:
                     )
         final: Optional[int] = None
         if decide:
-            if policy.uses_recall:
+            if self._uses_recall:
                 final = self.host.classify(slot)
             else:
                 completed = [o for o in outcomes if o.completed and o.delivered]

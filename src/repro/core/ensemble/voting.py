@@ -8,12 +8,35 @@ vote by the confidence matrix and resolving ties through it.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.core.ensemble.confidence import ConfidenceMatrix
 from repro.errors import ConfigurationError
 from repro.wsn.host import ReceivedVote
+
+
+def _tally(
+    votes: Sequence[ReceivedVote], weights: Iterable[float]
+) -> Optional[int]:
+    """The label with the largest summed weight; ties go to fresh evidence.
+
+    Sums per label in vote order.  Labels within ``1e-12`` of the top
+    score are tied; among them the label whose newest vote was sensed
+    last wins, and the smaller label after that.
+    """
+    if not votes:
+        return None
+    scores: Dict[int, float] = {}
+    for vote, weight in zip(votes, weights):
+        scores[vote.label] = scores.get(vote.label, 0.0) + weight
+    top = max(scores.values())
+    tied = [label for label, score in scores.items() if abs(score - top) < 1e-12]
+    if len(tied) == 1:
+        return tied[0]
+    freshest: Dict[int, int] = {}
+    for vote in votes:
+        freshest[vote.label] = max(freshest.get(vote.label, -1), vote.started_slot)
+    return max(tied, key=lambda label: (freshest[label], -label))
 
 
 class MajorityVote:
@@ -33,18 +56,7 @@ class MajorityVote:
     def __call__(
         self, votes: Sequence[ReceivedVote], current_slot: int
     ) -> Optional[int]:
-        if not votes:
-            return None
-        counts: Dict[int, float] = defaultdict(float)
-        freshest: Dict[int, int] = defaultdict(lambda: -1)
-        for vote in votes:
-            counts[vote.label] += vote.weight
-            freshest[vote.label] = max(freshest[vote.label], vote.started_slot)
-        top = max(counts.values())
-        tied = [label for label, count in counts.items() if abs(count - top) < 1e-12]
-        if len(tied) == 1:
-            return tied[0]
-        return max(tied, key=lambda label: (freshest[label], -label))
+        return _tally(votes, [vote.weight for vote in votes])
 
 
 class WeightedMajorityVote:
@@ -80,15 +92,4 @@ class WeightedMajorityVote:
     def __call__(
         self, votes: Sequence[ReceivedVote], current_slot: int
     ) -> Optional[int]:
-        if not votes:
-            return None
-        scores: Dict[int, float] = defaultdict(float)
-        freshest: Dict[int, int] = defaultdict(lambda: -1)
-        for vote in votes:
-            scores[vote.label] += self._weight(vote)
-            freshest[vote.label] = max(freshest[vote.label], vote.started_slot)
-        top = max(scores.values())
-        tied = [label for label, score in scores.items() if abs(score - top) < 1e-12]
-        if len(tied) == 1:
-            return tied[0]
-        return max(tied, key=lambda label: (freshest[label], -label))
+        return _tally(votes, [self._weight(vote) for vote in votes])

@@ -109,6 +109,9 @@ class ActivityAwareScheduler(SchedulingPolicy):
     def _backing_off(self, node_id: int, slot_index: int) -> bool:
         return slot_index < self._backoff_until[node_id]
 
+    def is_compute_slot(self, slot_index: int) -> bool:
+        return self.base.is_compute_slot(slot_index)
+
     def active_nodes(self, slot_index: int, context: SchedulingContext) -> List[int]:
         if not self.base.is_compute_slot(slot_index):
             return []

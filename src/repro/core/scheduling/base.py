@@ -4,6 +4,13 @@ A policy is asked, every slot, which nodes should attempt an inference;
 afterwards it observes what happened (which inferences completed, what
 the system's final classification was) so it can adapt — that feedback
 is what makes activity-aware scheduling possible.
+
+A policy may also declare, ahead of the question, which slots are pure
+harvesting: :meth:`SchedulingPolicy.is_compute_slot` returning ``False``
+promises that :meth:`~SchedulingPolicy.active_nodes` would return ``[]``
+whatever the context says, so the decision engine skips building one.
+ER-r's no-op slots (and AAS on top of them) are the case that matters:
+RR12 idles nine slots of every twelve.
 """
 
 from __future__ import annotations
@@ -21,8 +28,6 @@ class SchedulingContext:
 
     Attributes
     ----------
-    node_energy_j:
-        Current stored energy per node id.
     node_ready:
         Whether each node could finish a fresh inference right now
         (the AAS energy check).
@@ -37,7 +42,6 @@ class SchedulingContext:
         behaves exactly as before.
     """
 
-    node_energy_j: Dict[int, float] = field(default_factory=dict)
     node_ready: Dict[int, bool] = field(default_factory=dict)
     anticipated_label: Optional[int] = None
     node_responsive: Dict[int, bool] = field(default_factory=dict)
@@ -58,6 +62,15 @@ class SchedulingPolicy(ABC):
 
         An empty list is a no-op (pure harvesting) slot.
         """
+
+    def is_compute_slot(self, slot_index: int) -> bool:
+        """Whether any node may run this slot.
+
+        ``False`` promises :meth:`active_nodes` returns ``[]`` for this
+        slot without reading its context.  Default: every slot may
+        compute.
+        """
+        return True
 
     def observe(
         self,

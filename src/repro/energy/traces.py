@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -212,21 +212,43 @@ class PowerTraceGenerator:
 
     # ------------------------------------------------------------------
 
-    def state_sequence(self, duration_s: float, seed: SeedLike = None) -> List[OfficeState]:
-        """Per-sample office state over ``duration_s`` seconds."""
+    def _dwell_runs(
+        self, duration_s: float, rng: np.random.Generator
+    ) -> Tuple[List[Tuple[OfficeState, int]], int]:
+        """The semi-Markov walk as ``(state, n_samples)`` dwell runs.
+
+        Returns the runs and the trace's sample count; the runs cover at
+        least that many samples (the last one may overhang).
+        """
         check_positive("duration_s", duration_s)
-        rng = as_generator(seed)
         n_samples = int(np.ceil(duration_s / self.dt_s))
-        states: List[OfficeState] = []
+        runs: List[Tuple[OfficeState, int]] = []
+        covered = 0
         all_states = list(OfficeState)
         current = OfficeState.QUIET
-        while len(states) < n_samples:
+        while covered < n_samples:
             dwell_s = rng.exponential(self._params[current].mean_dwell_s)
             n_dwell = max(int(round(dwell_s / self.dt_s)), 1)
-            states.extend([current] * n_dwell)
+            runs.append((current, n_dwell))
+            covered += n_dwell
             others = [state for state in all_states if state is not current]
             current = others[int(rng.integers(len(others)))]
+        return runs, n_samples
+
+    def state_sequence(self, duration_s: float, seed: SeedLike = None) -> List[OfficeState]:
+        """Per-sample office state over ``duration_s`` seconds."""
+        runs, n_samples = self._dwell_runs(duration_s, as_generator(seed))
+        states: List[OfficeState] = []
+        for state, n_dwell in runs:
+            states.extend([state] * n_dwell)
         return states[:n_samples]
+
+    def _base_power(self, duration_s: float, rng: np.random.Generator) -> np.ndarray:
+        """Per-sample mean power of the office state, one dwell run at a time."""
+        runs, n_samples = self._dwell_runs(duration_s, rng)
+        levels = np.array([self._params[state].mean_power_w for state, _ in runs])
+        lengths = np.array([n_dwell for _, n_dwell in runs])
+        return np.repeat(levels, lengths)[:n_samples]
 
     def _fade(self, rng: np.random.Generator, n_samples: int) -> np.ndarray:
         if self.fading_sigma == 0:
@@ -240,8 +262,7 @@ class PowerTraceGenerator:
     ) -> PowerTrace:
         """One independent trace."""
         rng = as_generator(seed)
-        states = self.state_sequence(duration_s, rng)
-        base = np.array([self._params[state].mean_power_w for state in states])
+        base = self._base_power(duration_s, rng)
         return PowerTrace(self.dt_s, base * self._fade(rng, base.size) * gain)
 
     def generate_correlated(
@@ -261,8 +282,7 @@ class PowerTraceGenerator:
         if any(g < 0 for g in gains):
             raise ConfigurationError("gains must be >= 0")
         rng = as_generator(seed)
-        states = self.state_sequence(duration_s, rng)
-        base = np.array([self._params[state].mean_power_w for state in states])
+        base = self._base_power(duration_s, rng)
         return [
             PowerTrace(self.dt_s, base * self._fade(rng, base.size) * gain)
             for gain in gains

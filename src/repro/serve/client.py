@@ -170,7 +170,16 @@ def record_tape(
         "n_windows": n,
         "states": states_to_wire(states),
     }
-    active = engine.begin_slot(0, states)
+
+    def schedule(slot: int, states: Dict[int, NodeSlotState]) -> List[int]:
+        # What a serving session does with the same wire records.
+        return engine.begin_slot(
+            slot,
+            [state.ready for state in states.values()],
+            online=[state.online for state in states.values()],
+        )
+
+    active = schedule(0, states)
     frames: List[Dict[str, Any]] = []
     labels: List[Optional[int]] = []
     actives: List[List[int]] = [list(active)]
@@ -185,7 +194,7 @@ def record_tape(
         if slot + 1 < n:
             states = sim.states()
             frame["states"] = states_to_wire(states)
-            active = engine.begin_slot(slot + 1, states)
+            active = schedule(slot + 1, states)
             actives.append(list(active))
         frames.append(frame)
     return ReplayTape(

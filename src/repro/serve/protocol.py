@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
@@ -195,17 +196,41 @@ def states_to_wire(states: Dict[int, NodeSlotState]) -> Dict[str, Any]:
     }
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def states_from_wire(wire: Dict[str, Any]) -> Dict[int, NodeSlotState]:
-    """Rebuild the ordered ``{node_id: NodeSlotState}`` map."""
-    try:
-        return {
-            int(node_id): NodeSlotState(
-                energy_j=float(raw[0]), ready=bool(raw[1]), online=bool(raw[2])
+    """Rebuild the ordered ``{node_id: NodeSlotState}`` map.
+
+    The wire form is a JSON object of ``[energy, ready, online]`` with a
+    number and two JSON booleans; anything else is a :class:`ServeError`
+    (a string ``"false"`` must not read as ready).
+    """
+    if not isinstance(wire, dict):
+        raise ServeError(
+            f"bad node states on the wire: expected an object, got "
+            f"{type(wire).__name__}"
+        )
+    states = {}
+    for node_id, raw in wire.items():
+        if not (
+            isinstance(raw, (list, tuple))
+            and len(raw) == 3
+            and _is_number(raw[0])
+            and isinstance(raw[1], bool)
+            and isinstance(raw[2], bool)
+        ):
+            raise ServeError(
+                f"bad node states on the wire: node {node_id!r} needs "
+                f"[number, bool, bool], got {raw!r}"
             )
-            for node_id, raw in wire.items()
-        }
-    except (ValueError, TypeError, IndexError) as error:
-        raise ServeError(f"bad node states on the wire: {error}") from None
+        try:
+            key = int(node_id)
+        except (ValueError, TypeError) as error:
+            raise ServeError(f"bad node states on the wire: {error}") from None
+        states[key] = NodeSlotState(energy_j=float(raw[0]), ready=raw[1], online=raw[2])
+    return states
 
 
 @dataclass(frozen=True)
@@ -260,18 +285,42 @@ def report_to_wire(outcome: Any) -> List[Any]:
 
 
 def report_from_wire(wire: Sequence[Any]) -> WireReport:
-    """Rebuild a :class:`WireReport` from its wire list."""
+    """Rebuild a :class:`WireReport` from its wire list.
+
+    The flags must be JSON booleans, a confidence must be finite and
+    ``>= 0``, and a completed report must carry its started slot, label
+    and confidence.  Which node ids and labels a deployment knows is the
+    session's check (:class:`~repro.serve.session.Session`).
+    """
     if not isinstance(wire, (list, tuple)) or len(wire) != 8:
         raise ServeError(f"bad report on the wire: {wire!r}")
+    completed, delivered, confidence = wire[3], wire[4], wire[6]
+    if not (isinstance(completed, bool) and isinstance(delivered, bool)):
+        raise ServeError(
+            f"bad report on the wire: completed/delivered must be booleans, "
+            f"got {completed!r}/{delivered!r}"
+        )
+    if confidence is not None and not (
+        _is_number(confidence) and math.isfinite(confidence) and confidence >= 0
+    ):
+        raise ServeError(
+            f"bad report on the wire: confidence must be finite and >= 0, "
+            f"got {confidence!r}"
+        )
+    if completed and (wire[2] is None or wire[5] is None or confidence is None):
+        raise ServeError(
+            f"bad report on the wire: a completed report needs its started "
+            f"slot, label and confidence: {wire!r}"
+        )
     try:
         return WireReport(
             node_id=int(wire[0]),
             slot_index=int(wire[1]),
             started_slot=(wire[2] if wire[2] is None else int(wire[2])),
-            completed=bool(wire[3]),
-            delivered=bool(wire[4]),
+            completed=completed,
+            delivered=delivered,
             predicted_label=(wire[5] if wire[5] is None else int(wire[5])),
-            confidence=(wire[6] if wire[6] is None else float(wire[6])),
+            confidence=(confidence if confidence is None else float(confidence)),
             reported_label=(wire[7] if wire[7] is None else int(wire[7])),
         )
     except (ValueError, TypeError) as error:

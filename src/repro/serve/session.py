@@ -233,7 +233,7 @@ class Session:
                 n_windows=n_windows,
                 n_nodes=len(self.profile.node_ids),
             )
-        active = self.engine.begin_slot(0, states)
+        active = self._begin_slot(0, states)
         self.state = SessionState.STREAMING
         self.expected_slot = 0
         return [
@@ -255,6 +255,32 @@ class Session:
             )
         return states
 
+    def _begin_slot(self, slot: int, states: Dict[int, Any]) -> List[int]:
+        """Schedule ``slot`` from the device's checked state records."""
+        return self.engine.begin_slot(
+            slot,
+            [state.ready for state in states.values()],
+            online=[state.online for state in states.values()],
+        )
+
+    def _check_reports(self, reports: List[Any]) -> List[Any]:
+        # The engine trusts its inputs: a stranger's node id or a label
+        # outside the deployment's classes would be voted on (or fail
+        # deep inside the confidence matrix), so reject them here.
+        node_ids = self.engine.node_ids
+        n_classes = self.engine.confidence.n_classes
+        for report in reports:
+            if report.node_id not in node_ids:
+                raise ServeError(
+                    f"report from node {report.node_id}, not one of {node_ids}"
+                )
+            for label in (report.predicted_label, report.reported_label):
+                if label is not None and not 0 <= label < n_classes:
+                    raise ServeError(
+                        f"report label {label} outside [0, {n_classes})"
+                    )
+        return reports
+
     def _handle_window(
         self, frame: Dict[str, Any], *, shed: bool
     ) -> List[Dict[str, Any]]:
@@ -270,7 +296,10 @@ class Session:
             raise ServeError(
                 f"slot {slot} beyond the announced n_windows={self.n_windows}"
             )
-        reports = [report_from_wire(raw) for raw in frame["reports"]]
+        raw_reports = frame["reports"]
+        if not isinstance(raw_reports, (list, tuple)):
+            raise ServeError(f"reports must be a list, got {type(raw_reports).__name__}")
+        reports = self._check_reports([report_from_wire(raw) for raw in raw_reports])
         self.windows += 1
         self.completions += sum(1 for report in reports if report.completed)
         if self.metrics is not None:
@@ -297,7 +326,7 @@ class Session:
                     f"{self.n_windows})"
                 )
             active_next: Optional[List[int]] = list(
-                self.engine.begin_slot(
+                self._begin_slot(
                     slot + 1, self._check_states(states_from_wire(next_states))
                 )
             )

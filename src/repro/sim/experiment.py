@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.engine import DecisionEngine, NodeSlotState, make_vote
+from repro.core.engine import DecisionEngine, make_vote
 from repro.core.ensemble.confidence import ConfidenceMatrix
 from repro.core.policies import PolicySpec
 from repro.datasets.base import HARDataset
@@ -518,15 +518,12 @@ class HARExperiment:
                     responsive[n.node_id] = flag
 
             true_label = spec.label_of(labels[slot])
-            states = {
-                n.node_id: NodeSlotState(
-                    energy_j=n.stored_energy_j,
-                    ready=n.can_start_inference(),
-                    online=online[n.node_id],
-                )
-                for n in nodes
-            }
-            active = core.begin_slot(slot, states, node_responsive=responsive)
+            active = core.begin_slot(
+                slot,
+                [n.can_start_inference() for n in nodes],
+                online=list(online.values()),
+                node_responsive=responsive,
+            )
 
             windows: Dict[int, np.ndarray] = {}
             for node_id in active:

@@ -36,6 +36,14 @@ gate.  Two consequences shape the design:
   recall, voting, confidence adaptation, link accounting) is executed by
   the unmodified python objects, so identity holds by construction.
 
+The per-slot epilogue pays only for what a run does on the slot.  Each
+run's :class:`~repro.core.engine.DecisionEngine` reads its slice of
+:meth:`SlotKernel.ready_mask` as flags and answers ``[]`` at once on an
+ER-r no-op slot; an idle run then records its slot without building any
+outcome, and an active run materializes outcomes only for its active
+nodes.  Every run still calls ``begin_slot`` and ``finish_slot`` once per
+slot, since the scheduler observes and the host votes on idle slots too.
+
 Scalar-fallback rules
 ---------------------
 The kernel only takes runs it can reproduce exactly; everything else
@@ -50,11 +58,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.engine import DecisionEngine, NodeSlotState
+from repro.core.engine import DecisionEngine
 from repro.core.policies import PolicySpec
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.predcache import RunMaterial, build_run_material, default_subject
@@ -572,7 +580,12 @@ class BatchGroup:
 
 @dataclass
 class _GroupState:
-    """One group's prepared objects plus its lane offset in the batch."""
+    """One group's prepared objects plus its lane offset in the batch.
+
+    ``position`` maps a node id to its index in construction order (its
+    lane offset inside each run's block); ``node_sources`` holds each
+    node's run-independent :func:`_lane_outcome` arguments.
+    """
 
     nodes: List[SensorNode]
     node_ids: List[int]
@@ -582,10 +595,25 @@ class _GroupState:
     runs: List[_RunState]
     n_slots: int
     base: int = 0
+    n_nodes: int = field(init=False)
+    position: Dict[int, int] = field(init=False)
+    node_sources: List[Dict[str, Any]] = field(init=False)
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
+    def __post_init__(self) -> None:
+        self.n_nodes = len(self.nodes)
+        self.position = {node_id: k for k, node_id in enumerate(self.node_ids)}
+        # Per node, the run-independent ``_lane_outcome`` arguments.
+        self.node_sources = [
+            {
+                "node_id": node.node_id,
+                "location": node.location,
+                "probabilities": self.material.probabilities[node.node_id],
+                "predicted": self.class_predictions[node.node_id][0],
+                "confidences": self.class_predictions[node.node_id][1],
+                "result_message_bytes": node.costs.result_message_bytes,
+            }
+            for node in self.nodes
+        ]
 
 
 def _prepare_group(experiment, group: BatchGroup) -> tuple:
@@ -741,82 +769,66 @@ def run_group_batch(
         len(states), kernel.n_lanes, n_slots,
     )
 
-    stored = kernel.stored
     active_mask = np.zeros(kernel.n_lanes, dtype=bool)
-    lane_of = {}
-    for g, state in enumerate(states):
-        for r in range(len(state.runs)):
-            for k, node_id in enumerate(state.node_ids):
-                lane_of[g, r, node_id] = state.base + r * state.n_nodes + k
-
     for slot in range(n_slots):
-        # Scheduling: the real scheduler objects, fed per-run contexts
-        # assembled from the lane arrays (the scalar path's dicts).
-        ready = kernel.ready_mask()
-        active_mask[:] = False
-        for g, state in enumerate(states):
-            node_ids = state.node_ids
+        # Scheduling: each run's engine reads its slice of the lane
+        # ready flags; a run idling on an ER-r no-op slot returns [].
+        ready = kernel.ready_mask().tolist()
+        active_lanes: List[int] = []
+        for state in states:
             n_nodes = state.n_nodes
-            for r, run in enumerate(state.runs):
-                run_base = state.base + r * n_nodes
+            position = state.position
+            run_base = state.base
+            for run in state.runs:
                 run.active_ids = run.core.begin_slot(
-                    slot,
-                    {
-                        node_ids[k]: NodeSlotState(
-                            energy_j=float(stored[run_base + k]),
-                            ready=bool(ready[run_base + k]),
-                        )
-                        for k in range(n_nodes)
-                    },
+                    slot, ready[run_base:run_base + n_nodes]
                 )
                 for node_id in run.active_ids:
-                    active_mask[lane_of[g, r, node_id]] = True
+                    active_lanes.append(run_base + position[node_id])
+                run_base += n_nodes
+        active_mask[:] = False
+        active_mask[active_lanes] = True
 
         events = kernel.advance(slot, active_mask)
 
-        # Epilogue: per run, materialize outcomes in node (construction)
-        # order and drive host/confidence/scheduler exactly as the
-        # scalar loop does.
+        # Epilogue: per run, materialize outcomes for its active nodes
+        # in construction order and drive host/confidence/scheduler
+        # exactly as the scalar loop does.
         for state in states:
-            material = state.material
             true_label = state.true_labels[slot]
             n_nodes = state.n_nodes
-            for r, run in enumerate(state.runs):
-                run_base = state.base + r * n_nodes
-                outcomes: List[InferenceOutcome] = []
-                for k, node in enumerate(state.nodes):
-                    lane = run_base + k
-                    if not active_mask[lane]:
-                        continue
-                    predicted, confidences = state.class_predictions[node.node_id]
-                    outcome = _lane_outcome(
-                        events,
-                        lane,
-                        node_id=node.node_id,
-                        location=node.location,
-                        slot=slot,
-                        probabilities=material.probabilities[node.node_id],
-                        predicted=predicted,
-                        confidences=confidences,
-                        comm=run.comms[k],
-                        result_message_bytes=node.costs.result_message_bytes,
-                    )
-                    outcomes.append(outcome)
-
-                final = run.core.finish_slot(slot, outcomes, receive=True)
-                run.result.records.append(
-                    SlotRecord(
+            position = state.position
+            run_base = state.base
+            for run in state.runs:
+                active = run.active_ids
+                if not active:
+                    final = run.core.finish_slot(slot, (), receive=True)
+                    record = SlotRecord(slot, true_label, final, (), 0, 0)
+                else:
+                    outcomes = [
+                        _lane_outcome(
+                            events,
+                            run_base + k,
+                            slot=slot,
+                            comm=run.comms[k],
+                            **state.node_sources[k],
+                        )
+                        for k in sorted({position[node_id] for node_id in active})
+                    ]
+                    final = run.core.finish_slot(slot, outcomes, receive=True)
+                    record = SlotRecord(
                         slot_index=slot,
                         true_label=true_label,
                         predicted_label=final,
-                        active_nodes=tuple(run.active_ids),
+                        active_nodes=tuple(active),
                         completions=sum(1 for o in outcomes if o.completed),
                         attempts=len(outcomes),
                         dropped_messages=sum(
                             1 for o in outcomes if o.completed and not o.delivered
                         ),
                     )
-                )
+                run.result.records.append(record)
+                run_base += n_nodes
 
     results: List[List[ExperimentResult]] = []
     for state in states:

@@ -7,6 +7,12 @@ pluggable voting function — naive majority for AASR, confidence-weighted
 majority for Origin.  The host is mains/battery powered, so its own
 energy is not modelled; its compute is deliberately limited to lookups
 and a vote, matching the paper's "minimal overhead on the host device".
+
+The recall memory carries a version (:attr:`HostDevice.memory_version`)
+that every write — a received report, a restart, a reset — bumps.  A
+vote over memory whose version has not moved, which can neither expire
+nor fade, sees the same votes as last time; the decision engine keys its
+reuse of the previous label on that version.
 """
 
 from __future__ import annotations
@@ -89,6 +95,7 @@ class HostDevice:
         self._messages_received = 0
         self._decisions = 0
         self._restarts = 0
+        self._memory_version = 0
 
     def attach_obs(self, obs: Observability) -> None:
         """Install an observability bundle (resolves the hot histogram once)."""
@@ -108,6 +115,15 @@ class HostDevice:
     def decisions_made(self) -> int:
         """Final classifications produced so far."""
         return self._decisions
+
+    @property
+    def memory_version(self) -> int:
+        """Bumped by every write to the recall memory.
+
+        :meth:`receive`, :meth:`restart` and :meth:`reset` each advance
+        it; equal versions mean the remembered votes are the same.
+        """
+        return self._memory_version
 
     def remembered_votes(self) -> List[ReceivedVote]:
         """Current recall memory, one entry per reporting node."""
@@ -158,6 +174,7 @@ class HostDevice:
         if not outcome.delivered:
             raise SimulationError("host cannot receive a dropped message")
         self._messages_received += 1
+        self._memory_version += 1
         self._last_heard[outcome.node_id] = outcome.slot_index
         self._memory[outcome.node_id] = ReceivedVote(
             node_id=outcome.node_id,
@@ -231,6 +248,7 @@ class HostDevice:
         self._memory.clear()
         self._last_heard.clear()
         self._restarts += 1
+        self._memory_version += 1
 
     def reset(self) -> None:
         """Forget everything (new user / new run)."""
@@ -239,3 +257,4 @@ class HostDevice:
         self._messages_received = 0
         self._decisions = 0
         self._restarts = 0
+        self._memory_version += 1

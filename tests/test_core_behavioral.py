@@ -24,7 +24,6 @@ class TestAnticipationDrivesSelection:
 
     def context(self, anticipated):
         return SchedulingContext(
-            node_energy_j={n: 1.0 for n in range(3)},
             node_ready={n: True for n in range(3)},
             anticipated_label=anticipated,
         )
@@ -88,7 +87,6 @@ class TestPolicyLadderInvariants:
             )
         ]
         context = SchedulingContext(
-            node_energy_j={n: 1.0 for n in nodes},
             node_ready={n: True for n in nodes},
             anticipated_label=None,
         )

@@ -22,6 +22,10 @@ def profile_for(experiment) -> ServeProfile:
     return ServeProfile.from_experiment("test", experiment)
 
 
+def ready_flags(states):
+    return [state.ready for state in states.values()]
+
+
 def drive(experiment, policy, seed):
     """Run the engine against simulated device physics, no simulation loop."""
     sim = DeviceSim(experiment, seed=seed)
@@ -32,13 +36,13 @@ def drive(experiment, policy, seed):
         config=sim.config,
     ).build_engine(policy)
     labels, actives = [], []
-    active = engine.begin_slot(0, sim.states())
+    active = engine.begin_slot(0, ready_flags(sim.states()))
     for slot in range(sim.n_windows):
         actives.append(list(active))
         outcomes = sim.step(slot, active)
         labels.append(engine.finish_slot(slot, outcomes, receive=True))
         if slot + 1 < sim.n_windows:
-            active = engine.begin_slot(slot + 1, sim.states())
+            active = engine.begin_slot(slot + 1, ready_flags(sim.states()))
     return labels, actives, engine
 
 
@@ -75,23 +79,32 @@ class TestSlotPhases:
     def test_offline_node_masked_from_active_set(self, tiny_experiment):
         profile = profile_for(tiny_experiment)
         engine = profile.build_engine(naive_policy(len(profile.node_ids)))
+        ready = [True] * len(profile.node_ids)
+        assert engine.begin_slot(0, ready) == profile.node_ids  # all-on
+        dead = profile.node_ids[0]
+        online = [node_id != dead for node_id in profile.node_ids]
+        assert dead not in engine.begin_slot(1, ready, online=online)
+
+    def test_state_mapping_is_rejected(self, tiny_experiment):
+        # Iterating a dict would zip its keys in as flags and schedule
+        # on the wrong readiness without a word.
+        profile = profile_for(tiny_experiment)
+        engine = profile.build_engine(origin_policy(6))
         states = {
             node_id: NodeSlotState(energy_j=1e-3, ready=True)
             for node_id in profile.node_ids
         }
-        assert engine.begin_slot(0, states) == profile.node_ids  # all-on
-        dead = profile.node_ids[0]
-        states[dead] = NodeSlotState(energy_j=1e-3, ready=True, online=False)
-        assert dead not in engine.begin_slot(1, states)
+        with pytest.raises(TypeError, match="not a mapping"):
+            engine.begin_slot(0, states)
 
     def test_decide_false_skips_vote_keeps_last_final(self, tiny_experiment):
         sim = DeviceSim(tiny_experiment, seed=9)
         engine = profile_for(tiny_experiment).build_engine(origin_policy(6))
-        active = engine.begin_slot(0, sim.states())
+        active = engine.begin_slot(0, ready_flags(sim.states()))
         outcomes = sim.step(0, active)
         engine.finish_slot(0, outcomes, receive=True)
         anchor = engine.last_final
-        active = engine.begin_slot(1, sim.states())
+        active = engine.begin_slot(1, ready_flags(sim.states()))
         outcomes = sim.step(1, active)
         shed = engine.finish_slot(1, outcomes, receive=True, decide=False)
         assert shed is None
@@ -102,7 +115,7 @@ class TestSlotPhases:
         engine = profile_for(tiny_experiment).build_engine(origin_policy(6))
         seen = []
         for slot in range(4):
-            active = engine.begin_slot(slot, sim.states())
+            active = engine.begin_slot(slot, ready_flags(sim.states()))
             outcomes = sim.step(slot, active)
             engine.finish_slot(
                 slot, outcomes, receive=True, on_completion=seen.append

@@ -24,7 +24,6 @@ def make_rank_table():
 def context(ready=None, anticipated=None):
     ready = ready if ready is not None else {n: True for n in NODES}
     return SchedulingContext(
-        node_energy_j={n: 1.0 for n in NODES},
         node_ready=ready,
         anticipated_label=anticipated,
     )

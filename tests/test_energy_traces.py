@@ -124,3 +124,66 @@ class TestPowerTraceGenerator:
             PowerTraceGenerator(fading_sigma=-0.5)
         with pytest.raises(ConfigurationError):
             PowerTraceGenerator().generate_correlated(10, [], seed=0)
+
+
+def reference_states(generator, duration_s, rng):
+    """The per-sample dwell loop base power used to be built from."""
+    n_samples = int(np.ceil(duration_s / generator.dt_s))
+    states = []
+    all_states = list(OfficeState)
+    current = OfficeState.QUIET
+    while len(states) < n_samples:
+        dwell_s = rng.exponential(generator._params[current].mean_dwell_s)
+        n_dwell = max(int(round(dwell_s / generator.dt_s)), 1)
+        states.extend([current] * n_dwell)
+        others = [state for state in all_states if state is not current]
+        current = others[int(rng.integers(len(others)))]
+    return states[:n_samples]
+
+
+def reference_base(generator, duration_s, rng):
+    states = reference_states(generator, duration_s, rng)
+    return np.array([generator._params[state].mean_power_w for state in states])
+
+
+class TestDwellRunBasePower:
+    """Base power from dwell runs == the old per-sample lookup, draw for draw."""
+
+    CASES = [
+        (duration_s, seed)
+        for duration_s in (0.1, 0.32, 1.0, 7.7, 60.0, 307.2, 1200.0, 3600.0)
+        for seed in range(7)
+    ]
+
+    @pytest.mark.parametrize("fading_sigma", [0.0, 0.7])
+    def test_correlated_traces_match_reference(self, fading_sigma):
+        generator = PowerTraceGenerator(fading_sigma=fading_sigma)
+        gains = [1.0, 0.6, 1.3]
+        assert len(self.CASES) >= 50
+        for duration_s, seed in self.CASES:
+            rng = np.random.default_rng(seed)
+            traces = generator.generate_correlated(duration_s, gains, rng)
+            expected_rng = np.random.default_rng(seed)
+            base = reference_base(generator, duration_s, expected_rng)
+            expected = [
+                base * generator._fade(expected_rng, base.size) * gain for gain in gains
+            ]
+            if fading_sigma == 0.0:
+                assert traces[0].watts.tobytes() == base.tobytes()
+            for trace, watts in zip(traces, expected):
+                assert trace.watts.tobytes() == watts.tobytes()
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_single_trace_and_state_sequence_match_reference(self):
+        generator = PowerTraceGenerator()
+        for duration_s, seed in self.CASES:
+            rng = np.random.default_rng(seed)
+            trace = generator.generate(duration_s, rng, gain=0.8)
+            expected_rng = np.random.default_rng(seed)
+            base = reference_base(generator, duration_s, expected_rng)
+            watts = base * generator._fade(expected_rng, base.size) * 0.8
+            assert trace.watts.tobytes() == watts.tobytes()
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
+            assert generator.state_sequence(duration_s, seed) == reference_states(
+                generator, duration_s, np.random.default_rng(seed)
+            )

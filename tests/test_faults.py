@@ -385,7 +385,6 @@ class TestSchedulerRetryBackoff:
 
     def _context(self, responsive):
         return SchedulingContext(
-            node_energy_j={0: 1.0, 1: 1.0, 2: 1.0},
             node_ready={0: True, 1: True, 2: True},
             anticipated_label=0,
             node_responsive=responsive,
@@ -421,7 +420,7 @@ class TestSchedulerRetryBackoff:
 
     def test_default_context_is_responsive(self):
         context = SchedulingContext(
-            node_energy_j={0: 1.0}, node_ready={0: True}, anticipated_label=None
+            node_ready={0: True}, anticipated_label=None
         )
         assert context.is_responsive(0)
         assert context.is_responsive(99)

@@ -151,6 +151,28 @@ class TestLifecycle:
 
         with_server(catalog, body)
 
+    def test_hostile_report_answered_with_error_frame(self, catalog, tape):
+        async def body(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                await write_frame(writer, tape.hello)
+                assert (await read_frame(reader))["type"] == "hello_ack"
+                stranger = [99, 0, 0, True, True, 1, 0.1, None]
+                await write_frame(writer, dict(tape.windows[0], reports=[stranger]))
+                error = await read_frame(reader)
+                assert error["type"] == "error"
+                assert "node 99" in error["message"]
+                assert await read_frame(reader) is None  # server hung up
+            finally:
+                writer.close()
+            # The server survives to serve a real session.
+            return await replay_session("127.0.0.1", server.port, tape)
+
+        result, _, _ = with_server(catalog, body)
+        assert result.mismatches == 0
+
     def test_malformed_bytes_drop_connection_not_server(self, catalog, tape):
         async def body(server):
             reader, writer = await asyncio.open_connection(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.policies import origin_policy, rr_policy
+from repro.core.policies import aasr_policy, origin_policy, rr_policy
 from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.client import record_tape
@@ -167,5 +167,91 @@ class TestViolations:
         session.handle(tape.hello)
         with pytest.raises(ServeError):
             session.handle(tape.windows[1])
+        (decision,) = session.handle(tape.windows[0])
+        assert decision["label"] == tape.expected_labels[0]
+
+
+def with_report(frame, report):
+    """``frame`` carrying one crafted report in place of its own."""
+    return dict(frame, reports=[report])
+
+
+def completed_report(node_id, *, label=1, confidence=0.1, completed=True):
+    return [node_id, 0, 0, completed, True, label, confidence, None]
+
+
+class TestHostileInputs:
+    """Malformed states and reports end in a ServeError, never deeper."""
+
+    @pytest.fixture(scope="class")
+    def aasr_tape(self, tiny_experiment):
+        return record_tape(tiny_experiment, aasr_policy(6), seed=9)
+
+    @pytest.fixture(scope="class")
+    def node(self, catalog):
+        return catalog.get("default").node_ids[0]
+
+    def test_states_must_be_an_object(self, catalog, tape):
+        with pytest.raises(ServeError, match="bad node states"):
+            fresh(catalog).handle(dict(tape.hello, states=[]))
+
+    def test_ready_flag_must_be_a_json_boolean(self, catalog, tape):
+        states = dict(tape.hello["states"])
+        first = next(iter(states))
+        states[first] = [1e-4, "false", True]
+        with pytest.raises(ServeError, match="bad node states"):
+            fresh(catalog).handle(dict(tape.hello, states=states))
+
+    def test_origin_rejects_report_from_unknown_node(self, catalog, tape):
+        session = fresh(catalog)
+        session.handle(tape.hello)
+        with pytest.raises(ServeError, match="node 99"):
+            session.handle(with_report(tape.windows[0], completed_report(99)))
+
+    def test_origin_rejects_negative_confidence(self, catalog, tape, node):
+        session = fresh(catalog)
+        session.handle(tape.hello)
+        bad = completed_report(node, confidence=-0.5)
+        with pytest.raises(ServeError, match="confidence"):
+            session.handle(with_report(tape.windows[0], bad))
+
+    def test_origin_rejects_label_out_of_range(self, catalog, tape, node):
+        session = fresh(catalog)
+        session.handle(tape.hello)
+        with pytest.raises(ServeError, match="label 99"):
+            session.handle(with_report(tape.windows[0], completed_report(node, label=99)))
+
+    def test_origin_rejects_nan_confidence(self, catalog, tape, node):
+        session = fresh(catalog)
+        session.handle(tape.hello)
+        bad = completed_report(node, confidence=float("nan"))
+        with pytest.raises(ServeError, match="confidence"):
+            session.handle(with_report(tape.windows[0], bad))
+
+    def test_aasr_rejects_label_out_of_range(self, catalog, aasr_tape, node):
+        session = fresh(catalog)
+        session.handle(aasr_tape.hello)
+        bad = completed_report(node, label=99)
+        with pytest.raises(ServeError, match="label 99"):
+            session.handle(with_report(aasr_tape.windows[0], bad))
+
+    def test_aasr_rejects_report_from_unknown_node(self, catalog, aasr_tape):
+        session = fresh(catalog)
+        session.handle(aasr_tape.hello)
+        with pytest.raises(ServeError, match="node 99"):
+            session.handle(with_report(aasr_tape.windows[0], completed_report(99)))
+
+    def test_aasr_rejects_non_boolean_completed_flag(self, catalog, aasr_tape, node):
+        session = fresh(catalog)
+        session.handle(aasr_tape.hello)
+        bad = completed_report(node, completed="no")
+        with pytest.raises(ServeError, match="booleans"):
+            session.handle(with_report(aasr_tape.windows[0], bad))
+
+    def test_rejected_report_leaves_session_usable(self, catalog, tape):
+        session = fresh(catalog)
+        session.handle(tape.hello)
+        with pytest.raises(ServeError):
+            session.handle(with_report(tape.windows[0], completed_report(99)))
         (decision,) = session.handle(tape.windows[0])
         assert decision["label"] == tape.expected_labels[0]
