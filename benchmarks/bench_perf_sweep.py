@@ -17,22 +17,11 @@ A third pass re-runs the sequential sweep under a fully enabled
 :class:`repro.obs.Observability` (tracer + metrics + a streaming
 :class:`~repro.obs.timeline.TimeSeriesRecorder` at a 50 ms cadence) and
 reports the combined tracing + live-recording overhead as a percentage
-of the untraced wall time — the budget is <10%, enforced in ``--smoke``
-mode.  Observability routes every run through the scalar slot loop, so
-the untraced baseline is the same cells as per-cell
-``HARExperiment.run(..., kernel=False)`` calls on the same shared
-material: a kernel-fast baseline would misreport the kernel speedup as
-tracing overhead.  The traced sweep and the baseline must match the
-other sweeps byte for byte.
-
-``--kernel`` benchmarks the vectorized slot kernel instead
-(``--kernel-smoke`` is the CI shorthand for ``--kernel --smoke``): the
-full policy grid is swept through the kernel (sequential and parallel)
-and compared with per-cell ``HARExperiment.run(..., kernel=False)``
-runs, all byte-identical, and the per-slot physics
-(``SensorNode.harvest`` + ``active_slot`` vs ``SlotKernel.advance``
-over the same batched lanes) is micro-benchmarked with a >=5x speedup
-gate.  Results go to ``benchmarks/results/BENCH_kernel.json``.
+of the untraced sequential sweep's wall time — the budget is <10%,
+enforced in ``--smoke`` mode.  A traced sweep steps the same kernel
+batches as an untraced one, so the untraced sequential sweep is the
+honest denominator.  The traced sweep must match the other sweeps byte
+for byte.
 
 ``--cold-start`` benchmarks the trained-bundle artifact store instead:
 ``standard_mhealth`` built in a fresh interpreter against an empty
@@ -64,16 +53,11 @@ import subprocess
 import sys
 import tempfile
 
-import numpy as np
-
 from repro.obs.observer import Observability
 from repro.obs.timeline import attach_recorder
 from repro.resilience import ChaosAction, ChaosPlan
 from repro.sim.experiment import HARExperiment, SimulationConfig
-from repro.sim.kernel import SlotKernel
-from repro.sim.predcache import PredictionCache, build_run_material
-from repro.sim.sweep import PolicySweep, SweepResult, _merge_runs, paper_policy_grid
-from repro.utils.rng import SeedSequenceFactory
+from repro.sim.sweep import PolicySweep, paper_policy_grid
 
 try:
     from benchmarks.runmeta import WallClock, write_stamped_json
@@ -85,7 +69,6 @@ STORE_OUTPUT = os.path.join(os.path.dirname(__file__), "results", "BENCH_store.j
 RESILIENCE_OUTPUT = os.path.join(
     os.path.dirname(__file__), "results", "BENCH_resilience.json"
 )
-KERNEL_OUTPUT = os.path.join(os.path.dirname(__file__), "results", "BENCH_kernel.json")
 
 #: Acceptable tracing overhead (fraction of untraced wall time).
 OVERHEAD_BUDGET = 0.10
@@ -101,10 +84,6 @@ CHAOS_CRASH_FRACTION = 0.34
 #: Minimum warm-store speedup over a cold (training) build; the artifact
 #: store's contract is "rehydration is much cheaper than retraining".
 STORE_SPEEDUP_FLOOR = 5.0
-
-#: Minimum speedup of the batched ``SlotKernel`` scan over the scalar
-#: per-slot node loop on the same lanes (the --kernel physics gate).
-KERNEL_SPEEDUP_FLOOR = 5.0
 
 #: Timed inside a *fresh interpreter* so a warm build pays the honest
 #: process-start price: imports, dataset synthesis, checkpoint reads.
@@ -163,23 +142,7 @@ def parse_args(argv=None):
         f">= {CHAOS_CRASH_FRACTION:.0%} of units chaos-crashed plus one hang "
         f"(JSON default {RESILIENCE_OUTPUT})",
     )
-    parser.add_argument(
-        "--kernel",
-        action="store_true",
-        help="benchmark the vectorized slot kernel instead: scalar-vs-kernel "
-        f"byte-identity over the full grid plus a >= {KERNEL_SPEEDUP_FLOOR:.0f}x "
-        f"slot-physics speedup gate (JSON default {KERNEL_OUTPUT})",
-    )
-    parser.add_argument(
-        "--kernel-smoke",
-        action="store_true",
-        help="shorthand for --kernel --smoke (the CI gate)",
-    )
-    args = parser.parse_args(argv)
-    if args.kernel_smoke:
-        args.kernel = True
-        args.smoke = True
-    return args
+    return parser.parse_args(argv)
 
 
 def _fresh_process_build(store_dir: str) -> dict:
@@ -278,25 +241,6 @@ def timed_sweep(experiment, policies, *, n_seeds, seed, workers, obs=None, **run
     sweep = PolicySweep(experiment, n_seeds=n_seeds, include_baselines=False)
     with WallClock() as clock:
         result = sweep.run(policies, seed=seed, workers=workers, obs=obs, **run_kwargs)
-    return clock.elapsed_s, result
-
-
-def timed_scalar_cells(experiment, policies, *, n_seeds, seed):
-    """The sweep's cells as per-cell ``HARExperiment.run(kernel=False)``
-    calls, seed-major on one shared material per seed, merged like the
-    sweep; wall-timed, returns (seconds, SweepResult)."""
-    runs = {spec.name: [] for spec in policies}
-    with WallClock() as clock:
-        cache = PredictionCache(experiment)
-        for run_seed in range(seed, seed + n_seeds):
-            material = cache.material(run_seed)
-            for spec in policies:
-                runs[spec.name].append(
-                    experiment.run(spec, seed=run_seed, material=material, kernel=False)
-                )
-        result = SweepResult(activities=list(experiment.dataset.spec.activities))
-        for name, seed_runs in runs.items():
-            result.policies[name] = _merge_runs(seed_runs)
     return clock.elapsed_s, result
 
 
@@ -445,188 +389,12 @@ def run_chaos(args) -> int:
     return 0
 
 
-def _bench_slot_physics(experiment, *, n_runs, n_slots, seed, density=0.6, reps=3):
-    """Time the per-slot physics scalar vs batched-kernel on equal lanes.
-
-    Scalar leg: the real python slot loop (``SensorNode.harvest`` /
-    ``active_slot``) over ``n_runs`` independent copies of the node set.
-    Kernel leg: one ``SlotKernel.advance`` scan over the same lanes.
-    Both advance identical state; the per-lane ``NodeStats`` are checked
-    for equality so the timing comparison cannot silently diverge.
-    Returns ``(t_scalar, t_kernel, n_lanes, identical)``.
-    """
-    # Config/material sized to the micro-bench horizon (which may exceed
-    # the sweep's n_windows): harvest traces must cover every slot and
-    # every active lane needs a softmax row.
-    from dataclasses import replace
-
-    config = replace(experiment.config, n_windows=n_slots)
-    material = build_run_material(
-        experiment.dataset,
-        experiment.bundle,
-        seed,
-        n_windows=n_slots,
-        dwell_scale=config.dwell_scale,
-        use_pruned_models=config.use_pruned_models,
-    )
-    nodes = experiment._build_nodes(SeedSequenceFactory(seed), config)
-    n_nodes = len(nodes)
-    n_lanes = n_runs * n_nodes
-    mask = np.random.default_rng(99).random((n_slots, n_lanes)) < density
-    window = np.zeros((1, 1), dtype=np.float32)
-
-    # Fresh, identical node sets for every scalar run (built outside the
-    # timed region; the kernel tiles the same templates).
-    scalar_sets = []
-    for _ in range(n_runs):
-        built = experiment._build_nodes(SeedSequenceFactory(seed), config)
-        for node in built:
-            node.prediction_cache = material.probabilities[node.node_id]
-        scalar_sets.append(built)
-
-    t_scalar = None
-    for _ in range(reps):
-        for built in scalar_sets:
-            for node in built:
-                node.reset()
-        with WallClock() as clock:
-            for r, built in enumerate(scalar_sets):
-                for k, node in enumerate(built):
-                    lane = r * n_nodes + k
-                    for slot in range(n_slots):
-                        if mask[slot, lane]:
-                            node.active_slot(slot, window)
-                        else:
-                            node.idle_slot(slot)
-        t_scalar = clock.elapsed_s if t_scalar is None else min(t_scalar, clock.elapsed_s)
-
-    t_kernel, kernel = None, None
-    for _ in range(reps):
-        kernel = SlotKernel.from_nodes(nodes, n_runs=n_runs, n_slots=n_slots)
-        with WallClock() as clock:
-            for slot in range(n_slots):
-                kernel.advance(slot, mask[slot])
-        t_kernel = clock.elapsed_s if t_kernel is None else min(t_kernel, clock.elapsed_s)
-
-    identical = all(
-        kernel.lane_stats(r * n_nodes + k) == scalar_sets[r][k].stats
-        for r in range(n_runs)
-        for k in range(n_nodes)
-    )
-    return t_scalar, t_kernel, n_lanes, identical
-
-
-def run_kernel(args) -> int:
-    """Scalar-vs-kernel identity + speedup gates; see module doc."""
-    policies = paper_policy_grid()
-    if args.smoke:
-        n_windows, n_seeds, phys_slots, phys_reps = 40, 2, 200, 3
-    else:
-        n_windows, n_seeds, phys_slots, phys_reps = (
-            args.n_windows, args.seeds, args.n_windows, 3,
-        )
-
-    print(
-        f"building experiment (n_windows={n_windows}, grid={len(policies)} policies, "
-        f"seeds={n_seeds}, workers={args.workers}) ...",
-        flush=True,
-    )
-    experiment = HARExperiment.standard_mhealth(
-        seed=7, config=SimulationConfig(n_windows=n_windows)
-    )
-    run = lambda **kw: timed_sweep(  # noqa: E731
-        experiment, policies, n_seeds=n_seeds, seed=11, **kw
-    )
-    with WallClock() as total_clock:
-        t_scalar, r_scalar = timed_scalar_cells(
-            experiment, policies, n_seeds=n_seeds, seed=11
-        )
-        print(f"per-cell scalar       : {t_scalar:8.2f} s", flush=True)
-        t_batched, r_batched = run(workers=1)
-        print(f"sequential kernel     : {t_batched:8.2f} s", flush=True)
-        t_parallel, r_parallel = run(workers=args.workers)
-        print(f"parallel kernel x{args.workers}    : {t_parallel:8.2f} s", flush=True)
-
-        identical = results_identical(r_scalar, r_batched) and results_identical(
-            r_scalar, r_parallel
-        )
-        if not identical:
-            print("FAIL: kernel sweeps diverged from the scalar reference")
-            return 1
-        print("per-slot records byte-identical across all three modes", flush=True)
-
-        t_phys_scalar, t_phys_kernel, n_lanes, phys_identical = _bench_slot_physics(
-            experiment,
-            n_runs=len(policies),
-            n_slots=phys_slots,
-            seed=11,
-            reps=phys_reps,
-        )
-    if not phys_identical:
-        print("FAIL: slot-physics micro-bench stats diverged (scalar vs kernel)")
-        return 1
-    phys_speedup = t_phys_scalar / t_phys_kernel
-    end_to_end = t_scalar / t_batched
-    print(
-        f"slot physics ({n_lanes} lanes x {phys_slots} slots): "
-        f"scalar {t_phys_scalar:.3f} s vs kernel {t_phys_kernel:.3f} s "
-        f"-> {phys_speedup:.1f}x (floor {KERNEL_SPEEDUP_FLOOR:.0f}x)",
-        flush=True,
-    )
-    print(f"end-to-end cached sweep: {end_to_end:.2f}x", flush=True)
-    if phys_speedup < KERNEL_SPEEDUP_FLOOR:
-        print(
-            f"FAIL: batched kernel speedup {phys_speedup:.1f}x is below the "
-            f"{KERNEL_SPEEDUP_FLOOR:.0f}x floor"
-        )
-        return 1
-
-    report = {
-        "bench": "vectorized_slot_kernel",
-        "config": {
-            "dataset": "mhealth-like",
-            "n_windows": n_windows,
-            "n_seeds": n_seeds,
-            "n_policies": len(policies),
-            "workers": args.workers,
-            "physics_lanes": n_lanes,
-            "physics_slots": phys_slots,
-            "cpu_count": os.cpu_count(),
-            "smoke": args.smoke,
-        },
-        "timings_s": {
-            "sweep_sequential_scalar": round(t_scalar, 3),
-            "sweep_sequential_kernel": round(t_batched, 3),
-            f"sweep_parallel_kernel_x{args.workers}": round(t_parallel, 3),
-            "physics_scalar_loop": round(t_phys_scalar, 4),
-            "physics_kernel_scan": round(t_phys_kernel, 4),
-        },
-        "speedup": {
-            "physics_kernel_vs_scalar": round(phys_speedup, 2),
-            "physics_floor": KERNEL_SPEEDUP_FLOOR,
-            "sweep_kernel_vs_scalar": round(end_to_end, 2),
-        },
-        "records_identical": identical,
-        "physics_stats_identical": phys_identical,
-    }
-    print(json.dumps(report["speedup"], indent=2))
-    output = args.output
-    if output is None and not args.smoke:
-        output = KERNEL_OUTPUT
-    if output:
-        write_stamped_json(output, report, wall_time_s=total_clock.elapsed_s)
-        print(f"wrote {output}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.cold_start:
         return run_cold_start(args)
     if args.chaos:
         return run_chaos(args)
-    if args.kernel:
-        return run_kernel(args)
     policies = paper_policy_grid()
     if args.smoke:
         n_windows, n_seeds = 40, 2
@@ -652,12 +420,10 @@ def main(argv=None) -> int:
         print(f"parallel x{args.workers}          : {t_parallel:8.2f} s", flush=True)
 
         # Overhead pass: the sequential sweep under full observability
-        # against the same cells run untraced through the scalar loop,
-        # which is where observability sends every run; a kernel-fast
-        # baseline would book the kernel speedup as tracing overhead.
-        # In smoke mode each leg takes a fraction of a second, so take
-        # min-of-3 interleaved pairs to keep the budget gate stable
-        # against machine noise.  The traced leg also streams a
+        # against the same sweep untraced — both step the same kernel
+        # batches.  In smoke mode each leg takes a fraction of a second,
+        # so take min-of-3 interleaved pairs to keep the budget gate
+        # stable against machine noise.  The traced leg also streams a
         # TimeSeriesRecorder at a hot cadence, so the <10% budget gates
         # tracing AND live recording together — a watchable run must
         # not cost more than a traced one did.
@@ -666,9 +432,7 @@ def main(argv=None) -> int:
         ts_samples = 0
         with tempfile.TemporaryDirectory(prefix="bench-ts-") as ts_dir:
             for rep in range(reps):
-                t_plain_i, r_scalar = timed_scalar_cells(
-                    experiment, policies, n_seeds=n_seeds, seed=11
-                )
+                t_plain_i, r_untraced = run(workers=1)
                 obs = Observability()
                 recorder = attach_recorder(
                     obs,
@@ -685,19 +449,19 @@ def main(argv=None) -> int:
         overhead = (t_traced - t_base) / t_base
         print(
             f"traced              : {t_traced:8.2f} s "
-            f"({overhead:+.1%} vs untraced scalar cells {t_base:.2f} s, "
+            f"({overhead:+.1%} vs untraced sequential {t_base:.2f} s, "
             f"{len(obs.tracer.events)} events, "
             f"{ts_samples} timeseries sample(s))",
             flush=True,
         )
 
     identical = all(
-        results_identical(r_seq, other) for other in (r_parallel, r_traced, r_scalar)
+        results_identical(r_seq, other) for other in (r_parallel, r_traced, r_untraced)
     )
     if not identical:
-        print("FAIL: parallel/traced/scalar sweeps diverged from the sequential sweep")
+        print("FAIL: parallel/traced sweeps diverged from the sequential sweep")
         return 1
-    print("per-slot records byte-identical across all four modes")
+    print("per-slot records byte-identical: sequential, parallel, traced")
     if args.smoke and overhead > OVERHEAD_BUDGET:
         print(
             f"FAIL: tracing overhead {overhead:.1%} exceeds the "
@@ -719,7 +483,7 @@ def main(argv=None) -> int:
         "timings_s": {
             "sequential": round(t_seq, 3),
             f"parallel_x{args.workers}": round(t_parallel, 3),
-            "sequential_scalar_cells": round(t_base, 3),
+            "sequential_untraced": round(t_base, 3),
             "sequential_traced": round(t_traced, 3),
         },
         "tracing": {

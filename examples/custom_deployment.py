@@ -15,7 +15,7 @@ from repro.core import ConfidenceMatrix, WeightedMajorityVote, origin_policy
 from repro.datasets import make_mhealth
 from repro.energy import Capacitor, Harvester, NonVolatileProcessor, OfficeState, PowerTraceGenerator
 from repro.nn import estimate_inference_energy
-from repro.sim import HARExperiment, SimulationConfig, TrainedSensorBundle, TrainingConfig
+from repro.sim import HARExperiment, SimulationConfig, SlotKernel, TrainedSensorBundle, TrainingConfig
 from repro.wsn import CommLink, RadioProfile, SensorNode
 
 
@@ -61,12 +61,12 @@ def main() -> None:
     print(f"completion under the gloomy office: {breakdown.any_fraction:.1%}")
     print(f"radio (WiFi) energy spent: {result.comm_energy_j * 1e6:.1f} uJ total")
 
-    # 4. Peeking inside one node, standalone.
+    # 4. Peeking inside one node, standalone: a one-lane slot kernel
+    #    (the same physics every run steps), active on every slot.
     trace = generator.generate(600, seed=1)
     node = SensorNode(
         node_id=0,
         location=list(bundle.by_location)[0],
-        model=bundle.models(pruned=True)[0],
         inference_energy_j=bundle.inference_energies(pruned=True)[0],
         harvester=Harvester(trace),
         capacitor=Capacitor(capacity_j=250e-6),
@@ -74,17 +74,13 @@ def main() -> None:
         comm=CommLink(RadioProfile.wifi()),
         slot_duration_s=dataset.spec.window_duration_s,
     )
-    window = dataset.synthesizer.window(
-        dataset.spec.activities[0], node.location, dataset.eval_subjects[0], seed=4
-    )
+    lane = SlotKernel.from_nodes([node], n_runs=1, n_slots=6)
     for slot in range(6):
-        outcome = node.active_slot(slot, window)
-        state = "done" if outcome.completed else f"{node.nvp.progress_fraction:.0%}"
-        print(
-            f"  slot {slot}: stored {node.stored_energy_j * 1e6:6.1f} uJ, "
-            f"inference {state}"
-        )
-        if outcome.completed:
+        events = lane.advance(slot, np.ones(1, dtype=bool))
+        progress = lane.done_work[0] / lane.task_work_j[0]
+        state = "done" if events.completed[0] else f"{progress:.0%}"
+        print(f"  slot {slot}: stored {lane.stored[0] * 1e6:6.1f} uJ, inference {state}")
+        if events.completed[0]:
             break
 
 

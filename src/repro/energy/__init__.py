@@ -9,14 +9,19 @@ This package simulates that stack:
   (quiet/active/burst office states, log-normal fading, per-location
   gain, correlated across nodes sharing one office);
 * :mod:`repro.energy.harvester` — harvester front-end (efficiency, gain);
-* :mod:`repro.energy.storage` — capacitor energy buffer with leakage;
-* :mod:`repro.energy.nvp` — intermittent compute with checkpointing;
+* :mod:`repro.energy.storage` — capacitor sizing: capacity, initial
+  charge, leakage;
+* :mod:`repro.energy.nvp` — intermittent-compute parameters: checkpoint
+  overhead, volatility;
 * :mod:`repro.energy.budget` — power-budget helpers for pruning.
+
+The slot kernel (:mod:`repro.sim.kernel`) steps the capacitor and NVP
+rules for every node of every run.
 """
 
 from repro.energy.budget import average_power_budget, inference_energy_budget
 from repro.energy.harvester import Harvester
-from repro.energy.nvp import NonVolatileProcessor, TaskState
+from repro.energy.nvp import NonVolatileProcessor
 from repro.energy.storage import Capacitor
 from repro.energy.traces import OfficeState, PowerTrace, PowerTraceGenerator
 
@@ -27,7 +32,6 @@ __all__ = [
     "Harvester",
     "Capacitor",
     "NonVolatileProcessor",
-    "TaskState",
     "average_power_budget",
     "inference_energy_budget",
 ]

@@ -68,8 +68,8 @@ class Harvester:
 
         With ``n_slots`` the vector is truncated or zero-padded to that
         length.  Padded slots deliver exactly 0.0 J — no supplemental
-        trickle either — mirroring the scalar simulator, which stops
-        harvesting (and supplementing) once the trace runs out.
+        trickle either: a node stops harvesting (and supplementing) once
+        the trace runs out.
         """
         vec = (
             self.trace.slot_energies(slot_duration_s) * self.efficiency * self.gain

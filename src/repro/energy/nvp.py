@@ -2,7 +2,7 @@
 
 The paper's compute node (from ResIRCA, HPCA'20) checkpoints
 architectural state to non-volatile memory, so an inference interrupted
-by a power failure resumes instead of restarting.  This model tracks one
+by a power failure resumes instead of restarting.  The model tracks one
 task's *work energy*: each execution burst converts available capacitor
 energy into progress, minus a checkpoint overhead fraction; the task
 completes when cumulative useful work reaches the task's total energy.
@@ -10,43 +10,19 @@ completes when cumulative useful work reaches the task's total energy.
 A volatile (non-NVP) node is the special case ``volatile=True``: an
 interrupted task loses all progress — that is the hardware of the
 paper's Fig. 1 motivation study before NVPs are brought in.
+
+:class:`NonVolatileProcessor` holds these parameters; the slot kernel
+(:meth:`repro.sim.kernel.SlotKernel.advance`) runs the bursts.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
-
 from repro.errors import SimulationError
-from repro.utils.validation import check_fraction, check_positive
-
-#: Observability hook: ``observer(event, payload)`` with ``event`` one of
-#: ``"task_started"`` / ``"burst"`` / ``"task_aborted"``.  Installed by
-#: the owning node when tracing is on (see ``SensorNode.attach_obs``);
-#: ``None`` (the default) costs a single branch per transition.
-NVPObserver = Callable[[str, Dict[str, object]], None]
-
-
-class TaskState(enum.Enum):
-    """Lifecycle of the single in-flight task."""
-
-    IDLE = "idle"
-    IN_PROGRESS = "in_progress"
-    COMPLETED = "completed"
-
-
-@dataclass(frozen=True)
-class BurstOutcome:
-    """Result of one execution burst."""
-
-    consumed_j: float
-    progressed_j: float
-    completed: bool
+from repro.utils.validation import check_fraction
 
 
 class NonVolatileProcessor:
-    """Intermittent execution engine for one task at a time.
+    """Intermittent execution parameters of one node's compute.
 
     Parameters
     ----------
@@ -64,131 +40,8 @@ class NonVolatileProcessor:
             raise SimulationError("checkpoint_overhead must be < 1")
         self.checkpoint_overhead = float(checkpoint_overhead)
         self.volatile = bool(volatile)
-        self._total_work_j: Optional[float] = None
-        self._done_work_j = 0.0
-        self._state = TaskState.IDLE
-        self._completed_tasks = 0
-        self._aborted_tasks = 0
-        self.observer: Optional[NVPObserver] = None
-
-    # ------------------------------------------------------------------
-
-    @property
-    def state(self) -> TaskState:
-        """Current task state."""
-        return self._state
-
-    @property
-    def completed_tasks(self) -> int:
-        """Tasks finished since construction."""
-        return self._completed_tasks
-
-    @property
-    def aborted_tasks(self) -> int:
-        """Tasks abandoned via :meth:`abort`."""
-        return self._aborted_tasks
 
     @property
     def useful_fraction(self) -> float:
         """Fraction of each consumed joule that becomes progress."""
         return 1.0 - self.checkpoint_overhead
-
-    @property
-    def done_work_j(self) -> float:
-        """Useful joules banked toward the in-flight task (0 when idle).
-
-        Scan-friendly counterpart of :attr:`progress_fraction`: the
-        vectorized kernel seeds its per-lane progress column from this.
-        """
-        if self._state is not TaskState.IN_PROGRESS:
-            return 0.0
-        return self._done_work_j
-
-    @property
-    def remaining_work_j(self) -> float:
-        """Useful joules still required to finish the in-flight task."""
-        if self._state is not TaskState.IN_PROGRESS:
-            return 0.0
-        return self._total_work_j - self._done_work_j
-
-    @property
-    def progress_fraction(self) -> float:
-        """Completed fraction of the in-flight task (0 when idle)."""
-        if self._state is not TaskState.IN_PROGRESS or not self._total_work_j:
-            return 0.0
-        return self._done_work_j / self._total_work_j
-
-    # ------------------------------------------------------------------
-
-    def start_task(self, total_work_j: float) -> None:
-        """Begin a new task requiring ``total_work_j`` of useful work."""
-        check_positive("total_work_j", total_work_j)
-        if self._state is TaskState.IN_PROGRESS:
-            raise SimulationError("a task is already in progress; abort or finish it")
-        self._total_work_j = float(total_work_j)
-        self._done_work_j = 0.0
-        self._state = TaskState.IN_PROGRESS
-        if self.observer is not None:
-            self.observer("task_started", {"total_work_j": self._total_work_j})
-
-    def execute_burst(self, available_j: float) -> BurstOutcome:
-        """Run with ``available_j`` of energy; returns what happened.
-
-        Consumes at most what the remaining work (plus checkpoint
-        overhead) requires.  On a volatile node, a burst that does not
-        finish the task wipes its progress.
-        """
-        if self._state is not TaskState.IN_PROGRESS:
-            raise SimulationError("no task in progress")
-        if available_j < 0:
-            raise SimulationError(f"available_j must be >= 0, got {available_j}")
-
-        useful_fraction = 1.0 - self.checkpoint_overhead
-        needed_j = self.remaining_work_j / useful_fraction
-        consumed = min(available_j, needed_j)
-        progressed = consumed * useful_fraction
-        self._done_work_j += progressed
-        # Snapshot the fraction while the task is still IN_PROGRESS: the
-        # completing burst finalizes state below, after which
-        # ``progress_fraction`` reads 0.0 and traces would lie.
-        fraction = self._done_work_j / self._total_work_j
-
-        if self._done_work_j >= self._total_work_j - 1e-15:
-            self._state = TaskState.COMPLETED
-            self._completed_tasks += 1
-            self._total_work_j = None
-            self._done_work_j = 0.0
-            outcome = BurstOutcome(consumed, progressed, True)
-        else:
-            if self.volatile:
-                # The burst ends in a power failure; everything is lost.
-                self._done_work_j = 0.0
-                fraction = 0.0
-            outcome = BurstOutcome(consumed, progressed, False)
-        if self.observer is not None:
-            self.observer(
-                "burst",
-                {
-                    "consumed_j": outcome.consumed_j,
-                    "progressed_j": outcome.progressed_j,
-                    "completed": outcome.completed,
-                    "progress_fraction": fraction,
-                },
-            )
-        return outcome
-
-    def abort(self) -> None:
-        """Abandon the in-flight task (e.g. its input window expired)."""
-        if self._state is TaskState.IN_PROGRESS:
-            self._aborted_tasks += 1
-            if self.observer is not None:
-                self.observer("task_aborted", {"done_work_j": self._done_work_j})
-        self._total_work_j = None
-        self._done_work_j = 0.0
-        self._state = TaskState.IDLE
-
-    def acknowledge_completion(self) -> None:
-        """Return to IDLE after a completion has been consumed."""
-        if self._state is not TaskState.COMPLETED:
-            raise SimulationError("no completed task to acknowledge")
-        self._state = TaskState.IDLE

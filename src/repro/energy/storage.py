@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from repro.errors import EnergyModelError
 from repro.utils.validation import check_non_negative, check_positive
 
 
 class Capacitor:
     """A small supercapacitor storing harvested energy.
 
-    Tracks stored joules with a hard capacity ceiling (excess harvest is
-    shed) and constant leakage power.
+    Holds a hard capacity ceiling (excess harvest is shed), the charge
+    at t=0 and a constant leakage power.  The slot kernel
+    (:meth:`repro.sim.kernel.SlotKernel.advance`) deposits, leaks and
+    draws against these parameters.
 
     Parameters
     ----------
@@ -31,71 +32,4 @@ class Capacitor:
         self.capacity_j = check_positive("capacity_j", capacity_j)
         check_non_negative("initial_j", initial_j)
         self.leakage_w = check_non_negative("leakage_w", leakage_w)
-        self._stored_j = min(float(initial_j), self.capacity_j)
-        self._shed_j = 0.0  # energy lost to the ceiling
-        self._leaked_j = 0.0
-
-    # ------------------------------------------------------------------
-
-    @property
-    def stored_j(self) -> float:
-        """Currently stored energy."""
-        return self._stored_j
-
-    @property
-    def shed_j(self) -> float:
-        """Cumulative harvest lost because the capacitor was full."""
-        return self._shed_j
-
-    @property
-    def leaked_j(self) -> float:
-        """Cumulative self-discharge loss."""
-        return self._leaked_j
-
-    @property
-    def headroom_j(self) -> float:
-        """Remaining storage room."""
-        return self.capacity_j - self._stored_j
-
-    def fill_fraction(self) -> float:
-        """Stored energy as a fraction of capacity."""
-        return self._stored_j / self.capacity_j
-
-    # ------------------------------------------------------------------
-
-    def deposit(self, energy_j: float) -> float:
-        """Add harvested energy; returns what actually fit."""
-        if energy_j < 0:
-            raise EnergyModelError(f"cannot deposit negative energy ({energy_j})")
-        accepted = min(energy_j, self.headroom_j)
-        self._stored_j += accepted
-        self._shed_j += energy_j - accepted
-        return accepted
-
-    def draw(self, energy_j: float) -> float:
-        """Withdraw up to ``energy_j``; returns what was available."""
-        if energy_j < 0:
-            raise EnergyModelError(f"cannot draw negative energy ({energy_j})")
-        granted = min(energy_j, self._stored_j)
-        self._stored_j -= granted
-        return granted
-
-    def can_supply(self, energy_j: float) -> bool:
-        """Whether a draw of ``energy_j`` would be fully satisfied."""
-        return self._stored_j >= energy_j
-
-    def leak(self, duration_s: float) -> float:
-        """Apply self-discharge over ``duration_s``; returns joules lost."""
-        if duration_s < 0:
-            raise EnergyModelError(f"duration_s must be >= 0, got {duration_s}")
-        lost = min(self.leakage_w * duration_s, self._stored_j)
-        self._stored_j -= lost
-        self._leaked_j += lost
-        return lost
-
-    def reset(self, initial_j: float = 0.0) -> None:
-        """Restore the t=0 state with ``initial_j`` stored."""
-        check_non_negative("initial_j", initial_j)
-        self._stored_j = min(float(initial_j), self.capacity_j)
-        self._shed_j = 0.0
-        self._leaked_j = 0.0
+        self.initial_j = min(float(initial_j), self.capacity_j)

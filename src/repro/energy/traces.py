@@ -108,9 +108,8 @@ class PowerTrace:
         be an integer multiple of ``dt_s`` (within rounding).
 
         With ``n_slots`` the vector is truncated or zero-padded to
-        exactly that length — the scan-friendly form the vectorized
-        kernel consumes.  Slots beyond the trace harvest exactly 0.0 J,
-        matching the scalar simulator's out-of-range fallback.
+        exactly that length — the scan-friendly form the slot kernel
+        consumes.  Slots beyond the trace harvest exactly 0.0 J.
         """
         check_positive("slot_duration_s", slot_duration_s)
         samples_per_slot = slot_duration_s / self.dt_s

@@ -7,9 +7,12 @@ simulation's other streams), applies node deaths/brownouts and host
 restarts at slot boundaries, and accumulates the degradation accounting
 that ends up in :class:`~repro.faults.stats.FaultStats`.
 
-The engine talks to nodes and the host through their public fault
-surface only (``power_down``/``power_up``/``restart``), so it layers on
-top of :mod:`repro.wsn` without the substrate knowing about plans.
+The engine layers on top of the slot kernel without the kernel knowing
+about plans.  Static schedules fold into a node's harvest timeline
+(:meth:`FaultEngine.slot_energies`); a power-down drains the node
+through a callback the caller supplies; lossy links plug into each
+:class:`~repro.wsn.comm.CommLink` as a delivery hook; a host restart
+goes through :meth:`~repro.wsn.host.HostDevice.restart`.
 """
 
 from __future__ import annotations
@@ -194,8 +197,14 @@ class FaultEngine:
             return False
         return not any(b.covers(slot) for b in self._brownouts.get(node_id, ()))
 
-    def begin_slot(self, slot: int, nodes: Mapping[int, object], host) -> None:
-        """Apply slot-boundary fault events before scheduling runs."""
+    def begin_slot(
+        self, slot: int, host, power_down: Callable[[int, int], None]
+    ) -> None:
+        """Apply slot-boundary fault events before scheduling runs.
+
+        ``power_down(node_id, slot)`` is called when a node's supply
+        collapses: the node loses its stored charge and in-flight task.
+        """
         trace = self.obs.tracer
         if slot in self._restart_slots:
             host.restart()
@@ -203,11 +212,11 @@ class FaultEngine:
             logger.debug("slot %d: host restarted (recall store wiped)", slot)
             if trace.enabled:
                 trace.emit("fault.fired", slot=slot, fault="host_restart")
-        for node_id, node in nodes.items():
+        for node_id in self._node_ids:
             was = self._online[node_id]
             now = self._scheduled_online(node_id, slot)
             if was and not now:
-                node.power_down()
+                power_down(node_id, slot)
                 logger.debug("slot %d: node %d powered down", slot, node_id)
                 if trace.enabled:
                     trace.emit(
@@ -226,7 +235,6 @@ class FaultEngine:
                             self._awaiting.pop(node_id, None)
                             break
             elif not was and now:
-                node.power_up()
                 logger.debug("slot %d: node %d powered up", slot, node_id)
                 if trace.enabled:
                     trace.emit(
@@ -259,39 +267,48 @@ class FaultEngine:
                 )
 
     # ------------------------------------------------------------------
-    # per-node hooks for the substrate
+    # per-node inputs for the substrate
     # ------------------------------------------------------------------
 
     def link_hook(self, node_id: int) -> Optional[Callable[[int, int], Delivery]]:
         """Delivery hook for one node's CommLink (None = lossless)."""
         return self._channels.get(node_id)
 
-    def harvest_gate(self, node_id: int) -> Optional[Callable[[int], float]]:
-        """Harvest multiplier hook for one node (None = no shadowing)."""
-        dropouts = self._dropouts.get(node_id)
-        if not dropouts:
-            return None
+    def slot_energies(self, node_id: int, energies: np.ndarray) -> np.ndarray:
+        """One node's per-slot harvest under the plan's static schedules.
 
-        def gate(slot_index: int) -> float:
-            scale = 1.0
-            for dropout in dropouts:
-                scale *= dropout.scale_at(slot_index)
-            return scale
-
-        return gate
+        Harvester dropouts multiply a slot's energy by ``scale``, built
+        as ``1.0`` times each dropout's ``scale_at(slot)`` in plan order
+        (that float order is part of the result).  Offline slots — from
+        a death on, inside a brownout — harvest nothing.
+        """
+        energies = np.array(energies, dtype=np.float64)
+        dropouts = self._dropouts.get(node_id, ())
+        for slot in range(energies.size):
+            if not self._scheduled_online(node_id, slot):
+                energies[slot] = 0.0
+            elif dropouts:
+                scale = 1.0
+                for dropout in dropouts:
+                    scale *= dropout.scale_at(slot)
+                energies[slot] *= scale
+        return energies
 
     # ------------------------------------------------------------------
 
-    def finalize(self, nodes: Sequence[object]) -> FaultStats:
-        """Aggregate the run's degradation accounting."""
+    def finalize(self, links: Mapping[int, object]) -> FaultStats:
+        """Aggregate the run's degradation accounting.
+
+        ``links`` maps each node id to its :class:`~repro.wsn.comm.CommLink`.
+        """
         per_link = {
-            node.node_id: LinkStats(
-                messages_sent=node.comm.messages_sent,
-                messages_delivered=node.comm.messages_delivered,
-                messages_dropped=node.comm.messages_dropped,
-                messages_corrupted=node.comm.messages_corrupted,
+            node_id: LinkStats(
+                messages_sent=link.messages_sent,
+                messages_delivered=link.messages_delivered,
+                messages_dropped=link.messages_dropped,
+                messages_corrupted=link.messages_corrupted,
             )
-            for node in nodes
+            for node_id, link in links.items()
         }
         if self.obs.enabled:
             metrics = self.obs.metrics

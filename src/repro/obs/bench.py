@@ -55,7 +55,6 @@ DEFAULT_TOLERANCE = 0.15
 #: leaves the sweep benchmark with none.
 HEADLINES: Dict[str, Tuple[Tuple[str, str], ...]] = {
     "policy_sweep_performance": (),
-    "vectorized_slot_kernel": (("speedup.physics_kernel_vs_scalar", "higher"),),
     "trained_bundle_store_cold_start": (("speedup.warm_vs_cold", "higher"),),
     "sweep_resilience_chaos": (("supervision.overhead_fraction", "lower"),),
     "fleet": (("users_per_second", "higher"),),

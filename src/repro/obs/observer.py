@@ -5,9 +5,9 @@ a :class:`~repro.obs.metrics.MetricsRegistry` and provides the scoped
 wall-time profiling hook::
 
     obs = Observability()
-    with obs.timed("nvp.active_slot"):
+    with obs.timed("sweep.run"):
         ...hot path...
-    obs.metrics.timer("nvp.active_slot").total_s
+    obs.metrics.timer("sweep.run").total_s
 
 Every observable component takes (or is assigned) an ``obs`` and
 defaults to :data:`NULL_OBS`, whose ``enabled`` flag is ``False``,

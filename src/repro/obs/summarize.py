@@ -169,29 +169,6 @@ def _resilience_line(exported: Dict[str, Any]) -> Optional[str]:
     return "resilience: " + ", ".join(parts)
 
 
-def _kernel_line(exported: Dict[str, Any]) -> Optional[str]:
-    """One-line scalar-fallback summary, or ``None`` if the kernel took
-    every eligible run.
-
-    ``kernel.fallback`` counts kernel-capable runs that fell back to
-    the scalar slot loop; the reason-tagged children say why (tracing /
-    window transform / missing softmax / fault plan) so a sweep that
-    quietly lost the vectorized speedup is visible here.
-    """
-    counters = exported["counters"]
-    total = int(counters.get("kernel.fallback", 0))
-    if not total:
-        return None
-    prefix = "kernel.fallback."
-    reasons = ", ".join(
-        f"{int(value)} {name[len(prefix):]}"
-        for name, value in sorted(counters.items())
-        if name.startswith(prefix) and int(value)
-    )
-    line = f"kernel: {total} scalar fallback(s)"
-    return f"{line} ({reasons})" if reasons else line
-
-
 def _fleet_line(exported: Dict[str, Any]) -> Optional[str]:
     """One-line fleet summary, or ``None`` if no fleet ran."""
     counters = exported["counters"]
@@ -265,9 +242,6 @@ def _metrics_section(metrics: MetricsRegistry, top: int = 10) -> List[str]:
     resilience = _resilience_line(exported)
     if resilience is not None:
         lines.append(resilience)
-    kernel = _kernel_line(exported)
-    if kernel is not None:
-        lines.append(kernel)
     fleet = _fleet_line(exported)
     if fleet is not None:
         lines.append(fleet)
@@ -285,7 +259,7 @@ def _metrics_section(metrics: MetricsRegistry, top: int = 10) -> List[str]:
     headline = {
         name: value
         for name, value in counters.items()
-        if name.startswith(("sim.", "faults.", "store.", "resilience.", "kernel.", "fleet."))
+        if name.startswith(("sim.", "faults.", "store.", "resilience.", "fleet."))
     }
     if headline:
         lines.append("counters:")

@@ -60,7 +60,6 @@ _INCIDENTS = (
     "resilience.giveups",
     "resilience.requeued",
     "resilience.pool_restarts",
-    "kernel.fallback",
 )
 
 

@@ -10,8 +10,8 @@
 * :mod:`repro.sim.sweep` — policy grids for Figs. 4/5 and Table I;
 * :mod:`repro.sim.predcache` — the per-seed material shared by every
   policy of a sweep (timeline, windows, batched softmax);
-* :mod:`repro.sim.kernel` — the structure-of-arrays vectorized slot
-  engine eligible runs are routed through (byte-identical, much faster).
+* :mod:`repro.sim.kernel` — the structure-of-arrays slot physics every
+  run steps, with fault plans and observability folded into its lanes.
 """
 
 from repro.sim.training import TrainedLocationModel, TrainedSensorBundle, TrainingConfig
@@ -20,10 +20,7 @@ from repro.sim.experiment import HARExperiment, SimulationConfig
 from repro.sim.kernel import (
     BatchGroup,
     SlotKernel,
-    kernel_eligible,
-    kernel_ineligibility_reason,
     run_group_batch,
-    run_node_schedule,
     run_policy_batch,
 )
 from repro.sim.predcache import PredictionCache, RunMaterial, build_run_material
@@ -43,10 +40,7 @@ __all__ = [
     "SimulationConfig",
     "BatchGroup",
     "SlotKernel",
-    "kernel_eligible",
-    "kernel_ineligibility_reason",
     "run_group_batch",
-    "run_node_schedule",
     "run_policy_batch",
     "PredictionCache",
     "RunMaterial",

@@ -11,7 +11,7 @@ Markov activity timeline, subject and sensed windows that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -117,7 +117,6 @@ def evaluate_baseline(
     seed: int = 0,
     subject: Optional[SubjectProfile] = None,
     dwell_scale: float = 1.0,
-    window_transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     material: Optional[RunMaterial] = None,
 ) -> BaselineResult:
     """Run one baseline over a simulated activity timeline.
@@ -142,10 +141,7 @@ def evaluate_baseline(
     votes = np.empty((len(models), n_windows), dtype=np.int64)
     for row, location in enumerate(spec.locations):
         node_id = bundle.node_id_of(location)
-        batch = material.windows[node_id]
-        if window_transform is not None:
-            batch = np.stack([window_transform(window) for window in batch])
-        votes[row] = models[node_id].predict(batch)
+        votes[row] = models[node_id].predict(material.windows[node_id])
 
     return BaselineResult(
         baseline_name=baseline.name,

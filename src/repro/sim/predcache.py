@@ -94,11 +94,11 @@ class RunMaterial:
     def class_predictions(self) -> Dict[int, tuple]:
         """``{node id: (argmax labels, variance confidences)}`` (lazy).
 
-        The scan-friendly face of :attr:`probabilities` for the
-        vectorized kernel: per-slot predicted label and
-        variance-of-softmax confidence, computed once with batched
-        ``argmax``/``var`` calls that are byte-identical to the scalar
-        path's per-row ``argmax()`` / ``confidence_from_softmax``.
+        The scan-friendly face of :attr:`probabilities` for the slot
+        kernel: per-slot predicted label and variance-of-softmax
+        confidence, computed once with batched ``argmax``/``var`` calls
+        that are byte-identical to per-row ``argmax()`` /
+        ``confidence_from_softmax``.
         Memoized on the material, so one computation serves every
         policy of a sweep cell (and every batch of a seed).
         """

@@ -10,9 +10,8 @@ them in one executor pass and merges the results.
 * A per-seed :class:`~repro.sim.predcache.PredictionCache` shares the
   timeline/window/softmax precompute across every policy and both
   baselines of a seed, and each policy chunk runs as one batched
-  :func:`~repro.sim.kernel.run_policy_batch` call.  A chunk runs cell by
-  cell instead when observability is on, its material is
-  kernel-ineligible or the batch fails.
+  :func:`~repro.sim.kernel.run_policy_batch` call, traced or not.  A
+  chunk runs cell by cell only when its batch raises.
 * ``run(..., workers=N)`` runs the units on a
   :class:`~repro.resilience.SupervisedPool` — per-task timeouts,
   bounded deterministic-backoff retries and ``BrokenProcessPool``
@@ -392,14 +391,13 @@ def _sweep_unit(
 ) -> List[Any]:
     """One seed's chunk of policies, or its baselines, on the seed's shared material.
 
-    A policy chunk runs as one batched kernel call; it runs cell by cell
-    (each cell's error caught alone) when observability is on, the
-    material is kernel-ineligible or the batch fails.  Kernel-vs-scalar
-    identity means the fallback changes nothing but speed.  Baselines
-    read only the material's windows, so a worker that ran none of the
-    seed's policies builds it without softmax.
+    A policy chunk runs as one batched kernel call, observed or not; if
+    the batch raises, its cells run one by one so each cell's error is
+    caught alone.  Baselines read only the material's windows, so a
+    worker that ran none of the seed's policies builds it without
+    softmax.
     """
-    from repro.sim.kernel import kernel_eligible, run_policy_batch
+    from repro.sim.kernel import run_policy_batch
 
     experiment = state.experiment
     if isinstance(specs[0], BaselineSpec):
@@ -413,16 +411,13 @@ def _sweep_unit(
             specs,
         )
     material = state.cache.material(seed)
-    if not obs.enabled and kernel_eligible(
-        material=material, window_transform=None, faults=None, obs=None
-    ):
-        try:
-            return run_policy_batch(experiment, specs, seed, material=material)
-        except Exception as error:
-            logger.warning(
-                "kernel batch failed for seed %d (%s); running its cells one by one",
-                seed, error,
-            )
+    try:
+        return run_policy_batch(experiment, specs, seed, material=material, obs=obs)
+    except Exception as error:
+        logger.warning(
+            "kernel batch failed for seed %d (%s); running its cells one by one",
+            seed, error,
+        )
     return each_cell(
         lambda spec: experiment.run(spec, seed=seed, material=material, obs=obs),
         specs,

@@ -2,29 +2,24 @@
 
 Models the paper's deployment (§IV-A): three energy-harvesting sensor
 nodes (IMU + harvester + NVP compute + radio) and a battery-backed host
-device (phone) that aggregates classifications.  A small discrete-event
-engine underpins time ordering; the HAR experiments drive everything in
-fixed scheduling slots (one IMU window per slot).
+device (phone) that aggregates classifications.  The nodes here are
+parameter records; their slot physics runs as lanes of
+:class:`repro.sim.kernel.SlotKernel`, one IMU window per slot.
 """
 
 from repro.wsn.comm import CommLink, Delivery, RadioProfile, TransmitResult
-from repro.wsn.events import Event, EventScheduler
 from repro.wsn.host import HostDevice, ReceivedVote
 from repro.wsn.node import InferenceOutcome, NodeCosts, NodeStats, SensorNode
-from repro.wsn.network import BodyAreaNetwork
 
 __all__ = [
     "CommLink",
     "Delivery",
     "TransmitResult",
     "RadioProfile",
-    "Event",
-    "EventScheduler",
     "HostDevice",
     "ReceivedVote",
     "InferenceOutcome",
     "NodeCosts",
     "NodeStats",
     "SensorNode",
-    "BodyAreaNetwork",
 ]

@@ -12,33 +12,26 @@ node lives in discrete scheduling slots (one IMU window per slot):
 Because the NVP checkpoints, an inference may span several active slots;
 the outcome then reports the slot whose window was actually classified
 (``started_slot``), which is how recall staleness enters the system.
+
+:class:`SensorNode` is the parameter record of one node; the slot
+physics above runs as a lane of :class:`repro.sim.kernel.SlotKernel`,
+which reads these records in :meth:`~repro.sim.kernel.SlotKernel.from_nodes`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, fields
+from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.datasets.body import BodyLocation
 from repro.energy.harvester import Harvester
-from repro.energy.nvp import NonVolatileProcessor, TaskState
+from repro.energy.nvp import NonVolatileProcessor
 from repro.energy.storage import Capacitor
 from repro.errors import SimulationError
-from repro.nn.model import Sequential
-from repro.obs.observer import NULL_OBS, Observability
-from repro.utils.stats import confidence_from_softmax
 from repro.utils.validation import check_non_negative, check_positive
 from repro.wsn.comm import CommLink
-
-#: NVP observer event -> trace kind (precomputed: the observer fires on
-#: every burst, so no string formatting on the hot path).
-_NVP_TRACE_KINDS = {
-    "task_started": "nvp.task_started",
-    "burst": "nvp.burst",
-    "task_aborted": "nvp.task_aborted",
-}
 
 
 @dataclass(frozen=True)
@@ -122,14 +115,12 @@ class InferenceOutcome:
 
 
 class SensorNode:
-    """One energy-harvesting HAR sensor node.
+    """One energy-harvesting HAR sensor node's parameters.
 
     Parameters
     ----------
     node_id / location:
         Identity and body placement.
-    model:
-        The (possibly pruned) per-location classifier.
     inference_energy_j:
         Useful work one inference requires (from the energy model).
     harvester / capacitor / nvp / comm:
@@ -147,7 +138,6 @@ class SensorNode:
         self,
         node_id: int,
         location: BodyLocation,
-        model: Sequential,
         inference_energy_j: float,
         harvester: Harvester,
         capacitor: Capacitor,
@@ -160,7 +150,6 @@ class SensorNode:
     ) -> None:
         self.node_id = int(node_id)
         self.location = location
-        self.model = model
         self.inference_energy_j = check_positive("inference_energy_j", inference_energy_j)
         self.harvester = harvester
         self.capacitor = capacitor
@@ -171,301 +160,10 @@ class SensorNode:
         if max_task_age_slots is not None and max_task_age_slots < 1:
             raise SimulationError("max_task_age_slots must be >= 1 or None")
         self.max_task_age_slots = max_task_age_slots
-        self.stats = NodeStats()
-        #: Fault surface: ``online`` flips on brownout/death (driven by
-        #: the fault engine), ``harvest_gate`` multiplies each slot's
-        #: harvested energy (shadowing windows).
-        self.online: bool = True
-        self.harvest_gate: Optional[Callable[[int], float]] = None
-        #: Performance surface: when the experiment precomputed this
-        #: node's softmax for every slot (see repro.sim.predcache), a
-        #: ``(n_slots, n_classes)`` array is installed here and a
-        #: completed inference reads row ``started_slot`` instead of
-        #: running a batch-of-1 forward pass.
-        self.prediction_cache: Optional[np.ndarray] = None
-        #: Observability surface: a disabled bundle by default; the
-        #: experiment swaps in its own via :meth:`attach_obs`.
-        self.obs: Observability = NULL_OBS
-        self._pending_window: Optional[np.ndarray] = None
-        self._pending_slot: Optional[int] = None
-        self._slot_energies: Optional[np.ndarray] = None
-        self._current_slot = 0
-        self._slot_scope = None
-        self._span_hist = None
-
-    def attach_obs(self, obs: Observability) -> None:
-        """Install an observability bundle (and the NVP's trace hook).
-
-        The per-slot timer scope and the completion-span histogram are
-        resolved once here so the per-slot path touches no registry.
-        """
-        self.obs = obs
-        if obs.enabled:
-            self._slot_scope = obs.timed("nvp.active_slot")
-            self._span_hist = obs.metrics.histogram("nvp.slots_per_inference")
-        else:
-            self._slot_scope = None
-            self._span_hist = None
-        if obs.enabled and obs.tracer.enabled:
-            tracer = obs.tracer
-
-            def nvp_observer(event: str, payload: dict) -> None:
-                tracer.append(
-                    _NVP_TRACE_KINDS[event],
-                    self._current_slot,
-                    self.node_id,
-                    payload,
-                )
-
-            self.nvp.observer = nvp_observer
-        else:
-            self.nvp.observer = None
-
-    # ------------------------------------------------------------------
-    # per-slot lifecycle
-    # ------------------------------------------------------------------
-
-    def _slot_harvest(self, slot_index: int) -> float:
-        if self._slot_energies is None:
-            self._slot_energies = self.harvester.slot_energies(self.slot_duration_s)
-        if slot_index < self._slot_energies.size:
-            return float(self._slot_energies[slot_index])
-        return 0.0
 
     def slot_energy_vector(self, n_slots: int) -> np.ndarray:
         """Per-slot harvest energy over ``n_slots`` slots (kernel feed).
 
-        Slots beyond the harvest trace contribute exactly 0.0 — the same
-        out-of-range fallback :meth:`_slot_harvest` applies, so a lane
-        fed from this vector sees byte-identical deposits.
+        Slots beyond the harvest trace contribute exactly 0.0.
         """
-        if self._slot_energies is None:
-            self._slot_energies = self.harvester.slot_energies(self.slot_duration_s)
-        vec = np.asarray(self._slot_energies, dtype=np.float64)
-        if vec.size >= n_slots:
-            return vec[:n_slots].copy()
-        # Zero-pad past the trace end (same as the harvester's
-        # slot_energies(..., n_slots=...) scan-friendly form).
-        out = np.zeros(n_slots, dtype=np.float64)
-        out[: vec.size] = vec
-        return out
-
-    def harvest(self, slot_index: int) -> float:
-        """Harvest this slot's energy into the capacitor; returns joules."""
-        energy = self._slot_harvest(slot_index)
-        if self.harvest_gate is not None:
-            energy *= self.harvest_gate(slot_index)
-        accepted = self.capacitor.deposit(energy)
-        leaked = self.capacitor.leak(self.slot_duration_s)
-        idle = self.capacitor.draw(min(self.costs.idle_j, self.capacitor.stored_j))
-        self.stats.harvested_j += accepted
-        self.stats.consumed_j += idle
-        self.stats.leaked_j += leaked
-        self.stats.slots += 1
-        return accepted
-
-    def idle_slot(self, slot_index: int) -> None:
-        """A slot in which this node only harvests."""
-        self.harvest(slot_index)
-
-    def active_slot(self, slot_index: int, window: np.ndarray) -> InferenceOutcome:
-        """Harvest, then sense/run (or resume) an inference.
-
-        Returns the slot's outcome; ``completed=False`` means the node
-        made partial progress (NVP) or lost its progress (volatile).
-        """
-        if self._slot_scope is None:
-            return self._active_slot(slot_index, window)
-        # The ROADMAP hot path: per-slot wall time lands in the
-        # "nvp.active_slot" timer when observability is on.
-        with self._slot_scope:
-            return self._active_slot(slot_index, window)
-
-    def _active_slot(self, slot_index: int, window: np.ndarray) -> InferenceOutcome:
-        obs = self.obs
-        trace = obs.tracer
-        self._current_slot = slot_index
-        self.harvest(slot_index)
-        self.stats.active_slots += 1
-
-        # Expire a too-stale in-flight task before deciding what to run.
-        if (
-            self.nvp.state is TaskState.IN_PROGRESS
-            and self.max_task_age_slots is not None
-            and self._pending_slot is not None
-            and slot_index - self._pending_slot >= self.max_task_age_slots
-        ):
-            self.nvp.abort()
-            self._pending_window = None
-            self._pending_slot = None
-            if trace.enabled:
-                trace.append(
-                    "inference.aborted", slot_index, self.node_id, {"reason": "stale"}
-                )
-
-        if self.nvp.state is TaskState.IDLE:
-            # Fresh inference: sense the current window first.
-            sense = self.capacitor.draw(min(self.costs.sense_j, self.capacitor.stored_j))
-            self.stats.consumed_j += sense
-            if sense < self.costs.sense_j:
-                self.stats.failed_active_slots += 1
-                return InferenceOutcome(
-                    self.node_id, self.location, slot_index, slot_index, False,
-                    energy_consumed_j=sense,
-                )
-            self._pending_window = np.asarray(window)
-            self._pending_slot = slot_index
-            if trace.enabled:
-                trace.append("window.sensed", slot_index, self.node_id, {})
-            self.nvp.start_task(self.inference_energy_j)
-            self.stats.attempts_started += 1
-
-        burst = self.nvp.execute_burst(self.capacitor.stored_j)
-        self.capacitor.draw(burst.consumed_j)
-        self.stats.consumed_j += burst.consumed_j
-
-        if not burst.completed:
-            self.stats.failed_active_slots += 1
-            started = self._pending_slot if self._pending_slot is not None else slot_index
-            if self.nvp.volatile:
-                # A volatile MCU loses the work and must restart on a
-                # fresh window next time (the Fig. 1 hardware).
-                self.nvp.abort()
-                self._pending_window = None
-                self._pending_slot = None
-                if trace.enabled:
-                    trace.append(
-                        "inference.aborted",
-                        slot_index,
-                        self.node_id,
-                        {"reason": "volatile"},
-                    )
-            return InferenceOutcome(
-                self.node_id, self.location, slot_index, started,
-                False, energy_consumed_j=burst.consumed_j,
-            )
-
-        # Completed: classify the buffered window and report.  The
-        # window's softmax either comes from the run's precompute (the
-        # row for the slot whose window was buffered) or from the
-        # model directly.
-        self.nvp.acknowledge_completion()
-        started_slot = self._pending_slot
-        if self.prediction_cache is not None and started_slot is not None:
-            probabilities = self.prediction_cache[started_slot]
-        else:
-            probabilities = self.model.predict_proba(self._pending_window[None, ...])[0]
-        self._pending_window = None
-        self._pending_slot = None
-        self.stats.completions += 1
-
-        predicted = int(probabilities.argmax())
-        confidence = confidence_from_softmax(probabilities)
-        sent = self.comm.transmit(
-            self.costs.result_message_bytes, slot_index, predicted
-        )
-        paid = self.capacitor.draw(min(sent.cost_j, self.capacitor.stored_j))
-        self.stats.comm_j += paid
-        self.stats.consumed_j += paid
-
-        if obs.enabled:
-            # Completed-inference span: how many slots the NVP needed
-            # from sensing to completion (recall staleness's source).
-            span = slot_index - started_slot + 1 if started_slot is not None else 1
-            self._span_hist.observe(span)
-            if trace.enabled:
-                trace.append(
-                    "inference.completed",
-                    slot_index,
-                    self.node_id,
-                    {
-                        "started_slot": started_slot,
-                        "label": predicted,
-                        "confidence": float(confidence),
-                        "delivered": sent.delivery.delivered,
-                    },
-                )
-                trace.append(
-                    "message.sent",
-                    slot_index,
-                    self.node_id,
-                    {
-                        "bytes": self.costs.result_message_bytes,
-                        "cost_j": sent.cost_j,
-                        "delivered": sent.delivery.delivered,
-                        "corrupted": sent.delivery.corrupted,
-                    },
-                )
-                if not sent.delivery.delivered:
-                    trace.append("message.dropped", slot_index, self.node_id, {})
-
-        return InferenceOutcome(
-            node_id=self.node_id,
-            location=self.location,
-            slot_index=slot_index,
-            started_slot=started_slot,
-            completed=True,
-            predicted_label=predicted,
-            probabilities=probabilities,
-            confidence=confidence,
-            energy_consumed_j=burst.consumed_j + paid,
-            delivered=sent.delivery.delivered,
-            reported_label=(
-                sent.delivery.label if sent.delivery.corrupted else None
-            ),
-        )
-
-    # ------------------------------------------------------------------
-
-    @property
-    def stored_energy_j(self) -> float:
-        """Current capacitor charge."""
-        return self.capacitor.stored_j
-
-    def power_down(self) -> None:
-        """Brownout or death: lose in-flight work and all stored charge.
-
-        The NVP checkpoint survives *power interruptions*, not a supply
-        collapse long enough to brown the node out — the task is gone
-        and the capacitor is empty when (if) power returns.
-        """
-        self.nvp.abort()
-        self._pending_window = None
-        self._pending_slot = None
-        self.capacitor.draw(self.capacitor.stored_j)
-        self.online = False
-
-    def power_up(self) -> None:
-        """Supply restored after a brownout (capacitor still empty)."""
-        self.online = True
-
-    def offline_slot(self, slot_index: int) -> None:
-        """A slot spent dark: no harvest, no leak, no compute."""
-        self.stats.slots += 1
-
-    def can_start_inference(self) -> bool:
-        """Whether a fresh inference could finish within one burst now.
-
-        Used by activity-aware scheduling's energy check: the current
-        best sensor passes the job on when it predicts it cannot finish.
-        """
-        needed = self.costs.sense_j + self.inference_energy_j / (
-            1.0 - self.nvp.checkpoint_overhead
-        )
-        return self.capacitor.stored_j >= needed
-
-    def reset(self) -> None:
-        """Clear all mutable state (capacitor, NVP, stats, pending task).
-
-        Also drops the cached per-slot harvest vector so a node reset
-        after a harvester swap/re-seed re-derives it instead of silently
-        replaying the old one.
-        """
-        self.capacitor.reset()
-        self.nvp.abort()
-        self.stats = NodeStats()
-        self.online = True
-        self._pending_window = None
-        self._pending_slot = None
-        self._slot_energies = None
-        self._current_slot = 0
+        return self.harvester.slot_energies(self.slot_duration_s, n_slots=n_slots)

@@ -1,8 +1,8 @@
 """Experiment-level behaviour of the fault-injection subsystem.
 
 The headline property: an *empty* ``FaultPlan`` reproduces the
-fault-free run bit for bit; the PR-1 ``failures=`` shim is gone and
-its ``TypeError`` points at ``FaultPlan.from_failures``.
+fault-free run bit for bit; the legacy ``failures=`` dict is gone
+(``FaultPlan.from_failures`` builds the equivalent plan).
 """
 
 from dataclasses import replace
@@ -55,9 +55,9 @@ class TestEmptyPlanDeterminism:
 
 
 class TestFailuresShim:
-    def test_failures_kwarg_is_gone_with_a_pointer(self, tiny_experiment):
-        # The PR-1 shim is removed: the error must name the replacement.
-        with pytest.raises(TypeError, match="FaultPlan.from_failures"):
+    def test_failures_kwarg_is_gone(self, tiny_experiment):
+        # run() no longer takes the legacy dict at all.
+        with pytest.raises(TypeError, match="failures"):
             tiny_experiment.run(rr_policy(3), seed=5, failures={0: 10})
 
     def test_from_failures_is_the_supported_spelling(self, tiny_experiment):

@@ -19,7 +19,6 @@ from repro.fleet.runner import (
     user_metrics,
 )
 from repro.obs import Observability
-from repro.obs.summarize import _kernel_line
 from repro.resilience import SweepJournal
 
 
@@ -241,39 +240,6 @@ class TestUserMetrics:
         ):
             lo, hi = bounds[name]
             assert lo < hi
-
-
-class TestKernelFallbackObservability:
-    def test_fallback_counter_tagged_with_reason(self, tiny_experiment):
-        obs = Observability()
-        # A window transform forces the scalar path even before tracing.
-        tiny_experiment.run(
-            rr_policy(3), seed=1, window_transform=lambda w: w, obs=obs
-        )
-        counters = obs.metrics.to_dict()["counters"]
-        assert counters["kernel.fallback"] == 1
-        assert counters["kernel.fallback.window_transform"] == 1
-
-    def test_tracing_reason_when_only_obs_blocks(self, tiny_experiment):
-        from repro.sim.predcache import PredictionCache
-
-        obs = Observability()
-        material = PredictionCache(tiny_experiment).material(1)
-        tiny_experiment.run(rr_policy(3), seed=1, material=material, obs=obs)
-        counters = obs.metrics.to_dict()["counters"]
-        assert counters["kernel.fallback.tracing"] == 1
-
-    def test_summarize_renders_kernel_line(self):
-        exported = {
-            "counters": {
-                "kernel.fallback": 3,
-                "kernel.fallback.tracing": 2,
-                "kernel.fallback.fault_plan": 1,
-            }
-        }
-        line = _kernel_line(exported)
-        assert line == "kernel: 3 scalar fallback(s) (1 fault_plan, 2 tracing)"
-        assert _kernel_line({"counters": {}}) is None
 
 
 class TestCli:

@@ -262,9 +262,9 @@ class TestWatch:
 
 def _write_bench_files(results_dir):
     results_dir.mkdir(parents=True, exist_ok=True)
-    kernel = {
-        "bench": "vectorized_slot_kernel",
-        "speedup": {"physics_kernel_vs_scalar": 11.81},
+    store = {
+        "bench": "trained_bundle_store_cold_start",
+        "speedup": {"warm_vs_cold": 11.81},
         "meta": {"git_sha": "abc1234", "timestamp_utc": "2026-01-01T00:00:00Z"},
     }
     fleet = {
@@ -277,7 +277,7 @@ def _write_bench_files(results_dir):
         "supervision": {"overhead_fraction": 0.02},
     }
     for name, doc in (
-        ("BENCH_kernel.json", kernel),
+        ("BENCH_store.json", store),
         ("BENCH_fleet.json", fleet),
         ("BENCH_chaos.json", chaos),
     ):
@@ -288,10 +288,10 @@ def _write_bench_files(results_dir):
 class TestBenchTrajectory:
     def test_extract_headlines_both_name_keys(self, tmp_path):
         results = _write_bench_files(tmp_path / "results")
-        kernel = extract_headlines(str(results / "BENCH_kernel.json"))
-        assert kernel["bench"] == "vectorized_slot_kernel"
-        assert kernel["git_sha"] == "abc1234"
-        assert kernel["headlines"] == {"speedup.physics_kernel_vs_scalar": 11.81}
+        store = extract_headlines(str(results / "BENCH_store.json"))
+        assert store["bench"] == "trained_bundle_store_cold_start"
+        assert store["git_sha"] == "abc1234"
+        assert store["headlines"] == {"speedup.warm_vs_cold": 11.81}
         fleet = extract_headlines(str(results / "BENCH_fleet.json"))
         assert fleet["bench"] == "fleet"
         assert fleet["headlines"] == {"users_per_second": 180.0}
@@ -313,7 +313,7 @@ class TestBenchTrajectory:
         trajectory = str(results / TRAJECTORY_NAME)
         first = update(str(results), trajectory)
         assert {r["bench"] for r in first} == {
-            "vectorized_slot_kernel",
+            "trained_bundle_store_cold_start",
             "fleet",
             "sweep_resilience_chaos",
         }
@@ -325,11 +325,11 @@ class TestBenchTrajectory:
         results = _write_bench_files(tmp_path / "results")
         trajectory = str(results / TRAJECTORY_NAME)
         update(str(results), trajectory)
-        doc = json.loads((results / "BENCH_kernel.json").read_text())
-        doc["speedup"]["physics_kernel_vs_scalar"] = 12.5
-        (results / "BENCH_kernel.json").write_text(json.dumps(doc))
+        doc = json.loads((results / "BENCH_store.json").read_text())
+        doc["speedup"]["warm_vs_cold"] = 12.5
+        (results / "BENCH_store.json").write_text(json.dumps(doc))
         appended = update(str(results), trajectory)
-        assert [r["bench"] for r in appended] == ["vectorized_slot_kernel"]
+        assert [r["bench"] for r in appended] == ["trained_bundle_store_cold_start"]
 
     def test_check_passes_without_history_and_within_tolerance(self, tmp_path):
         results = _write_bench_files(tmp_path / "results")
@@ -344,17 +344,17 @@ class TestBenchTrajectory:
         trajectory = str(results / TRAJECTORY_NAME)
         golden_past = {
             "schema_version": 1,
-            "bench": "vectorized_slot_kernel",
-            "source": "BENCH_kernel.json",
+            "bench": "trained_bundle_store_cold_start",
+            "source": "BENCH_store.json",
             "git_sha": "older00",
             "timestamp_utc": "2025-12-01T00:00:00Z",
-            "headlines": {"speedup.physics_kernel_vs_scalar": 20.0},
+            "headlines": {"speedup.warm_vs_cold": 20.0},
         }
         with open(trajectory, "w") as handle:
             handle.write(json.dumps(golden_past) + "\n")
         regressions = check(str(results), trajectory)
         assert len(regressions) == 1
-        assert "physics_kernel_vs_scalar regressed 20 -> 11.81" in regressions[0]
+        assert "warm_vs_cold regressed 20 -> 11.81" in regressions[0]
         # Wide tolerance swallows the same drop.
         assert check(str(results), trajectory, tolerance=0.9) == []
 
@@ -381,10 +381,10 @@ class TestBenchTrajectory:
         assert "appended" in capsys.readouterr().out
         assert bench_main(["--results-dir", str(results), "check"]) == 0
         assert "no headline regressions" in capsys.readouterr().out
-        doc = json.loads((results / "BENCH_kernel.json").read_text())
-        doc["speedup"]["physics_kernel_vs_scalar"] = 1.0
+        doc = json.loads((results / "BENCH_store.json").read_text())
+        doc["speedup"]["warm_vs_cold"] = 1.0
         doc["meta"]["git_sha"] = "newer00"
-        (results / "BENCH_kernel.json").write_text(json.dumps(doc))
+        (results / "BENCH_store.json").write_text(json.dumps(doc))
         assert bench_main(["--results-dir", str(results), "check"]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 

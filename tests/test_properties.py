@@ -8,9 +8,9 @@ from repro.core.ensemble.confidence import ConfidenceMatrix
 from repro.core.scheduling.round_robin import ExtendedRoundRobin
 from repro.datasets.activities import Activity
 from repro.datasets.markov import MarkovActivityModel
-from repro.energy.storage import Capacitor
 from repro.energy.traces import PowerTrace
 from repro.nn.layers.activations import softmax
+from repro.sim.kernel import SlotKernel
 from repro.utils.stats import confidence_from_softmax, max_confidence
 
 finite_floats = st.floats(
@@ -19,32 +19,62 @@ finite_floats = st.floats(
 
 
 class TestCapacitorInvariants:
+    """Fault-free kernel lanes keep their capacitor bounded and balanced."""
+
+    @staticmethod
+    def _advance(lane_params, energies, schedule):
+        kernel = SlotKernel(slot_energies=np.asarray([energies]), **lane_params)
+        for slot, active in enumerate(schedule):
+            kernel.advance(slot, np.array([active]))
+            yield kernel
+
     @given(
         capacity=finite_floats,
-        operations=st.lists(
-            st.tuples(st.sampled_from(["deposit", "draw", "leak"]), finite_floats),
-            max_size=40,
-        ),
+        initial=finite_floats,
+        costs=st.tuples(finite_floats, finite_floats, finite_floats, finite_floats),
+        overhead=st.floats(min_value=0.0, max_value=0.9),
+        volatile=st.booleans(),
+        slots=st.lists(st.tuples(finite_floats, st.booleans()), min_size=1, max_size=40),
     )
     @settings(max_examples=60, deadline=None)
-    def test_stored_energy_always_within_bounds(self, capacity, operations):
-        cap = Capacitor(capacity_j=capacity)
-        for op, amount in operations:
-            if op == "deposit":
-                cap.deposit(amount)
-            elif op == "draw":
-                cap.draw(amount)
-            else:
-                cap.leak(amount)
-            assert 0.0 <= cap.stored_j <= capacity + 1e-12
+    def test_stored_energy_always_within_bounds(
+        self, capacity, initial, costs, overhead, volatile, slots
+    ):
+        leak, idle, sense, work = costs
+        params = dict(
+            capacity_j=[capacity], initial_j=[initial], leak_j=[leak], idle_j=[idle],
+            sense_j=[sense], task_work_j=[work], useful_fraction=[1.0 - overhead],
+            volatile=[volatile], comm_cost_j=[idle], max_task_age_slots=[np.inf],
+        )
+        energies = [energy for energy, _ in slots]
+        schedule = [active for _, active in slots]
+        for kernel in self._advance(params, energies, schedule):
+            # The clamp adds ``capacity - stored`` back: one rounding.
+            assert 0.0 <= kernel.stored[0] <= np.nextafter(capacity, np.inf)
 
-    @given(capacity=finite_floats, deposits=st.lists(finite_floats, max_size=20))
-    @settings(max_examples=40, deadline=None)
-    def test_energy_conservation(self, capacity, deposits):
-        cap = Capacitor(capacity_j=capacity)
-        total = sum(cap.deposit(d) for d in deposits)
-        assert total == cap.stored_j + 0.0  # nothing drawn or leaked yet
-        assert cap.shed_j >= 0.0
+    @given(
+        capacity=finite_floats,
+        initial=finite_floats,
+        costs=st.tuples(finite_floats, finite_floats, finite_floats, finite_floats),
+        slots=st.lists(st.tuples(finite_floats, st.booleans()), min_size=1, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_energy_conservation(self, capacity, initial, costs, slots):
+        # initial + harvested - consumed - leaked == stored, to float
+        # accumulation error relative to the energy that flowed.
+        leak, idle, sense, work = costs
+        params = dict(
+            capacity_j=[capacity], initial_j=[initial], leak_j=[leak], idle_j=[idle],
+            sense_j=[sense], task_work_j=[work], useful_fraction=[0.95],
+            volatile=[False], comm_cost_j=[sense], max_task_age_slots=[3.0],
+        )
+        energies = [energy for energy, _ in slots]
+        schedule = [active for _, active in slots]
+        start = min(initial, capacity)
+        for kernel in self._advance(params, energies, schedule):
+            balance = start + kernel.harvested_j[0] - kernel.consumed_j[0] - kernel.leaked_j[0]
+            flowed = start + kernel.harvested_j[0]
+            assert abs(balance - kernel.stored[0]) <= 1e-12 * max(flowed, 1.0)
 
 
 class TestPowerTraceInvariants:

@@ -10,7 +10,6 @@ from repro.core.policies import (
     origin_policy,
     rr_policy,
 )
-from repro.datasets.noise import add_gaussian_noise_snr
 from repro.errors import ConfigurationError
 from repro.sim.baselines import evaluate_baseline
 from repro.sim.completion import CompletionExperiment
@@ -57,16 +56,6 @@ class TestRunBasics:
         static = tiny_experiment.run(origin_policy(6, adaptive=False), seed=5)
         assert adaptive.confidence_updates > 0
         assert static.confidence_updates == 0
-
-    def test_window_transform_applied(self, tiny_experiment):
-        calls = []
-
-        def transform(window):
-            calls.append(1)
-            return add_gaussian_noise_snr(window, 20.0, seed=0)
-
-        tiny_experiment.run(rr_policy(3), seed=1, window_transform=transform)
-        assert len(calls) > 0
 
     def test_external_confidence_matrix_adapts_in_place(self, tiny_experiment):
         matrix = tiny_experiment.bundle.confidence_matrix.copy(adaptation_alpha=0.5)

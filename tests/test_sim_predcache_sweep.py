@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core.policies import origin_policy, rr_policy
-from repro.datasets.noise import add_gaussian_noise_snr
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, PacketLoss
 from repro.faults.stats import FaultStats, LinkStats, RecoveryEvent
@@ -130,24 +129,6 @@ class TestCacheBitIdentity:
                 cached.baseline(name).predicted_labels,
                 uncached.baseline(name).predicted_labels,
             )
-
-    def test_window_transform_bypasses_cached_predictions(self, tiny_experiment):
-        """A transform changes the sensed window, so the run must infer
-        on the transformed window instead of serving stale softmax."""
-        calls = []
-
-        def transform(window):
-            calls.append(1)
-            return add_gaussian_noise_snr(window, 3.0, seed=0)
-
-        cache = PredictionCache(tiny_experiment)
-        clean = tiny_experiment.run(rr_policy(3), seed=4, material=cache.material(4))
-        noisy = tiny_experiment.run(
-            rr_policy(3), seed=4, material=cache.material(4),
-            window_transform=transform,
-        )
-        assert calls
-        assert noisy.records != clean.records
 
 
 class TestParallelSweep:

@@ -1,89 +1,8 @@
-"""Tests for the discrete-event engine and the radio cost model."""
+"""Tests for the radio cost model and the comm link."""
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.wsn.comm import CommLink, RadioProfile
-from repro.wsn.events import EventScheduler
-
-
-class TestEventScheduler:
-    def test_fires_in_time_order(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.schedule(2.0, lambda: fired.append("b"))
-        scheduler.schedule(1.0, lambda: fired.append("a"))
-        scheduler.run_all()
-        assert fired == ["a", "b"]
-
-    def test_equal_time_uses_priority_then_fifo(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.schedule(1.0, lambda: fired.append("low"), priority=1)
-        scheduler.schedule(1.0, lambda: fired.append("hi"), priority=0)
-        scheduler.schedule(1.0, lambda: fired.append("low2"), priority=1)
-        scheduler.run_all()
-        assert fired == ["hi", "low", "low2"]
-
-    def test_now_advances(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(3.5, lambda: None)
-        scheduler.run_all()
-        assert scheduler.now_s == 3.5
-
-    def test_schedule_in(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(1.0, lambda: None)
-        scheduler.step()
-        event = scheduler.schedule_in(2.0, lambda: None)
-        assert event.time_s == 3.0
-
-    def test_past_scheduling_rejected(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(5.0, lambda: None)
-        scheduler.step()
-        with pytest.raises(SimulationError):
-            scheduler.schedule(1.0, lambda: None)
-
-    def test_run_until_partial(self):
-        scheduler = EventScheduler()
-        fired = []
-        for t in (1.0, 2.0, 3.0):
-            scheduler.schedule(t, lambda t=t: fired.append(t))
-        assert scheduler.run_until(2.0) == 2
-        assert fired == [1.0, 2.0]
-        assert scheduler.pending == 1
-
-    def test_self_scheduling_events(self):
-        scheduler = EventScheduler()
-        count = [0]
-
-        def tick():
-            count[0] += 1
-            if count[0] < 5:
-                scheduler.schedule_in(1.0, tick)
-
-        scheduler.schedule(0.0, tick)
-        scheduler.run_all()
-        assert count[0] == 5
-        assert scheduler.processed == 5
-
-    def test_runaway_guard(self):
-        scheduler = EventScheduler()
-
-        def forever():
-            scheduler.schedule_in(1.0, forever)
-
-        scheduler.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
-            scheduler.run_all(max_events=100)
-
-    def test_step_empty_returns_none(self):
-        assert EventScheduler().step() is None
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            EventScheduler().schedule_in(-1.0, lambda: None)
 
 
 class TestRadioProfile:

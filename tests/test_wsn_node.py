@@ -1,4 +1,4 @@
-"""Tests for SensorNode, HostDevice and BodyAreaNetwork."""
+"""Tests for SensorNode (stepped as a one-lane kernel) and HostDevice."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,9 @@ from repro.energy.nvp import NonVolatileProcessor
 from repro.energy.storage import Capacitor
 from repro.energy.traces import PowerTrace
 from repro.errors import SimulationError
-from repro.nn import Sequential, build_har_cnn
+from repro.sim.kernel import SlotKernel, lane_outcomes
 from repro.wsn.comm import CommLink, RadioProfile
 from repro.wsn.host import HostDevice, ReceivedVote
-from repro.wsn.network import BodyAreaNetwork
 from repro.wsn.node import InferenceOutcome, NodeCosts, SensorNode
 
 
@@ -26,12 +25,10 @@ def make_node(
     **node_kwargs,
 ):
     """A node over a constant-power trace for predictable arithmetic."""
-    model = build_har_cnn(2, 32, 3, seed=node_id)
     trace = PowerTrace(dt_s=1.0, watts=np.full(n_slots, watts))
     return SensorNode(
         node_id=node_id,
         location=list(BodyLocation)[node_id % 3],
-        model=model,
         inference_energy_j=inference_energy,
         harvester=Harvester(trace),
         capacitor=Capacitor(capacity_j=capacity),
@@ -42,97 +39,150 @@ def make_node(
     )
 
 
-def window():
-    return np.random.default_rng(0).normal(size=(2, 32)).astype(np.float32)
+class NodeLane:
+    """One node stepped as a one-lane :class:`SlotKernel`.
+
+    Completed inferences read a fixed random softmax per slot and report
+    over the node's own link, as a run's lane does.
+    """
+
+    def __init__(self, node, n_slots=50, n_classes=3):
+        self.node = node
+        self.kernel = SlotKernel.from_nodes([node], n_runs=1, n_slots=n_slots)
+        probabilities = np.random.default_rng(node.node_id).dirichlet(
+            np.ones(n_classes), size=n_slots
+        )
+        self.sources = [
+            {
+                "node_id": node.node_id,
+                "location": node.location,
+                "probabilities": probabilities,
+                "predicted": probabilities.argmax(axis=1),
+                "confidences": probabilities.var(axis=1),
+                "result_message_bytes": node.costs.result_message_bytes,
+            }
+        ]
+
+    @property
+    def stored(self):
+        return float(self.kernel.stored[0])
+
+    @property
+    def stats(self):
+        return self.kernel.lane_stats(0)
+
+    def idle(self, slot):
+        self.kernel.advance(slot, np.zeros(1, dtype=bool))
+
+    def active(self, slot):
+        events = self.kernel.advance(slot, np.ones(1, dtype=bool))
+        return lane_outcomes(
+            events, 0, [0], slot=slot, comms=[self.node.comm], sources=self.sources
+        )[0]
 
 
 class TestSensorNodeHarvesting:
     def test_idle_slot_accumulates(self):
-        node = make_node(watts=1e-3)
-        node.idle_slot(0)
-        assert node.stored_energy_j == pytest.approx(1e-3, rel=0.01)
-        assert node.stats.slots == 1
+        lane = NodeLane(make_node(watts=1e-3))
+        lane.idle(0)
+        assert lane.stored == pytest.approx(1e-3, rel=0.01)
+        assert lane.stats.slots == 1
 
     def test_harvest_capped_by_capacity(self):
-        node = make_node(watts=1e-2, capacity=5e-3)
+        lane = NodeLane(make_node(watts=1e-2, capacity=5e-3))
         for slot in range(3):
-            node.idle_slot(slot)
-        assert node.stored_energy_j <= 5e-3
+            lane.idle(slot)
+        assert lane.stored <= 5e-3
 
     def test_beyond_trace_harvests_nothing(self):
-        node = make_node(n_slots=2)
-        node.idle_slot(5)
-        assert node.stored_energy_j < 1e-6
+        lane = NodeLane(make_node(n_slots=2), n_slots=6)
+        lane.idle(5)
+        assert lane.stored < 1e-6
+
+    def test_idle_draw_charged(self):
+        node = make_node(watts=1e-3)
+        lane = NodeLane(node)
+        lane.idle(0)
+        assert lane.stats.consumed_j == node.costs.idle_j
+        assert lane.stats.active_slots == 0
 
 
 class TestSensorNodeInference:
     def test_completes_with_ample_energy(self):
-        node = make_node(watts=1e-3, inference_energy=100e-6)
-        outcome = node.active_slot(0, window())
+        lane = NodeLane(make_node(watts=1e-3, inference_energy=100e-6))
+        outcome = lane.active(0)
         assert outcome.completed
         assert outcome.predicted_label is not None
         assert outcome.probabilities.shape == (3,)
         assert outcome.confidence is not None
-        assert node.stats.completions == 1
+        assert lane.stats.completions == 1
 
     def test_fails_without_energy_but_keeps_progress(self):
-        node = make_node(watts=50e-6, inference_energy=200e-6)
-        outcome = node.active_slot(0, window())
+        lane = NodeLane(make_node(watts=50e-6, inference_energy=200e-6))
+        outcome = lane.active(0)
         assert not outcome.completed
-        assert node.nvp.remaining_work_j < 200e-6  # partial progress kept
+        assert 0.0 < lane.kernel.done_work[0] < 200e-6  # partial progress kept
 
     def test_nvp_finishes_over_multiple_slots(self):
-        node = make_node(watts=100e-6, inference_energy=220e-6)
-        results = [node.active_slot(slot, window()) for slot in range(4)]
+        lane = NodeLane(make_node(watts=100e-6, inference_energy=220e-6))
+        results = [lane.active(slot) for slot in range(4)]
         assert any(o.completed for o in results)
         completed = next(o for o in results if o.completed)
         assert completed.started_slot == 0  # classified the slot-0 window
 
     def test_volatile_node_restarts_each_slot(self):
-        node = make_node(watts=100e-6, inference_energy=220e-6, volatile=True)
+        lane = NodeLane(make_node(watts=100e-6, inference_energy=220e-6, volatile=True))
         for slot in range(5):
-            outcome = node.active_slot(slot, window())
+            outcome = lane.active(slot)
             assert not outcome.completed
             assert outcome.started_slot == slot  # fresh window each time
 
     def test_stale_task_aborted(self):
-        node = make_node(
-            watts=10e-6, inference_energy=500e-6, max_task_age_slots=2
+        lane = NodeLane(
+            make_node(watts=10e-6, inference_energy=500e-6, max_task_age_slots=2)
         )
-        node.active_slot(0, window())
-        node.active_slot(1, window())
-        aborts_before = node.nvp.aborted_tasks
-        node.active_slot(2, window())  # age 2 >= max -> abort, restart
-        assert node.nvp.aborted_tasks == aborts_before + 1
+        lane.active(0)
+        lane.active(1)
+        assert lane.kernel.pending_slot[0] == 0
+        outcome = lane.active(2)  # age 2 >= max -> abort, restart
+        assert outcome.started_slot == 2
+        assert lane.stats.attempts_started == 2
 
     def test_sense_cost_charged(self):
         node = make_node(watts=1e-3)
-        node.active_slot(0, window())
-        assert node.stats.consumed_j >= node.costs.sense_j
+        lane = NodeLane(node)
+        lane.active(0)
+        assert lane.stats.consumed_j >= node.costs.sense_j
+
+    def test_sense_starvation_fails_the_slot(self):
+        # Too little charge for the IMU sample: the lane pays what it
+        # has, starts nothing and reports a failed slot on that window.
+        node = make_node(watts=5e-6)
+        lane = NodeLane(node)
+        outcome = lane.active(0)
+        assert not outcome.completed
+        assert outcome.started_slot == 0
+        assert 0.0 < outcome.energy_consumed_j < node.costs.sense_j
+        assert lane.stats.attempts_started == 0
+        assert lane.stats.failed_active_slots == 1
 
     def test_comm_charged_on_completion(self):
         node = make_node(watts=1e-3)
-        node.active_slot(0, window())
+        lane = NodeLane(node)
+        lane.active(0)
         assert node.comm.messages_sent == 1
-        assert node.stats.comm_j > 0
+        assert lane.stats.comm_j > 0
 
     def test_can_start_inference(self):
-        node = make_node(watts=1e-3, inference_energy=100e-6)
-        assert not node.can_start_inference()  # empty capacitor
-        node.idle_slot(0)
-        assert node.can_start_inference()
-
-    def test_reset(self):
-        node = make_node(watts=1e-3)
-        node.active_slot(0, window())
-        node.reset()
-        assert node.stored_energy_j == 0.0
-        assert node.stats.completions == 0
+        lane = NodeLane(make_node(watts=1e-3, inference_energy=100e-6))
+        assert not lane.kernel.ready_mask()[0]  # empty capacitor
+        lane.idle(0)
+        assert lane.kernel.ready_mask()[0]
 
     def test_completion_rate(self):
-        node = make_node(watts=1e-3)
-        node.active_slot(0, window())
-        assert node.stats.completion_rate == 1.0
+        lane = NodeLane(make_node(watts=1e-3))
+        lane.active(0)
+        assert lane.stats.completion_rate == 1.0
 
 
 class TestInferenceOutcomeValidation:
@@ -208,56 +258,3 @@ class TestHostDevice:
     def test_vote_age(self):
         vote = ReceivedVote(0, 1, 0.1, None, received_slot=5, started_slot=3)
         assert vote.age(10) == 7
-
-
-class TestBodyAreaNetwork:
-    def make_network(self, watts=1e-3):
-        nodes = [make_node(i, watts=watts) for i in range(3)]
-        host = HostDevice(vote=lambda votes, slot: votes[-1].label)
-        return BodyAreaNetwork(nodes, host), nodes
-
-    def test_step_slot_routes_active_and_idle(self):
-        network, nodes = self.make_network()
-        outcomes = network.step_slot(0, [0], {0: window()})
-        assert len(outcomes) == 1
-        assert nodes[1].stats.slots == 1  # idle nodes still harvested
-        assert nodes[1].stats.active_slots == 0
-
-    def test_completed_outcomes_reach_host(self):
-        network, _ = self.make_network()
-        network.step_slot(0, [0], {0: window()})
-        assert network.host.messages_received == 1
-
-    def test_missing_window_rejected(self):
-        network, _ = self.make_network()
-        with pytest.raises(SimulationError):
-            network.step_slot(0, [0], {})
-
-    def test_unknown_node_rejected(self):
-        network, _ = self.make_network()
-        with pytest.raises(SimulationError):
-            network.step_slot(0, [99], {99: window()})
-
-    def test_node_lookup(self):
-        network, nodes = self.make_network()
-        assert network.node(1) is nodes[1]
-        assert network.node_at(nodes[2].location) is nodes[2]
-        assert network.node_ids() == [0, 1, 2]
-
-    def test_duplicate_ids_rejected(self):
-        nodes = [make_node(0), make_node(0)]
-        with pytest.raises(SimulationError):
-            BodyAreaNetwork(nodes, HostDevice(vote=lambda v, s: 0))
-
-    def test_energy_totals(self):
-        network, _ = self.make_network()
-        network.step_slot(0, [0, 1, 2], {i: window() for i in range(3)})
-        assert network.total_harvested_j() > 0
-        assert network.total_consumed_j() > 0
-
-    def test_reset(self):
-        network, nodes = self.make_network()
-        network.step_slot(0, [0], {0: window()})
-        network.reset()
-        assert all(node.stats.slots == 0 for node in nodes)
-        assert network.host.messages_received == 0
