@@ -58,6 +58,26 @@ class TestBitIdentity:
         assert any(e.payload["fault"] == "power_down" for e in fired)
 
 
+class TestPowerDownTrace:
+    @pytest.mark.parametrize("start", [20, 37, 55])
+    def test_lost_task_is_traced_at_the_power_down_slot(self, tiny_experiment, start):
+        # The brownout catches node 0 mid-inference: the lost task is
+        # traced at the power-down slot, right before the fault firing
+        # (it used to carry the node's last active slot, e.g. 18 for a
+        # brownout at 20).
+        plan = FaultPlan(faults=(Brownout(node_id=0, start_slot=start, duration_slots=6),))
+        obs = Observability()
+        tiny_experiment.run(rr_policy(3), seed=1, n_windows=120, faults=plan, obs=obs)
+        events = obs.tracer.events
+        (down,) = [
+            i for i, e in enumerate(events)
+            if e.kind == "fault.fired" and e.payload["fault"] == "power_down"
+        ]
+        lost = events[down - 1]
+        assert (lost.kind, lost.slot, lost.node_id) == ("nvp.task_aborted", start, 0)
+        assert events[down].slot == start
+
+
 class TestTraceContent:
     @pytest.fixture(scope="class")
     def traced(self, tiny_experiment):
