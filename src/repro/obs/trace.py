@@ -141,6 +141,14 @@ class Tracer:
             (event.kind, event.slot, event.node_id, event.payload) for event in events
         )
 
+    def absorb(self, other: "Tracer") -> None:
+        """Append every event of another tracer, in order.
+
+        :meth:`extend` for a buffer in this process (one simulated run's
+        trace): the records move over without being materialized.
+        """
+        self._records.extend(other._records)
+
     def of_kind(self, kind: str) -> List[TraceEvent]:
         """All recorded events of one kind, in emission order."""
         return [event for event in self.events if event.kind == kind]
@@ -174,6 +182,9 @@ class NullTracer(Tracer):
         pass
 
     def extend(self, events: Iterable[TraceEvent]) -> None:  # noqa: ARG002
+        pass
+
+    def absorb(self, other: Tracer) -> None:  # noqa: ARG002
         pass
 
 

@@ -308,13 +308,13 @@ class Session:
             # Overload: ingest the reports (recall memory and scheduler
             # feedback stay consistent) but skip the vote; the device
             # keeps the previous decision for this window.
-            self.engine.finish_slot(slot, reports, receive=True, decide=False)
+            self.engine.finish_slot(slot, reports, decide=False)
             label = self.engine.last_final
             self.shed_windows += 1
             if self.metrics is not None:
                 self.metrics.inc("serve.windows.shed")
         else:
-            label = self.engine.finish_slot(slot, reports, receive=True)
+            label = self.engine.finish_slot(slot, reports)
             self.decisions += 1
             if self.metrics is not None:
                 self.metrics.inc("serve.decisions")

@@ -40,7 +40,7 @@ def drive(experiment, policy, seed):
     for slot in range(sim.n_windows):
         actives.append(list(active))
         outcomes = sim.step(slot, active)
-        labels.append(engine.finish_slot(slot, outcomes, receive=True))
+        labels.append(engine.finish_slot(slot, outcomes))
         if slot + 1 < sim.n_windows:
             active = engine.begin_slot(slot + 1, ready_flags(sim.states()))
     return labels, actives, engine
@@ -102,11 +102,11 @@ class TestSlotPhases:
         engine = profile_for(tiny_experiment).build_engine(origin_policy(6))
         active = engine.begin_slot(0, ready_flags(sim.states()))
         outcomes = sim.step(0, active)
-        engine.finish_slot(0, outcomes, receive=True)
+        engine.finish_slot(0, outcomes)
         anchor = engine.last_final
         active = engine.begin_slot(1, ready_flags(sim.states()))
         outcomes = sim.step(1, active)
-        shed = engine.finish_slot(1, outcomes, receive=True, decide=False)
+        shed = engine.finish_slot(1, outcomes, decide=False)
         assert shed is None
         assert engine.last_final == anchor
 
@@ -118,7 +118,7 @@ class TestSlotPhases:
             active = engine.begin_slot(slot, ready_flags(sim.states()))
             outcomes = sim.step(slot, active)
             engine.finish_slot(
-                slot, outcomes, receive=True, on_completion=seen.append
+                slot, outcomes, on_completion=seen.append
             )
         assert all(outcome.completed for outcome in seen)
 

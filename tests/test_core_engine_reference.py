@@ -405,7 +405,7 @@ class TestEngineMatchesReference:
                 slot, reports, receive=True, decide=plan["decide"]
             )
             final = engine.finish_slot(
-                slot, reports, receive=True, decide=plan["decide"]
+                slot, reports, decide=plan["decide"]
             )
             assert final == expected
             assert engine.last_final == reference.last_final
@@ -432,10 +432,10 @@ class TestVoteReuse:
             0, 0, 0, completed=True, predicted_label=1, confidence=0.2
         )
         engine.begin_slot(0, [True, True, True])
-        assert engine.finish_slot(0, [report], receive=True) == 1
+        assert engine.finish_slot(0, [report]) == 1
         for slot in range(1, 4):  # no-op slots: the vote is reused
             assert engine.begin_slot(slot, [True, True, True]) == []
-            assert engine.finish_slot(slot, [], receive=True) == 1
+            assert engine.finish_slot(slot, []) == 1
         assert engine.host.decisions_made == 4
         assert len(obs.tracer.of_kind("vote.cast")) == 4
         ages = obs.metrics.to_dict()["histograms"]["host.recall_age_slots"]
@@ -449,10 +449,10 @@ class TestVoteReuse:
             0, 0, 0, completed=True, predicted_label=1, confidence=0.2
         )
         engine.begin_slot(0, [True, True, True])
-        assert engine.finish_slot(0, [report], receive=True) == 1
+        assert engine.finish_slot(0, [report]) == 1
         engine.host.restart()
         engine.begin_slot(1, [True, True, True])
-        assert engine.finish_slot(1, [], receive=True) is None
+        assert engine.finish_slot(1, []) is None
 
     @pytest.mark.parametrize(
         "recall, votes_cast",
@@ -477,7 +477,7 @@ class TestVoteReuse:
             # Slot 0 receives and adapts; slot 3 only adapts the matrix.
             if slot == 3:
                 engine.confidence.update(2, 1, 0.4)
-            engine.finish_slot(slot, [report] if slot == 0 else [], receive=True)
+            engine.finish_slot(slot, [report] if slot == 0 else [])
         assert len(calls) == votes_cast
 
     def test_outside_matrix_write_revotes(self):
@@ -505,7 +505,7 @@ class TestVoteReuse:
                 reference.confidence.update(2, 0, 0.0)
                 engine.confidence.update(2, 0, 0.0)
             expected = reference.finish_slot(slot, reports, receive=True)
-            assert engine.finish_slot(slot, reports, receive=True) == expected
+            assert engine.finish_slot(slot, reports) == expected
             finals.append(expected)
         assert finals == [0, 0, 0, 0, 0, 0, 1, 1]
 
