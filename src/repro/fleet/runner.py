@@ -18,17 +18,17 @@ speed on each side of it:
    exact and order-invariant, so 1, 3 or N shards (or a resumed run)
    produce byte-identical cohort statistics in ``O(bins)`` memory.
 
-Run material — the expensive per-timeline window/softmax build — is
-memoized per ``(seed, dwell)`` pair, which :class:`CohortSpec` keeps
-finite by drawing timelines from a small seed pool and dwell from a
-discrete distribution.
+Run material — the expensive per-timeline window/logit build — is
+memoized per ``(seed, dwell)`` pair by a
+:class:`~repro.sim.predcache.PredictionCache`; :class:`CohortSpec` keeps
+those pairs few by drawing timelines from a small seed pool and dwell
+from a discrete distribution.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +47,7 @@ from repro.resilience.executor import (
 from repro.resilience.journal import SweepJournal, _digest, sweep_fingerprint
 from repro.sim.experiment import HARExperiment
 from repro.sim.kernel import BatchGroup, run_group_batch
-from repro.sim.predcache import RunMaterial, build_run_material
+from repro.sim.predcache import PredictionCache, RunMaterial
 from repro.sim.results import ExperimentResult
 
 __all__ = [
@@ -62,12 +62,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-#: Ceiling on distinct materials a worker keeps alive at once.  Only
-#: reachable with a *continuous* dwell distribution (discrete cohorts
-#: are bounded by ``CohortSpec.material_group_bound``); past it the
-#: memo evicts least-recently-used entries and rebuilds on demand.
-MATERIAL_MEMO_CAP = 64
 
 _JOURNAL_KIND = "fleet-journal"
 FLEET_SCHEMA_VERSION = 1
@@ -129,42 +123,8 @@ def user_metrics(
 
 
 # ---------------------------------------------------------------------------
-# material + reference memoization
+# reference memoization
 # ---------------------------------------------------------------------------
-
-
-class _MaterialMemo:
-    """LRU cache of :class:`RunMaterial` keyed by ``(seed, dwell)``.
-
-    One per executor worker state (in-process or in a pool worker).
-    Sharing is what amortizes the window/softmax build across every
-    user on the same timeline.
-    """
-
-    def __init__(self, experiment: HARExperiment, cap: int = MATERIAL_MEMO_CAP):
-        self.experiment = experiment
-        self.cap = int(cap)
-        self._entries: "OrderedDict[Tuple[int, float], RunMaterial]" = OrderedDict()
-
-    def material(self, user: UserSpec) -> RunMaterial:
-        key = user.material_key
-        material = self._entries.get(key)
-        if material is not None:
-            self._entries.move_to_end(key)
-            return material
-        material = build_run_material(
-            self.experiment.dataset,
-            self.experiment.bundle,
-            user.seed,
-            n_windows=user.config.n_windows,
-            dwell_scale=user.config.dwell_scale,
-            use_pruned_models=user.config.use_pruned_models,
-        )
-        self._entries[key] = material
-        while len(self._entries) > self.cap:
-            evicted, _ = self._entries.popitem(last=False)
-            logger.debug("material memo evicted %s", evicted)
-        return material
 
 
 class _ReferenceMemo:
@@ -222,26 +182,24 @@ def simulate_users(
     users: Sequence[UserSpec],
     policies: Sequence[PolicySpec],
     *,
-    materials: Optional[_MaterialMemo] = None,
+    materials: Optional[Sequence[RunMaterial]] = None,
 ) -> List[List[ExperimentResult]]:
     """Run every policy for every user; one result row per user.
 
     The whole slice is one :func:`run_group_batch` call (one
     :class:`BatchGroup` per user), each row byte-identical to that
-    user's ``HARExperiment.run`` of every policy.
+    user's ``HARExperiment.run`` of every policy.  ``materials`` holds
+    each user's material (default: built by a fresh cache).
     """
     users = list(users)
     if not users:
         return []
-    memo = materials if materials is not None else _MaterialMemo(experiment)
+    if materials is None:
+        cache = PredictionCache(experiment)
+        materials = [cache.material(user.seed, config=user.config) for user in users]
     groups = [
-        BatchGroup(
-            policies=policies,
-            seed=user.seed,
-            config=user.config,
-            material=memo.material(user),
-        )
-        for user in users
+        BatchGroup(policies=policies, seed=user.seed, config=user.config, material=material)
+        for user, material in zip(users, materials)
     ]
     return run_group_batch(experiment, groups)
 
@@ -253,25 +211,25 @@ def shard_aggregate(
     lo: int,
     hi: int,
     *,
-    materials: Optional[_MaterialMemo] = None,
+    cache: Optional[PredictionCache] = None,
     references: Optional[_ReferenceMemo] = None,
+    obs: Optional[Observability] = None,
 ) -> FleetAggregate:
-    """Simulate users ``[lo, hi)`` and reduce them to one aggregate."""
+    """Simulate users ``[lo, hi)`` and reduce them to one aggregate.
+
+    Each user's material is fetched once, for its run and its reference.
+    """
     users = list(spec.users(lo, hi))
     bounds = default_metric_bounds(
         spec.base.n_windows, len(experiment.dataset.spec.locations)
     )
     aggregate = FleetAggregate(bounds=bounds)
     aggregate.shards = 1
-    memo = materials if materials is not None else _MaterialMemo(experiment)
-    refs = (
-        references
-        if references is not None
-        else _ReferenceMemo(experiment, spec, policies)
-    )
-    rows = simulate_users(experiment, users, policies, materials=memo)
-    for user, row in zip(users, rows):
-        material = memo.material(user)
+    cache = cache if cache is not None else PredictionCache(experiment)
+    refs = references if references is not None else _ReferenceMemo(experiment, spec, policies)
+    materials = [cache.material(user.seed, config=user.config, obs=obs) for user in users]
+    rows = simulate_users(experiment, users, policies, materials=materials)
+    for user, material, row in zip(users, materials, rows):
         reference_row = refs.results(user, material)
         aggregate.add_user(
             {
@@ -323,8 +281,8 @@ def shard_cell(lo: int, hi: int) -> str:
 
 
 class _FleetWorker:
-    """One worker's cohort state: spec, policies and the memos that
-    amortize materials and reference runs across its shards."""
+    """One worker's cohort state: spec, policies and the cache and memo
+    that amortize materials and reference runs across its shards."""
 
     def __init__(
         self,
@@ -335,7 +293,7 @@ class _FleetWorker:
         self.experiment = experiment
         self.spec = spec
         self.policies = list(policies)
-        self.materials = _MaterialMemo(experiment)
+        self.cache = PredictionCache(experiment)
         self.references = _ReferenceMemo(experiment, spec, self.policies)
 
 
@@ -349,8 +307,9 @@ def _shard_unit(
             state.spec,
             state.policies,
             *shard,
-            materials=state.materials,
+            cache=state.cache,
             references=state.references,
+            obs=obs,
         ).to_dict(),
         shards,
     )

@@ -14,7 +14,7 @@ small pool of ``n_timelines`` run seeds.  Together with a *discrete*
 dwell distribution this bounds the number of distinct
 :class:`~repro.sim.predcache.RunMaterial` builds per worker to
 ``n_timelines x |dwell support|`` — the expensive part of a user is the
-window/softmax material, and the fleet layer shares it across everyone
+window/logit material, and the fleet layer shares it across everyone
 on the same (timeline, dwell) pair.
 """
 
@@ -341,7 +341,7 @@ class CohortSpec:
         """Upper bound on distinct run-material builds, if finite.
 
         ``None`` means the dwell distribution is continuous: every user
-        then needs its own material and the fleet's material memo works
+        then needs its own material and the fleet's material cache works
         as a bounded LRU instead of a full share.
         """
         support = self.dwell_scale.support

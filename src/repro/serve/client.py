@@ -96,7 +96,6 @@ class DeviceSim:
             dwell_scale=config.dwell_scale,
             use_pruned_models=config.use_pruned_models,
             subject=self.subject,
-            with_predictions=True,
         )
         nodes = experiment._build_nodes(SeedSequenceFactory(self.seed), config)
         self.node_ids = [node.node_id for node in nodes]

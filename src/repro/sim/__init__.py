@@ -9,7 +9,7 @@
 * :mod:`repro.sim.personalization` — the Fig. 6 adaptation study;
 * :mod:`repro.sim.sweep` — policy grids for Figs. 4/5 and Table I;
 * :mod:`repro.sim.predcache` — the per-seed material shared by every
-  policy of a sweep (timeline, windows, batched softmax);
+  policy and baseline of a sweep (timeline, windows, batched logits);
 * :mod:`repro.sim.kernel` — the structure-of-arrays slot physics every
   run steps, with fault plans and observability folded into its lanes.
 """

@@ -21,7 +21,7 @@ from repro.datasets.base import HARDataset
 from repro.datasets.subjects import SubjectProfile
 from repro.datasets.synthesis import StyleWobble
 from repro.errors import SimulationError
-from repro.sim.predcache import RunMaterial, build_run_material, default_subject
+from repro.sim.predcache import PREDICT_BATCH, RunMaterial, build_run_material, default_subject
 from repro.sim.training import TrainedSensorBundle
 from repro.utils.rng import SeedSequenceFactory
 
@@ -124,7 +124,8 @@ def evaluate_baseline(
     Classifies the :class:`~repro.sim.predcache.RunMaterial` of the
     seed, so the baseline sees exactly the timeline and windows the
     policies saw.  Pass ``material`` when the caller already has it
-    (built for any model variant: only its windows are read).
+    (built from ``bundle``, for any model variant); without one, the
+    material is built with the baseline's variant.
     """
     if n_windows < 1:
         raise SimulationError(f"n_windows must be >= 1, got {n_windows}")
@@ -132,16 +133,21 @@ def evaluate_baseline(
     subject = subject or default_subject(dataset)
     params = dict(seed=seed, n_windows=n_windows, dwell_scale=dwell_scale, subject=subject)
     if material is None:
-        material = build_run_material(dataset, bundle, with_predictions=False, **params)
+        material = build_run_material(dataset, bundle, use_pruned_models=baseline.pruned, **params)
     else:
         material.check_compatible(use_pruned_models=material.use_pruned_models, **params)
     true = np.array([spec.label_of(activity) for activity in material.labels], dtype=np.int64)
 
-    models = bundle.models(pruned=baseline.pruned)
-    votes = np.empty((len(models), n_windows), dtype=np.int64)
-    for row, location in enumerate(spec.locations):
-        node_id = bundle.node_id_of(location)
-        votes[row] = models[node_id].predict(material.windows[node_id])
+    # ``Sequential.predict`` is the argmax of the same batched logits.
+    if baseline.pruned == material.use_pruned_models:
+        labels = {node_id: rows.argmax(axis=1) for node_id, rows in material.logits.items()}
+    else:
+        models = bundle.models(pruned=baseline.pruned)
+        labels = {
+            node_id: models[node_id].predict(windows, PREDICT_BATCH)
+            for node_id, windows in material.windows.items()
+        }
+    votes = np.stack([labels[bundle.node_id_of(location)] for location in spec.locations])
 
     return BaselineResult(
         baseline_name=baseline.name,

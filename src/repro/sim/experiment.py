@@ -298,9 +298,8 @@ class HARExperiment:
             Precomputed :class:`~repro.sim.predcache.RunMaterial` for
             this exact ``(seed, subject, config)`` — typically served by
             a :class:`~repro.sim.predcache.PredictionCache` so one
-            seed's timeline/windows/softmax are shared by every policy
-            of a sweep.  It must carry the batched softmax
-            (``with_predictions=True``); ``None`` (the default) builds
+            seed's timeline/windows/logits are shared by every policy
+            of a sweep.  ``None`` (the default) builds
             fresh material for this run.  Either way the run consumes
             identical arrays, so results are byte-identical with and
             without sharing.

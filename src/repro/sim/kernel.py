@@ -711,7 +711,6 @@ def _prepare_group(experiment, group: BatchGroup, obs: Observability) -> tuple:
             dwell_scale=config.dwell_scale,
             use_pruned_models=config.use_pruned_models,
             subject=subject,
-            with_predictions=True,
             obs=obs,
         )
     else:
@@ -721,11 +720,6 @@ def _prepare_group(experiment, group: BatchGroup, obs: Observability) -> tuple:
             dwell_scale=config.dwell_scale,
             use_pruned_models=config.use_pruned_models,
             subject=subject,
-        )
-    if material.probabilities is None:
-        raise ConfigurationError(
-            "the kernel needs material with precomputed softmax "
-            "(build_run_material(with_predictions=True))"
         )
 
     # The seed's node templates: traces, capacitors and NVPs are a pure

@@ -1,14 +1,15 @@
-"""Per-seed run material and the shared prediction cache.
+"""Per-seed run material and the one material cache.
 
 Everything upstream of scheduling is fully determined by ``(dataset,
 seed, subject, deployment config)``: the ground-truth activity timeline,
 the per-slot style wobbles, every node's sensed-window stream — and
-therefore every node's softmax output for every slot it could possibly
+therefore every node's CNN output for every slot it could possibly
 classify.  A policy sweep evaluates the whole RR/AAS/AASR/Origin ladder
 on exactly those seeds, so this module materializes the shared part once
-per seed (:func:`build_run_material`) and lets every policy run and both
-fully-powered baselines consume it (:class:`PredictionCache`), removing
-window synthesis and DNN inference from the per-policy cost.
+per seed (:func:`build_run_material`) and lets every policy run, both
+fully-powered baselines and every fleet user on the same ``(timeline,
+dwell)`` pair consume it (:class:`PredictionCache`), removing window
+synthesis and DNN inference from the per-policy cost.
 
 Determinism contract
 --------------------
@@ -18,14 +19,15 @@ stream (exactly like the style stream always was), one
 so the window a node senses at slot ``s`` does not depend on which
 earlier slots the policy made it active in.  That is what makes the
 material policy-independent.
-Predictions are computed with one batched ``predict_proba`` pass per
-node; since the per-slot runtime consumes the same arrays in every mode,
+Each node's logits come from one batched pass and are kept next to
+their softmax; since runs and baselines consume the same arrays in every mode,
 cached, uncached (per-run rebuilt) and parallel runs are byte-identical
 — the test suite and the CI benchmark smoke both assert this.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from dataclasses import field as dataclasses_field
 from typing import Dict, List, Optional
@@ -38,11 +40,19 @@ from repro.datasets.markov import MarkovActivityModel
 from repro.datasets.subjects import SubjectProfile
 from repro.datasets.synthesis import StyleWobble
 from repro.errors import ConfigurationError
+from repro.nn.layers.activations import softmax
 from repro.obs.observer import NULL_OBS, Observability
 from repro.utils.rng import SeedSequenceFactory
 
-#: Default inference batch size for the precompute pass.
-DEFAULT_BATCH_SIZE = 256
+#: Rows per ``predict_logits`` batch.  A row's logits depend on which
+#: rows share its batch (one-row and 256-row batches differed on 300 of
+#: 300 rows of each pruned model), so a material computes a whole seed
+#: in batches of this size and no consumer ever predicts per slot.
+PREDICT_BATCH = 256
+
+#: Materials a :class:`PredictionCache` keeps alive (LRU eviction past
+#: it); only continuous-dwell cohorts reach it.
+MATERIAL_CACHE_CAP = 64
 
 
 def default_subject(dataset: HARDataset) -> SubjectProfile:
@@ -67,15 +77,12 @@ class RunMaterial:
         own against them before consuming (:meth:`check_compatible`).
     labels:
         Ground-truth activity per slot (the Markov timeline).
-    styles:
-        The shared execution-style wobble per slot.
     windows:
         ``{node id: (n_windows, channels, window) float32}`` — every
         node's sensed window for every slot.
-    probabilities:
-        ``{node id: (n_windows, n_classes) float64}`` softmax outputs,
-        or ``None`` when built without predictions (e.g. for
-        window-transform runs, whose windows change after synthesis).
+    logits / probabilities:
+        ``{node id: (n_windows, n_classes) float64}`` outputs of the
+        ``use_pruned_models`` variant on :attr:`windows`, and softmax.
     """
 
     seed: int
@@ -84,9 +91,9 @@ class RunMaterial:
     use_pruned_models: bool
     subject: SubjectProfile
     labels: List[Activity]
-    styles: List[StyleWobble]
     windows: Dict[int, np.ndarray]
-    probabilities: Optional[Dict[int, np.ndarray]] = None
+    logits: Dict[int, np.ndarray]
+    probabilities: Dict[int, np.ndarray]
     _class_predictions: Optional[Dict[int, tuple]] = dataclasses_field(
         default=None, repr=False, compare=False
     )
@@ -102,11 +109,6 @@ class RunMaterial:
         Memoized on the material, so one computation serves every
         policy of a sweep cell (and every batch of a seed).
         """
-        if self.probabilities is None:
-            raise ConfigurationError(
-                "material was built without predictions; the kernel "
-                "needs build_run_material(with_predictions=True)"
-            )
         if self._class_predictions is None:
             self._class_predictions = {
                 node_id: (probs.argmax(axis=1), np.var(probs, axis=1))
@@ -148,24 +150,21 @@ def build_run_material(
     dwell_scale: float,
     use_pruned_models: bool = True,
     subject: Optional[SubjectProfile] = None,
-    with_predictions: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     obs: Optional[Observability] = None,
 ) -> RunMaterial:
-    """Materialize one seed's timeline, windows and (optionally) softmax.
+    """Materialize one seed's timeline, windows, logits and softmax.
 
     ``bundle`` is a :class:`~repro.sim.training.TrainedSensorBundle`;
-    only its node-id mapping and (when ``with_predictions``) its models
-    are consulted.  RNG streams use the same labels as the historical
+    only its node-id mapping and its ``use_pruned_models`` variant are
+    consulted.  RNG streams use the same labels as the historical
     in-run draws (``timeline``, ``style``, ``windows/<location>``), so
     the material is a pure function of ``(dataset, bundle, seed,
-    subject, n_windows, dwell_scale)``.  ``obs`` records per-phase wall
-    time (``predcache.windows``, ``predcache.predict``).
+    subject, n_windows, dwell_scale, use_pruned_models)``.  ``obs``
+    records per-phase wall time (``predcache.windows``,
+    ``predcache.predict``).
     """
     if n_windows < 1:
         raise ConfigurationError(f"n_windows must be >= 1, got {n_windows}")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     obs = obs if obs is not None else NULL_OBS
     factory = SeedSequenceFactory(int(seed))
     spec = dataset.spec
@@ -192,14 +191,13 @@ def build_run_material(
                 labels, location, subject, rng, styles=styles
             )
 
-    probabilities: Optional[Dict[int, np.ndarray]] = None
-    if with_predictions:
-        with obs.timed("predcache.predict"):
-            models = bundle.models(pruned=use_pruned_models)
-            probabilities = {
-                node_id: models[node_id].predict_proba(stream, batch_size=batch_size)
-                for node_id, stream in windows.items()
-            }
+    with obs.timed("predcache.predict"):
+        models = bundle.models(pruned=use_pruned_models)
+        logits = {
+            node_id: models[node_id].predict_logits(stream, PREDICT_BATCH)
+            for node_id, stream in windows.items()
+        }
+        probabilities = {node_id: softmax(rows, axis=1) for node_id, rows in logits.items()}
 
     return RunMaterial(
         seed=int(seed),
@@ -208,8 +206,8 @@ def build_run_material(
         use_pruned_models=bool(use_pruned_models),
         subject=subject,
         labels=labels,
-        styles=styles,
         windows=windows,
+        logits=logits,
         probabilities=probabilities,
     )
 
@@ -218,37 +216,17 @@ class PredictionCache:
     """Memoized :class:`RunMaterial` per seed for one experiment.
 
     One cache serves every policy of a sweep: the first run of a seed
-    pays the precompute, the other fifteen grid policies reuse it.  The
-    cache is keyed by everything the material depends on, so changing
-    ``n_windows``, ``dwell_scale``, the model variant or the subject
-    builds fresh material instead of serving a stale one.
-
-    Parameters
-    ----------
-    experiment:
-        The :class:`~repro.sim.experiment.HARExperiment` whose dataset,
-        bundle and config define the material.
-    batch_size:
-        Batch size of the prediction precompute.
-    obs:
-        Observability bundle; records build timers and exposes the
-        hit/miss accounting as ``predcache.hits`` / ``predcache.misses``
-        gauges.
+    pays the precompute, the other fifteen grid policies and both
+    baselines reuse it (a fleet worker shares one across its users).
+    The cache is keyed by everything the material depends on, so
+    changing ``n_windows``, ``dwell_scale``, the model variant or the
+    subject builds fresh material instead of serving a stale one.  At
+    most :data:`MATERIAL_CACHE_CAP` materials stay alive.
     """
 
-    def __init__(
-        self,
-        experiment,
-        *,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        obs: Optional[Observability] = None,
-    ) -> None:
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    def __init__(self, experiment) -> None:
         self.experiment = experiment
-        self.batch_size = int(batch_size)
-        self.obs = obs if obs is not None else NULL_OBS
-        self._materials: Dict[tuple, RunMaterial] = {}
+        self._materials: "OrderedDict[tuple, RunMaterial]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -259,15 +237,16 @@ class PredictionCache:
         self,
         seed: int,
         *,
+        config=None,
         subject: Optional[SubjectProfile] = None,
-        with_predictions: bool = True,
+        obs: Optional[Observability] = None,
     ) -> RunMaterial:
-        """The (memoized) material for ``seed`` under the experiment config.
-
-        A material built with predictions also serves requests without.
+        """The (memoized) material for ``seed`` under ``config`` (default:
+        the experiment's); ``obs`` records build timers and hit/miss gauges.
         """
-        config = self.experiment.config
+        config = config if config is not None else self.experiment.config
         subject = subject or default_subject(self.experiment.dataset)
+        obs = obs if obs is not None else NULL_OBS
         key = (
             int(seed),
             config.n_windows,
@@ -275,14 +254,15 @@ class PredictionCache:
             config.use_pruned_models,
             subject.subject_id,
         )
-        cached = self._materials.get(key)
-        if cached is not None and (cached.probabilities is not None or not with_predictions):
+        material = self._materials.get(key)
+        if material is not None:
+            self._materials.move_to_end(key)
             self.hits += 1
-            if self.obs.enabled:
-                self.obs.metrics.set_gauge("predcache.hits", self.hits)
-            return cached
+            if obs.enabled:
+                obs.metrics.set_gauge("predcache.hits", self.hits)
+            return material
         self.misses += 1
-        with self.obs.timed("predcache.build_material"):
+        with obs.timed("predcache.build_material"):
             material = build_run_material(
                 self.experiment.dataset,
                 self.experiment.bundle,
@@ -291,16 +271,12 @@ class PredictionCache:
                 dwell_scale=config.dwell_scale,
                 use_pruned_models=config.use_pruned_models,
                 subject=subject,
-                with_predictions=with_predictions,
-                batch_size=self.batch_size,
-                obs=self.obs,
+                obs=obs,
             )
         self._materials[key] = material
-        if self.obs.enabled:
-            self.obs.metrics.set_gauge("predcache.misses", self.misses)
-            self.obs.metrics.set_gauge("predcache.materials", len(self._materials))
+        while len(self._materials) > MATERIAL_CACHE_CAP:
+            self._materials.popitem(last=False)
+        if obs.enabled:
+            obs.metrics.set_gauge("predcache.misses", self.misses)
+            obs.metrics.set_gauge("predcache.materials", len(self._materials))
         return material
-
-    def clear(self) -> None:
-        """Drop every memoized material (frees the window arrays)."""
-        self._materials.clear()

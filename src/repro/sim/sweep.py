@@ -8,7 +8,7 @@ into seed-major policy chunks, then one baseline unit per seed, runs
 them in one executor pass and merges the results.
 
 * A per-seed :class:`~repro.sim.predcache.PredictionCache` shares the
-  timeline/window/softmax precompute across every policy and both
+  timeline/window/logit precompute across every policy and both
   baselines of a seed, and each policy chunk runs as one batched
   :func:`~repro.sim.kernel.run_policy_batch` call, traced or not.  A
   chunk runs cell by cell only when its batch raises.
@@ -393,15 +393,14 @@ def _sweep_unit(
 
     A policy chunk runs as one batched kernel call, observed or not; if
     the batch raises, its cells run one by one so each cell's error is
-    caught alone.  Baselines read only the material's windows, so a
-    worker that ran none of the seed's policies builds it without
-    softmax.
+    caught alone.  Baselines ask for the same material as the seed's
+    policies, so in a worker that already ran them they reuse it.
     """
     from repro.sim.kernel import run_policy_batch
 
     experiment = state.experiment
+    material = state.cache.material(seed, obs=obs)
     if isinstance(specs[0], BaselineSpec):
-        material = state.cache.material(seed, with_predictions=False)
         return each_cell(
             lambda baseline: evaluate_baseline(
                 experiment.dataset, experiment.bundle, baseline, seed=seed,
@@ -410,7 +409,6 @@ def _sweep_unit(
             ),
             specs,
         )
-    material = state.cache.material(seed)
     try:
         return run_policy_batch(experiment, specs, seed, material=material, obs=obs)
     except Exception as error:

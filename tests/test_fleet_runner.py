@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.core.policies import aas_policy, origin_policy, rr_policy
 from repro.errors import ConfigurationError, FleetError
-from repro.fleet import CohortSpec, FleetRunner
+from repro.fleet import CohortSpec, FleetRunner, ParameterDist
 from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.runner import (
     default_metric_bounds,
@@ -18,7 +19,9 @@ from repro.fleet.runner import (
     simulate_users,
     user_metrics,
 )
+from repro.nn.model import Sequential
 from repro.obs import Observability
+from repro.obs.trace import NULL_TRACER
 from repro.resilience import SweepJournal
 
 
@@ -95,6 +98,50 @@ class TestShardInvariance:
         assert dist.min_value == expected[0]
         assert dist.max_value == expected[-1]
         assert "accuracy_drop" in aggregate.policies[policies[0].name]
+
+
+class TestMaterialSharing:
+    @staticmethod
+    def _continuous_spec(experiment, size):
+        return CohortSpec(
+            size=size,
+            seed=9,
+            base=replace(experiment.config, n_windows=16),
+            n_timelines=1,
+            dwell_scale=ParameterDist.uniform(2.0, 5.0),
+        )
+
+    def test_continuous_dwell_shard_builds_each_material_once(
+        self, tiny_experiment, monkeypatch
+    ):
+        # 65 distinct (timeline, dwell) pairs overflow the cache's LRU
+        # cap; each user's material must still be built only once,
+        # serving both its run and its reference run.
+        spec = self._continuous_spec(tiny_experiment, 65)
+        real = Sequential.predict_logits
+        rows = []
+
+        def counting(self, x, *args, **kwargs):
+            rows.append(len(x))
+            return real(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Sequential, "predict_logits", counting)
+        aggregate = shard_aggregate(tiny_experiment, spec, [origin_policy(12)], 0, 65)
+        assert aggregate.users == 65
+        n_nodes = len(tiny_experiment.dataset.spec.locations)
+        assert sum(rows) == 65 * n_nodes * spec.base.n_windows
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fleet_times_each_material_build(self, tiny_experiment, workers):
+        # Continuous dwell gives every user its own material, so the
+        # build count does not depend on which worker ran which shard.
+        spec = self._continuous_spec(tiny_experiment, 6)
+        obs = Observability(tracer=NULL_TRACER)
+        FleetRunner(tiny_experiment, spec, shard_size=3).run(workers=workers, obs=obs)
+        exported = obs.metrics.to_dict()
+        for name in ("predcache.build_material", "predcache.windows", "predcache.predict"):
+            assert exported["timers"][name]["calls"] == spec.size, name
+        assert exported["gauges"]["predcache.misses"] >= 1
 
 
 class TestFleetRunner:

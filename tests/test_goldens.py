@@ -211,17 +211,6 @@ def events_document(events) -> list:
     return document
 
 
-def metrics_document(obs: Observability) -> dict:
-    """Merge-deterministic metrics minus the scalar-fallback counters."""
-    exported = obs.metrics.deterministic_dict()
-    counters = {
-        name: value
-        for name, value in exported["counters"].items()
-        if not name.startswith("kernel.fallback")
-    }
-    return {"counters": counters, "histograms": exported["histograms"]}
-
-
 def _make_obs(mode: str) -> Optional[Observability]:
     if mode == "untraced":
         return None
@@ -253,7 +242,7 @@ def case_digests(experiments: Dict[str, HARExperiment], dataset: str, case: tupl
             document: list = [run_document(result)]
             if obs is not None:
                 document.append(events_document(obs.tracer.events))
-                document.append(metrics_document(obs))
+                document.append(obs.metrics.deterministic_dict())
             digests[f"{spec.name}@{seed}"] = _sha(document)
     return digests
 
@@ -270,7 +259,7 @@ def sweep_digest(experiment: HARExperiment) -> Dict[str, str]:
     return {
         "results": _sha([policies, baselines]),
         "events": _sha(events_document(obs.tracer.events)),
-        "metrics": _sha(metrics_document(obs)),
+        "metrics": _sha(obs.metrics.deterministic_dict()),
         "n_events": str(len(obs.tracer)),
     }
 

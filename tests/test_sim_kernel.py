@@ -33,7 +33,6 @@ from repro.obs.observer import Observability
 from repro.obs.summarize import split_runs
 from repro.sim.experiment import HARExperiment, SimulationConfig
 from repro.sim.kernel import SlotKernel, run_policy_batch
-from repro.sim.predcache import build_run_material, default_subject
 from repro.sim.sweep import PolicySweep
 from repro.wsn.comm import CommLink, RadioProfile
 from repro.wsn.node import NodeCosts, SensorNode
@@ -312,22 +311,6 @@ class TestLaneIndependence:
         assert stats.slots == 32
         assert stats.active_slots == stats.attempts_started == stats.completions == 0
         assert stats.consumed_j > 0.0  # the idle draw
-
-    def test_requires_prediction_cache(self, tiny_experiment):
-        # The kernel never runs a model: a run needs the material's
-        # batched softmax, and windows-only material is refused.
-        material = build_run_material(
-            tiny_experiment.dataset,
-            tiny_experiment.bundle,
-            5,
-            n_windows=tiny_experiment.config.n_windows,
-            dwell_scale=tiny_experiment.config.dwell_scale,
-            use_pruned_models=tiny_experiment.config.use_pruned_models,
-            subject=default_subject(tiny_experiment.dataset),
-            with_predictions=False,
-        )
-        with pytest.raises(ConfigurationError, match="softmax"):
-            tiny_experiment.run(rr_policy(3), seed=5, material=material)
 
 
 class TestLanePowerDown:

@@ -6,6 +6,8 @@ per-seed precompute (or fanning runs out over processes) must not change
 a single byte of any result.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,11 @@ from repro.core.policies import origin_policy, rr_policy
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, PacketLoss
 from repro.faults.stats import FaultStats, LinkStats, RecoveryEvent
+from repro.nn.layers.activations import softmax
+from repro.nn.model import Sequential
+from repro.obs.observer import Observability
+from repro.obs.trace import NULL_TRACER
+from repro.sim import predcache
 from repro.sim.predcache import PredictionCache, build_run_material
 from repro.sim.sweep import PolicySweep, _merge_runs
 from repro.wsn.node import NodeStats
@@ -69,10 +76,11 @@ class TestRunMaterial:
         )
         n_classes = tiny_experiment.dataset.n_classes
         assert len(material.labels) == 25
-        assert len(material.styles) == 25
+        assert material.logits.keys() == material.probabilities.keys()
         for node_id, probs in material.probabilities.items():
             assert probs.shape == (25, n_classes)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_array_equal(probs, softmax(material.logits[node_id], axis=1))
 
     def test_cache_memoizes_per_seed(self, tiny_experiment):
         cache = PredictionCache(tiny_experiment)
@@ -82,6 +90,35 @@ class TestRunMaterial:
         assert first is again
         assert first is not other
         assert cache.hits == 1 and cache.misses == 2
+
+    def test_cache_evicts_least_recently_used(self, tiny_experiment, monkeypatch):
+        monkeypatch.setattr(predcache, "MATERIAL_CACHE_CAP", 2)
+        cache = PredictionCache(tiny_experiment)
+        config = replace(tiny_experiment.config, n_windows=8)
+        first = cache.material(1, config=config)
+        second = cache.material(2, config=config)
+        assert cache.material(1, config=config) is first  # now the freshest
+        cache.material(3, config=config)  # evicts seed 2
+        assert len(cache) == 2
+        assert cache.material(1, config=config) is first
+        assert cache.material(2, config=config) is not second
+        assert cache.hits == 2 and cache.misses == 4
+
+    def test_cache_keys_on_the_requested_config(self, tiny_experiment):
+        cache = PredictionCache(tiny_experiment)
+        config = tiny_experiment.config
+        default = cache.material(4)
+        assert cache.material(4, config=config) is default
+        for other in (
+            replace(config, n_windows=config.n_windows // 2),
+            replace(config, dwell_scale=config.dwell_scale + 1.0),
+            replace(config, use_pruned_models=not config.use_pruned_models),
+        ):
+            material = cache.material(4, config=other)
+            assert material is not default
+            assert (material.n_windows, material.dwell_scale, material.use_pruned_models) == (
+                other.n_windows, other.dwell_scale, other.use_pruned_models,
+            )
 
     def test_mismatched_material_rejected(self, tiny_experiment):
         cache = PredictionCache(tiny_experiment)
@@ -179,9 +216,7 @@ def _assert_baselines_identical(a, b):
 
 class TestSharedMaterialBaselines:
     def test_each_seed_is_synthesized_once(self, tiny_experiment, monkeypatch):
-        from repro.core.policies import Baseline1, Baseline2
         from repro.datasets.synthesis import SignalSynthesizer
-        from repro.sim.baselines import evaluate_baseline
 
         real_batch = SignalSynthesizer.batch
         windows = []
@@ -199,21 +234,6 @@ class TestSharedMaterialBaselines:
         assert sum(windows) == n_seeds * config.n_windows * len(locations)
         monkeypatch.undo()
 
-        material = PredictionCache(tiny_experiment).material(4)
-        for baseline in (Baseline1, Baseline2):
-            kwargs = dict(
-                n_windows=config.n_windows, seed=4, dwell_scale=config.dwell_scale
-            )
-            _assert_baselines_identical(
-                evaluate_baseline(
-                    tiny_experiment.dataset, tiny_experiment.bundle, baseline,
-                    material=material, **kwargs,
-                ),
-                evaluate_baseline(
-                    tiny_experiment.dataset, tiny_experiment.bundle, baseline, **kwargs
-                ),
-            )
-
         parallel = sweep.run([rr_policy(3), origin_policy(3)], seed=4, workers=2)
         assert sorted(parallel.baselines) == sorted(sequential.baselines)
         for name in sequential.baselines:
@@ -230,14 +250,91 @@ class TestSharedMaterialBaselines:
                 n_windows=tiny_experiment.config.n_windows, seed=5, material=material,
             )
 
-    def test_windows_only_request_reuses_predicted_material(self, tiny_experiment):
-        cache = PredictionCache(tiny_experiment)
-        windows_only = cache.material(4, with_predictions=False)
-        assert windows_only.probabilities is None
-        predicted = cache.material(4)
-        assert predicted.probabilities is not None
-        assert cache.material(4, with_predictions=False) is predicted
-        assert cache.hits == 1 and cache.misses == 2
+    def test_sweep_runs_each_model_once_per_window(self, tiny_experiment, monkeypatch):
+        # The material runs the pruned models and Baseline-2 reads its
+        # logits; only Baseline-1's unpruned models run a second pass.
+        real = Sequential.predict_logits
+        rows = {}
+
+        def counting(self, x, *args, **kwargs):
+            rows[id(self)] = rows.get(id(self), 0) + len(x)
+            return real(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Sequential, "predict_logits", counting)
+        PolicySweep(tiny_experiment, n_seeds=1).run([rr_policy(3), origin_policy(3)], seed=4)
+        n_windows = tiny_experiment.config.n_windows
+        bundle = tiny_experiment.bundle
+        pruned, unpruned = bundle.models(pruned=True), bundle.models(pruned=False)
+        for node_id in pruned:
+            assert rows.get(id(pruned[node_id]), 0) == n_windows
+            assert rows.get(id(unpruned[node_id]), 0) == n_windows
+        assert sum(rows.values()) == 2 * n_windows * len(pruned)
+
+
+def _predict_pass_labels(dataset, bundle, baseline, material):
+    """The baselines' classification as an explicit pass: every model
+    predicts the material's windows, then a majority vote with ties to
+    the lowest label."""
+    models = bundle.models(pruned=baseline.pruned)
+    votes = np.stack(
+        [
+            models[node_id].predict(material.windows[node_id])
+            for node_id in map(bundle.node_id_of, dataset.spec.locations)
+        ]
+    )
+    counts = np.stack([(votes == label).sum(axis=0) for label in range(dataset.n_classes)])
+    return counts.argmax(axis=0)
+
+
+class TestBaselinesMatchPredictPass:
+    @pytest.mark.parametrize("pruned_material", [True, False], ids=["pruned", "unpruned"])
+    @pytest.mark.parametrize("which", ["mhealth", "pamap2"])
+    def test_baselines_match_predict_pass(self, request, which, pruned_material):
+        from repro.core.policies import Baseline1, Baseline2
+        from repro.sim.baselines import evaluate_baseline
+
+        prefix = "tiny" if which == "mhealth" else "tiny_pamap2"
+        dataset = request.getfixturevalue(f"{prefix}_dataset")
+        bundle = request.getfixturevalue(f"{prefix}_bundle")
+        params = dict(n_windows=40, dwell_scale=2.0)
+        for seed in (3, 4, 5):
+            material = build_run_material(
+                dataset, bundle, seed, use_pruned_models=pruned_material, **params
+            )
+            true = [dataset.spec.label_of(activity) for activity in material.labels]
+            for baseline in (Baseline1, Baseline2):
+                expected = _predict_pass_labels(dataset, bundle, baseline, material)
+                shared = evaluate_baseline(
+                    dataset, bundle, baseline, seed=seed, material=material, **params
+                )
+                standalone = evaluate_baseline(dataset, bundle, baseline, seed=seed, **params)
+                for result in (shared, standalone):
+                    np.testing.assert_array_equal(result.predicted_labels, expected)
+                    np.testing.assert_array_equal(result.true_labels, true)
+
+
+# ---------------------------------------------------------------------------
+# material builds on the caller's metrics
+# ---------------------------------------------------------------------------
+
+MATERIAL_TIMERS = ("predcache.build_material", "predcache.windows", "predcache.predict")
+
+
+class TestMaterialMetrics:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_times_each_material_build(self, tiny_experiment, workers):
+        # Sequentially the baselines reuse their seed's material; in a
+        # pool a baseline unit may land on a worker that never built it,
+        # so the pooled sweep runs without baselines to keep two builds.
+        obs = Observability(tracer=NULL_TRACER)
+        sweep = PolicySweep(tiny_experiment, n_seeds=2, include_baselines=workers == 1)
+        sweep.run([rr_policy(3), origin_policy(3)], seed=4, workers=workers, obs=obs)
+        exported = obs.metrics.to_dict()
+        for name in MATERIAL_TIMERS:
+            assert exported["timers"][name]["calls"] == 2, name
+        assert exported["gauges"]["predcache.misses"] >= 1
+        if workers == 1:
+            assert exported["gauges"]["predcache.hits"] == 2
 
 
 # ---------------------------------------------------------------------------
