@@ -8,7 +8,7 @@
   (RR / AAS / AASR / Origin) and the two fully-powered baselines.
 """
 
-from repro.core.engine import DecisionEngine, NodeSlotState, make_vote
+from repro.core.engine import DecisionEngine, NodeSlotState, SessionEngine, make_vote
 from repro.core.ensemble import (
     ConfidenceMatrix,
     MajorityVote,
@@ -38,6 +38,7 @@ from repro.core.policies import (
 __all__ = [
     "DecisionEngine",
     "NodeSlotState",
+    "SessionEngine",
     "make_vote",
     "ConfidenceMatrix",
     "MajorityVote",

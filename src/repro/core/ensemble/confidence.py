@@ -11,6 +11,7 @@ majority voting and resolves ties.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
@@ -53,8 +54,8 @@ class ConfidenceMatrix:
                 raise ConfigurationError(
                     f"confidence row for node {node_id} must be 1-D with >= 2 classes"
                 )
-            if np.any(array < 0):
-                raise ConfigurationError("confidence values must be >= 0")
+            if not np.all(np.isfinite(array) & (array >= 0)):
+                raise ConfigurationError("confidence values must be >= 0 and finite")
             if n_classes is None:
                 n_classes = array.size
             elif array.size != n_classes:
@@ -171,8 +172,11 @@ class ConfidenceMatrix:
         """
         # Validate the observation before the lookup, so a bad
         # confidence reports itself instead of an unrelated node error.
-        if confidence < 0:
-            raise ConfigurationError(f"confidence must be >= 0, got {confidence}")
+        # A NaN weight would drop its label from every later vote.
+        if not (math.isfinite(confidence) and confidence >= 0):
+            raise ConfigurationError(
+                f"confidence must be >= 0 and finite, got {confidence}"
+            )
         current = self.raw_weight(node_id, label)
         if self.adaptation_alpha == 0.0:
             return current

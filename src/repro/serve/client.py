@@ -15,10 +15,11 @@ core.  Two modes:
   timeline.
 * :func:`replay_session` — throughput: a prerecorded
   :class:`ReplayTape` (every frame precomputed by a local device +
-  engine pair) is pipelined at full speed while a concurrent reader
-  drains decisions, so the server's queue — not the network round-trip
-  — is the limit.  :func:`run_load` fans N of these out concurrently
-  and reduces them to a :class:`LoadStats`, whose ``sessions_per_core``
+  :class:`~repro.core.engine.SessionEngine` pair) is pipelined at full
+  speed while a concurrent reader drains decisions, so the server's
+  queue — not the network round-trip — is the limit.  :func:`run_load`
+  fans N of these out concurrently and reduces them to a
+  :class:`LoadStats`, whose ``sessions_per_core``
   is the headline ``benchmarks/bench_serve.py`` tracks: a real device
   produces one window per 2.56 s, so a server deciding W windows/s can
   carry ``W x 2.56`` live sessions per core.
@@ -130,10 +131,10 @@ class DeviceSim:
 class ReplayTape:
     """A device session, prerecorded frame by frame.
 
-    Produced by :func:`record_tape` running a local device + engine
-    pair; replaying the tape through a server must reproduce
-    ``expected_labels`` / ``expected_active`` exactly (under the
-    ``block`` overload policy)."""
+    Produced by :func:`record_tape` running a local device +
+    :class:`~repro.core.engine.SessionEngine` pair; replaying the tape
+    through a server must reproduce ``expected_labels`` /
+    ``expected_active`` exactly (under the ``block`` overload policy)."""
 
     profile: str
     policy: Dict[str, Any]

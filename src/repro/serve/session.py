@@ -1,7 +1,7 @@
 """Per-connection serving session: the decision core behind a socket.
 
 A :class:`Session` is the server-side state machine for one connected
-device.  It owns a :class:`~repro.core.engine.DecisionEngine` built from
+device.  It owns a :class:`~repro.core.engine.SessionEngine` built from
 a named :class:`ServeProfile` (dataset + trained bundle + deployment
 config — the experiment's assets, minus the simulation loop) and
 advances it one wire exchange at a time:
@@ -10,6 +10,9 @@ advances it one wire exchange at a time:
 * ``window`` → ingest the slot's reports, vote, schedule the next slot,
   reply ``decision`` (with the next active set piggybacked);
 * ``bye`` → reply ``bye_ack`` with the session's counters.
+
+The engine is the scalar one: a session is a single run, where the
+columnar batch engine's fixed per-slot cost exceeds the scalar step.
 
 The session is transport-free (it maps frames to reply frames,
 synchronously), so the protocol state machine is testable without a
@@ -25,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.core.engine import DecisionEngine
+from repro.core.engine import SessionEngine
 from repro.core.policies import PolicySpec
 from repro.datasets.base import HARDataset
 from repro.errors import ServeError
@@ -49,7 +52,7 @@ class ServeProfile:
 
     The serving analogue of a :class:`~repro.sim.experiment.HARExperiment`
     without the simulation machinery — exactly the assets a session
-    needs to build a :class:`~repro.core.engine.DecisionEngine`.
+    needs to build a :class:`~repro.core.engine.SessionEngine`.
     """
 
     name: str
@@ -77,7 +80,7 @@ class ServeProfile:
 
     def build_engine(
         self, policy: PolicySpec, *, obs: Observability = NULL_OBS
-    ) -> DecisionEngine:
+    ) -> SessionEngine:
         """A fresh decision engine for one session of ``policy``.
 
         Mirrors ``HARExperiment.run``'s setup: the confidence matrix is
@@ -91,7 +94,7 @@ class ServeProfile:
             else 0.0
         )
         confidence = self.bundle.confidence_matrix.copy(adaptation_alpha=alpha)
-        return DecisionEngine(
+        return SessionEngine(
             policy,
             self.node_ids,
             self.bundle.rank_table,
@@ -166,7 +169,7 @@ class Session:
         self.metrics = metrics
         self.obs = obs
         self.state = SessionState.AWAIT_HELLO
-        self.engine: Optional[DecisionEngine] = None
+        self.engine: Optional[SessionEngine] = None
         self.profile: Optional[ServeProfile] = None
         self.policy: Optional[PolicySpec] = None
         self.n_windows = 0

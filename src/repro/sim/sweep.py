@@ -10,8 +10,11 @@ them in one executor pass and merges the results.
 * A per-seed :class:`~repro.sim.predcache.PredictionCache` shares the
   timeline/window/logit precompute across every policy and both
   baselines of a seed, and each policy chunk runs as one batched
-  :func:`~repro.sim.kernel.run_policy_batch` call, traced or not.  A
-  chunk runs cell by cell only when its batch raises.
+  :func:`~repro.sim.kernel.run_policy_batch` call, traced or not: one
+  kernel and one columnar decision engine.  A chunk runs cell by cell
+  only when its batch raises.  A seed's grid is split into chunks only
+  for workers the baseline units leave idle, because a batch's
+  per-slot cost barely grows with its rows (:meth:`PolicySweep.units`).
 * ``run(..., workers=N)`` runs the units on a
   :class:`~repro.resilience.SupervisedPool` — per-task timeouts,
   bounded deterministic-backoff retries and ``BrokenProcessPool``
@@ -198,10 +201,12 @@ class PolicySweep:
     ) -> List[Unit]:
         """The units ``run`` executes: seed-major policy chunks, then baselines.
 
-        With no more workers than seeds each policy unit is a whole seed
-        (one material build per unit); with more workers each seed's
-        policy list is split into contiguous chunks so every worker
-        stays busy.  With baselines, one unit per seed runs both.
+        With baselines, one unit per seed runs both.  The workers left
+        over once every baseline unit has one are shared among the
+        seeds: each seed's policy list is split into that many
+        contiguous chunks (at least one, at most one per policy).  So a
+        seed's grid stays one kernel batch and one material build unless
+        spare workers would otherwise idle.
         """
         base_seed = self.experiment.seed if seed is None else int(seed)
         seeds = [base_seed + offset for offset in range(self.n_seeds)]
@@ -212,7 +217,8 @@ class PolicySweep:
         ]
         if not policies:
             return baselines
-        chunks = min(len(policies), max(1, math.ceil(workers / self.n_seeds)))
+        spare = workers - len(baselines)
+        chunks = min(len(policies), max(1, math.ceil(spare / self.n_seeds)))
         step = math.ceil(len(policies) / chunks)
         units = []
         for run_seed in seeds:

@@ -1,13 +1,16 @@
-"""DecisionEngine against a frozen copy of the dict-driven engine.
+"""Both decision engines against a frozen copy of the dict-driven engine.
 
-The engine takes per-node flags, skips ER-r no-op slots without building
-a scheduling context and reuses the previous recall vote while nothing
-it reads has changed.  The reference below is the engine as it was
-before those changes — ``begin_slot`` over ``{node_id: NodeSlotState}``,
+The scalar ``SessionEngine`` takes per-node flags, skips ER-r no-op
+slots without building a scheduling context and reuses the previous
+recall vote while nothing it reads has changed.  The columnar
+``DecisionEngine`` decides for every run of a batch at once from
+``(rows, nodes)`` arrays.  The reference below is the engine as it was
+before either — ``begin_slot`` over ``{node_id: NodeSlotState}``,
 ``HostDevice.classify`` voting on every slot, and both vote classes with
-their ``defaultdict`` tallies — kept here as the test oracle.  Hypothesis
-drives both side by side over random sessions and requires identical
-decisions, bookkeeping, confidence matrices and traces.
+their ``defaultdict`` tallies — kept here as the test oracle.
+Hypothesis drives each engine against it over random sessions and
+requires identical decisions, bookkeeping, confidence matrices and
+traces.
 """
 
 from __future__ import annotations
@@ -16,11 +19,18 @@ from collections import defaultdict
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import DecisionEngine, NodeSlotState
+from repro.core.engine import (
+    DecisionEngine,
+    EngineRow,
+    NodeSlotState,
+    SessionEngine,
+    SlotReports,
+)
 from repro.core.ensemble.confidence import ConfidenceMatrix
 from repro.core.ensemble.voting import MajorityVote, WeightedMajorityVote
 from repro.core.policies import (
@@ -31,7 +41,7 @@ from repro.core.policies import (
     origin_policy,
     rr_policy,
 )
-from repro.core.scheduling.base import SchedulingContext
+from repro.core.scheduling.base import SchedulingContext, SchedulingPolicy
 from repro.core.scheduling.rank_table import RankTable
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.observer import NULL_OBS, Observability
@@ -144,7 +154,7 @@ class RefHost(HostDevice):
 
 
 class RefEngine:
-    """``DecisionEngine`` as it read before it took lane flags."""
+    """The decision engine as it read before it took lane flags."""
 
     def __init__(
         self,
@@ -350,7 +360,7 @@ def build_pair(spec):
     # Faster than a bundle's adaptation, so adapted weights flip votes.
     alpha = 0.3 if policy.adaptive_confidence else 0.0
     pair = []
-    for factory in (RefEngine, DecisionEngine):
+    for factory in (RefEngine, SessionEngine):
         obs = Observability() if spec["observed"] else NULL_OBS
         pair.append(
             factory(
@@ -425,7 +435,7 @@ class TestEngineMatchesReference:
 class TestVoteReuse:
     def test_reused_vote_still_counted_observed_and_traced(self):
         obs = Observability()
-        engine = DecisionEngine(
+        engine = SessionEngine(
             origin_policy(12), NODES, rank_table(), confidence_matrix(0.0), obs=obs
         )
         report = WireReport(
@@ -442,7 +452,7 @@ class TestVoteReuse:
         assert ages["count"] == 4
 
     def test_restart_invalidates_the_reused_vote(self):
-        engine = DecisionEngine(
+        engine = SessionEngine(
             origin_policy(12), NODES, rank_table(), confidence_matrix(0.0)
         )
         report = WireReport(
@@ -468,7 +478,7 @@ class TestVoteReuse:
             return real(self, votes, current_slot)
 
         monkeypatch.setattr(WeightedMajorityVote, "__call__", counted)
-        engine = DecisionEngine(
+        engine = SessionEngine(
             origin_policy(12), NODES, rank_table(), confidence_matrix(0.3), **recall
         )
         report = WireReport(0, 0, 0, completed=True, predicted_label=1, confidence=0.2)
@@ -558,8 +568,410 @@ class TestVoters:
 
 
 def test_begin_slot_needs_one_flag_per_node():
-    engine = DecisionEngine(rr_policy(3), NODES, None, confidence_matrix(0.0))
+    engine = SessionEngine(rr_policy(3), NODES, None, confidence_matrix(0.0))
     with pytest.raises(SimulationError, match="one flag per node"):
         engine.begin_slot(0, [True, True])
     with pytest.raises(SimulationError, match="one flag per node"):
         engine.begin_slot(0, [True, True, True], online=[True])
+
+
+# ---------------------------------------------------------------------------
+# the columnar engine: one batch of rows against one reference per row
+# ---------------------------------------------------------------------------
+
+
+class ReverseReady(SchedulingPolicy):
+    """A scheduler outside the built-ins, stepped through the protocol.
+
+    On even slots it picks the ready nodes in reverse construction order
+    (the last node when none is ready) and logs everything it is shown.
+    """
+
+    def __init__(self, node_ids) -> None:
+        self.node_ids = list(node_ids)
+        self.seen: List[tuple] = []
+
+    def is_compute_slot(self, slot_index: int) -> bool:
+        return slot_index % 2 == 0
+
+    def active_nodes(self, slot_index, context):
+        if not self.is_compute_slot(slot_index):
+            return []
+        self.seen.append(
+            (
+                "active",
+                slot_index,
+                context.anticipated_label,
+                tuple(sorted(context.node_ready.items())),
+                tuple(sorted(context.node_responsive.items())),
+            )
+        )
+        ready = [n for n in reversed(self.node_ids) if context.node_ready.get(n)]
+        return ready or [self.node_ids[-1]]
+
+    def observe(self, slot_index, outcomes, final_label):
+        self.seen.append(
+            (
+                "observe",
+                slot_index,
+                final_label,
+                tuple(
+                    (
+                        o.node_id,
+                        o.slot_index,
+                        o.started_slot,
+                        o.completed,
+                        o.delivered,
+                        o.predicted_label,
+                        o.confidence,
+                        o.reported_label,
+                        o.delivered_label,
+                    )
+                    for o in outcomes
+                ),
+            )
+        )
+
+
+class ForeignSpec:
+    """A duck-typed policy spec whose scheduler is :class:`ReverseReady`."""
+
+    adaptive_confidence = False
+
+    def __init__(self, aggregation: AggregationMode) -> None:
+        self.aggregation = aggregation
+        self.uses_recall = aggregation is not AggregationMode.LAST_INFERENCE
+        self.name = f"reverse-ready {aggregation.value}"
+        self.made: List[ReverseReady] = []
+
+    def make_scheduler(self, node_ids, rank_table):
+        self.made.append(ReverseReady(node_ids))
+        return self.made[-1]
+
+
+#: Row kinds: the built-in ladder plus two protocol rows.
+KINDS = POLICIES + ["foreign-majority", "foreign-last"]
+
+
+def row_policy(kind):
+    if kind == "foreign-majority":
+        return ForeignSpec(AggregationMode.MAJORITY_RECALL)
+    if kind == "foreign-last":
+        return ForeignSpec(AggregationMode.LAST_INFERENCE)
+    return kind
+
+
+row_plan = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(KINDS),
+        "max_recall_age": st.sampled_from([None, 3]),
+        "staleness": st.sampled_from([None, 4]),
+        "observed": st.booleans(),
+        # A zero alpha on an adaptive policy adapts and counts nothing.
+        "alpha": st.sampled_from([0.0, 0.3]),
+        "shared": st.booleans(),
+        "hooked": st.booleans(),
+    }
+)
+
+
+def flags(n_rows):
+    """Per row, three node flags packed into one small integer."""
+    return st.lists(st.integers(0, 7), min_size=n_rows, max_size=n_rows).map(
+        lambda masks: [[bool(mask >> k & 1) for k in range(3)] for mask in masks]
+    )
+
+
+class BatchPair:
+    """One columnar engine over ``plans`` and one reference per row."""
+
+    def __init__(self, plans) -> None:
+        self.plans = plans
+        self.refs: List[RefEngine] = []
+        self.specs: List[tuple] = []
+        self.ref_hooks: List[list] = [[] for _ in plans]
+        self.hooks: List[list] = [[] for _ in plans]
+        self.shared: List[Optional[ConfidenceMatrix]] = []
+        rows = []
+        for r, plan in enumerate(plans):
+            ref_policy, policy = row_policy(plan["kind"]), row_policy(plan["kind"])
+            self.specs.append((ref_policy, policy))
+            alpha = plan["alpha"] if policy.adaptive_confidence else 0.0
+            recall = dict(
+                max_recall_age_slots=plan["max_recall_age"],
+                staleness_half_life_slots=plan["staleness"],
+            )
+            self.refs.append(
+                RefEngine(
+                    ref_policy,
+                    NODES,
+                    rank_table(),
+                    confidence_matrix(alpha),
+                    obs=Observability() if plan["observed"] else NULL_OBS,
+                    **recall,
+                )
+            )
+            matrix = confidence_matrix(alpha)
+            self.shared.append(matrix if plan["shared"] else None)
+            rows.append(
+                EngineRow(
+                    policy=policy,
+                    confidence=matrix,
+                    adaptation_alpha=None if plan["shared"] else alpha,
+                    obs=Observability() if plan["observed"] else NULL_OBS,
+                    on_completion=(
+                        (lambda node_id, slot, log=self.hooks[r]: log.append((node_id, slot)))
+                        if plan["hooked"]
+                        else None
+                    ),
+                    **recall,
+                )
+            )
+        self.engine = DecisionEngine(rows, NODES, rank_table())
+
+    def step(self, slot, data):
+        engine, refs = self.engine, self.refs
+        n_rows = len(refs)
+        ready = data.draw(flags(n_rows), label="ready")
+        online = data.draw(st.one_of(st.none(), flags(n_rows)), label="online")
+        responsive = data.draw(st.one_of(st.none(), flags(n_rows)), label="responsive")
+        restarts = data.draw(
+            st.sets(st.integers(0, n_rows - 1), max_size=2), label="restarts"
+        )
+        for r in sorted(restarts):
+            refs[r].host.restart()
+            engine.restart(r)
+        quiet = engine.quiet_slots(slot)
+        for r, ref in enumerate(refs):
+            assert quiet[r].tolist() == [ref.host.quiet_slots(n, slot) for n in NODES]
+        active = engine.begin_slot(
+            slot,
+            np.array(ready),
+            online=None if online is None else np.array(online),
+            responsive=None if responsive is None else np.array(responsive),
+        )
+        shape = engine.shape
+        columns = SlotReports(
+            attempted=active,
+            completed=np.zeros(shape, dtype=bool),
+            delivered=np.ones(shape, dtype=bool),
+            predicted=np.zeros(shape, dtype=np.int64),
+            reported=np.full(shape, -1, dtype=np.int64),
+            confidence=np.zeros(shape),
+            started=np.zeros(shape, dtype=np.int64),
+        )
+        expected_finals = []
+        for r, ref in enumerate(refs):
+            states = {
+                node_id: NodeSlotState(
+                    energy_j=0.0,
+                    ready=ready[r][k],
+                    online=True if online is None else online[r][k],
+                )
+                for k, node_id in enumerate(NODES)
+            }
+            expected_active = ref.begin_slot(
+                slot,
+                states,
+                node_responsive=(
+                    None if responsive is None else dict(zip(NODES, responsive[r]))
+                ),
+            )
+            assert engine.active_ids(r, active) == expected_active
+            plan = {
+                "reports": [
+                    data.draw(node_report, label="report") if node_id in expected_active
+                    else None
+                    for node_id in NODES
+                ]
+            }
+            wire = reports_for(slot, expected_active, plan)
+            for report in wire:
+                k = NODES.index(report.node_id)
+                columns.completed[r, k] = report.completed
+                columns.delivered[r, k] = report.delivered
+                columns.started[r, k] = report.started_slot
+                if report.completed:
+                    columns.predicted[r, k] = report.predicted_label
+                    columns.confidence[r, k] = report.confidence
+                    if report.reported_label is not None:
+                        columns.reported[r, k] = report.reported_label
+            hook = (
+                (lambda outcome, log=self.ref_hooks[r]: log.append(
+                    (outcome.node_id, outcome.slot_index)
+                ))
+                if self.plans[r]["hooked"]
+                else None
+            )
+            expected_finals.append(
+                ref.finish_slot(slot, wire, receive=True, on_completion=hook)
+            )
+        finals = engine.finish_slot(slot, columns)
+        for r, ref in enumerate(refs):
+            expected = expected_finals[r]
+            assert finals[r] == (-1 if expected is None else expected)
+            last = engine.last_final[r]
+            assert (None if last < 0 else last) == ref.last_final
+
+    def check(self):
+        engine = self.engine
+        for r, ref in enumerate(self.refs):
+            assert engine.decisions[r] == ref.host.decisions_made
+            assert engine.messages_received[r] == ref.host.messages_received
+            assert engine.restarts[r] == ref.host.restarts
+            assert engine.matrix(r).tobytes() == ref.confidence.as_array().tobytes()
+            assert engine.confidence_updates[r] == ref.confidence.updates
+            shared = self.shared[r]
+            if shared is not None:
+                assert shared.as_array().tobytes() == ref.confidence.as_array().tobytes()
+                assert shared.updates == ref.confidence.updates
+            obs = engine.rows[r].obs
+            assert obs.tracer.events == ref.obs.tracer.events
+            if self.plans[r]["observed"]:
+                assert obs.metrics.to_dict() == ref.obs.metrics.to_dict()
+            assert self.hooks[r] == self.ref_hooks[r]
+            ref_policy, policy = self.specs[r]
+            if isinstance(policy, ForeignSpec):
+                assert policy.made[0].seen == ref_policy.made[0].seen
+
+
+class TestBatchEngineMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        plans=st.lists(row_plan, min_size=len(KINDS), max_size=len(KINDS) + 2).flatmap(
+            lambda plans: st.permutations(
+                [dict(plan, kind=kind) for plan, kind in zip(plans, KINDS)]
+                + plans[len(KINDS):]
+            )
+        ),
+        n_slots=st.integers(1, 24),
+        data=st.data(),
+    )
+    def test_random_batches(self, plans, n_slots, data):
+        pair = BatchPair(plans)
+        for slot in range(n_slots):
+            pair.step(slot, data)
+        pair.check()
+
+
+def one_row(policy, matrix, **kwargs) -> DecisionEngine:
+    return DecisionEngine(
+        [EngineRow(policy=policy, confidence=matrix, **kwargs)], NODES, rank_table()
+    )
+
+
+class TestBatchEngineHazards:
+    def test_label_weights_sum_in_insertion_order(self):
+        # Four nodes, static weights: three votes for label 0 arrive in
+        # the order 3, 0, 1, then node 2 votes label 1 with exactly the
+        # insertion-order sum.  Summed in insertion order the labels tie
+        # and the fresher label 1 wins; summed in node order label 0
+        # leads by more than the tie band.
+        nodes = [0, 1, 2, 3]
+        zeros = {node: [0.0, 0.0] for node in nodes}
+        conf = {3: 5612.059497318285, 0: 16150.680703531754, 1: 8871.965986714711}
+        half = {node: 0.5 * value for node, value in conf.items()}
+        inserted = (half[3] + half[0]) + half[1]
+        in_node_order = (half[0] + half[1]) + half[3]
+        assert in_node_order - inserted >= 1e-12
+        conf[2] = 2.0 * inserted
+        engines = [
+            DecisionEngine(
+                [EngineRow(policy=origin_policy(4, adaptive=False),
+                           confidence=ConfidenceMatrix(zeros, adaptation_alpha=0.0),
+                           adaptation_alpha=0.0)],
+                nodes,
+                RankTable({0: nodes, 1: nodes}),
+            ),
+            SessionEngine(
+                origin_policy(4, adaptive=False),
+                nodes,
+                RankTable({0: nodes, 1: nodes}),
+                ConfidenceMatrix(zeros, adaptation_alpha=0.0),
+            ),
+        ]
+        batch, session = engines
+        shape = batch.shape
+        for slot, (node, label) in enumerate([(3, 0), (0, 0), (1, 0), (2, 1)]):
+            k = nodes.index(node)
+            reports = SlotReports(
+                attempted=np.zeros(shape, dtype=bool),
+                completed=np.zeros(shape, dtype=bool),
+                delivered=np.ones(shape, dtype=bool),
+                predicted=np.full(shape, label, dtype=np.int64),
+                reported=np.full(shape, -1, dtype=np.int64),
+                confidence=np.full(shape, conf[node]),
+                started=np.full(shape, slot, dtype=np.int64),
+            )
+            reports.attempted[0, k] = reports.completed[0, k] = True
+            final = batch.finish_slot(slot, reports)[0]
+            expected = session.finish_slot(
+                slot,
+                [WireReport(node, slot, slot, completed=True, predicted_label=label,
+                            confidence=conf[node])],
+            )
+            assert final == expected
+        assert final == 1
+
+    def test_offline_choice_still_rests(self):
+        # With nobody ready, AAS falls back to node 2 (best for label 0)
+        # although it is offline: the active set is empty, but node 2
+        # is on cooldown afterwards and node 0 runs next.
+        matrix = confidence_matrix(0.0)
+        engine = one_row(aasr_policy(3), matrix, adaptation_alpha=0.0)
+        engine.last_final[0] = 0
+        online = np.array([[False, True, True]])
+        idle = engine.begin_slot(0, np.zeros(engine.shape, dtype=bool), online=online)
+        assert not idle.any()
+        active = engine.begin_slot(1, np.ones(engine.shape, dtype=bool))
+        assert engine.active_ids(0, active) == [0]
+
+    def test_zero_alpha_adapts_and_counts_nothing(self):
+        matrix = confidence_matrix(0.0)
+        engine = one_row(origin_policy(3), matrix, adaptation_alpha=0.0)
+        before = engine.matrix(0).copy()
+        reports = SlotReports(
+            attempted=np.ones(engine.shape, dtype=bool),
+            completed=np.ones(engine.shape, dtype=bool),
+            delivered=np.ones(engine.shape, dtype=bool),
+            predicted=np.ones(engine.shape, dtype=np.int64),
+            reported=np.full(engine.shape, -1, dtype=np.int64),
+            confidence=np.full(engine.shape, 0.2),
+            started=np.zeros(engine.shape, dtype=np.int64),
+        )
+        engine.begin_slot(0, np.ones(engine.shape, dtype=bool))
+        engine.finish_slot(0, reports)
+        assert engine.confidence_updates[0] == 0
+        assert engine.matrix(0).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+    def test_non_finite_or_negative_confidence_rejected(self, bad):
+        engine = one_row(origin_policy(3), confidence_matrix(0.3), adaptation_alpha=0.3)
+        reports = SlotReports(
+            attempted=np.ones(engine.shape, dtype=bool),
+            completed=np.ones(engine.shape, dtype=bool),
+            delivered=np.ones(engine.shape, dtype=bool),
+            predicted=np.ones(engine.shape, dtype=np.int64),
+            reported=np.full(engine.shape, -1, dtype=np.int64),
+            confidence=np.full(engine.shape, bad),
+            started=np.zeros(engine.shape, dtype=np.int64),
+        )
+        before = engine.matrix(0).copy()
+        with pytest.raises(ConfigurationError, match="confidence must be >= 0 and finite"):
+            engine.finish_slot(0, reports)
+        assert engine.matrix(0).tobytes() == before.tobytes()
+
+    def test_a_matrix_adapts_in_place_in_one_row_only(self):
+        matrix = confidence_matrix(0.3)
+        rows = [EngineRow(policy=origin_policy(3), confidence=matrix)] * 2
+        with pytest.raises(ConfigurationError, match="one row"):
+            DecisionEngine(rows, NODES, rank_table())
+
+    def test_begin_slot_needs_one_flag_per_row_and_node(self):
+        engine = one_row(rr_policy(3), confidence_matrix(0.0), adaptation_alpha=0.0)
+        with pytest.raises(SimulationError, match="one flag per row and node"):
+            engine.begin_slot(0, np.ones((1, 2), dtype=bool))
+        with pytest.raises(SimulationError, match="one flag per row and node"):
+            engine.begin_slot(
+                0, np.ones((1, 3), dtype=bool), online=np.ones((2, 3), dtype=bool)
+            )

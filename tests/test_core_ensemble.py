@@ -97,6 +97,20 @@ class TestConfidenceMatrix:
         with pytest.raises(ConfigurationError):
             ConfidenceMatrix({0: [0.1, 0.2], 1: [0.1, 0.2, 0.3]})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_confidence_rejected(self, matrix, bad):
+        # A NaN weight would silently drop its label from later votes.
+        before = matrix.as_array().copy()
+        with pytest.raises(ConfigurationError, match="finite"):
+            matrix.update(0, 1, bad)
+        np.testing.assert_array_equal(matrix.as_array(), before)
+        assert matrix.updates == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_seed_row_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ConfidenceMatrix({0: [0.1, bad], 1: [0.1, 0.2]})
+
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             ConfidenceMatrix({})

@@ -100,6 +100,40 @@ class TestShardInvariance:
         assert "accuracy_drop" in aggregate.policies[policies[0].name]
 
 
+class TestOneBatchPerShard:
+    def test_shard_and_its_references_share_one_batch(
+        self, tiny_experiment, fleet_spec, monkeypatch
+    ):
+        import repro.fleet.runner as runner_mod
+
+        policies = [origin_policy(12)]
+        expected_first = shard_aggregate(tiny_experiment, fleet_spec, policies, 0, 12)
+        expected_second = shard_aggregate(tiny_experiment, fleet_spec, policies, 3, 9)
+        real = runner_mod.run_group_batch
+        batches = []
+
+        def counting(experiment, groups, **kwargs):
+            batches.append(len(groups))
+            return real(experiment, groups, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "run_group_batch", counting)
+        worker = runner_mod._FleetWorker(tiny_experiment, fleet_spec, policies)
+
+        def shard(lo, hi):
+            return shard_aggregate(
+                tiny_experiment, fleet_spec, policies, lo, hi,
+                cache=worker.cache, references=worker.references,
+            )
+
+        first, second = shard(0, 12), shard(3, 9)
+        keys = {user.material_key for user in fleet_spec.users(0, 12)}
+        # One call per shard: 12 users plus one group per reference;
+        # the second shard's references are all memoized already.
+        assert batches == [12 + len(keys), 6]
+        assert first.stats_json() == expected_first.stats_json()
+        assert second.stats_json() == expected_second.stats_json()
+
+
 class TestMaterialSharing:
     @staticmethod
     def _continuous_spec(experiment, size):

@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.policies import aas_policy, aasr_policy, origin_policy, rr_policy
+from repro.core.policies import aas_policy, aasr_policy, naive_policy, origin_policy, rr_policy
+from repro.core.scheduling import ActivityAwareScheduler, ExtendedRoundRobin, NaiveAllOn
 from repro.datasets.body import BodyLocation
 from repro.energy.harvester import Harvester
 from repro.energy.nvp import NonVolatileProcessor
@@ -382,6 +383,53 @@ class TestFaultFolding:
 # ---------------------------------------------------------------------------
 # batches: a run's result does not depend on its batch
 # ---------------------------------------------------------------------------
+
+
+class _Foreign:
+    """A duck-typed spec whose scheduler is a subclass of its built-in one.
+
+    The batch engine reads its parameters only from the three built-in
+    scheduler classes, so it steps this row through the scheduling
+    protocol; the decisions must not change.
+    """
+
+    SUBCLASSES = {
+        base: type(f"Foreign{base.__name__}", (base,), {})
+        for base in (ExtendedRoundRobin, ActivityAwareScheduler, NaiveAllOn)
+    }
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.name = spec.name
+        self.aggregation = spec.aggregation
+        self.adaptive_confidence = spec.adaptive_confidence
+        self.uses_recall = spec.uses_recall
+
+    def make_scheduler(self, node_ids, rank_table):
+        scheduler = self.spec.make_scheduler(node_ids, rank_table)
+        scheduler.__class__ = self.SUBCLASSES[type(scheduler)]
+        return scheduler
+
+
+class TestProtocolRows:
+    @pytest.mark.parametrize(
+        "spec", GRID + [naive_policy()], ids=lambda spec: spec.name
+    )
+    def test_protocol_row_decides_like_builtin(self, tiny_experiment, spec):
+        plan = FaultPlan(
+            faults=(
+                Brownout(node_id=0, start_slot=10, duration_slots=8),
+                PacketLoss(rate=0.3),
+            ),
+            unresponsive_after_slots=6,
+        )
+        obs = Observability()
+        builtin, foreign = run_policy_batch(
+            tiny_experiment, [spec, _Foreign(spec)], 5, faults=plan, obs=obs
+        )
+        _assert_results_equal(foreign, builtin)
+        first, second = split_runs(obs.tracer.events)
+        assert [e[1:] for e in first] == [e[1:] for e in second]
 
 
 class TestBatchIdentity:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.policies import origin_policy, rr_policy
+from repro.core.policies import BaselineSpec, origin_policy, rr_policy
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, PacketLoss
 from repro.faults.stats import FaultStats, LinkStats, RecoveryEvent
@@ -21,7 +21,7 @@ from repro.obs.observer import Observability
 from repro.obs.trace import NULL_TRACER
 from repro.sim import predcache
 from repro.sim.predcache import PredictionCache, build_run_material
-from repro.sim.sweep import PolicySweep, _merge_runs
+from repro.sim.sweep import PolicySweep, _merge_runs, paper_policy_grid
 from repro.wsn.node import NodeStats
 
 
@@ -189,6 +189,26 @@ class TestParallelSweep:
                 parallel.baseline(name).true_labels,
                 sequential.baseline(name).true_labels,
             )
+
+    @pytest.mark.parametrize(
+        "workers, n_seeds, baselines, layout",
+        [
+            # One 16-policy batch while the baseline unit fills the
+            # second worker.
+            (2, 1, True, [16, "baselines"]),
+            # Without baselines both workers share the seed's grid.
+            (2, 1, False, [8, 8]),
+            (4, 2, True, [16, 16, "baselines", "baselines"]),
+        ],
+        ids=["2w-1s-baselines", "2w-1s-bare", "4w-2s-baselines"],
+    )
+    def test_unit_layout(self, tiny_experiment, workers, n_seeds, baselines, layout):
+        sweep = PolicySweep(tiny_experiment, n_seeds=n_seeds, include_baselines=baselines)
+        units = sweep.units(paper_policy_grid(), workers=workers)
+        assert [
+            "baselines" if isinstance(unit.items[0], BaselineSpec) else len(unit.items)
+            for unit in units
+        ] == layout
 
     def test_odd_worker_counts_cover_the_grid(self, tiny_experiment):
         """Chunking with workers not dividing the grid loses no runs."""
