@@ -35,10 +35,9 @@ import asyncio
 import json
 import math
 import struct
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.engine import NodeSlotState
+from repro.core.engine import NodeSlotState, WireReport
 from repro.core.policies import AggregationMode, PolicySpec
 from repro.errors import ServeError
 
@@ -231,38 +230,6 @@ def states_from_wire(wire: Dict[str, Any]) -> Dict[int, NodeSlotState]:
             raise ServeError(f"bad node states on the wire: {error}") from None
         states[key] = NodeSlotState(energy_j=float(raw[0]), ready=raw[1], online=raw[2])
     return states
-
-
-@dataclass(frozen=True)
-class WireReport:
-    """A node's slot report as the decision core consumes it.
-
-    Duck-types the report fields of
-    :class:`~repro.wsn.node.InferenceOutcome` (the engine only reads
-    these) without the outcome's completed-implies-probabilities
-    invariant — softmax vectors never cross the wire, only the label and
-    the variance-of-softmax confidence, exactly what the paper's result
-    message carries.
-    """
-
-    node_id: int
-    slot_index: int
-    started_slot: int
-    completed: bool
-    delivered: bool = True
-    predicted_label: Optional[int] = None
-    confidence: Optional[float] = None
-    reported_label: Optional[int] = None
-    probabilities: Optional[Any] = None
-
-    @property
-    def delivered_label(self) -> Optional[int]:
-        """The label as the host receives it (garbled if corrupted)."""
-        return (
-            self.reported_label
-            if self.reported_label is not None
-            else self.predicted_label
-        )
 
 
 def report_to_wire(outcome: Any) -> List[Any]:
