@@ -203,14 +203,12 @@ def synthesize_split(
     if not subjects:
         raise DatasetError("subjects must be non-empty")
     rng = as_generator(seed)
+    labels = np.repeat(np.arange(len(spec.activities)), windows_per_activity)
     split: Dict[BodyLocation, LabeledWindows] = {}
     for location in spec.locations:
-        xs, ys = [], []
-        for label, activity in enumerate(spec.activities):
-            for index in range(windows_per_activity):
-                subject = subjects[index % len(subjects)]
-                xs.append(synthesizer.window(activity, location, subject, rng))
-                ys.append(label)
-        stacked = LabeledWindows(np.stack(xs), np.asarray(ys))
-        split[location] = stacked.shuffled(rng)
+        windows = [
+            synthesizer.interleaved(activity, location, subjects, windows_per_activity, rng)
+            for activity in spec.activities
+        ]
+        split[location] = LabeledWindows(np.concatenate(windows), labels).shuffled(rng)
     return split

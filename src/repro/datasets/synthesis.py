@@ -13,14 +13,19 @@ but never identical.
 
 :meth:`SignalSynthesizer.batch` makes each window's random draws in
 window order, then the arithmetic for a block of windows at once, so it
-equals that many one-window calls bit for bit.
+equals that many one-window calls bit for bit.  The arithmetic is
+elementwise across windows, which lets :meth:`SignalSynthesizer.interleaved`
+render a dataset split's windows by subject after drawing them in order,
+and lets a run's material render any span of a stream on its own after a
+draw-only pass (:meth:`SignalSynthesizer.stream_states`) recorded the
+generator state before each window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -196,6 +201,76 @@ class SignalSynthesizer:
             start = stop
         return stream
 
+    def stream_states(
+        self,
+        activities: Sequence[Activity],
+        location: BodyLocation,
+        subject: Optional[SubjectProfile] = None,
+        seed: SeedLike = None,
+        *,
+        styles: Sequence[StyleWobble],
+    ) -> List[dict]:
+        """The generator state before each slot's window of :meth:`stream`.
+
+        Makes every draw of the stream in slot order and none of its
+        arithmetic, so the generator ends where :meth:`stream` leaves
+        it.  Restoring state ``i`` and calling :meth:`batch` for slots
+        ``i..j`` of one dwell run renders exactly those slots' windows.
+        """
+        if len(styles) != len(activities):
+            raise DatasetError(f"got {len(styles)} styles for {len(activities)} slots")
+        rng = as_generator(seed)
+        subject = subject or SubjectProfile.canonical()
+        noise_sigma = self.signatures.noise(location) * subject.noise_factor
+        states: List[dict] = []
+        start = 0
+        for activity, run in groupby(activities):
+            stop = start + len(list(run))
+            signature = self.signatures.signature(location, activity)
+            self._draws(signature, subject, noise_sigma, styles[start:stop], rng, states=states)
+            start = stop
+        return states
+
+    def interleaved(
+        self,
+        activity: Activity,
+        location: BodyLocation,
+        subjects: Sequence[SubjectProfile],
+        count: int,
+        seed: SeedLike = None,
+    ) -> np.ndarray:
+        """``count`` windows, window ``i`` performed by ``subjects[i % len(subjects)]``.
+
+        Equals ``count`` :meth:`window` calls in window order on one
+        generator (each drawing its own wobble): the draws run in that
+        order, then each subject's windows are rendered together.
+        """
+        if count < 1:
+            raise DatasetError(f"count must be >= 1, got {count}")
+        if not subjects:
+            raise DatasetError("subjects must be non-empty")
+        rng = as_generator(seed)
+        signature = self.signatures.signature(location, activity)
+        sigmas = [self.signatures.noise(location) * subject.noise_factor for subject in subjects]
+        noise = np.empty((count, N_CHANNELS, self.window_size))
+        draws = []
+        for index in range(count):
+            k = index % len(subjects)
+            buffer = noise[index : index + 1] if sigmas[k] > 0 else None
+            draws += self._draws(signature, subjects[k], sigmas[k], [None], rng, buffer)
+        windows = np.empty((count, N_CHANNELS, self.window_size), dtype=np.float32)
+        for k, subject in enumerate(subjects):
+            rows = np.arange(k, count, len(subjects))
+            for lo in range(0, len(rows), _BLOCK):
+                block = rows[lo : lo + _BLOCK]
+                windows[block] = self._render(
+                    signature,
+                    subject,
+                    [draws[index] for index in block],
+                    noise[block] if sigmas[k] > 0 else None,
+                )
+        return windows
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -210,10 +285,34 @@ class SignalSynthesizer:
     ) -> np.ndarray:
         """One window per style: every random draw window by window, then
         the arithmetic over the block in the one-window operation order."""
+        noise = np.empty((len(styles), N_CHANNELS, self.window_size)) if noise_sigma > 0 else None
+        draws = self._draws(signature, subject, noise_sigma, styles, rng, noise)
+        return self._render(signature, subject, draws, noise)
+
+    def _draws(
+        self,
+        signature: ActivitySignature,
+        subject: SubjectProfile,
+        noise_sigma: float,
+        styles: Sequence[Optional[StyleWobble]],
+        rng: np.random.Generator,
+        noise: Optional[np.ndarray] = None,
+        states: Optional[list] = None,
+    ) -> list:
+        """Every random draw of one window per style, in window order.
+
+        Returns one ``(freq, amp_scale, window_phase, start,
+        period_samples, scales)`` tuple per window.  With
+        ``noise_sigma > 0`` the sensor noise goes to ``noise[index]``
+        (drawn and dropped when ``noise`` is ``None``); ``states``
+        collects the generator state before each window's draws.
+        """
         jitter = signature.jitter
         draws = []
-        noise = np.empty((len(styles), N_CHANNELS, self.window_size)) if noise_sigma > 0 else None
+        dropped = np.empty((N_CHANNELS, self.window_size)) if noise is None and noise_sigma > 0 else None
         for index, style in enumerate(styles):
+            if states is not None:
+                states.append(rng.bit_generator.state)
             style = style if style is not None else StyleWobble.sample(rng)
             freq = (
                 signature.frequency_hz
@@ -238,7 +337,22 @@ class SignalSynthesizer:
             draws.append((freq, amp_scale, window_phase, start, period_samples, scales))
             if noise is not None:
                 noise[index] = rng.normal(0.0, noise_sigma, size=(N_CHANNELS, self.window_size))
+            elif dropped is not None:
+                # The same raw draws as ``normal``, without its arithmetic.
+                rng.standard_normal(out=dropped)
+        return draws
+
+    def _render(
+        self,
+        signature: ActivitySignature,
+        subject: SubjectProfile,
+        draws: Sequence[tuple],
+        noise: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """The arithmetic of one window per ``draws`` entry, elementwise
+        across windows (so a window renders the same in any block)."""
         freq, amp_scale, window_phase, start, period_samples, scales = zip(*draws)
+        count = len(draws)
 
         amplitudes = np.concatenate(
             [np.asarray(signature.accel_amplitude), np.asarray(signature.gyro_amplitude)]
@@ -246,7 +360,7 @@ class SignalSynthesizer:
         gravity = np.concatenate([np.asarray(signature.gravity), np.zeros(3)])
 
         # Periodic component: harmonic series per channel.
-        signal = np.tile(gravity[:, None], (len(styles), 1, self.window_size)).astype(np.float64)
+        signal = np.tile(gravity[:, None], (count, 1, self.window_size)).astype(np.float64)
         phases = _AXIS_PHASE[:, None] + np.array(window_phase)[:, None, None]
         omega_t = (2.0 * np.pi * np.array(freq))[:, None, None] * self._time
         amp_scale = np.array(amp_scale)[:, None, None]

@@ -21,8 +21,8 @@ speed on each side of it:
    exact and order-invariant, so 1, 3 or N shards (or a resumed run)
    produce byte-identical cohort statistics in ``O(bins)`` memory.
 
-Run material — the expensive per-timeline window/logit build — is
-memoized per ``(seed, dwell)`` pair by a
+Run material — the per-timeline windows and logits, computed row by row
+as lanes complete — is memoized per ``(seed, dwell)`` pair by a
 :class:`~repro.sim.predcache.PredictionCache`; :class:`CohortSpec` keeps
 those pairs few by drawing timelines from a small seed pool and dwell
 from a discrete distribution.

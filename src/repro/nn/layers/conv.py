@@ -1,7 +1,9 @@
 """1-D convolution over (batch, channels, length) inputs.
 
-Implemented with an im2col transform so the heavy lifting is a single
-matrix multiply; the backward pass reuses the cached columns.  Valid
+Implemented with an im2col transform so the heavy lifting is matrix
+multiplies; the backward pass reuses the cached columns.  Training
+multiplies the whole batch at once; inference runs one GEMM per window,
+so a window's output is the same in any batch.  Valid
 padding, unit stride — sufficient for the paper's small HAR CNNs while
 keeping the energy model exact (every MAC is accounted for).
 """
@@ -94,11 +96,15 @@ class Conv1D(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._check_input(x)
         cols = im2col_1d(x.astype(np.float64, copy=False), self.kernel_size)
+        w_flat = self.W.reshape(self.filters, -1)  # (F, C*K)
         if training:
             self._cached_cols = cols
             self._cached_input_shape = x.shape
-        w_flat = self.W.reshape(self.filters, -1)  # (F, C*K)
-        out = np.einsum("fk,bkl->bfl", w_flat, cols, optimize=True)
+            out = np.einsum("fk,bkl->bfl", w_flat, cols, optimize=True)
+        else:
+            # One (L_out x C*K) @ (C*K x F) GEMM per window: a window's
+            # output does not depend on which windows share its batch.
+            out = np.matmul(cols.transpose(0, 2, 1), w_flat.T).transpose(0, 2, 1)
         return out + self.b[None, :, None]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

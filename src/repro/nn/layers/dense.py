@@ -52,7 +52,9 @@ class Dense(Layer):
         self._check_input(x)
         if training:
             self._cached_input = x
-        return x @ self.W + self.b
+            return x @ self.W + self.b
+        # One row-times-matrix product per window, independent of the batch.
+        return np.matmul(x[:, None, :], self.W)[:, 0] + self.b
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cached_input is None:

@@ -84,7 +84,9 @@ class Sequential:
     def predict_logits(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Inference-mode logits, computed in batches.
 
-        A zero-row input yields an empty ``(0, *output_shape)`` array
+        A row's logits depend only on its window (inference runs one
+        GEMM per window), so ``batch_size`` only bounds memory.  A
+        zero-row input yields an empty ``(0, *output_shape)`` array
         (batched precompute paths legitimately see empty window sets).
         """
         self._require_built()

@@ -36,15 +36,27 @@ DEFAULT_BOUNDS: Tuple[float, ...] = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000
 
 @dataclass
 class Counter:
-    """Monotonically accumulating value (int or float)."""
+    """Monotonically accumulating value (int or float).
+
+    ``steps``, when kept (see :class:`SteppedMetrics`), lists every
+    increment in order; merging such a counter adds its steps one by
+    one, so float sums group exactly as if they had been made here.
+    """
 
     value: float = 0.0
+    steps: Optional[list] = None
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
+        if self.steps is not None:
+            self.steps.append(amount)
 
     def merge(self, other: "Counter") -> None:
-        self.value += other.value
+        if other.steps is None:
+            self.inc(other.value)
+            return
+        for amount in other.steps:
+            self.inc(amount)
 
 
 @dataclass
@@ -276,8 +288,12 @@ class MetricsRegistry:
     def from_dict(cls, data: Dict[str, Any]) -> "MetricsRegistry":
         """Rebuild a registry from :meth:`to_dict` output."""
         registry = cls()
+        steps = data.get("counter_steps", {})
         for name, value in data.get("counters", {}).items():
-            registry.counter(name).value = value
+            counter = registry.counter(name)
+            counter.value = value
+            if name in steps:
+                counter.steps = list(steps[name])
         for name, value in data.get("gauges", {}).items():
             gauge = registry.gauge(name)
             gauge.value = value
@@ -296,6 +312,30 @@ class MetricsRegistry:
             timer.min_s = spec["min_s"]
             timer.max_s = spec["max_s"]
         return registry
+
+
+class SteppedMetrics(MetricsRegistry):
+    """A registry whose counters keep every increment (:attr:`Counter.steps`).
+
+    A pool unit records into one and ships :meth:`to_dict`, which
+    carries the steps; the parent's :meth:`MetricsRegistry.merge` folds
+    them in the order the unit made them.  A float counter incremented
+    once per run therefore sums across a pooled sweep exactly as it
+    does sequentially, whatever the number of runs per unit.
+    """
+
+    def counter(self, name: str) -> Counter:
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(steps=[])
+        return counter
+
+    def to_dict(self) -> Dict[str, Any]:
+        exported = super().to_dict()
+        exported["counter_steps"] = {
+            name: list(self._counters[name].steps) for name in sorted(self._counters)
+        }
+        return exported
 
 
 class NullMetrics(MetricsRegistry):

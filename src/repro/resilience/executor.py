@@ -15,9 +15,9 @@ worker count:
   call, the way a pool worker keeps its caches across its units;
 * each unit's cells are journaled the moment it finishes, and results,
   metrics and trace events fold back in unit order (pool units ship
-  per-unit snapshots; in-process units record into the caller's
-  observability directly), so the outcome is identical for every
-  worker count.
+  per-unit snapshots whose counters list every increment, folded one
+  by one; in-process units record into the caller's observability
+  directly), so the outcome is identical for every worker count.
 
 Pool workers get the bundle by artifact-store key when the store holds
 it (:func:`worker_experiment_payload`), falling back to a deterministic
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ResilienceError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, SteppedMetrics
 from repro.obs.observer import NULL_OBS, Observability
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.resilience.chaos import ChaosAction, ChaosPlan, apply_chaos
@@ -295,7 +295,9 @@ def _pool_unit(
         raise ConfigurationError("pool worker used before initialization")
     if not with_obs:
         return unit_fn(_STATE, items, *args, obs=NULL_OBS), None, None
-    obs = Observability(tracer=Tracer() if with_trace else NULL_TRACER)
+    obs = Observability(
+        tracer=Tracer() if with_trace else NULL_TRACER, metrics=SteppedMetrics()
+    )
     results = unit_fn(_STATE, items, *args, obs=obs)
     return results, obs.metrics.to_dict(), obs.tracer.events if with_trace else None
 

@@ -67,8 +67,8 @@ class DeviceSim:
     """Client-side node physics for one device's timeline.
 
     Builds the same node parameters and run material (timeline, windows,
-    batched softmax) an offline ``HARExperiment.run(policy, seed=...)``
-    would, and steps them as a one-run
+    softmax) an offline ``HARExperiment.run(policy, seed=...)`` would,
+    completed up front, and steps them as a one-run
     :class:`~repro.sim.kernel.SlotKernel` under an externally supplied
     active set.  Because construction and physics are shared, a device
     driven by a served decision stream traverses byte-identical physics
@@ -97,7 +97,7 @@ class DeviceSim:
             dwell_scale=config.dwell_scale,
             use_pruned_models=config.use_pruned_models,
             subject=self.subject,
-        )
+        ).complete()
         nodes = experiment._build_nodes(SeedSequenceFactory(self.seed), config)
         self.node_ids = [node.node_id for node in nodes]
         self._position = {node_id: k for k, node_id in enumerate(self.node_ids)}

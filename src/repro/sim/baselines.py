@@ -6,6 +6,8 @@ host takes a naive majority vote.  To compare apples to apples with the
 EH policy runs, the evaluator classifies the seed's run material: the
 Markov activity timeline, subject and sensed windows that
 :meth:`repro.sim.experiment.HARExperiment.run` consumes for the seed.
+A baseline reads every row, and reading the material's arrays completes
+it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.datasets.base import HARDataset
 from repro.datasets.subjects import SubjectProfile
 from repro.datasets.synthesis import StyleWobble
 from repro.errors import SimulationError
-from repro.sim.predcache import PREDICT_BATCH, RunMaterial, build_run_material, default_subject
+from repro.sim.predcache import RunMaterial, build_run_material, default_subject
 from repro.sim.training import TrainedSensorBundle
 from repro.utils.rng import SeedSequenceFactory
 
@@ -138,13 +140,14 @@ def evaluate_baseline(
         material.check_compatible(use_pruned_models=material.use_pruned_models, **params)
     true = np.array([spec.label_of(activity) for activity in material.labels], dtype=np.int64)
 
-    # ``Sequential.predict`` is the argmax of the same batched logits.
+    # ``Sequential.predict`` is the argmax of the same logits; reading
+    # the material's arrays completes it.
     if baseline.pruned == material.use_pruned_models:
         labels = {node_id: rows.argmax(axis=1) for node_id, rows in material.logits.items()}
     else:
         models = bundle.models(pruned=baseline.pruned)
         labels = {
-            node_id: models[node_id].predict(windows, PREDICT_BATCH)
+            node_id: models[node_id].predict(windows)
             for node_id, windows in material.windows.items()
         }
     votes = np.stack([labels[bundle.node_id_of(location)] for location in spec.locations])

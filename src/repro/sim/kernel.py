@@ -37,6 +37,12 @@ and only counts its slot.  The fault engine drains a lane through
 engine row and masks the row's flags.  Fault-free runs pay nothing for
 any of this per slot.
 
+A material's rows are computed on demand: in each slot the batch
+brings in the ``(material, node, started slot)`` rows of the lanes that
+completed, computing the new ones with one predict per model across all
+of the batch's materials (:func:`~repro.sim.predcache.fill_rows`), so a
+batch synthesizes and classifies only the windows its runs finish.
+
 Observed runs synthesize the node trace events (``window.sensed``,
 ``nvp.*``, ``inference.*``, ``message.*``) and metrics from lane state,
 one trace buffer per run; the buffers join the caller's tracer in run
@@ -62,7 +68,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.stats import LinkStats
 from repro.obs.observer import NULL_OBS, Observability
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.sim.predcache import RunMaterial, build_run_material, default_subject
+from repro.sim.predcache import RunMaterial, build_run_material, default_subject, fill_rows
 from repro.sim.results import ExperimentResult, SlotRecord
 from repro.utils.rng import SeedSequenceFactory
 from repro.wsn.comm import CommLink
@@ -609,9 +615,9 @@ class BatchGroup:
     :func:`run_group_batch` call.
 
     ``config`` (a :class:`~repro.sim.experiment.SimulationConfig`)
-    defaults to the experiment's; ``material`` is built on demand when
-    omitted (recording its build into the batch's ``obs``); ``confidence_matrices`` optionally supplies (and mutates!)
-    one matrix per policy, ``None`` entries meaning fresh copies;
+    defaults to the experiment's; ``material`` is built when omitted;
+    ``confidence_matrices`` optionally supplies (and mutates!) one
+    matrix per policy, ``None`` entries meaning fresh copies;
     ``faults`` is a :class:`~repro.faults.FaultPlan` every run of the
     group compiles for itself.
     """
@@ -690,7 +696,6 @@ def _prepare_group(experiment, group: BatchGroup, obs: Observability) -> tuple:
             dwell_scale=config.dwell_scale,
             use_pruned_models=config.use_pruned_models,
             subject=subject,
-            obs=obs,
         )
     else:
         material.check_compatible(
@@ -809,26 +814,62 @@ def _power_down(
         run.obs.tracer.append("nvp.task_aborted", slot, node_id, {"done_work_j": done_j})
 
 
-def _prediction_tables(states: Sequence[_GroupState], node_ids: Sequence[int]) -> tuple:
-    """Every material's per-slot labels and confidences, stacked.
+class _RowTables:
+    """Every material's per-slot labels and confidences, filled on demand.
 
-    Returns ``(labels, confidences, material_of_row)``: the tables are
-    ``(materials, nodes, slots)`` and ``material_of_row`` maps each
-    batch row to its material.
+    ``labels`` and ``confidences`` are ``(materials, nodes, slots)``; an
+    entry holds its row's values once ``known``, which starts with the
+    rows each material computed before the batch (all of them for a
+    completed material).  ``material_of_row`` maps each batch row to
+    its material.
     """
-    index: Dict[int, int] = {}
-    tables = []
-    material_of_row = []
-    for state in states:
-        material = state.material
-        if id(material) not in index:
-            index[id(material)] = len(tables)
-            predictions = material.class_predictions()
-            tables.append([predictions[node_id] for node_id in node_ids])
-        material_of_row.extend([index[id(material)]] * len(state.runs))
-    labels = np.array([[table[0] for table in nodes] for nodes in tables], dtype=np.int64)
-    confidences = np.array([[table[1] for table in nodes] for nodes in tables], dtype=np.float64)
-    return labels, confidences, np.array(material_of_row, dtype=np.int64)
+
+    def __init__(self, states: Sequence[_GroupState], node_ids: Sequence[int], n_slots: int):
+        index: Dict[int, int] = {}
+        self.materials: List[RunMaterial] = []
+        material_of_row = []
+        for state in states:
+            m = index.setdefault(id(state.material), len(self.materials))
+            if m == len(self.materials):
+                self.materials.append(state.material)
+            material_of_row.extend([m] * len(state.runs))
+        self.material_of_row = np.array(material_of_row, dtype=np.int64)
+        self.node_ids = list(node_ids)
+        shape = (len(self.materials), len(self.node_ids), n_slots)
+        self.labels = np.zeros(shape, dtype=np.int64)
+        self.confidences = np.zeros(shape, dtype=np.float64)
+        self.known = np.zeros(shape, dtype=bool)
+        for m, material in enumerate(self.materials):
+            for k, node_id in enumerate(self.node_ids):
+                slots = np.flatnonzero(material.filled(node_id))
+                self.labels[m, k, slots], self.confidences[m, k, slots] = material.rows(
+                    node_id, slots
+                )
+                self.known[m, k, slots] = True
+
+    def fill(self, material: np.ndarray, node: np.ndarray, slot: np.ndarray, obs) -> None:
+        """Bring in the rows at the ``(material, node, slot)`` index arrays.
+
+        Rows no material has computed yet are computed together, one
+        predict per model across the batch's materials.
+        """
+        shape = self.known.shape
+        flat = np.unique(np.ravel_multi_index((material, node, slot), shape))
+        material, node, slot = np.unravel_index(flat, shape)
+        pair = material * shape[1] + node
+        cuts = (np.flatnonzero(np.diff(pair)) + 1).tolist()
+        groups = [
+            (int(material[lo]), int(node[lo]), slot[lo:hi])
+            for lo, hi in zip([0, *cuts], [*cuts, len(flat)])
+        ]
+        fill_rows(
+            [(self.materials[m], self.node_ids[k], slots) for m, k, slots in groups], obs=obs
+        )
+        for m, k, slots in groups:
+            labels, confidences = self.materials[m].rows(self.node_ids[k], slots)
+            self.labels[m, k, slots] = labels
+            self.confidences[m, k, slots] = confidences
+        self.known.flat[flat] = True
 
 
 def run_group_batch(
@@ -896,7 +937,8 @@ def run_group_batch(
                 run.power_down = functools.partial(
                     _power_down, kernel, run, state.position, n_nodes
                 )
-    labels, confidences, material_of_row = _prediction_tables(states, node_ids)
+    tables = _RowTables(states, node_ids, n_slots)
+    material_of_row = tables.material_of_row
 
     logger.debug(
         "kernel batch: %d group(s), %d lanes x %d slots",
@@ -952,8 +994,11 @@ def run_group_batch(
             row, node = np.nonzero(done)
             material = material_of_row[row]
             at = started[row, node]
-            predicted[row, node] = labels[material, node, at]
-            confidence[row, node] = confidences[material, node, at]
+            fresh = ~tables.known[material, node, at]
+            if fresh.any():
+                tables.fill(material[fresh], node[fresh], at[fresh], obs)
+            predicted[row, node] = tables.labels[material, node, at]
+            confidence[row, node] = tables.confidences[material, node, at]
             # Each completion sends one result message; its radio energy
             # accumulates per link, message by message.
             np.add(link_energy, kernel.comm_cost_j, out=link_energy, where=events.completed)

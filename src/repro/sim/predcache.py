@@ -4,51 +4,61 @@ Everything upstream of scheduling is fully determined by ``(dataset,
 seed, subject, deployment config)``: the ground-truth activity timeline,
 the per-slot style wobbles, every node's sensed-window stream — and
 therefore every node's CNN output for every slot it could possibly
-classify.  A policy sweep evaluates the whole RR/AAS/AASR/Origin ladder
-on exactly those seeds, so this module materializes the shared part once
-per seed (:func:`build_run_material`) and lets every policy run, both
-fully-powered baselines and every fleet user on the same ``(timeline,
-dwell)`` pair consume it (:class:`PredictionCache`), removing window
-synthesis and DNN inference from the per-policy cost.
+classify.  :func:`build_run_material` fixes that part of a seed once
+(:class:`RunMaterial`), and :class:`PredictionCache` lets every policy
+run, both fully-powered baselines and every fleet user on the same
+``(timeline, dwell)`` pair share it.
+
+Rows on demand
+--------------
+A run classifies a window only in the slots its scheduler makes the
+node active, so a material computes a row — one node's window, logits,
+softmax, label and confidence for one slot — only when something first
+needs it:
+
+* building draws the timeline and the styles, nothing else;
+* the first fill of a node runs a draw pass over its
+  ``windows/<location>`` stream, which makes every window's draws in
+  slot order and keeps the generator state before each window
+  (:meth:`~repro.datasets.synthesis.SignalSynthesizer.stream_states`);
+* a fill renders each contiguous span of one dwell run with one
+  :meth:`~repro.datasets.synthesis.SignalSynthesizer.batch` call from
+  the span's first state, and :func:`fill_rows` classifies every
+  requested row with one ``predict_logits`` per model, across all the
+  materials of a kernel batch;
+* :meth:`RunMaterial.complete` computes whatever is left, for consumers
+  that read every row (a sweep unit, the baselines, a served device).
 
 Determinism contract
 --------------------
-Windows are drawn for *all* slots up front from each node's labeled RNG
-stream (exactly like the style stream always was), one
-:meth:`~repro.datasets.synthesis.SignalSynthesizer.batch` per dwell run,
-so the window a node senses at slot ``s`` does not depend on which
-earlier slots the policy made it active in.  That is what makes the
-material policy-independent.
-Each node's logits come from one batched pass and are kept next to
-their softmax; since runs and baselines consume the same arrays in every mode,
-cached, uncached (per-run rebuilt) and parallel runs are byte-identical
-— the test suite and the CI benchmark smoke both assert this.
+A window's draws do not depend on which slots are rendered, the
+synthesis arithmetic is elementwise across windows, and
+``Sequential.predict_logits`` is row-independent (one GEMM per window),
+so a row has the same bytes whether it was filled alone, with other
+materials' rows or by completion.  Runs, baselines and served devices
+therefore read identical arrays in every mode — cached, uncached and
+parallel — and the test suite asserts it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from dataclasses import field as dataclasses_field
-from typing import Dict, List, Optional
+from collections.abc import Mapping
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.datasets.activities import Activity
 from repro.datasets.base import HARDataset
+from repro.datasets.body import BodyLocation
 from repro.datasets.markov import MarkovActivityModel
+from repro.datasets.profiles import N_CHANNELS
 from repro.datasets.subjects import SubjectProfile
 from repro.datasets.synthesis import StyleWobble
 from repro.errors import ConfigurationError
 from repro.nn.layers.activations import softmax
 from repro.obs.observer import NULL_OBS, Observability
 from repro.utils.rng import SeedSequenceFactory
-
-#: Rows per ``predict_logits`` batch.  A row's logits depend on which
-#: rows share its batch (one-row and 256-row batches differed on 300 of
-#: 300 rows of each pruned model), so a material computes a whole seed
-#: in batches of this size and no consumer ever predicts per slot.
-PREDICT_BATCH = 256
 
 #: Materials a :class:`PredictionCache` keeps alive (LRU eviction past
 #: it); only continuous-dwell cohorts reach it.
@@ -66,7 +76,69 @@ def default_subject(dataset: HARDataset) -> SubjectProfile:
     return SubjectProfile.canonical()
 
 
-@dataclass
+class _NodeRows:
+    """One node's rows of a material, computed slot by slot.
+
+    ``states`` (the generator state before each slot's window) and
+    ``generator`` exist once the draw pass ran; ``filled`` marks the
+    slots whose window, logits, softmax, label and confidence are set.
+    """
+
+    def __init__(self, location: BodyLocation, model, n_windows: int, window_size: int) -> None:
+        self.location = location
+        self.model = model
+        n_classes = model.output_shape[0]
+        self.generator: Optional[np.random.Generator] = None
+        self.states: Optional[List[dict]] = None
+        self.windows = np.empty((n_windows, N_CHANNELS, window_size), dtype=np.float32)
+        self.logits = np.zeros((n_windows, n_classes))
+        self.probabilities = np.zeros((n_windows, n_classes))
+        self.predicted = np.zeros(n_windows, dtype=np.int64)
+        self.confidence = np.zeros(n_windows)
+        self.filled = np.zeros(n_windows, dtype=bool)
+
+    def store(self, slots, windows: np.ndarray, logits: np.ndarray) -> None:
+        probabilities = softmax(logits, axis=1)
+        if windows is not self.windows:
+            self.windows[slots] = windows
+        self.logits[slots] = logits
+        self.probabilities[slots] = probabilities
+        self.predicted[slots] = probabilities.argmax(axis=1)
+        self.confidence[slots] = np.var(probabilities, axis=1)
+        self.filled[slots] = True
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+class _CompletedRows(Mapping):
+    """``{node id: array}`` over one field of a material's rows.
+
+    ``len()``, iteration and membership compute nothing; item access
+    completes that node and returns a read-only view.
+    """
+
+    def __init__(self, material: "RunMaterial", field: str) -> None:
+        self._material = material
+        self._field = field
+
+    def __getitem__(self, node_id: int) -> np.ndarray:
+        rows = self._material._complete_node(node_id)
+        return _read_only(getattr(rows, self._field))
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self._material._nodes
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._material._nodes)
+
+    def __len__(self) -> int:
+        return len(self._material._nodes)
+
+
 class RunMaterial:
     """The policy-independent precompute of one ``(seed, subject)`` run.
 
@@ -83,38 +155,147 @@ class RunMaterial:
     logits / probabilities:
         ``{node id: (n_windows, n_classes) float64}`` outputs of the
         ``use_pruned_models`` variant on :attr:`windows`, and softmax.
+
+    The three mappings are read-only; reading a node's arrays completes
+    that node (see the module docstring), while ``len()`` and iteration
+    over node ids compute nothing.  :func:`fill_rows` and :meth:`rows`
+    compute single rows.
     """
 
-    seed: int
-    n_windows: int
-    dwell_scale: float
-    use_pruned_models: bool
-    subject: SubjectProfile
-    labels: List[Activity]
-    windows: Dict[int, np.ndarray]
-    logits: Dict[int, np.ndarray]
-    probabilities: Dict[int, np.ndarray]
-    _class_predictions: Optional[Dict[int, tuple]] = dataclasses_field(
-        default=None, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        *,
+        seed: int,
+        n_windows: int,
+        dwell_scale: float,
+        use_pruned_models: bool,
+        subject: SubjectProfile,
+        labels: List[Activity],
+        styles: List[StyleWobble],
+        synthesizer,
+        factory: SeedSequenceFactory,
+        nodes: Dict[int, Tuple[BodyLocation, object]],
+    ) -> None:
+        self.seed = seed
+        self.n_windows = n_windows
+        self.dwell_scale = dwell_scale
+        self.use_pruned_models = use_pruned_models
+        self.subject = subject
+        self.labels = labels
+        self._styles = styles
+        self._synthesizer = synthesizer
+        self._factory = factory
+        self._nodes = {
+            node_id: _NodeRows(location, model, n_windows, synthesizer.window_size)
+            for node_id, (location, model) in nodes.items()
+        }
+        self.windows: Mapping[int, np.ndarray] = _CompletedRows(self, "windows")
+        self.logits: Mapping[int, np.ndarray] = _CompletedRows(self, "logits")
+        self.probabilities: Mapping[int, np.ndarray] = _CompletedRows(self, "probabilities")
+
+    # ------------------------------------------------------------------
+    # rows
+    # ------------------------------------------------------------------
+
+    def filled(self, node_id: int) -> np.ndarray:
+        """Read-only mask of the slots whose rows ``node_id`` has computed."""
+        return _read_only(self._nodes[node_id].filled)
+
+    def rows(self, node_id: int, slots: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(labels, confidences)`` of ``node_id`` at ``slots``, filling them first.
+
+        The argmax and variance-of-softmax confidence of each row, as
+        :meth:`class_predictions` holds them.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        fill_rows([(self, node_id, slots)])
+        node = self._nodes[node_id]
+        return node.predicted[slots], node.confidence[slots]
+
+    def complete(self, *, obs: Optional[Observability] = None) -> "RunMaterial":
+        """Compute every row not computed yet, one predict per node.
+
+        ``obs`` times the work as ``predcache.fill``; a complete
+        material records nothing.  Returns ``self``.
+        """
+        missing = [node_id for node_id, node in self._nodes.items() if not node.filled.all()]
+        if missing:
+            obs = obs if obs is not None else NULL_OBS
+            with obs.timed("predcache.fill"):
+                for node_id in missing:
+                    self._complete_node(node_id)
+        return self
 
     def class_predictions(self) -> Dict[int, tuple]:
-        """``{node id: (argmax labels, variance confidences)}`` (lazy).
+        """``{node id: (argmax labels, variance confidences)}``, completed.
 
-        The scan-friendly face of :attr:`probabilities` for the slot
-        kernel: per-slot predicted label and variance-of-softmax
-        confidence, computed once with batched ``argmax``/``var`` calls
-        that are byte-identical to per-row ``argmax()`` /
+        The scan-friendly face of :attr:`probabilities` for slot-by-slot
+        consumers: per-slot predicted label and variance-of-softmax
+        confidence, byte-identical to per-row ``argmax()`` /
         ``confidence_from_softmax``.
-        Memoized on the material, so one computation serves every
-        policy of a sweep cell (and every batch of a seed).
         """
-        if self._class_predictions is None:
-            self._class_predictions = {
-                node_id: (probs.argmax(axis=1), np.var(probs, axis=1))
-                for node_id, probs in self.probabilities.items()
-            }
-        return self._class_predictions
+        self.complete()
+        return {
+            node_id: (_read_only(node.predicted), _read_only(node.confidence))
+            for node_id, node in self._nodes.items()
+        }
+
+    def _complete_node(self, node_id: int) -> _NodeRows:
+        node = self._nodes[node_id]
+        if node.filled.all():
+            return node
+        if node.states is None:
+            # Never filled: the whole stream in one pass, one predict.
+            node.windows = self._synthesizer.stream(
+                self.labels,
+                node.location,
+                self.subject,
+                self._generator(node),
+                styles=self._styles,
+            )
+            node.store(slice(None), node.windows, node.model.predict_logits(node.windows))
+        else:
+            _fill([(self, node, np.flatnonzero(~node.filled))])
+        return node
+
+    def _generator(self, node: _NodeRows) -> np.random.Generator:
+        return self._factory.generator(f"windows/{node.location.value}")
+
+    def _render(self, node: _NodeRows, slots: np.ndarray) -> np.ndarray:
+        """The windows at ``slots`` (ascending), one ``batch`` per span.
+
+        A span is a run of consecutive slots inside one dwell run; it
+        renders from the generator state before its first window, which
+        the node's draw pass recorded.
+        """
+        if node.states is None:
+            node.generator = self._generator(node)
+            node.states = self._synthesizer.stream_states(
+                self.labels, node.location, self.subject, node.generator, styles=self._styles
+            )
+        labels = self.labels
+        breaks = [
+            index
+            for index in range(1, len(slots))
+            if slots[index] != slots[index - 1] + 1 or labels[slots[index]] != labels[slots[index - 1]]
+        ]
+        spans = []
+        for lo, hi in zip([0, *breaks], [*breaks, len(slots)]):
+            first, count = int(slots[lo]), hi - lo
+            node.generator.bit_generator.state = node.states[first]
+            spans.append(
+                self._synthesizer.batch(
+                    labels[first],
+                    node.location,
+                    count=count,
+                    subject=self.subject,
+                    seed=node.generator,
+                    style=self._styles[first : first + count],
+                )
+            )
+        return spans[0] if len(spans) == 1 else np.concatenate(spans)
+
+    # ------------------------------------------------------------------
 
     def check_compatible(
         self,
@@ -141,6 +322,52 @@ class RunMaterial:
             )
 
 
+def _fill(parts: Sequence[Tuple[RunMaterial, _NodeRows, np.ndarray]]) -> None:
+    """Render and classify ``(material, node, ascending slots)`` rows,
+    one ``predict_logits`` per model."""
+    by_model: Dict[int, list] = {}
+    for part in parts:
+        by_model.setdefault(id(part[1].model), []).append(part)
+    for group in by_model.values():
+        windows = [material._render(node, slots) for material, node, slots in group]
+        logits = group[0][1].model.predict_logits(
+            windows[0] if len(windows) == 1 else np.concatenate(windows)
+        )
+        lo = 0
+        for (material, node, slots), rendered in zip(group, windows):
+            node.store(slots, rendered, logits[lo : lo + len(slots)])
+            lo += len(slots)
+
+
+def fill_rows(
+    requests: Iterable[Tuple[RunMaterial, int, Sequence[int]]],
+    *,
+    obs: Optional[Observability] = None,
+) -> None:
+    """Compute the requested ``(material, node id, slots)`` rows not computed yet.
+
+    Rows of one node's model are classified together, across every
+    material of the request, with one ``predict_logits`` call; ``obs``
+    times the work as ``predcache.fill`` (nothing to compute records
+    nothing).
+    """
+    wanted: Dict[Tuple[int, int], list] = {}
+    for material, node_id, slots in requests:
+        entry = wanted.setdefault((id(material), node_id), [material, node_id, []])
+        entry[2].append(np.asarray(slots, dtype=np.int64).reshape(-1))
+    parts = []
+    for material, node_id, slots in wanted.values():
+        node = material._nodes[node_id]
+        slots = np.unique(np.concatenate(slots))
+        slots = slots[~node.filled[slots]]
+        if slots.size:
+            parts.append((material, node, slots))
+    if parts:
+        obs = obs if obs is not None else NULL_OBS
+        with obs.timed("predcache.fill"):
+            _fill(parts)
+
+
 def build_run_material(
     dataset: HARDataset,
     bundle,
@@ -150,22 +377,19 @@ def build_run_material(
     dwell_scale: float,
     use_pruned_models: bool = True,
     subject: Optional[SubjectProfile] = None,
-    obs: Optional[Observability] = None,
 ) -> RunMaterial:
-    """Materialize one seed's timeline, windows, logits and softmax.
+    """One seed's material: its timeline and styles, rows on demand.
 
     ``bundle`` is a :class:`~repro.sim.training.TrainedSensorBundle`;
     only its node-id mapping and its ``use_pruned_models`` variant are
     consulted.  RNG streams use the same labels as the historical
     in-run draws (``timeline``, ``style``, ``windows/<location>``), so
     the material is a pure function of ``(dataset, bundle, seed,
-    subject, n_windows, dwell_scale, use_pruned_models)``.  ``obs``
-    records per-phase wall time (``predcache.windows``,
-    ``predcache.predict``).
+    subject, n_windows, dwell_scale, use_pruned_models)``.  No window
+    is synthesized or classified here (see the module docstring).
     """
     if n_windows < 1:
         raise ConfigurationError(f"n_windows must be >= 1, got {n_windows}")
-    obs = obs if obs is not None else NULL_OBS
     factory = SeedSequenceFactory(int(seed))
     spec = dataset.spec
     subject = subject or default_subject(dataset)
@@ -183,22 +407,7 @@ def build_run_material(
     style_rng = factory.generator("style")
     styles = [StyleWobble.sample(style_rng) for _ in range(n_windows)]
 
-    windows: Dict[int, np.ndarray] = {}
-    with obs.timed("predcache.windows"):
-        for location in spec.locations:
-            rng = factory.generator(f"windows/{location.value}")
-            windows[bundle.node_id_of(location)] = dataset.synthesizer.stream(
-                labels, location, subject, rng, styles=styles
-            )
-
-    with obs.timed("predcache.predict"):
-        models = bundle.models(pruned=use_pruned_models)
-        logits = {
-            node_id: models[node_id].predict_logits(stream, PREDICT_BATCH)
-            for node_id, stream in windows.items()
-        }
-        probabilities = {node_id: softmax(rows, axis=1) for node_id, rows in logits.items()}
-
+    models = bundle.models(pruned=use_pruned_models)
     return RunMaterial(
         seed=int(seed),
         n_windows=int(n_windows),
@@ -206,9 +415,13 @@ def build_run_material(
         use_pruned_models=bool(use_pruned_models),
         subject=subject,
         labels=labels,
-        windows=windows,
-        logits=logits,
-        probabilities=probabilities,
+        styles=styles,
+        synthesizer=dataset.synthesizer,
+        factory=factory,
+        nodes={
+            bundle.node_id_of(location): (location, models[bundle.node_id_of(location)])
+            for location in spec.locations
+        },
     )
 
 
@@ -271,7 +484,6 @@ class PredictionCache:
                 dwell_scale=config.dwell_scale,
                 use_pruned_models=config.use_pruned_models,
                 subject=subject,
-                obs=obs,
             )
         self._materials[key] = material
         while len(self._materials) > MATERIAL_CACHE_CAP:

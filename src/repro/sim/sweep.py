@@ -400,12 +400,14 @@ def _sweep_unit(
     A policy chunk runs as one batched kernel call, observed or not; if
     the batch raises, its cells run one by one so each cell's error is
     caught alone.  Baselines ask for the same material as the seed's
-    policies, so in a worker that already ran them they reuse it.
+    policies, so in a worker that already ran them they reuse it.  The
+    grid reads most of a seed's rows and the baselines all of them, so
+    the unit completes the material first: one predict per node.
     """
     from repro.sim.kernel import run_policy_batch
 
     experiment = state.experiment
-    material = state.cache.material(seed, obs=obs)
+    material = state.cache.material(seed, obs=obs).complete(obs=obs)
     if isinstance(specs[0], BaselineSpec):
         return each_cell(
             lambda baseline: evaluate_baseline(

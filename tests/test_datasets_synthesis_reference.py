@@ -160,3 +160,65 @@ def test_style_count_must_match():
         synth.batch(activity, location, 3, seed=0, style=[StyleWobble()] * 2)
     with pytest.raises(DatasetError, match="styles"):
         synth.stream([activity] * 3, location, seed=0, styles=[StyleWobble()] * 2)
+
+
+def test_stream_states_render_any_span():
+    synth = SignalSynthesizer(pamap2_signatures())
+    rng = np.random.default_rng(5)
+    activities = list(synth.signatures.activities)
+    labels = [activities[i] for i in np.repeat(rng.integers(0, 4, size=9), rng.integers(1, 9, 9))]
+    styles = [StyleWobble.sample(rng) for _ in labels]
+    location = synth.signatures.locations[0]
+    stream_rng, states_rng = np.random.default_rng(21), np.random.default_rng(21)
+    stream = synth.stream(labels, location, SUBJECTS[2], stream_rng, styles=styles)
+    states = synth.stream_states(labels, location, SUBJECTS[2], states_rng, styles=styles)
+    assert len(states) == len(labels)
+    assert states_rng.bit_generator.state == stream_rng.bit_generator.state
+    for first in range(len(labels)):
+        last = first
+        while last + 1 < len(labels) and labels[last + 1] == labels[first]:
+            last += 1
+        states_rng.bit_generator.state = states[first]
+        span = synth.batch(
+            labels[first], location, last - first + 1, SUBJECTS[2], states_rng,
+            style=styles[first : last + 1],
+        )
+        assert span.tobytes() == stream[first : last + 1].tobytes()
+
+
+def reference_split(spec, synthesizer, subjects, windows_per_activity, rng):
+    """The split as one ``window`` call per window (subjects interleaved)."""
+    split = {}
+    for location in spec.locations:
+        xs, ys = [], []
+        for label, activity in enumerate(spec.activities):
+            for index in range(windows_per_activity):
+                subject = subjects[index % len(subjects)]
+                xs.append(synthesizer.window(activity, location, subject, rng))
+                ys.append(label)
+        order = rng.permutation(len(xs))
+        split[location] = (np.stack(xs)[order], np.asarray(ys)[order])
+    return split
+
+
+@pytest.mark.parametrize("dataset", ["mhealth", "pamap2"])
+def test_splits_match_per_window_reference(dataset):
+    from repro.datasets.base import synthesize_split
+    from repro.datasets.mhealth import make_mhealth
+    from repro.datasets.pamap2 import make_pamap2
+
+    make = make_mhealth if dataset == "mhealth" else make_pamap2
+    data = make(seed=3, train_windows_per_activity=5, val_windows_per_activity=2,
+                test_windows_per_activity=2, n_train_subjects=3, n_eval_subjects=1)
+    subjects = list(data.train_subjects) + [SUBJECTS[1]]
+    for count in (1, 4, 7):
+        got = synthesize_split(
+            data.spec, data.synthesizer, subjects, count, np.random.default_rng(count)
+        )
+        want = reference_split(
+            data.spec, data.synthesizer, subjects, count, np.random.default_rng(count)
+        )
+        for location, (windows, labels) in want.items():
+            assert got[location].X.tobytes() == windows.tobytes(), location
+            assert got[location].y.dtype == labels.dtype
+            assert got[location].y.tobytes() == labels.tobytes(), location

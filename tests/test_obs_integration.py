@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.policies import origin_policy, rr_policy
+from repro.core.policies import aas_policy, aasr_policy, origin_policy, rr_policy
 from repro.faults.models import Brownout
 from repro.faults.plan import FaultPlan
 from repro.obs.observer import Observability
@@ -143,6 +143,19 @@ class TestParallelMergeDeterminism:
         assert (
             parallel.deterministic_dict() == sequential.deterministic_dict()
         ), "parallel merge must reproduce sequential counters/histograms exactly"
+
+    def test_several_runs_per_unit_merge_exactly(self, tiny_experiment):
+        # A pool unit runs a seed's four-policy chunk, so each float
+        # counter (joules) takes several runs' increments before the
+        # parent folds the unit in.
+        grid = [rr_policy(3), aas_policy(3), aasr_policy(3), origin_policy(3)]
+
+        def metrics(workers):
+            obs = Observability(tracer=NULL_TRACER)
+            PolicySweep(tiny_experiment, n_seeds=2).run(grid, seed=4, workers=workers, obs=obs)
+            return obs.metrics.deterministic_dict()
+
+        assert metrics(2) == metrics(1)
 
     def test_parallel_trace_covers_all_runs(self, tiny_experiment, grid):
         obs = Observability()

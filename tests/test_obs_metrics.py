@@ -11,6 +11,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullMetrics,
+    SteppedMetrics,
     TimerStat,
 )
 
@@ -130,6 +131,19 @@ class TestRegistry:
             rev.merge(part)
         assert fwd.deterministic_dict() == rev.deterministic_dict()
         assert fwd.gauge("g").value != rev.gauge("g").value
+
+    def test_stepped_counters_fold_in_increment_order(self):
+        # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3): a unit's summed value
+        # would regroup the additions; its steps do not.
+        sequential, parent, unit = MetricsRegistry(), MetricsRegistry(), SteppedMetrics()
+        for amount in (0.1, 0.2, 0.3):
+            sequential.inc("j", amount)
+        parent.inc("j", 0.1)
+        unit.inc("j", 0.2)
+        unit.inc("j", 0.3)
+        parent.merge(MetricsRegistry.from_dict(unit.to_dict()))
+        assert parent.counter("j").value == sequential.counter("j").value == 0.6000000000000001
+        assert parent.deterministic_dict() == sequential.deterministic_dict()
 
     def test_deterministic_dict_excludes_gauges_and_timers(self):
         reg = MetricsRegistry()

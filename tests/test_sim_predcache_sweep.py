@@ -337,7 +337,7 @@ class TestBaselinesMatchPredictPass:
 # material builds on the caller's metrics
 # ---------------------------------------------------------------------------
 
-MATERIAL_TIMERS = ("predcache.build_material", "predcache.windows", "predcache.predict")
+MATERIAL_TIMERS = ("predcache.build_material", "predcache.fill")
 
 
 class TestMaterialMetrics:
@@ -346,6 +346,7 @@ class TestMaterialMetrics:
         # Sequentially the baselines reuse their seed's material; in a
         # pool a baseline unit may land on a worker that never built it,
         # so the pooled sweep runs without baselines to keep two builds.
+        # Each unit completes its material, so each build is one fill.
         obs = Observability(tracer=NULL_TRACER)
         sweep = PolicySweep(tiny_experiment, n_seeds=2, include_baselines=workers == 1)
         sweep.run([rr_policy(3), origin_policy(3)], seed=4, workers=workers, obs=obs)
