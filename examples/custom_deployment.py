@@ -11,12 +11,11 @@ Run:  python examples/custom_deployment.py
 
 import numpy as np
 
-from repro.core import ConfidenceMatrix, WeightedMajorityVote, origin_policy
+from repro.core import origin_policy
 from repro.datasets import make_mhealth
 from repro.energy import Capacitor, Harvester, NonVolatileProcessor, OfficeState, PowerTraceGenerator
-from repro.nn import estimate_inference_energy
 from repro.sim import HARExperiment, SimulationConfig, SlotKernel, TrainedSensorBundle, TrainingConfig
-from repro.wsn import CommLink, RadioProfile, SensorNode
+from repro.wsn import RadioProfile, SensorNode
 
 
 def main() -> None:
@@ -71,7 +70,7 @@ def main() -> None:
         harvester=Harvester(trace),
         capacitor=Capacitor(capacity_j=250e-6),
         nvp=NonVolatileProcessor(checkpoint_overhead=0.05),
-        comm=CommLink(RadioProfile.wifi()),
+        radio=RadioProfile.wifi(),
         slot_duration_s=dataset.spec.window_duration_s,
     )
     lane = SlotKernel.from_nodes([node], n_runs=1, n_slots=6)

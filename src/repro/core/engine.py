@@ -22,13 +22,18 @@ Two engines implement it, one per consumer shape:
 * :class:`SessionEngine` is scalar: one run, one
   :class:`~repro.wsn.host.HostDevice`, one scheduler object.  An online
   serving session (:mod:`repro.serve`) steps it one window at a time.
-  A session has one row, and a one-row columnar step costs about three
-  times the scalar one (DESIGN §16).
+  A session has one row, and a minimal one-row columnar step costs
+  about 63 µs per slot against 8–12 µs for the scalar one (DESIGN §16).
 
 ``ready`` and ``online`` flags are in **node construction order**
 (ER-r/AAS tie-breaking follows that order).  Both engines make the same
 decisions from the same inputs: a served session fed the states and
 reports of an offline run produces the identical decision stream.
+
+A node's slot report reaches the engines in one of two shapes: a batch
+hands the columnar engine :class:`SlotReports` arrays, and a session
+hands the scalar engine :class:`WireReport` records — the serving wire's
+record, which :func:`wire_reports` reads off one row of the arrays.
 
 Identity rules the columnar engine keeps, each a property of the scalar
 host and voters:
@@ -73,6 +78,7 @@ __all__ = [
     "SlotReports",
     "WireReport",
     "make_vote",
+    "wire_reports",
 ]
 
 #: ``last_activated`` of a node AAS never chose: off cooldown at any slot.
@@ -269,23 +275,22 @@ class SessionEngine:
     def finish_slot(
         self,
         slot: int,
-        outcomes: Sequence,
+        reports: Sequence[WireReport],
         *,
         decide: bool = True,
-        on_completion: Optional[Callable] = None,
+        on_completion: Optional[Callable[[WireReport], None]] = None,
     ) -> Optional[int]:
         """Decision phase: ingest reports, adapt, vote, observe.
 
-        Completed, delivered reports reach the host first.  When recall can neither expire nor fade, the vote itself reruns
-        only if the host's memory version or the matrix's update count
-        moved since the last one; otherwise the host reuses its label.
+        Completed, delivered reports reach the host first.  When recall
+        can neither expire nor fade, the vote itself reruns only if the
+        host's memory version or the matrix's update count moved since
+        the last one; otherwise the host reuses its label.
 
         Parameters
         ----------
-        outcomes:
-            This slot's inference outcomes in node construction order
-            (``InferenceOutcome`` or any object carrying its report
-            fields).
+        reports:
+            This slot's node reports in node construction order.
         decide:
             ``False`` skips the vote (an overloaded serving session
             shedding work): reports are still ingested and the
@@ -293,33 +298,33 @@ class SessionEngine:
             so the session stays consistent, but no decision is made
             and ``last_final`` is unchanged.
         on_completion:
-            Called with each completed outcome before confidence
+            Called with each completed report before confidence
             adaptation (the fault engine's completion hook).
         """
         policy = self.policy
         trace = self.obs.tracer
-        for outcome in outcomes:
-            if outcome.completed and outcome.delivered:
-                self.host.receive(outcome)
-        for outcome in outcomes:
-            if not outcome.completed:
+        for report in reports:
+            if report.completed and report.delivered:
+                self.host.receive(report)
+        for report in reports:
+            if not report.completed:
                 continue
             if on_completion is not None:
-                on_completion(outcome)
-            if policy.adaptive_confidence and outcome.delivered:
+                on_completion(report)
+            if policy.adaptive_confidence and report.delivered:
                 # The matrix lives on the host: it adapts on what
                 # arrived, including a corrupted label.
                 self.confidence.update(
-                    outcome.node_id, outcome.delivered_label, outcome.confidence
+                    report.node_id, report.delivered_label, report.confidence
                 )
                 if trace.enabled:
                     trace.append(
                         "confidence.updated",
                         slot,
-                        outcome.node_id,
+                        report.node_id,
                         {
-                            "label": outcome.delivered_label,
-                            "confidence": float(outcome.confidence),
+                            "label": report.delivered_label,
+                            "confidence": float(report.confidence),
                         },
                     )
         final: Optional[int] = None
@@ -327,7 +332,7 @@ class SessionEngine:
             if self._uses_recall:
                 final = self.host.classify(slot)
             else:
-                completed = [o for o in outcomes if o.completed and o.delivered]
+                completed = [r for r in reports if r.completed and r.delivered]
                 if completed:
                     self.last_final = completed[-1].delivered_label
                 final = self.last_final
@@ -335,9 +340,7 @@ class SessionEngine:
                 self.last_final = final
         # The scheduler is host-side: it never observes a result whose
         # message was lost in transit.
-        self.scheduler.observe(
-            slot, [o for o in outcomes if o.delivered], final
-        )
+        self.scheduler.observe(slot, [r for r in reports if r.delivered], final)
         return final
 
 
@@ -389,15 +392,17 @@ class SlotReports(NamedTuple):
 
 @dataclass(frozen=True)
 class WireReport:
-    """A node's slot report as the decision core consumes it.
+    """One node's slot report, as the host receives it.
 
-    The wire record of :mod:`repro.serve`, and what a batch row's
-    protocol-stepped scheduler observes.  Duck-types the report fields of
-    :class:`~repro.wsn.node.InferenceOutcome` (the engine only reads
-    these) without the outcome's completed-implies-probabilities
-    invariant — softmax vectors never cross the wire, only the label and
-    the variance-of-softmax confidence, exactly what the paper's result
-    message carries.
+    The wire record of :mod:`repro.serve`, what
+    :meth:`SessionEngine.finish_slot`, :meth:`HostDevice.receive
+    <repro.wsn.host.HostDevice.receive>` and a scheduler's ``observe``
+    take, and what a batch row's protocol-stepped scheduler observes.
+    Softmax vectors never cross the wire: only the label and the
+    variance-of-softmax confidence, exactly what the paper's result
+    message carries.  ``started_slot`` is the slot whose window was
+    classified; ``reported_label`` is the garbled label of a corrupted
+    message (``None`` otherwise).
     """
 
     node_id: int
@@ -408,7 +413,6 @@ class WireReport:
     predicted_label: Optional[int] = None
     confidence: Optional[float] = None
     reported_label: Optional[int] = None
-    probabilities: Optional[Any] = None
 
     @property
     def delivered_label(self) -> Optional[int]:
@@ -1050,28 +1054,37 @@ class DecisionEngine:
         for r, scheduler in self._protocol:
             label = int(final[r])
             scheduler.observe(
-                slot, self._reports(slot, r, reports), None if label < 0 else label
+                slot,
+                wire_reports(slot, reports, self.node_ids, row=r),
+                None if label < 0 else label,
             )
 
-    def _reports(self, slot: int, r: int, reports: SlotReports) -> List[WireReport]:
-        """One row's delivered reports, node order, as protocol records."""
-        out = []
-        for k in (reports.attempted[r] & reports.delivered[r]).nonzero()[0].tolist():
-            node_id = self.node_ids[k]
-            started = int(reports.started[r, k])
-            if not reports.completed[r, k]:
-                out.append(WireReport(node_id, slot, started, False))
-                continue
-            reported = int(reports.reported[r, k])
-            out.append(
-                WireReport(
-                    node_id,
-                    slot,
-                    started,
-                    True,
-                    predicted_label=int(reports.predicted[r, k]),
-                    confidence=float(reports.confidence[r, k]),
-                    reported_label=None if reported < 0 else reported,
-                )
+
+def wire_reports(
+    slot: int, reports: SlotReports, node_ids: Sequence[int], *, row: int = 0
+) -> List[WireReport]:
+    """One row's delivered reports, node construction order, as wire records.
+
+    A served device's window frame and a protocol row's scheduler
+    feedback are both built here; ``node_ids`` names the columns.
+    """
+    out = []
+    for k in (reports.attempted[row] & reports.delivered[row]).nonzero()[0].tolist():
+        node_id = node_ids[k]
+        started = int(reports.started[row, k])
+        if not reports.completed[row, k]:
+            out.append(WireReport(node_id, slot, started, False))
+            continue
+        reported = int(reports.reported[row, k])
+        out.append(
+            WireReport(
+                node_id,
+                slot,
+                started,
+                True,
+                predicted_label=int(reports.predicted[row, k]),
+                confidence=float(reports.confidence[row, k]),
+                reported_label=None if reported < 0 else reported,
             )
-        return out
+        )
+    return out

@@ -16,13 +16,15 @@ no-ops so nodes can harvest) but replaces "whoever's turn it is" with
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.scheduling.base import SchedulingContext, SchedulingPolicy
 from repro.core.scheduling.rank_table import RankTable
 from repro.core.scheduling.round_robin import ExtendedRoundRobin
 from repro.errors import SchedulingError
-from repro.wsn.node import InferenceOutcome
+
+if TYPE_CHECKING:
+    from repro.core.engine import WireReport
 
 
 class ActivityAwareScheduler(SchedulingPolicy):
@@ -151,20 +153,20 @@ class ActivityAwareScheduler(SchedulingPolicy):
     def observe(
         self,
         slot_index: int,
-        outcomes: Sequence[InferenceOutcome],
+        reports: Sequence["WireReport"],
         final_label: Optional[int],
     ) -> None:
-        for outcome in outcomes:
-            if outcome.completed:
+        for report in reports:
+            if report.completed:
                 # Evidence the node is alive again: stop backing off.
-                self._strikes[outcome.node_id] = 0
-                self._backoff_until[outcome.node_id] = 0
+                self._strikes[report.node_id] = 0
+                self._backoff_until[report.node_id] = 0
         if final_label is not None:
             self._anticipated = int(final_label)
             return
-        for outcome in outcomes:
-            if outcome.completed:
-                self._anticipated = int(outcome.predicted_label)
+        for report in reports:
+            if report.completed:
+                self._anticipated = int(report.predicted_label)
 
     def reset(self) -> None:
         self._anticipated = None

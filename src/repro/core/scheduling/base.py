@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.wsn.node import InferenceOutcome
+if TYPE_CHECKING:
+    from repro.core.engine import WireReport
 
 
 @dataclass
@@ -75,10 +76,11 @@ class SchedulingPolicy(ABC):
     def observe(
         self,
         slot_index: int,
-        outcomes: Sequence[InferenceOutcome],
+        reports: Sequence["WireReport"],
         final_label: Optional[int],
     ) -> None:
-        """Feedback hook after the slot ran.  Default: ignore."""
+        """Feedback hook after the slot ran: the reports that reached the
+        host, node order, and the final label.  Default: ignore."""
 
     def reset(self) -> None:
         """Clear mutable state before a fresh run.  Default: nothing."""

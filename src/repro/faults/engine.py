@@ -10,9 +10,10 @@ that ends up in :class:`~repro.faults.stats.FaultStats`.
 The engine layers on top of the slot kernel without the kernel knowing
 about plans.  Static schedules fold into a node's harvest timeline
 (:meth:`FaultEngine.slot_energies`); a power-down drains the node
-through a callback the caller supplies; lossy links plug into each
-:class:`~repro.wsn.comm.CommLink` as a delivery hook; a host restart
-goes through :meth:`~repro.wsn.host.HostDevice.restart`.
+through a callback the caller supplies; a lossy link's channel is a
+per-message delivery hook (:meth:`FaultEngine.link_hook`) the kernel
+calls for each result message; a host restart goes through the
+``restart()`` of the host handle passed to :meth:`FaultEngine.begin_slot`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.faults.models import (
 from repro.faults.stats import FaultStats, LinkStats, RecoveryEvent
 from repro.obs.observer import NULL_OBS, Observability
 from repro.utils.rng import spawn_generators
-from repro.wsn.comm import Delivery
+from repro.wsn.comm import Delivery, DeliveryHook
 
 logger = logging.getLogger(__name__)
 
@@ -270,8 +271,8 @@ class FaultEngine:
     # per-node inputs for the substrate
     # ------------------------------------------------------------------
 
-    def link_hook(self, node_id: int) -> Optional[Callable[[int, int], Delivery]]:
-        """Delivery hook for one node's CommLink (None = lossless)."""
+    def link_hook(self, node_id: int) -> Optional[DeliveryHook]:
+        """Delivery hook for one node's link to the host (None = lossless)."""
         return self._channels.get(node_id)
 
     def slot_energies(self, node_id: int, energies: np.ndarray) -> np.ndarray:
@@ -296,20 +297,12 @@ class FaultEngine:
 
     # ------------------------------------------------------------------
 
-    def finalize(self, links: Mapping[int, object]) -> FaultStats:
+    def finalize(self, links: Mapping[int, LinkStats]) -> FaultStats:
         """Aggregate the run's degradation accounting.
 
-        ``links`` maps each node id to its :class:`~repro.wsn.comm.CommLink`.
+        ``links`` holds each node's message counters, keyed by node id.
         """
-        per_link = {
-            node_id: LinkStats(
-                messages_sent=link.messages_sent,
-                messages_delivered=link.messages_delivered,
-                messages_dropped=link.messages_dropped,
-                messages_corrupted=link.messages_corrupted,
-            )
-            for node_id, link in links.items()
-        }
+        per_link = dict(links)
         if self.obs.enabled:
             metrics = self.obs.metrics
             metrics.inc("faults.host_restarts", self._host_restarts)

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.engine import NodeSlotState
+from repro.core.engine import NodeSlotState, SlotReports, WireReport, wire_reports
 from repro.core.policies import PolicySpec
 from repro.errors import ServeError
 from repro.serve.protocol import (
@@ -47,7 +47,7 @@ from repro.serve.protocol import (
     write_frame,
 )
 from repro.serve.session import ServeProfile
-from repro.sim.kernel import SlotKernel, lane_outcomes, outcome_sources
+from repro.sim.kernel import SlotKernel
 from repro.sim.predcache import build_run_material, default_subject
 from repro.utils.rng import SeedSequenceFactory
 
@@ -68,11 +68,13 @@ class DeviceSim:
 
     Builds the same node parameters and run material (timeline, windows,
     softmax) an offline ``HARExperiment.run(policy, seed=...)`` would,
-    completed up front, and steps them as a one-run
-    :class:`~repro.sim.kernel.SlotKernel` under an externally supplied
-    active set.  Because construction and physics are shared, a device
-    driven by a served decision stream traverses byte-identical physics
-    to the offline run.
+    and steps them as a one-run :class:`~repro.sim.kernel.SlotKernel`
+    under an externally supplied active set.  As in a kernel batch, each
+    slot reads only the material rows its completed lanes classify
+    (:meth:`~repro.sim.predcache.RunMaterial.rows`) into a one-row
+    :class:`~repro.core.engine.SlotReports`.  Because construction,
+    physics and rows are shared, a device driven by a served decision
+    stream traverses byte-identical physics to the offline run.
     """
 
     def __init__(
@@ -97,14 +99,19 @@ class DeviceSim:
             dwell_scale=config.dwell_scale,
             use_pruned_models=config.use_pruned_models,
             subject=self.subject,
-        ).complete()
+        )
         nodes = experiment._build_nodes(SeedSequenceFactory(self.seed), config)
         self.node_ids = [node.node_id for node in nodes]
         self._position = {node_id: k for k, node_id in enumerate(self.node_ids)}
-        self._comms = [node.comm for node in nodes]
-        self._sources = outcome_sources(nodes, self.material)
         self.kernel = SlotKernel.from_nodes(nodes, n_runs=1, n_slots=config.n_windows)
         self._active = np.zeros(len(nodes), dtype=bool)
+        # The row's lossless link and the label/confidence columns that
+        # completed lanes fill each slot.
+        shape = (1, len(nodes))
+        self._delivered = np.ones(shape, dtype=bool)
+        self._reported = np.full(shape, -1, dtype=np.int64)
+        self._predicted = np.zeros(shape, dtype=np.int64)
+        self._confidence = np.zeros(shape, dtype=np.float64)
         self.n_windows = config.n_windows
 
     def states(self) -> Dict[int, NodeSlotState]:
@@ -116,15 +123,25 @@ class DeviceSim:
             for k, node_id in enumerate(self.node_ids)
         }
 
-    def step(self, slot: int, active: Sequence[int]) -> List[Any]:
-        """Run one slot's physics; returns the outcomes, node order."""
-        positions = sorted({self._position[node_id] for node_id in active})
+    def step(self, slot: int, active: Sequence[int]) -> List[WireReport]:
+        """Run one slot's physics; returns the active nodes' reports, node order."""
         self._active[:] = False
-        self._active[positions] = True
+        self._active[[self._position[node_id] for node_id in active]] = True
         events = self.kernel.advance(slot, self._active)
-        return lane_outcomes(
-            events, 0, positions, slot=slot, comms=self._comms, sources=self._sources
+        for k in np.flatnonzero(events.completed).tolist():
+            labels, confidences = self.material.rows(self.node_ids[k], events.started[k : k + 1])
+            self._predicted[0, k] = labels[0]
+            self._confidence[0, k] = confidences[0]
+        reports = SlotReports(
+            self._active[None],
+            events.completed[None],
+            self._delivered,
+            self._predicted,
+            self._reported,
+            self._confidence,
+            events.started[None],
         )
+        return wire_reports(slot, reports, self.node_ids)
 
 
 @dataclass
@@ -188,13 +205,13 @@ def record_tape(
     labels: List[Optional[int]] = []
     actives: List[List[int]] = [list(active)]
     for slot in range(n):
-        outcomes = sim.step(slot, active)
+        reports = sim.step(slot, active)
         frame: Dict[str, Any] = {
             "type": "window",
             "slot": slot,
-            "reports": [report_to_wire(outcome) for outcome in outcomes],
+            "reports": [report_to_wire(report) for report in reports],
         }
-        labels.append(engine.finish_slot(slot, outcomes))
+        labels.append(engine.finish_slot(slot, reports))
         if slot + 1 < n:
             states = sim.states()
             frame["states"] = states_to_wire(states)
@@ -268,11 +285,11 @@ async def live_session(
         active: Sequence[int] = ack["active"]
         result = SessionResult(actives=[list(active)])
         for slot in range(sim.n_windows):
-            outcomes = sim.step(slot, active)
+            reports = sim.step(slot, active)
             frame: Dict[str, Any] = {
                 "type": "window",
                 "slot": slot,
-                "reports": [report_to_wire(outcome) for outcome in outcomes],
+                "reports": [report_to_wire(report) for report in reports],
             }
             if slot + 1 < sim.n_windows:
                 frame["states"] = states_to_wire(sim.states())

@@ -199,6 +199,10 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def states_from_wire(wire: Dict[str, Any]) -> Dict[int, NodeSlotState]:
     """Rebuild the ordered ``{node_id: NodeSlotState}`` map.
 
@@ -232,36 +236,38 @@ def states_from_wire(wire: Dict[str, Any]) -> Dict[int, NodeSlotState]:
     return states
 
 
-def report_to_wire(outcome: Any) -> List[Any]:
-    """An outcome/report as a compact wire list.
+def report_to_wire(report: WireReport) -> List[Any]:
+    """A report as a compact wire list.
 
     ``[node_id, slot, started_slot, completed, delivered, label,
     confidence, reported_label]`` — positional, because a window frame
     carries one per active node every 2.56 simulated seconds.
     """
     return [
-        outcome.node_id,
-        outcome.slot_index,
-        outcome.started_slot,
-        outcome.completed,
-        outcome.delivered,
-        outcome.predicted_label,
-        (None if outcome.confidence is None else float(outcome.confidence)),
-        outcome.reported_label,
+        report.node_id,
+        report.slot_index,
+        report.started_slot,
+        report.completed,
+        report.delivered,
+        report.predicted_label,
+        (None if report.confidence is None else float(report.confidence)),
+        report.reported_label,
     ]
 
 
 def report_from_wire(wire: Sequence[Any]) -> WireReport:
     """Rebuild a :class:`WireReport` from its wire list.
 
-    The flags must be JSON booleans, a confidence must be finite and
-    ``>= 0``, and a completed report must carry its started slot, label
-    and confidence.  Which node ids and labels a deployment knows is the
-    session's check (:class:`~repro.serve.session.Session`).
+    The flags must be JSON booleans; the node id, the slot, a present
+    started slot and present labels JSON integers (never a bool, float
+    or string); a confidence finite and ``>= 0``; and a completed report
+    must carry its started slot, label and confidence.  Which node ids,
+    slots and labels a deployment accepts is the session's check
+    (:class:`~repro.serve.session.Session`).
     """
     if not isinstance(wire, (list, tuple)) or len(wire) != 8:
         raise ServeError(f"bad report on the wire: {wire!r}")
-    completed, delivered, confidence = wire[3], wire[4], wire[6]
+    node_id, slot, started, completed, delivered, label, confidence, reported = wire
     if not (isinstance(completed, bool) and isinstance(delivered, bool)):
         raise ServeError(
             f"bad report on the wire: completed/delivered must be booleans, "
@@ -274,21 +280,29 @@ def report_from_wire(wire: Sequence[Any]) -> WireReport:
             f"bad report on the wire: confidence must be finite and >= 0, "
             f"got {confidence!r}"
         )
-    if completed and (wire[2] is None or wire[5] is None or confidence is None):
+    if completed and (started is None or label is None or confidence is None):
         raise ServeError(
             f"bad report on the wire: a completed report needs its started "
             f"slot, label and confidence: {wire!r}"
         )
-    try:
-        return WireReport(
-            node_id=int(wire[0]),
-            slot_index=int(wire[1]),
-            started_slot=(wire[2] if wire[2] is None else int(wire[2])),
-            completed=completed,
-            delivered=delivered,
-            predicted_label=(wire[5] if wire[5] is None else int(wire[5])),
-            confidence=(confidence if confidence is None else float(confidence)),
-            reported_label=(wire[7] if wire[7] is None else int(wire[7])),
+    if not (
+        _is_integer(node_id)
+        and _is_integer(slot)
+        and (started is None or _is_integer(started))
+        and (label is None or _is_integer(label))
+        and (reported is None or _is_integer(reported))
+    ):
+        raise ServeError(
+            f"bad report on the wire: the node id, slots and labels must be "
+            f"integers: {wire!r}"
         )
-    except (ValueError, TypeError) as error:
-        raise ServeError(f"bad report on the wire: {error}") from None
+    return WireReport(
+        node_id=node_id,
+        slot_index=slot,
+        started_slot=started,
+        completed=completed,
+        delivered=delivered,
+        predicted_label=label,
+        confidence=(confidence if confidence is None else float(confidence)),
+        reported_label=reported,
+    )

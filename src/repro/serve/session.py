@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.core.engine import SessionEngine
+from repro.core.engine import SessionEngine, WireReport
 from repro.core.policies import PolicySpec
 from repro.datasets.base import HARDataset
 from repro.errors import ServeError
@@ -266,22 +266,35 @@ class Session:
             online=[state.online for state in states.values()],
         )
 
-    def _check_reports(self, reports: List[Any]) -> List[Any]:
+    def _check_reports(self, reports: List[WireReport], slot: int) -> List[WireReport]:
         # The engine trusts its inputs: a stranger's node id or a label
         # outside the deployment's classes would be voted on (or fail
-        # deep inside the confidence matrix), so reject them here.
+        # deep inside the confidence matrix), and a node reporting twice
+        # would be ingested and counted twice, so reject them here.  A
+        # device reports each node at most once per window, for that
+        # window's slot, on a window sensed no later than it.
         node_ids = self.engine.node_ids
         n_classes = self.engine.confidence.n_classes
+        seen = set()
         for report in reports:
-            if report.node_id not in node_ids:
-                raise ServeError(
-                    f"report from node {report.node_id}, not one of {node_ids}"
-                )
+            node_id = report.node_id
+            if node_id not in node_ids:
+                raise ServeError(f"report from node {node_id}, not one of {node_ids}")
             for label in (report.predicted_label, report.reported_label):
                 if label is not None and not 0 <= label < n_classes:
                     raise ServeError(
                         f"report label {label} outside [0, {n_classes})"
                     )
+            if node_id in seen:
+                raise ServeError(f"second report from node {node_id} in the window of slot {slot}")
+            seen.add(node_id)
+            if report.slot_index != slot:
+                raise ServeError(
+                    f"report for slot {report.slot_index} in the window of slot {slot}"
+                )
+            started = report.started_slot
+            if started is not None and not 0 <= started <= slot:
+                raise ServeError(f"report started slot {started} outside [0, {slot}]")
         return reports
 
     def _handle_window(
@@ -302,7 +315,7 @@ class Session:
         raw_reports = frame["reports"]
         if not isinstance(raw_reports, (list, tuple)):
             raise ServeError(f"reports must be a list, got {type(raw_reports).__name__}")
-        reports = self._check_reports([report_from_wire(raw) for raw in raw_reports])
+        reports = self._check_reports([report_from_wire(raw) for raw in raw_reports], slot)
         self.windows += 1
         self.completions += sum(1 for report in reports if report.completed)
         if self.metrics is not None:

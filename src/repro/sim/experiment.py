@@ -41,7 +41,7 @@ from repro.sim.predcache import RunMaterial, default_subject
 from repro.sim.results import ExperimentResult
 from repro.sim.training import TrainedSensorBundle, TrainingConfig
 from repro.utils.rng import SeedSequenceFactory
-from repro.wsn.comm import CommLink, RadioProfile
+from repro.wsn.comm import RadioProfile
 from repro.wsn.node import NodeCosts, SensorNode
 
 logger = logging.getLogger(__name__)
@@ -243,7 +243,7 @@ class HARExperiment:
                     nvp=NonVolatileProcessor(
                         config.checkpoint_overhead, volatile=config.volatile
                     ),
-                    comm=CommLink(config.radio),
+                    radio=config.radio,
                     costs=config.costs,
                     slot_duration_s=spec.window_duration_s,
                     max_task_age_slots=config.max_task_age_slots,

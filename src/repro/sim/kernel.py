@@ -71,8 +71,7 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.predcache import RunMaterial, build_run_material, default_subject, fill_rows
 from repro.sim.results import ExperimentResult, SlotRecord
 from repro.utils.rng import SeedSequenceFactory
-from repro.wsn.comm import CommLink
-from repro.wsn.node import InferenceOutcome, NodeStats, SensorNode
+from repro.wsn.node import NodeStats, SensorNode
 
 logger = logging.getLogger(__name__)
 
@@ -198,7 +197,7 @@ class SlotKernel:
             useful_fraction=tiled([n.nvp.useful_fraction for n in nodes]),
             volatile=tiled([n.nvp.volatile for n in nodes], dtype=bool),
             comm_cost_j=tiled(
-                [n.comm.message_cost_j(n.costs.result_message_bytes) for n in nodes]
+                [n.radio.message_cost_j(n.costs.result_message_bytes) for n in nodes]
             ),
             max_task_age_slots=tiled(
                 [
@@ -384,89 +383,8 @@ class SlotKernel:
 
 
 # ---------------------------------------------------------------------------
-# lane outcomes and their trace events
+# lane trace events
 # ---------------------------------------------------------------------------
-
-
-def outcome_sources(nodes: Sequence[SensorNode], material: RunMaterial) -> List[Dict[str, Any]]:
-    """Per node, the run-independent arguments of :func:`lane_outcomes`."""
-    class_predictions = material.class_predictions()
-    return [
-        {
-            "node_id": node.node_id,
-            "location": node.location,
-            "probabilities": material.probabilities[node.node_id],
-            "predicted": class_predictions[node.node_id][0],
-            "confidences": class_predictions[node.node_id][1],
-            "result_message_bytes": node.costs.result_message_bytes,
-        }
-        for node in nodes
-    ]
-
-
-def lane_outcomes(
-    events: SlotEvents,
-    base: int,
-    positions: Sequence[int],
-    *,
-    slot: int,
-    comms: Sequence[CommLink],
-    sources: Sequence[Dict[str, Any]],
-) -> List[InferenceOutcome]:
-    """One run's outcomes for its active nodes (``positions``, ascending).
-
-    ``base`` is the run's first lane; node ``k`` of the run is lane
-    ``base + k``, reports over ``comms[k]`` and reads ``sources[k]``
-    (from :func:`outcome_sources`).
-    """
-    return [
-        _lane_outcome(events, base + k, slot=slot, comm=comms[k], **sources[k])
-        for k in positions
-    ]
-
-
-def _lane_outcome(
-    events: SlotEvents,
-    lane: int,
-    *,
-    node_id: int,
-    location,
-    slot: int,
-    probabilities: np.ndarray,
-    predicted: np.ndarray,
-    confidences: np.ndarray,
-    comm: CommLink,
-    result_message_bytes: int,
-) -> InferenceOutcome:
-    """Materialize one active lane's slot outcome."""
-    if events.sense_fail[lane]:
-        return InferenceOutcome(
-            node_id, location, slot, slot, False,
-            energy_consumed_j=float(events.sense_paid[lane]),
-        )
-    if not events.completed[lane]:
-        return InferenceOutcome(
-            node_id, location, slot, int(events.started[lane]), False,
-            energy_consumed_j=float(events.burst_consumed[lane]),
-        )
-    started_slot = int(events.started[lane])
-    label = int(predicted[started_slot])
-    # The link transmits, so its message/energy counters and any fault
-    # delivery hook run; the capacitor-side draw happened in advance().
-    sent = comm.transmit(result_message_bytes, slot, label)
-    return InferenceOutcome(
-        node_id=node_id,
-        location=location,
-        slot_index=slot,
-        started_slot=started_slot,
-        completed=True,
-        predicted_label=label,
-        probabilities=probabilities[started_slot],
-        confidence=float(confidences[started_slot]),
-        energy_consumed_j=float(events.burst_consumed[lane] + events.comm_paid[lane]),
-        delivered=sent.delivery.delivered,
-        reported_label=(sent.delivery.label if sent.delivery.corrupted else None),
-    )
 
 
 @dataclass(frozen=True)
@@ -1184,7 +1102,7 @@ def run_policy_batch(
     ``len(policies)`` runs advance in lockstep as lanes of one
     :class:`SlotKernel` (they share the seed's traces, material and
     fault plan), while each run keeps its own scheduler, host, voting,
-    confidence matrix, comm links and fault engine.  Returns one
+    confidence matrix, link fault channels and fault engine.  Returns one
     :class:`~repro.sim.results.ExperimentResult` per policy, in order,
     each byte-identical to ``experiment.run(policy, seed=seed, ...)``.
 

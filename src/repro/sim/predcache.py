@@ -27,7 +27,9 @@ needs it:
   requested row with one ``predict_logits`` per model, across all the
   materials of a kernel batch;
 * :meth:`RunMaterial.complete` computes whatever is left, for consumers
-  that read every row (a sweep unit, the baselines, a served device).
+  that read every row (a sweep unit, the baselines).  Kernel batches and
+  served devices read only the rows their completions need
+  (:meth:`RunMaterial.rows`).
 
 Determinism contract
 --------------------
@@ -204,8 +206,7 @@ class RunMaterial:
     def rows(self, node_id: int, slots: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """``(labels, confidences)`` of ``node_id`` at ``slots``, filling them first.
 
-        The argmax and variance-of-softmax confidence of each row, as
-        :meth:`class_predictions` holds them.
+        Each row's softmax argmax and variance-of-softmax confidence.
         """
         slots = np.asarray(slots, dtype=np.int64)
         fill_rows([(self, node_id, slots)])
@@ -225,20 +226,6 @@ class RunMaterial:
                 for node_id in missing:
                     self._complete_node(node_id)
         return self
-
-    def class_predictions(self) -> Dict[int, tuple]:
-        """``{node id: (argmax labels, variance confidences)}``, completed.
-
-        The scan-friendly face of :attr:`probabilities` for slot-by-slot
-        consumers: per-slot predicted label and variance-of-softmax
-        confidence, byte-identical to per-row ``argmax()`` /
-        ``confidence_from_softmax``.
-        """
-        self.complete()
-        return {
-            node_id: (_read_only(node.predicted), _read_only(node.confidence))
-            for node_id, node in self._nodes.items()
-        }
 
     def _complete_node(self, node_id: int) -> _NodeRows:
         node = self._nodes[node_id]

@@ -7,18 +7,15 @@ parameter records; their slot physics runs as lanes of
 :class:`repro.sim.kernel.SlotKernel`, one IMU window per slot.
 """
 
-from repro.wsn.comm import CommLink, Delivery, RadioProfile, TransmitResult
+from repro.wsn.comm import Delivery, RadioProfile
 from repro.wsn.host import HostDevice, ReceivedVote
-from repro.wsn.node import InferenceOutcome, NodeCosts, NodeStats, SensorNode
+from repro.wsn.node import NodeCosts, NodeStats, SensorNode
 
 __all__ = [
-    "CommLink",
     "Delivery",
-    "TransmitResult",
     "RadioProfile",
     "HostDevice",
     "ReceivedVote",
-    "InferenceOutcome",
     "NodeCosts",
     "NodeStats",
     "SensorNode",

@@ -2,9 +2,14 @@
 
 The paper assumes communication cost is "negligible since it
 infrequently sends a few bytes of data to the host" (§IV-A).  Instead of
-hard-coding zero, this module models per-message energy and latency so
-that the assumption is *checkable* (and breakable, for sensitivity
-studies).
+hard-coding zero, this module models per-message energy so that the
+assumption is *checkable* (and breakable, for sensitivity studies).
+
+Every completed inference sends one result message.  Its energy
+(:meth:`RadioProfile.message_cost_j`), its loss or corruption (a fault
+channel's :data:`DeliveryHook`) and the per-link counters
+(:class:`~repro.faults.stats.LinkStats`) are lane arithmetic of
+:mod:`repro.sim.kernel`.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.errors import ConfigurationError
 from repro.utils.validation import check_non_negative, check_positive_int
 
 
@@ -31,7 +35,7 @@ class Delivery:
 
 
 #: Per-message fault hook: ``hook(slot_index, label) -> Delivery``.
-#: Installed on a link by the fault engine; ``None`` means lossless.
+#: The fault engine supplies one per lossy link; ``None`` means lossless.
 DeliveryHook = Callable[[int, int], Delivery]
 
 
@@ -69,118 +73,7 @@ class RadioProfile:
             latency_per_message_s=0.004,
         )
 
-
-class CommLink:
-    """Point-to-point link from a node to the host.
-
-    Tracks cumulative energy and message counts so experiments can
-    verify the paper's negligible-communication assumption.
-    """
-
-    def __init__(
-        self,
-        profile: RadioProfile,
-        *,
-        delivery_hook: Optional[DeliveryHook] = None,
-    ) -> None:
-        if not isinstance(profile, RadioProfile):
-            raise ConfigurationError("profile must be a RadioProfile")
-        self.profile = profile
-        self.delivery_hook = delivery_hook
-        self._messages = 0
-        self._bytes = 0
-        self._energy_j = 0.0
-        self._delivered = 0
-        self._dropped = 0
-        self._corrupted = 0
-
-    @property
-    def messages_sent(self) -> int:
-        """Messages transmitted so far."""
-        return self._messages
-
-    @property
-    def bytes_sent(self) -> int:
-        """Payload bytes transmitted so far."""
-        return self._bytes
-
-    @property
-    def energy_spent_j(self) -> float:
-        """Total radio energy so far."""
-        return self._energy_j
-
-    @property
-    def messages_delivered(self) -> int:
-        """Messages that reached the host (including corrupted ones)."""
-        return self._delivered
-
-    @property
-    def messages_dropped(self) -> int:
-        """Messages lost in transit (energy was still spent)."""
-        return self._dropped
-
-    @property
-    def messages_corrupted(self) -> int:
-        """Delivered messages whose payload was garbled."""
-        return self._corrupted
-
-    @property
-    def delivery_rate(self) -> float:
-        """Fraction of sent messages that arrived."""
-        return self._delivered / self._messages if self._messages else 0.0
-
     def message_cost_j(self, payload_bytes: int) -> float:
-        """Energy one message of ``payload_bytes`` will cost."""
+        """Energy one message of ``payload_bytes`` costs."""
         check_positive_int("payload_bytes", payload_bytes)
-        return (
-            self.profile.wakeup_energy_j
-            + payload_bytes * self.profile.energy_per_byte_j
-        )
-
-    def send(self, payload_bytes: int) -> float:
-        """Account for one message; returns its energy cost.
-
-        Bypasses the delivery hook (the message counts as delivered) —
-        use :meth:`transmit` for fault-aware sends.
-        """
-        cost = self.message_cost_j(payload_bytes)
-        self._messages += 1
-        self._bytes += payload_bytes
-        self._energy_j += cost
-        self._delivered += 1
-        return cost
-
-    def transmit(self, payload_bytes: int, slot_index: int, label: int) -> "TransmitResult":
-        """Send one result message through the (possibly faulty) link.
-
-        The radio spends the full message energy regardless of delivery
-        — a dropped packet is lost after transmission, not before.
-        """
-        cost = self.message_cost_j(payload_bytes)
-        self._messages += 1
-        self._bytes += payload_bytes
-        self._energy_j += cost
-        if self.delivery_hook is None:
-            delivery = Delivery(delivered=True, label=label)
-        else:
-            delivery = self.delivery_hook(slot_index, label)
-        if delivery.delivered:
-            self._delivered += 1
-            if delivery.corrupted:
-                self._corrupted += 1
-        else:
-            self._dropped += 1
-        return TransmitResult(cost_j=cost, delivery=delivery)
-
-    @property
-    def latency_s(self) -> float:
-        """Delivery latency of one message."""
-        return self.profile.latency_per_message_s
-
-
-@dataclass(frozen=True)
-class TransmitResult:
-    """Energy cost and delivery outcome of one :meth:`CommLink.transmit`."""
-
-    cost_j: float
-    delivery: Delivery
+        return self.wakeup_energy_j + payload_bytes * self.energy_per_byte_j

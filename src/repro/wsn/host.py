@@ -18,13 +18,13 @@ reuse of the previous label on that version.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.obs.observer import NULL_OBS, Observability
-from repro.wsn.node import InferenceOutcome
+
+if TYPE_CHECKING:
+    from repro.core.engine import WireReport
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class ReceivedVote:
     node_id: int
     label: int
     confidence: float
-    probabilities: Optional[np.ndarray]
     received_slot: int
     started_slot: int
     weight: float = 1.0
@@ -162,27 +161,26 @@ class HostDevice:
 
     # ------------------------------------------------------------------
 
-    def receive(self, outcome: InferenceOutcome) -> None:
+    def receive(self, report: "WireReport") -> None:
         """Ingest a completed inference result from a node.
 
-        The stored label is :attr:`InferenceOutcome.delivered_label` —
-        what actually arrived over the link, which differs from the
+        The stored label is :attr:`~repro.core.engine.WireReport.delivered_label`
+        — what actually arrived over the link, which differs from the
         node's prediction when the payload was corrupted in transit.
         """
-        if not outcome.completed:
+        if not report.completed:
             raise SimulationError("host only receives completed inferences")
-        if not outcome.delivered:
+        if not report.delivered:
             raise SimulationError("host cannot receive a dropped message")
         self._messages_received += 1
         self._memory_version += 1
-        self._last_heard[outcome.node_id] = outcome.slot_index
-        self._memory[outcome.node_id] = ReceivedVote(
-            node_id=outcome.node_id,
-            label=outcome.delivered_label,
-            confidence=outcome.confidence if outcome.confidence is not None else 0.0,
-            probabilities=outcome.probabilities,
-            received_slot=outcome.slot_index,
-            started_slot=outcome.started_slot,
+        self._last_heard[report.node_id] = report.slot_index
+        self._memory[report.node_id] = ReceivedVote(
+            node_id=report.node_id,
+            label=report.delivered_label,
+            confidence=report.confidence if report.confidence is not None else 0.0,
+            received_slot=report.slot_index,
+            started_slot=report.started_slot,
         )
 
     def _staleness_weighted(

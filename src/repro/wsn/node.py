@@ -6,11 +6,12 @@ node lives in discrete scheduling slots (one IMU window per slot):
 * every slot it harvests into its capacitor (and leaks);
 * on an *active* slot it senses a window and runs (or resumes) an
   inference on the NVP, spending stored energy;
-* a completed inference yields an :class:`InferenceOutcome` carrying the
-  softmax vector and the paper's variance-of-softmax confidence score.
+* a completed inference sends the host one result message: the label
+  and the paper's variance-of-softmax confidence score
+  (:class:`~repro.core.engine.WireReport`).
 
 Because the NVP checkpoints, an inference may span several active slots;
-the outcome then reports the slot whose window was actually classified
+the report then names the slot whose window was actually classified
 (``started_slot``), which is how recall staleness enters the system.
 
 :class:`SensorNode` is the parameter record of one node; the slot
@@ -29,9 +30,9 @@ from repro.datasets.body import BodyLocation
 from repro.energy.harvester import Harvester
 from repro.energy.nvp import NonVolatileProcessor
 from repro.energy.storage import Capacitor
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.utils.validation import check_non_negative, check_positive
-from repro.wsn.comm import CommLink
+from repro.wsn.comm import RadioProfile
 
 
 @dataclass(frozen=True)
@@ -82,38 +83,6 @@ class NodeStats:
         return total
 
 
-@dataclass(frozen=True)
-class InferenceOutcome:
-    """What one active slot produced.
-
-    ``delivered``/``reported_label`` describe what the radio link did to
-    the result message: a dropped message never reaches the host (though
-    its energy was spent), and a corrupted one arrives with
-    ``reported_label`` in place of the true prediction.
-    """
-
-    node_id: int
-    location: BodyLocation
-    slot_index: int
-    started_slot: int
-    completed: bool
-    predicted_label: Optional[int] = None
-    probabilities: Optional[np.ndarray] = None
-    confidence: Optional[float] = None
-    energy_consumed_j: float = 0.0
-    delivered: bool = True
-    reported_label: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.completed and (self.predicted_label is None or self.probabilities is None):
-            raise SimulationError("completed outcome must carry a prediction")
-
-    @property
-    def delivered_label(self) -> Optional[int]:
-        """The label as the host receives it (garbled if corrupted)."""
-        return self.reported_label if self.reported_label is not None else self.predicted_label
-
-
 class SensorNode:
     """One energy-harvesting HAR sensor node's parameters.
 
@@ -123,8 +92,9 @@ class SensorNode:
         Identity and body placement.
     inference_energy_j:
         Useful work one inference requires (from the energy model).
-    harvester / capacitor / nvp / comm:
-        Substrate components (each independently configurable).
+    harvester / capacitor / nvp / radio:
+        Substrate components (each independently configurable); the
+        radio prices the result message.
     costs:
         Non-DNN energy costs.
     slot_duration_s:
@@ -142,7 +112,7 @@ class SensorNode:
         harvester: Harvester,
         capacitor: Capacitor,
         nvp: NonVolatileProcessor,
-        comm: CommLink,
+        radio: RadioProfile,
         *,
         costs: NodeCosts = NodeCosts(),
         slot_duration_s: float = 2.56,
@@ -154,7 +124,9 @@ class SensorNode:
         self.harvester = harvester
         self.capacitor = capacitor
         self.nvp = nvp
-        self.comm = comm
+        if not isinstance(radio, RadioProfile):
+            raise ConfigurationError("radio must be a RadioProfile")
+        self.radio = radio
         self.costs = costs
         self.slot_duration_s = check_positive("slot_duration_s", slot_duration_s)
         if max_task_age_slots is not None and max_task_age_slots < 1:

@@ -11,7 +11,7 @@ from repro.wsn.host import ReceivedVote
 
 
 def vote(node_id, label, confidence=0.1, started_slot=0):
-    return ReceivedVote(node_id, label, confidence, None, started_slot, started_slot)
+    return ReceivedVote(node_id, label, confidence, started_slot, started_slot)
 
 
 class TestAnticipationDrivesSelection:

@@ -538,7 +538,7 @@ class TestVoteReuse:
 class TestVoters:
     def test_negative_label_raises_instead_of_wrapping(self):
         voter = WeightedMajorityVote(confidence_matrix(0.0))
-        vote = ReceivedVote(0, -1, 0.2, None, 0, 0)
+        vote = ReceivedVote(0, -1, 0.2, 0, 0)
         with pytest.raises(ConfigurationError, match="out of range"):
             voter([vote], 0)
 
@@ -557,7 +557,7 @@ class TestVoters:
     )
     def test_voters_match_reference(self, votes):
         recalled = [
-            ReceivedVote(node, label, conf, None, 0, started, weight)
+            ReceivedVote(node, label, conf, 0, started, weight)
             for node, label, conf, started, weight in votes
         ]
         matrix = confidence_matrix(0.0)

@@ -13,7 +13,6 @@ def vote(node_id, label, confidence=0.1, started_slot=0):
         node_id=node_id,
         label=label,
         confidence=confidence,
-        probabilities=None,
         received_slot=started_slot,
         started_slot=started_slot,
     )

@@ -9,9 +9,8 @@ from repro.core.scheduling import (
     RankTable,
     SchedulingContext,
 )
-from repro.datasets.body import BodyLocation
+from repro.core.engine import WireReport
 from repro.errors import SchedulingError
-from repro.wsn.node import InferenceOutcome
 
 NODES = [0, 1, 2]
 
@@ -30,14 +29,7 @@ def context(ready=None, anticipated=None):
 
 
 def completed_outcome(node_id, label, slot):
-    import numpy as np
-
-    probs = np.full(3, 0.05)
-    probs[label] = 0.9
-    return InferenceOutcome(
-        node_id, BodyLocation.CHEST, slot, slot, True,
-        predicted_label=label, probabilities=probs, confidence=0.1,
-    )
+    return WireReport(node_id, slot, slot, True, predicted_label=label, confidence=0.1)
 
 
 class TestNaiveAllOn:

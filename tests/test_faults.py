@@ -10,12 +10,13 @@ retry/backoff reroute.  Experiment-level behaviour lives in
 import numpy as np
 import pytest
 
+from repro.core.engine import WireReport
+from repro.core.policies import naive_policy
 from repro.core.scheduling.aas import ActivityAwareScheduler
 from repro.core.scheduling.base import SchedulingContext
 from repro.core.scheduling.rank_table import RankTable
 from repro.core.scheduling.round_robin import ExtendedRoundRobin
 from repro.core.ensemble.voting import MajorityVote
-from repro.datasets.body import BodyLocation
 from repro.errors import FaultError, ReproError, SimulationError
 from repro.faults import (
     Brownout,
@@ -27,20 +28,16 @@ from repro.faults import (
     PacketLoss,
     PayloadCorruption,
 )
-from repro.wsn.comm import CommLink, Delivery, RadioProfile
 from repro.wsn.host import HostDevice
-from repro.wsn.node import InferenceOutcome
 
 
 def _outcome(node_id, label, slot, *, delivered=True, reported=None):
-    return InferenceOutcome(
+    return WireReport(
         node_id=node_id,
-        location=BodyLocation.CHEST,
         slot_index=slot,
         started_slot=slot,
         completed=True,
         predicted_label=label,
-        probabilities=np.array([0.1, 0.9]),
         confidence=0.9,
         delivered=delivered,
         reported_label=reported,
@@ -272,47 +269,45 @@ class TestLossStatistics:
 
 
 class TestLossyCommLink:
-    def test_transmit_without_hook_delivers(self):
-        link = CommLink(RadioProfile.ble())
-        result = link.transmit(6, slot_index=0, label=3)
-        assert result.delivery == Delivery(delivered=True, label=3)
-        assert result.cost_j == pytest.approx(link.message_cost_j(6))
-        assert link.messages_delivered == 1
-        assert link.delivery_rate == 1.0
+    """One node's lossy link, as the kernel's lane arithmetic runs it.
 
-    def test_dropped_message_still_costs_energy(self):
-        link = CommLink(
-            RadioProfile.ble(),
-            delivery_hook=lambda slot, label: Delivery(delivered=False, label=None),
-        )
-        result = link.transmit(6, slot_index=0, label=3)
-        assert not result.delivery.delivered
-        assert link.messages_sent == 1
-        assert link.messages_dropped == 1
+    Every completion sends one message and pays its radio energy; the
+    link's fault channel then decides delivery, and the run's
+    :class:`~repro.faults.stats.LinkStats` count what it decided.
+    """
+
+    def _run(self, experiment, *faults):
+        result = experiment.run(naive_policy(3), seed=5, faults=FaultPlan(faults=faults))
+        return result, result.fault_stats.per_link
+
+    def test_transmit_without_hook_delivers(self, tiny_experiment):
+        lossy, *clean = tiny_experiment.bundle.confidence_matrix.node_ids
+        _, links = self._run(tiny_experiment, PacketLoss(node_id=lossy, rate=1.0))
+        for node_id in clean:
+            link = links[node_id]
+            assert link.messages_sent > 0
+            assert link.messages_delivered == link.messages_sent
+            assert link.messages_dropped == link.messages_corrupted == 0
+
+    def test_dropped_message_still_costs_energy(self, tiny_experiment):
+        lossy = tiny_experiment.bundle.confidence_matrix.node_ids[0]
+        result, links = self._run(tiny_experiment, PacketLoss(node_id=lossy, rate=1.0))
+        link = links[lossy]
+        assert link.messages_sent == result.node_stats[lossy].completions > 0
+        assert link.messages_dropped == link.messages_sent
         assert link.messages_delivered == 0
-        assert link.energy_spent_j == pytest.approx(link.message_cost_j(6))
-        assert link.delivery_rate == 0.0
-
-    def test_corrupted_message_counted(self):
-        link = CommLink(
-            RadioProfile.ble(),
-            delivery_hook=lambda slot, label: Delivery(
-                delivered=True, label=(label + 1) % 5, corrupted=True
-            ),
+        cost = tiny_experiment.config.radio.message_cost_j(
+            tiny_experiment.config.costs.result_message_bytes
         )
-        result = link.transmit(6, slot_index=0, label=3)
-        assert result.delivery.corrupted and result.delivery.label == 4
-        assert link.messages_corrupted == 1
-        assert link.messages_delivered == 1
+        sent = sum(entry.messages_sent for entry in links.values())
+        assert result.comm_energy_j == pytest.approx(sent * cost)
 
-    def test_send_bypasses_hook(self):
-        link = CommLink(
-            RadioProfile.ble(),
-            delivery_hook=lambda slot, label: Delivery(delivered=False, label=None),
-        )
-        link.send(6)
-        assert link.messages_delivered == 1
-        assert link.messages_dropped == 0
+    def test_corrupted_message_counted(self, tiny_experiment):
+        noisy, *clean = tiny_experiment.bundle.confidence_matrix.node_ids
+        _, links = self._run(tiny_experiment, PayloadCorruption(node_id=noisy, rate=1.0))
+        link = links[noisy]
+        assert link.messages_corrupted == link.messages_delivered == link.messages_sent > 0
+        assert all(links[node_id].messages_corrupted == 0 for node_id in clean)
 
 
 class TestHostFaultSurface:

@@ -180,6 +180,47 @@ class TestCodecs:
             report_from_wire({"node_id": 1})
         with pytest.raises(ServeError, match="bad report"):
             report_from_wire([0, 0, 0, True, True, "four-ish", None, None])
+        with pytest.raises(ServeError, match="completed report needs"):
+            report_from_wire([0, 0, 0, True, True, None, 0.1, None])
+
+
+#: A completed, corrupted report: node 2, slot 5, started at slot 2.
+GOOD_REPORT = [2, 5, 2, True, True, 1, 0.1, 0]
+#: Values ``int()`` would coerce but JSON does not call integers.
+NOT_INTEGERS = pytest.mark.parametrize(
+    "value", ["2", 2.0, 2.9, True], ids=["string", "integral-float", "float", "bool"]
+)
+
+
+def _reject_at(index, value):
+    wire = list(GOOD_REPORT)
+    wire[index] = value
+    with pytest.raises(ServeError, match="must be integers"):
+        report_from_wire(wire)
+
+
+class TestReportIntegers:
+    """Node ids, slots and labels decode only from JSON integers."""
+
+    @NOT_INTEGERS
+    def test_node_id_must_be_an_integer(self, value):
+        _reject_at(0, value)
+
+    @NOT_INTEGERS
+    def test_slot_must_be_an_integer(self, value):
+        _reject_at(1, value)
+
+    @NOT_INTEGERS
+    def test_started_slot_must_be_an_integer(self, value):
+        _reject_at(2, value)
+
+    @NOT_INTEGERS
+    def test_label_must_be_an_integer(self, value):
+        _reject_at(5, value)
+
+    @NOT_INTEGERS
+    def test_reported_label_must_be_an_integer(self, value):
+        _reject_at(7, value)
 
 
 def test_protocol_version_is_one():

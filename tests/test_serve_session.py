@@ -255,3 +255,57 @@ class TestHostileInputs:
             session.handle(with_report(tape.windows[0], completed_report(99)))
         (decision,) = session.handle(tape.windows[0])
         assert decision["label"] == tape.expected_labels[0]
+
+
+class TestReportsADeviceCouldSend:
+    """A window carries at most one report per node, for its own slot,
+    on a window sensed no later than that slot."""
+
+    SLOT = 5
+
+    @pytest.fixture(scope="class")
+    def rr3_tape(self, tiny_experiment):
+        return record_tape(tiny_experiment, origin_policy(3), seed=9)
+
+    @pytest.fixture(scope="class")
+    def node(self, catalog):
+        return catalog.get("default").node_ids[0]
+
+    def rejected(self, catalog, tape, reports, match):
+        """Window ``SLOT`` with ``reports`` fails before the engine moves,
+        and the recorded window is still decided as on the tape."""
+        session = fresh(catalog)
+        session.handle(tape.hello)
+        for frame in tape.windows[: self.SLOT]:
+            session.handle(frame)
+        engine = session.engine
+
+        def state():
+            return (
+                engine.host.messages_received,
+                engine.confidence_updates,
+                session.completions,
+                session.windows,
+            )
+
+        before = state()
+        with pytest.raises(ServeError, match=match):
+            session.handle(dict(tape.windows[self.SLOT], reports=reports))
+        assert state() == before
+        (decision,) = session.handle(tape.windows[self.SLOT])
+        assert decision["label"] == tape.expected_labels[self.SLOT]
+
+    def test_second_report_from_a_node_rejected(self, catalog, rr3_tape, node):
+        report = [node, self.SLOT, self.SLOT, True, True, 1, 0.1, None]
+        self.rejected(catalog, rr3_tape, [report, report], "second report from node")
+
+    def test_report_for_another_slot_rejected(self, catalog, rr3_tape, node):
+        report = [node, self.SLOT + 1, self.SLOT, True, True, 1, 0.1, None]
+        self.rejected(catalog, rr3_tape, [report], "report for slot 6")
+
+    @pytest.mark.parametrize("started", [-5, SLOT + 1, 40])
+    def test_started_slot_outside_the_window_range_rejected(
+        self, catalog, rr3_tape, node, started
+    ):
+        report = [node, self.SLOT, started, True, True, 1, 0.1, None]
+        self.rejected(catalog, rr3_tape, [report], f"started slot {started} outside")

@@ -35,7 +35,7 @@ from repro.obs.summarize import split_runs
 from repro.sim.experiment import HARExperiment, SimulationConfig
 from repro.sim.kernel import SlotKernel, run_policy_batch
 from repro.sim.sweep import PolicySweep
-from repro.wsn.comm import CommLink, RadioProfile
+from repro.wsn.comm import RadioProfile
 from repro.wsn.node import NodeCosts, SensorNode
 
 SLOT_S = 2.56
@@ -73,7 +73,7 @@ def _make_node(
         Harvester(PowerTrace(dt_s=SLOT_S, watts=watts)),
         Capacitor(capacity_j, initial_j, leakage_w),
         NonVolatileProcessor(checkpoint_overhead, volatile=volatile),
-        CommLink(RadioProfile.ble()),
+        RadioProfile.ble(),
         costs=NodeCosts(sense_j=sense_j, idle_j=idle_j),
         slot_duration_s=SLOT_S,
         max_task_age_slots=max_task_age_slots,

@@ -5,7 +5,7 @@ inference), so a material computes a row only when a run first needs it
 and gets the same bytes it would by computing the whole seed.  These
 tests pin both halves: row independence of ``predict_logits``, and
 lazy materials (filled in any order, inside kernel batches, across a
-fleet shard) against completed ones.
+fleet shard, by a served device) against completed ones.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from repro.nn.model import Sequential
 from repro.obs import Observability
 from repro.obs.summarize import split_runs
 from repro.obs.trace import NULL_TRACER
+from repro.serve.client import DeviceSim
+from repro.serve.session import ServeProfile
 from repro.sim.kernel import BatchGroup, run_group_batch, run_policy_batch
 from repro.sim.predcache import build_run_material, fill_rows
 from repro.sim.sweep import PolicySweep
@@ -121,10 +123,9 @@ def _assert_same_material(lazy, full) -> None:
             np.testing.assert_array_equal(
                 getattr(lazy, name)[node_id], getattr(full, name)[node_id], err_msg=name
             )
-    lazy_predictions, full_predictions = lazy.class_predictions(), full.class_predictions()
-    for node_id, (labels, confidences) in full_predictions.items():
-        np.testing.assert_array_equal(lazy_predictions[node_id][0], labels)
-        np.testing.assert_array_equal(lazy_predictions[node_id][1], confidences)
+        every = np.arange(full.n_windows)
+        for got, expected in zip(lazy.rows(node_id, every), full.rows(node_id, every)):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestLazyMaterial:
@@ -164,10 +165,12 @@ class TestLazyMaterial:
             for seed, node_id, slots in requests:
                 assert lazy[seed].filled(node_id)[slots].all()
                 labels, confidences = lazy[seed].rows(node_id, slots)
-                full = _material(tiny_experiment, seed, n_windows=n_windows, dwell_scale=dwell)
-                expected = full.class_predictions()[node_id]
-                np.testing.assert_array_equal(labels, expected[0][slots])
-                np.testing.assert_array_equal(confidences, expected[1][slots])
+                full = _material(
+                    tiny_experiment, seed, n_windows=n_windows, dwell_scale=dwell
+                ).complete()
+                expected = full.rows(node_id, slots)
+                np.testing.assert_array_equal(labels, expected[0])
+                np.testing.assert_array_equal(confidences, expected[1])
         for seed, material in lazy.items():
             _assert_same_material(
                 material, _material(tiny_experiment, seed, n_windows=n_windows, dwell_scale=dwell)
@@ -289,6 +292,31 @@ class TestShardRows:
         ]
         assert filled == completed
         assert 0 < sum(rows) == sum(map(len, filled))
+
+
+class TestServedDeviceRows:
+    def test_device_fills_only_the_rows_it_reports(self, tiny_experiment):
+        # A served device reads rows as a kernel batch does: one per
+        # completed report, at the slot whose window it classified.
+        sim = DeviceSim(tiny_experiment, seed=9)
+        engine = ServeProfile.from_experiment("test", tiny_experiment).build_engine(
+            origin_policy(6)
+        )
+        full = _material(tiny_experiment, 9).complete()
+        reported = {node_id: set() for node_id in sim.node_ids}
+        for slot in range(sim.n_windows):
+            ready = [state.ready for state in sim.states().values()]
+            reports = sim.step(slot, engine.begin_slot(slot, ready))
+            for report in reports:
+                if report.completed:
+                    reported[report.node_id].add(report.started_slot)
+                    labels, confidences = full.rows(report.node_id, [report.started_slot])
+                    assert report.predicted_label == labels[0]
+                    assert report.confidence == confidences[0]
+            engine.finish_slot(slot, reports)
+        assert any(reported.values())
+        for node_id, started in reported.items():
+            assert set(np.flatnonzero(sim.material.filled(node_id)).tolist()) == started
 
 
 # ---------------------------------------------------------------------------

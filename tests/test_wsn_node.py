@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import SlotReports, WireReport, wire_reports
 from repro.datasets.body import BodyLocation
 from repro.energy.harvester import Harvester
 from repro.energy.nvp import NonVolatileProcessor
 from repro.energy.storage import Capacitor
 from repro.energy.traces import PowerTrace
 from repro.errors import SimulationError
-from repro.sim.kernel import SlotKernel, lane_outcomes
-from repro.wsn.comm import CommLink, RadioProfile
+from repro.sim.kernel import SlotKernel
+from repro.wsn.comm import RadioProfile
 from repro.wsn.host import HostDevice, ReceivedVote
-from repro.wsn.node import InferenceOutcome, NodeCosts, SensorNode
+from repro.wsn.node import NodeCosts, SensorNode
 
 
 def make_node(
@@ -33,7 +34,7 @@ def make_node(
         harvester=Harvester(trace),
         capacitor=Capacitor(capacity_j=capacity),
         nvp=NonVolatileProcessor(checkpoint_overhead=0.0, volatile=volatile),
-        comm=CommLink(RadioProfile.ble()),
+        radio=RadioProfile.ble(),
         slot_duration_s=1.0,
         **node_kwargs,
     )
@@ -43,7 +44,9 @@ class NodeLane:
     """One node stepped as a one-lane :class:`SlotKernel`.
 
     Completed inferences read a fixed random softmax per slot and report
-    over the node's own link, as a run's lane does.
+    as a served device's lane does: one row of
+    :class:`~repro.core.engine.SlotReports` turned into a
+    :class:`~repro.core.engine.WireReport`.
     """
 
     def __init__(self, node, n_slots=50, n_classes=3):
@@ -52,16 +55,9 @@ class NodeLane:
         probabilities = np.random.default_rng(node.node_id).dirichlet(
             np.ones(n_classes), size=n_slots
         )
-        self.sources = [
-            {
-                "node_id": node.node_id,
-                "location": node.location,
-                "probabilities": probabilities,
-                "predicted": probabilities.argmax(axis=1),
-                "confidences": probabilities.var(axis=1),
-                "result_message_bytes": node.costs.result_message_bytes,
-            }
-        ]
+        self.predicted = probabilities.argmax(axis=1)
+        self.confidences = probabilities.var(axis=1)
+        self.events = None
 
     @property
     def stored(self):
@@ -75,10 +71,19 @@ class NodeLane:
         self.kernel.advance(slot, np.zeros(1, dtype=bool))
 
     def active(self, slot):
-        events = self.kernel.advance(slot, np.ones(1, dtype=bool))
-        return lane_outcomes(
-            events, 0, [0], slot=slot, comms=[self.node.comm], sources=self.sources
-        )[0]
+        self.events = events = self.kernel.advance(slot, np.ones(1, dtype=bool))
+        started = events.started[None]
+        reports = SlotReports(
+            events.active[None],
+            events.completed[None],
+            np.ones((1, 1), dtype=bool),
+            self.predicted[started],
+            np.full((1, 1), -1),
+            self.confidences[started],
+            started,
+        )
+        (report,) = wire_reports(slot, reports, [self.node.node_id])
+        return report
 
 
 class TestSensorNodeHarvesting:
@@ -112,9 +117,8 @@ class TestSensorNodeInference:
         lane = NodeLane(make_node(watts=1e-3, inference_energy=100e-6))
         outcome = lane.active(0)
         assert outcome.completed
-        assert outcome.predicted_label is not None
-        assert outcome.probabilities.shape == (3,)
-        assert outcome.confidence is not None
+        assert outcome.predicted_label == lane.predicted[0]
+        assert outcome.confidence == lane.confidences[0]
         assert lane.stats.completions == 1
 
     def test_fails_without_energy_but_keeps_progress(self):
@@ -162,7 +166,7 @@ class TestSensorNodeInference:
         outcome = lane.active(0)
         assert not outcome.completed
         assert outcome.started_slot == 0
-        assert 0.0 < outcome.energy_consumed_j < node.costs.sense_j
+        assert 0.0 < lane.events.sense_paid[0] < node.costs.sense_j
         assert lane.stats.attempts_started == 0
         assert lane.stats.failed_active_slots == 1
 
@@ -170,8 +174,10 @@ class TestSensorNodeInference:
         node = make_node(watts=1e-3)
         lane = NodeLane(node)
         lane.active(0)
-        assert node.comm.messages_sent == 1
-        assert lane.stats.comm_j > 0
+        assert lane.stats.completions == 1
+        assert lane.stats.comm_j == pytest.approx(
+            node.radio.message_cost_j(node.costs.result_message_bytes)
+        )
 
     def test_can_start_inference(self):
         lane = NodeLane(make_node(watts=1e-3, inference_energy=100e-6))
@@ -185,12 +191,6 @@ class TestSensorNodeInference:
         assert lane.stats.completion_rate == 1.0
 
 
-class TestInferenceOutcomeValidation:
-    def test_completed_requires_prediction(self):
-        with pytest.raises(SimulationError):
-            InferenceOutcome(0, BodyLocation.CHEST, 0, 0, True)
-
-
 class TestNodeCosts:
     def test_invalid_rejected(self):
         with pytest.raises(Exception):
@@ -201,16 +201,12 @@ class TestNodeCosts:
 
 class TestHostDevice:
     def make_outcome(self, node_id, label, slot, confidence=0.1):
-        probs = np.full(3, 0.1)
-        probs[label] = 0.8
-        return InferenceOutcome(
+        return WireReport(
             node_id=node_id,
-            location=BodyLocation.CHEST,
             slot_index=slot,
             started_slot=slot,
             completed=True,
             predicted_label=label,
-            probabilities=probs,
             confidence=confidence,
         )
 
@@ -244,9 +240,7 @@ class TestHostDevice:
     def test_incomplete_outcome_rejected(self):
         host = HostDevice(vote=lambda votes, slot: 0)
         with pytest.raises(SimulationError):
-            host.receive(
-                InferenceOutcome(0, BodyLocation.CHEST, 0, 0, False)
-            )
+            host.receive(WireReport(0, 0, 0, False))
 
     def test_reset(self):
         host = HostDevice(vote=lambda votes, slot: votes[0].label)
@@ -256,5 +250,5 @@ class TestHostDevice:
         assert host.messages_received == 0
 
     def test_vote_age(self):
-        vote = ReceivedVote(0, 1, 0.1, None, received_slot=5, started_slot=3)
+        vote = ReceivedVote(0, 1, 0.1, received_slot=5, started_slot=3)
         assert vote.age(10) == 7
