@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -114,6 +114,10 @@ class SignalSynthesizer:
         self.sample_rate_hz = float(sample_rate_hz)
         self.window_size = int(window_size)
         self._time = np.arange(self.window_size) / self.sample_rate_hz
+        # Render constants, computed on first use: per signature its
+        # amplitude and gravity columns, per burst length its decay row.
+        self._columns: Dict[ActivitySignature, tuple] = {}
+        self._decay: Dict[int, np.ndarray] = {}
 
     @property
     def window_duration_s(self) -> float:
@@ -353,14 +357,11 @@ class SignalSynthesizer:
         across windows (so a window renders the same in any block)."""
         freq, amp_scale, window_phase, start, period_samples, scales = zip(*draws)
         count = len(draws)
-
-        amplitudes = np.concatenate(
-            [np.asarray(signature.accel_amplitude), np.asarray(signature.gyro_amplitude)]
-        )
-        gravity = np.concatenate([np.asarray(signature.gravity), np.zeros(3)])
+        amplitudes, gravity = self._signature_columns(signature)
 
         # Periodic component: harmonic series per channel.
-        signal = np.tile(gravity[:, None], (count, 1, self.window_size)).astype(np.float64)
+        signal = np.empty((count, N_CHANNELS, self.window_size))
+        signal[:] = gravity
         phases = _AXIS_PHASE[:, None] + np.array(window_phase)[:, None, None]
         omega_t = (2.0 * np.pi * np.array(freq))[:, None, None] * self._time
         amp_scale = np.array(amp_scale)[:, None, None]
@@ -368,7 +369,7 @@ class SignalSynthesizer:
             if weight <= 0:
                 continue
             signal += (
-                amplitudes[:, None]
+                amplitudes
                 * amp_scale
                 * weight
                 * np.sin(order * omega_t + order * phases)
@@ -389,7 +390,7 @@ class SignalSynthesizer:
                 scale[row, : len(values)] = values
             decay = np.zeros((len(scales), int(burst_len.max())))
             for length in set(burst_len.flat):
-                decay[burst_len[:, 0] == length, :length] = np.exp(-np.linspace(0.0, 4.0, length))
+                decay[burst_len[:, 0] == length, :length] = self._decay_row(length)
             direction = np.array([0.3, 1.0, 0.35])
             impacts = np.zeros((len(scales), 3, self.window_size))
             impacts[rows, :, samples] = (
@@ -403,3 +404,21 @@ class SignalSynthesizer:
         if noise is not None:
             signal += noise
         return signal.astype(np.float32)
+
+    def _signature_columns(self, signature: ActivitySignature) -> tuple:
+        """``(amplitudes[:, None], gravity[:, None])`` over the six channels."""
+        columns = self._columns.get(signature)
+        if columns is None:
+            amplitudes = np.concatenate(
+                [np.asarray(signature.accel_amplitude), np.asarray(signature.gyro_amplitude)]
+            )
+            gravity = np.concatenate([np.asarray(signature.gravity), np.zeros(3)])
+            columns = self._columns[signature] = (amplitudes[:, None], gravity[:, None])
+        return columns
+
+    def _decay_row(self, length: int) -> np.ndarray:
+        """The half-sine burst's ``length``-sample exponential decay."""
+        row = self._decay.get(length)
+        if row is None:
+            row = self._decay[length] = np.exp(-np.linspace(0.0, 4.0, length))
+        return row

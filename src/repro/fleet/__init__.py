@@ -10,7 +10,7 @@ and driving them through the vectorized slot kernel at fleet scale:
   distributions; user ``i`` samples identically on any shard layout.
 * :mod:`repro.fleet.runner` — :class:`FleetRunner`: kernel
   mega-batching (one :class:`~repro.sim.kernel.BatchGroup` per user,
-  one stacked kernel per shard), supervised multi-process sharding
+  one kernel per shard), supervised multi-process sharding
   with journal checkpoint/resume, and the users/second headline.
 * :mod:`repro.fleet.aggregate` — exact, order-invariant streaming
   statistics (:class:`ExactSum`, :class:`FleetDistribution`,

@@ -8,8 +8,9 @@ speed on each side of it:
    :class:`~repro.sim.kernel.BatchGroup` (its own seed, traces, gains,
    capacitor sizing and material) to a single
    :func:`~repro.sim.kernel.run_group_batch` call, so the whole shard's
-   slot physics advances as one stacked structure-of-arrays kernel and
-   its decisions as one columnar engine.  The base-config reference
+   slot physics advances as one structure-of-arrays kernel and its
+   decisions as one columnar engine; each user's result comes back as
+   columns, which :func:`user_metrics` reduces with array operations.  The base-config reference
    runs a shard needs and its worker has not memoized yet join the
    same call as extra groups.
 2. **Sharded execution** — each ``[lo, hi)`` user range is one executor
@@ -109,8 +110,9 @@ def user_metrics(
     (negative = the sampled deployment did better).
     """
     stats = result.node_stats.values()
+    event_accuracy = result.event_accuracy
     metrics = {
-        "event_accuracy": float(result.event_accuracy),
+        "event_accuracy": float(event_accuracy),
         "overall_accuracy": float(result.overall_accuracy),
         "completion_rate": float(result.completion_rate),
         "completions": float(result.total_completions),
@@ -119,9 +121,7 @@ def user_metrics(
         "comm_energy_j": float(result.comm_energy_j),
     }
     if reference is not None:
-        metrics["accuracy_drop"] = float(
-            reference.event_accuracy - result.event_accuracy
-        )
+        metrics["accuracy_drop"] = float(reference.event_accuracy - event_accuracy)
     return metrics
 
 

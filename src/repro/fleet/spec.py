@@ -305,6 +305,9 @@ class CohortSpec:
             raise ConfigurationError(
                 f"user index {index} outside cohort of {self.size}"
             )
+        return self._user(index, self.timeline_seeds())
+
+    def _user(self, index: int, seeds: Tuple[int, ...]) -> UserSpec:
         rng = SeedSequenceFactory(self.seed).generator(f"user/{index}")
         # Fixed draw order — part of the reproducibility contract.
         dwell = self.dwell_scale.sample(rng)
@@ -324,18 +327,22 @@ class CohortSpec:
             battery_supplement_w=supplement,
             node_gains=gains,
         )
-        seeds = self.timeline_seeds()
         return UserSpec(index=index, seed=seeds[index % self.n_timelines], config=config)
 
     def users(self, lo: int = 0, hi: Optional[int] = None) -> Iterator[UserSpec]:
-        """Lazily sample the half-open index range ``[lo, hi)``."""
+        """Lazily sample the half-open index range ``[lo, hi)``.
+
+        Equals ``user(i)`` for each index; the timeline-seed pool is
+        derived once per call.
+        """
         hi = self.size if hi is None else hi
         if not 0 <= lo <= hi <= self.size:
             raise ConfigurationError(
                 f"invalid user range [{lo}, {hi}) for cohort of {self.size}"
             )
+        seeds = self.timeline_seeds()
         for index in range(lo, hi):
-            yield self.user(index)
+            yield self._user(index, seeds)
 
     def material_group_bound(self) -> Optional[int]:
         """Upper bound on distinct run-material builds, if finite.

@@ -137,16 +137,16 @@ def encode_experiment_result(result: ExperimentResult) -> Dict[str, Any]:
         "policy_name": result.policy_name,
         "activities": [activity.value for activity in result.activities],
         "records": [
-            [
-                int(record.slot_index),
-                int(record.true_label),
-                None if record.predicted_label is None else int(record.predicted_label),
-                [int(node_id) for node_id in record.active_nodes],
-                int(record.completions),
-                int(record.attempts),
-                int(record.dropped_messages),
-            ]
-            for record in result.records
+            [slot, true, None if final < 0 else final, [int(node_id) for node_id in ids], *counts]
+            for slot, true, final, ids, *counts in zip(
+                result.slot_index.tolist(),
+                result.true_label.tolist(),
+                result.final_label.tolist(),
+                result.active_nodes,
+                result.completions.tolist(),
+                result.attempts.tolist(),
+                result.dropped_messages.tolist(),
+            )
         ],
         "node_stats": {
             str(node_id): {
@@ -201,34 +201,13 @@ def _encode_fault_stats(stats: FaultStats) -> Dict[str, Any]:
 
 def decode_experiment_result(data: Dict[str, Any]) -> "ExperimentResult":
     """Rebuild the exact :class:`ExperimentResult` a cell recorded."""
-    from repro.sim.results import ExperimentResult, SlotRecord
+    from repro.sim.results import ExperimentResult
 
-    result = ExperimentResult(
-        policy_name=data["policy_name"],
-        activities=[Activity(value) for value in data["activities"]],
-    )
-    result.records = [
-        SlotRecord(
-            slot_index=slot_index,
-            true_label=true_label,
-            predicted_label=predicted,
-            active_nodes=tuple(active),
-            completions=completions,
-            attempts=attempts,
-            dropped_messages=dropped,
-        )
-        for slot_index, true_label, predicted, active, completions, attempts, dropped
-        in data["records"]
-    ]
-    result.node_stats = {
-        int(node_id): NodeStats(**stats)
-        for node_id, stats in data["node_stats"].items()
-    }
-    result.comm_energy_j = float(data["comm_energy_j"])
-    result.confidence_updates = int(data["confidence_updates"])
+    records = data["records"]
+    fault_stats = None
     if data.get("fault_stats") is not None:
         fault = data["fault_stats"]
-        result.fault_stats = FaultStats(
+        fault_stats = FaultStats(
             per_link={
                 int(node_id): LinkStats(*counts)
                 for node_id, counts in fault["per_link"].items()
@@ -248,7 +227,24 @@ def decode_experiment_result(data: Dict[str, Any]) -> "ExperimentResult":
             ),
             host_restarts=fault["host_restarts"],
         )
-    return result
+    return ExperimentResult(
+        policy_name=data["policy_name"],
+        activities=[Activity(value) for value in data["activities"]],
+        slot_index=[record[0] for record in records],
+        true_label=[record[1] for record in records],
+        final_label=[-1 if record[2] is None else record[2] for record in records],
+        completions=[record[4] for record in records],
+        attempts=[record[5] for record in records],
+        dropped_messages=[record[6] for record in records],
+        active_nodes=tuple(tuple(record[3]) for record in records),
+        node_stats={
+            int(node_id): NodeStats(**stats)
+            for node_id, stats in data["node_stats"].items()
+        },
+        comm_energy_j=float(data["comm_energy_j"]),
+        confidence_updates=int(data["confidence_updates"]),
+        fault_stats=fault_stats,
+    )
 
 
 def encode_baseline_result(result: BaselineResult) -> Dict[str, Any]:

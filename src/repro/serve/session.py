@@ -272,7 +272,8 @@ class Session:
         # deep inside the confidence matrix), and a node reporting twice
         # would be ingested and counted twice, so reject them here.  A
         # device reports each node at most once per window, for that
-        # window's slot, on a window sensed no later than it.
+        # window's slot, on a window sensed no later than it, and only
+        # what reached the host: a dropped message never arrives.
         node_ids = self.engine.node_ids
         n_classes = self.engine.confidence.n_classes
         seen = set()
@@ -285,6 +286,8 @@ class Session:
                     raise ServeError(
                         f"report label {label} outside [0, {n_classes})"
                     )
+            if not report.delivered:
+                raise ServeError(f"undelivered report from node {node_id}")
             if node_id in seen:
                 raise ServeError(f"second report from node {node_id} in the window of slot {slot}")
             seen.add(node_id)

@@ -138,7 +138,6 @@ def evaluate_baseline(
         material = build_run_material(dataset, bundle, use_pruned_models=baseline.pruned, **params)
     else:
         material.check_compatible(use_pruned_models=material.use_pruned_models, **params)
-    true = np.array([spec.label_of(activity) for activity in material.labels], dtype=np.int64)
 
     # ``Sequential.predict`` is the argmax of the same logits; reading
     # the material's arrays completes it.
@@ -155,6 +154,6 @@ def evaluate_baseline(
     return BaselineResult(
         baseline_name=baseline.name,
         activities=list(spec.activities),
-        true_labels=true,
+        true_labels=material.true_labels,
         predicted_labels=_majority_vote(votes, spec.n_classes),
     )

@@ -20,6 +20,14 @@ wipe → result-message draw.
   and ``finish_slot`` once per slot each, with ``(rows, nodes)`` flag
   and report arrays read off the lanes.
 
+A batch builds its lanes once: each group contributes its nodes and
+their harvest rows (fault folding included) and one
+:meth:`SlotKernel.from_lanes` call makes every lane.  Its outcome stays
+columnar too: every run's :class:`~repro.sim.results.ExperimentResult`
+is its row of the batch's ``(rows, slots)`` arrays (final label,
+attempts, completions, dropped messages) plus its active-node tuples,
+so neither end of a batch builds a per-slot object.
+
 Link accounting is lane arithmetic too: every completion sends one
 result message, whose radio energy accumulates per lane, message by
 message.  Per-run python remains only where the state is per run and
@@ -69,7 +77,7 @@ from repro.faults.stats import LinkStats
 from repro.obs.observer import NULL_OBS, Observability
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.predcache import RunMaterial, build_run_material, default_subject, fill_rows
-from repro.sim.results import ExperimentResult, SlotRecord
+from repro.sim.results import ExperimentResult
 from repro.utils.rng import SeedSequenceFactory
 from repro.wsn.node import NodeStats, SensorNode
 
@@ -176,82 +184,53 @@ class SlotKernel:
         """Lanes for ``n_runs`` identical runs over freshly built nodes.
 
         Lane ``r * len(nodes) + k`` is run ``r``'s copy of ``nodes[k]``
-        (e.g. fresh from ``HARExperiment._build_nodes``); each
-        capacitor's initial charge seeds every run's lane.
+        (e.g. fresh from ``HARExperiment._build_nodes``), harvesting the
+        node's own :meth:`~repro.wsn.node.SensorNode.slot_energy_vector`.
         """
         if n_runs < 1:
             raise SimulationError(f"n_runs must be >= 1, got {n_runs}")
-        base = np.stack([node.slot_energy_vector(n_slots) for node in nodes])
+        return cls.from_lanes(
+            nodes,
+            np.stack([node.slot_energy_vector(n_slots) for node in nodes]),
+            np.tile(np.arange(len(nodes)), n_runs),
+        )
 
-        def tiled(values, dtype=np.float64) -> np.ndarray:
-            return np.tile(np.asarray(values, dtype=dtype), n_runs)
+    @classmethod
+    def from_lanes(
+        cls, nodes: Sequence[SensorNode], slot_energies: np.ndarray, lanes: Sequence[int]
+    ) -> "SlotKernel":
+        """Fresh lanes over node templates: lane ``i`` is ``nodes[lanes[i]]``.
+
+        ``slot_energies`` holds one ``(n_slots,)`` harvest row per node
+        (a kernel batch folds its fault plan's dropouts and outages into
+        them first); each node's capacitor's initial charge seeds its
+        lanes.  Lanes never interact, so a lane advances the same
+        whichever nodes share the kernel.
+        """
+        lanes = np.asarray(lanes, dtype=np.int64)
+
+        def per_lane(values, dtype=np.float64) -> np.ndarray:
+            return np.asarray(values, dtype=dtype)[lanes]
 
         return cls(
-            slot_energies=np.tile(base, (n_runs, 1)),
-            capacity_j=tiled([n.capacitor.capacity_j for n in nodes]),
-            initial_j=tiled([n.capacitor.initial_j for n in nodes]),
-            leak_j=tiled([n.capacitor.leakage_w * n.slot_duration_s for n in nodes]),
-            idle_j=tiled([n.costs.idle_j for n in nodes]),
-            sense_j=tiled([n.costs.sense_j for n in nodes]),
-            task_work_j=tiled([n.inference_energy_j for n in nodes]),
-            useful_fraction=tiled([n.nvp.useful_fraction for n in nodes]),
-            volatile=tiled([n.nvp.volatile for n in nodes], dtype=bool),
-            comm_cost_j=tiled(
+            slot_energies=np.asarray(slot_energies, dtype=np.float64)[lanes],
+            capacity_j=per_lane([n.capacitor.capacity_j for n in nodes]),
+            initial_j=per_lane([n.capacitor.initial_j for n in nodes]),
+            leak_j=per_lane([n.capacitor.leakage_w * n.slot_duration_s for n in nodes]),
+            idle_j=per_lane([n.costs.idle_j for n in nodes]),
+            sense_j=per_lane([n.costs.sense_j for n in nodes]),
+            task_work_j=per_lane([n.inference_energy_j for n in nodes]),
+            useful_fraction=per_lane([n.nvp.useful_fraction for n in nodes]),
+            volatile=per_lane([n.nvp.volatile for n in nodes], dtype=bool),
+            comm_cost_j=per_lane(
                 [n.radio.message_cost_j(n.costs.result_message_bytes) for n in nodes]
             ),
-            max_task_age_slots=tiled(
+            max_task_age_slots=per_lane(
                 [
                     np.inf if n.max_task_age_slots is None else float(n.max_task_age_slots)
                     for n in nodes
                 ]
             ),
-        )
-
-    @classmethod
-    def stack(cls, kernels: Sequence["SlotKernel"]) -> "SlotKernel":
-        """Concatenate fresh kernels' lanes into one mega-batch kernel.
-
-        The fleet layer's lane packing: each input kernel holds one
-        homogeneous slice (e.g. one user's ``policies x nodes`` lanes
-        from :meth:`from_nodes`) and the stacked kernel advances every
-        slice in a single ``advance`` per slot.  Per-lane physics is
-        elementwise, so lane ``i`` of a stacked kernel is byte-identical
-        to the same lane advanced in its own kernel.  Inputs must be
-        fresh (no slot advanced yet); a single input is returned as-is.
-        """
-        kernels = list(kernels)
-        if not kernels:
-            raise SimulationError("stack needs at least one kernel")
-        if len(kernels) == 1:
-            return kernels[0]
-        slot_counts = {kernel.n_slots for kernel in kernels}
-        if len(slot_counts) != 1:
-            raise SimulationError(
-                f"stacked kernels must share one slot count, got {sorted(slot_counts)}"
-            )
-        for kernel in kernels:
-            if kernel.slots.any() or kernel.in_progress.any():
-                raise SimulationError("stack needs fresh kernels (no slots advanced)")
-
-        def cat(name: str) -> np.ndarray:
-            return np.concatenate([getattr(kernel, name) for kernel in kernels])
-
-        return cls(
-            slot_energies=np.concatenate(
-                [kernel.slot_energies for kernel in kernels], axis=0
-            ),
-            capacity_j=cat("capacity_j"),
-            # A fresh kernel's ``stored`` is its (already clamped)
-            # initial charge, so it seeds the stacked lanes exactly.
-            initial_j=cat("stored"),
-            leak_j=cat("leak_j"),
-            idle_j=cat("idle_j"),
-            sense_j=cat("sense_j"),
-            task_work_j=cat("task_work_j"),
-            useful_fraction=cat("useful_fraction"),
-            volatile=cat("volatile"),
-            comm_cost_j=cat("comm_cost_j"),
-            max_task_age_slots=cat("max_task_age_slots"),
         )
 
     # ------------------------------------------------------------------
@@ -494,7 +473,7 @@ def _trace_lane(
 
 @dataclass
 class _RunState:
-    """The per-run python a batch keeps: result, trace buffer and faults.
+    """The per-run python a batch keeps: trace buffer and faults.
 
     ``row`` is the run's row in the batch's
     :class:`~repro.core.engine.DecisionEngine`; node ``k`` of the run is
@@ -506,7 +485,6 @@ class _RunState:
     """
 
     spec: PolicySpec
-    result: ExperimentResult
     obs: Observability = NULL_OBS
     faults: Optional[FaultEngine] = None
     unresponsive_after: Optional[int] = None
@@ -553,15 +531,16 @@ class BatchGroup:
 class _GroupState:
     """One group's prepared objects.
 
-    ``position`` maps a node id to its index in construction order (its
-    lane offset inside each run's block); ``message_bytes`` is each
-    node's result-message size.
+    ``energies`` holds each node's ``(n_slots,)`` harvest row, with the
+    group's fault plan folded in.  ``position`` maps a node id to its
+    index in construction order (its lane offset inside each run's
+    block); ``message_bytes`` is each node's result-message size.
     """
 
     nodes: List[SensorNode]
     node_ids: List[int]
+    energies: np.ndarray
     material: RunMaterial
-    true_labels: List[int]
     runs: List[_RunState]
     n_slots: int
     position: Dict[int, int] = field(init=False)
@@ -581,11 +560,9 @@ def _run_obs(obs: Observability) -> Observability:
 
 
 def _prepare_group(experiment, group: BatchGroup, obs: Observability) -> tuple:
-    """Materialize one group's nodes, material and runs.
+    """Materialize one group's nodes, harvest rows, material and runs.
 
-    Returns ``(_GroupState, SlotKernel, rows)``: the kernel holds the
-    group's ``len(policies) * len(nodes)`` fresh lanes, ready to be
-    stacked with other groups', and ``rows`` one
+    Returns ``(_GroupState, rows)``, ``rows`` holding one
     :class:`~repro.core.engine.EngineRow` per run.
     """
     policies = list(group.policies)
@@ -630,8 +607,7 @@ def _prepare_group(experiment, group: BatchGroup, obs: Observability) -> tuple:
     nodes = experiment._build_nodes(factory, config)
     node_ids = [node.node_id for node in nodes]
     n_slots = config.n_windows
-    kernel = SlotKernel.from_nodes(nodes, n_runs=len(policies), n_slots=n_slots)
-    true_labels = [dataset_spec.label_of(label) for label in material.labels]
+    energies = np.stack([node.slot_energy_vector(n_slots) for node in nodes])
     plan = group.faults if group.faults is not None else FaultPlan()
     bundle_matrix = experiment.bundle.confidence_matrix
 
@@ -684,10 +660,6 @@ def _prepare_group(experiment, group: BatchGroup, obs: Observability) -> tuple:
         runs.append(
             _RunState(
                 spec=spec,
-                result=ExperimentResult(
-                    policy_name=spec.name,
-                    activities=list(dataset_spec.activities),
-                ),
                 obs=run_obs,
                 faults=engine,
                 unresponsive_after=plan.unresponsive_after_slots,
@@ -696,21 +668,19 @@ def _prepare_group(experiment, group: BatchGroup, obs: Observability) -> tuple:
         )
     if runs[0].faults is not None:
         # Dropouts and outages are static schedules: fold them into
-        # every run's copy of each node's harvest timeline.
+        # each node's harvest timeline, which every run's lane shares.
         for k, node_id in enumerate(node_ids):
-            kernel.slot_energies[k::len(nodes)] = runs[0].faults.slot_energies(
-                node_id, kernel.slot_energies[k]
-            )
+            energies[k] = runs[0].faults.slot_energies(node_id, energies[k])
 
     state = _GroupState(
         nodes=nodes,
         node_ids=node_ids,
+        energies=energies,
         material=material,
-        true_labels=true_labels,
         runs=runs,
         n_slots=n_slots,
     )
-    return state, kernel, rows
+    return state, rows
 
 
 def _power_down(
@@ -800,14 +770,18 @@ def run_group_batch(
 
     The mega-batch entry point: groups may differ in seed, traces,
     capacitor sizing, gains, dwell, material and fault plan — each
-    contributes its own ``policies x nodes`` lane block to one stacked
-    :class:`SlotKernel`, so the whole cohort's physics advances with
-    one numpy statement per rule per slot, and every run is one row of a
-    single columnar :class:`~repro.core.engine.DecisionEngine`, called
-    once per slot for scheduling and once for the decision.
+    contributes its own ``policies x nodes`` lane block to the batch's
+    one :class:`SlotKernel` (built in one :meth:`SlotKernel.from_lanes`
+    call over every group's nodes and harvest rows), so the whole
+    cohort's physics advances with one numpy statement per rule per
+    slot, and every run is one row of a single columnar
+    :class:`~repro.core.engine.DecisionEngine`, called once per slot for
+    scheduling and once for the decision.
 
     Returns one ``List[ExperimentResult]`` per group (one entry per
-    policy, in order).  Every result is byte-identical to running that
+    policy, in order), each holding its row of the batch's ``(rows,
+    slots)`` outcome arrays; no per-slot object is built.  Every result
+    is byte-identical to running that
     group's ``(policy, seed, config, faults)`` alone through
     ``HARExperiment.run`` — per-lane physics is elementwise, and every
     engine row decides from its own row of state only.
@@ -824,12 +798,10 @@ def run_group_batch(
     clock_start = time.perf_counter() if obs.enabled else 0.0
 
     states: List[_GroupState] = []
-    kernels: List[SlotKernel] = []
     rows: List[EngineRow] = []
     for group in groups:
-        state, group_kernel, group_rows = _prepare_group(experiment, group, obs)
+        state, group_rows = _prepare_group(experiment, group, obs)
         states.append(state)
-        kernels.append(group_kernel)
         rows.extend(group_rows)
     n_slots = states[0].n_slots
     node_ids = states[0].node_ids
@@ -841,11 +813,21 @@ def run_group_batch(
             )
         if state.node_ids != node_ids:
             raise ConfigurationError("all groups of a batch must share one deployment")
-    kernel = SlotKernel.stack(kernels)
     engine = DecisionEngine(rows, node_ids, experiment.bundle.rank_table)
     runs = [run for state in states for run in state.runs]
     shape = engine.shape
     n_rows, n_nodes = shape
+    # Lane ``r * n_nodes + k`` is row ``r``'s copy of its group's node ``k``.
+    kernel = SlotKernel.from_lanes(
+        [node for state in states for node in state.nodes],
+        np.concatenate([state.energies for state in states]),
+        [
+            g * n_nodes + k
+            for g, state in enumerate(states)
+            for _ in state.runs
+            for k in range(n_nodes)
+        ],
+    )
     for r, run in enumerate(runs):
         run.row = r
     for state in states:
@@ -944,46 +926,30 @@ def run_group_batch(
         if lossy:
             dropped[slot] = done & ~delivered
 
-    results: List[List[ExperimentResult]] = []
-    counts = (attempted.sum(axis=2), completions.sum(axis=2), dropped.sum(axis=2))
+    # Per-run columns: row ``r`` of each ``(rows, slots)`` array.
+    finals = np.ascontiguousarray(finals.T)
+    n_tried, n_done, n_dropped = (
+        np.ascontiguousarray(flags.sum(axis=2).T) for flags in (attempted, completions, dropped)
+    )
+    slot_index = np.arange(n_slots)
     # Each slot's active set as a bit code over the construction order.
-    codes = attempted @ (1 << np.arange(n_nodes))
-    active_sets = {
-        code: tuple(node_id for k, node_id in enumerate(node_ids) if code >> k & 1)
-        for code in np.unique(codes).tolist()
-    }
+    codes, inverse = np.unique(attempted @ (1 << np.arange(n_nodes)), return_inverse=True)
+    active_sets = np.empty(len(codes), dtype=object)
+    for i, code in enumerate(codes.tolist()):
+        active_sets[i] = tuple(node_id for k, node_id in enumerate(node_ids) if code >> k & 1)
+    active_rows = inverse.reshape(n_slots, n_rows).T
     sent = kernel.completions.reshape(shape)
     lost = dropped.sum(axis=0)
+    activities = experiment.dataset.spec.activities
+    results: List[List[ExperimentResult]] = []
     for state in states:
         group_results: List[ExperimentResult] = []
         for run in state.runs:
             r = run.row
-            result = run.result
-            if r in protocol_active:
-                actives = protocol_active[r]
-            else:
-                actives = [active_sets[code] for code in codes[:, r].tolist()]
-            result.records = [
-                SlotRecord(slot, true, None if final < 0 else final, ids, done, tried, drops)
-                for slot, (true, final, ids, tried, done, drops) in enumerate(
-                    zip(
-                        state.true_labels,
-                        finals[:, r].tolist(),
-                        actives,
-                        counts[0][:, r].tolist(),
-                        counts[1][:, r].tolist(),
-                        counts[2][:, r].tolist(),
-                    )
-                )
-            ]
             base = r * n_nodes
-            result.node_stats = {
-                node_id: kernel.lane_stats(base + k) for k, node_id in enumerate(node_ids)
-            }
-            result.comm_energy_j = sum(link_energy[base:base + n_nodes].tolist())
-            result.confidence_updates = int(engine.confidence_updates[r])
+            fault_stats = None
             if run.faults is not None:
-                result.fault_stats = run.faults.finalize(
+                fault_stats = run.faults.finalize(
                     {
                         node_id: LinkStats(
                             messages_sent=int(sent[r, k]),
@@ -994,8 +960,29 @@ def run_group_batch(
                         for k, node_id in enumerate(node_ids)
                     }
                 )
+            result = ExperimentResult(
+                policy_name=run.spec.name,
+                activities=list(activities),
+                slot_index=slot_index,
+                true_label=state.material.true_labels,
+                final_label=finals[r],
+                completions=n_done[r],
+                attempts=n_tried[r],
+                dropped_messages=n_dropped[r],
+                active_nodes=(
+                    tuple(protocol_active[r])
+                    if r in protocol_active
+                    else tuple(active_sets[active_rows[r]].tolist())
+                ),
+                node_stats={
+                    node_id: kernel.lane_stats(base + k) for k, node_id in enumerate(node_ids)
+                },
+                comm_energy_j=sum(link_energy[base:base + n_nodes].tolist()),
+                confidence_updates=int(engine.confidence_updates[r]),
+                fault_stats=fault_stats,
+            )
             if run.obs.enabled:
-                _finish_observed_run(run, engine)
+                _finish_observed_run(run, result, engine)
             group_results.append(result)
         results.append(group_results)
     if obs.enabled:
@@ -1038,30 +1025,26 @@ def _observe_lanes(
             )
 
 
-def _finish_observed_run(run: _RunState, engine: DecisionEngine) -> None:
+def _finish_observed_run(
+    run: _RunState, result: ExperimentResult, engine: DecisionEngine
+) -> None:
     """Fold a finished run's counters into the metrics; trace its end.
 
     Everything here is a pure function of the simulated run, so
     sequential and parallel sweeps merge to identical values (the
     determinism contract of :mod:`repro.obs.metrics`).
     """
-    result = run.result
     decisions = int(engine.decisions[run.row])
     metrics = run.obs.metrics
-    attempts = completions = dropped = correct = 0
-    for record in result.records:
-        attempts += record.attempts
-        completions += record.completions
-        dropped += record.dropped_messages
-        correct += record.predicted_label == record.true_label
     metrics.inc("sim.runs")
     metrics.inc("sim.slots", result.n_slots)
-    metrics.inc("sim.attempts", attempts)
-    metrics.inc("sim.completions", completions)
-    metrics.inc("sim.messages_dropped", dropped)
+    metrics.inc("sim.attempts", result.total_attempts)
+    metrics.inc("sim.completions", result.total_completions)
+    metrics.inc("sim.messages_dropped", result.total_dropped_messages)
     metrics.inc("sim.confidence_updates", result.confidence_updates)
     metrics.inc("sim.decisions", decisions)
     metrics.inc("sim.messages_received", int(engine.messages_received[run.row]))
+    correct = int(np.count_nonzero(result.final_label == result.true_label))
     metrics.inc("sim.correct_slots", correct)
     metrics.inc("sim.comm_energy_j", result.comm_energy_j)
     for node_id, stats in result.node_stats.items():

@@ -151,6 +151,8 @@ class RunMaterial:
         own against them before consuming (:meth:`check_compatible`).
     labels:
         Ground-truth activity per slot (the Markov timeline).
+    true_labels:
+        The same timeline as read-only int64 dataset labels.
     windows:
         ``{node id: (n_windows, channels, window) float32}`` — every
         node's sensed window for every slot.
@@ -173,6 +175,7 @@ class RunMaterial:
         use_pruned_models: bool,
         subject: SubjectProfile,
         labels: List[Activity],
+        true_labels: np.ndarray,
         styles: List[StyleWobble],
         synthesizer,
         factory: SeedSequenceFactory,
@@ -184,6 +187,7 @@ class RunMaterial:
         self.use_pruned_models = use_pruned_models
         self.subject = subject
         self.labels = labels
+        self.true_labels = _read_only(np.asarray(true_labels, dtype=np.int64))
         self._styles = styles
         self._synthesizer = synthesizer
         self._factory = factory
@@ -402,6 +406,7 @@ def build_run_material(
         use_pruned_models=bool(use_pruned_models),
         subject=subject,
         labels=labels,
+        true_labels=[spec.label_of(activity) for activity in labels],
         styles=styles,
         synthesizer=dataset.synthesizer,
         factory=factory,

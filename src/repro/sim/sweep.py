@@ -74,7 +74,7 @@ from repro.resilience.report import DegradationReport, FailedCell
 from repro.sim.baselines import BaselineResult, evaluate_baseline
 from repro.sim.experiment import HARExperiment
 from repro.sim.predcache import PredictionCache
-from repro.sim.results import ExperimentResult
+from repro.sim.results import SLOT_COLUMNS, ExperimentResult
 from repro.wsn.node import NodeStats
 
 logger = logging.getLogger(__name__)
@@ -450,28 +450,32 @@ def _decode_result(payload: Dict[str, Any]) -> Union[ExperimentResult, BaselineR
 def _merge_runs(runs: List[ExperimentResult]) -> ExperimentResult:
     """Concatenate multi-seed runs into one result.
 
-    Slot records concatenate; per-node counters sum across runs; fault
-    accounting (when any run carries it) merges into one
-    :class:`~repro.faults.stats.FaultStats`.
+    Slot columns concatenate (each run's slot indices start at 0);
+    per-node counters sum across runs; fault accounting (when any run
+    carries it) merges into one :class:`~repro.faults.stats.FaultStats`.
     """
-    merged = ExperimentResult(
-        policy_name=runs[0].policy_name, activities=runs[0].activities
-    )
+    comm_energy_j = 0.0
+    confidence_updates = 0
     for run in runs:
-        merged.records.extend(run.records)
-        merged.comm_energy_j += run.comm_energy_j
-        merged.confidence_updates += run.confidence_updates
+        comm_energy_j += run.comm_energy_j
+        confidence_updates += run.confidence_updates
     node_ids = sorted({node_id for run in runs for node_id in run.node_stats})
-    merged.node_stats = {
-        node_id: NodeStats.merged(
-            run.node_stats[node_id] for run in runs if node_id in run.node_stats
-        )
-        for node_id in node_ids
-    }
     faulted = [run.fault_stats for run in runs if run.fault_stats is not None]
-    if faulted:
-        merged.fault_stats = FaultStats.merged(faulted)
-    return merged
+    return ExperimentResult(
+        policy_name=runs[0].policy_name,
+        activities=runs[0].activities,
+        **{name: np.concatenate([getattr(run, name) for run in runs]) for name in SLOT_COLUMNS},
+        active_nodes=tuple(ids for run in runs for ids in run.active_nodes),
+        node_stats={
+            node_id: NodeStats.merged(
+                run.node_stats[node_id] for run in runs if node_id in run.node_stats
+            )
+            for node_id in node_ids
+        },
+        comm_energy_j=comm_energy_j,
+        confidence_updates=confidence_updates,
+        fault_stats=FaultStats.merged(faulted) if faulted else None,
+    )
 
 
 def _merge_baselines(runs: List[BaselineResult]) -> BaselineResult:

@@ -13,7 +13,7 @@ Produces everything the scheduling/ensemble layers consume:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np

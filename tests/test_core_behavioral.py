@@ -1,6 +1,5 @@
 """Behavioral tests of the core mechanisms, end to end but cheap."""
 
-import numpy as np
 import pytest
 
 from repro.core.ensemble import ConfidenceMatrix, MajorityVote, WeightedMajorityVote

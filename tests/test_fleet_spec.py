@@ -85,6 +85,11 @@ class TestCohortSpec:
         assert full == sliced
         assert spec.user(17) == full[17]
 
+    def test_users_range_equals_user_calls(self):
+        spec = CohortSpec(size=40, seed=11, n_timelines=3)
+        for lo, hi in [(0, 40), (7, 19), (39, 40), (5, 5)]:
+            assert list(spec.users(lo, hi)) == [spec.user(i) for i in range(lo, hi)]
+
     def test_distinct_users_differ(self):
         spec = CohortSpec(size=10, seed=5)
         configs = [spec.user(i).config for i in range(10)]

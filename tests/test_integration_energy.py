@@ -1,8 +1,5 @@
 """Cross-module energy-accounting integration tests."""
 
-import numpy as np
-import pytest
-
 from repro.core.policies import naive_policy, origin_policy, rr_policy
 
 

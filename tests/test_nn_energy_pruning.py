@@ -6,11 +6,9 @@ import pytest
 from repro.datasets.body import BodyLocation
 from repro.errors import ModelError
 from repro.nn import (
-    Adam,
     EnergyAwarePruner,
     EnergyCostModel,
     Sequential,
-    Trainer,
     build_har_cnn,
     estimate_inference_energy,
     har_architecture_for,
@@ -19,7 +17,7 @@ from repro.nn import (
 )
 from repro.nn.architectures import HARArchitecture
 from repro.nn.energy_model import energy_breakdown, format_energy_report, layer_energy
-from repro.nn.layers import Conv1D, Dense, Flatten, MaxPool1D, ReLU
+from repro.nn.layers import Conv1D, Dense, Flatten, ReLU
 from repro.nn.pruning import prune_output_unit
 
 

@@ -5,7 +5,6 @@ strongest correctness evidence a from-scratch NN library can have.
 """
 
 import numpy as np
-import pytest
 
 from repro.nn.layers import (
     BatchNorm1D,

@@ -1,7 +1,6 @@
 """Tests for the figure/table renderers."""
 
 import numpy as np
-import pytest
 
 from repro.datasets.activities import Activity
 from repro.reporting import (
@@ -24,12 +23,14 @@ ACTIVITIES = [Activity.WALKING, Activity.RUNNING]
 
 
 def make_result(name, labels):
-    result = ExperimentResult(policy_name=name, activities=ACTIVITIES)
-    for slot, (true, pred) in enumerate(labels):
-        result.records.append(
+    return ExperimentResult.from_records(
+        name,
+        ACTIVITIES,
+        [
             SlotRecord(slot, true, pred, active_nodes=(0,), completions=1, attempts=1)
-        )
-    return result
+            for slot, (true, pred) in enumerate(labels)
+        ],
+    )
 
 
 def make_sweep():

@@ -299,6 +299,11 @@ class TestReportsADeviceCouldSend:
         report = [node, self.SLOT, self.SLOT, True, True, 1, 0.1, None]
         self.rejected(catalog, rr3_tape, [report, report], "second report from node")
 
+    def test_undelivered_report_rejected(self, catalog, rr3_tape, node):
+        # A dropped message never reaches the host, so no device sends it.
+        report = [node, self.SLOT, self.SLOT, True, False, 1, 0.1, None]
+        self.rejected(catalog, rr3_tape, [report], "undelivered report from node")
+
     def test_report_for_another_slot_rejected(self, catalog, rr3_tape, node):
         report = [node, self.SLOT + 1, self.SLOT, True, True, 1, 0.1, None]
         self.rejected(catalog, rr3_tape, [report], "report for slot 6")

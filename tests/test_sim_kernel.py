@@ -18,6 +18,8 @@ Byte identity against the committed goldens lives in
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from repro.faults import Brownout, FaultPlan, HarvesterDropout, NodeDeath, Packe
 from repro.obs.observer import Observability
 from repro.obs.summarize import split_runs
 from repro.sim.experiment import HARExperiment, SimulationConfig
-from repro.sim.kernel import SlotKernel, run_policy_batch
+from repro.sim.kernel import BatchGroup, SlotKernel, run_group_batch, run_policy_batch
 from repro.sim.sweep import PolicySweep
 from repro.wsn.comm import RadioProfile
 from repro.wsn.node import NodeCosts, SensorNode
@@ -289,21 +291,24 @@ class TestLaneIndependence:
         "overrides", list(LANE_CASES.values()), ids=list(LANE_CASES.keys())
     )
     def test_lane_alone_equals_lane_stacked(self, overrides):
-        # A lane's floats do not depend on which lanes share its kernel.
+        # A lane's floats do not depend on which lanes share its kernel:
+        # node 0 alone, and as lanes 1 and 3 of one kernel built in one
+        # call over three nodes' harvest rows.
         rng = np.random.default_rng(9)
-        schedules = rng.random((3, 64)) < 0.7
-        alone = SlotKernel.from_nodes([_make_node(seed=21, **overrides)], n_runs=1, n_slots=64)
-        stacked = SlotKernel.stack(
-            [
-                SlotKernel.from_nodes([_make_node(seed=21 + k, **overrides)], n_runs=1, n_slots=64)
-                for k in range(3)
-            ]
+        lanes = [2, 0, 1, 0]
+        schedules = rng.random((len(lanes), 64)) < 0.7
+        schedules[3] = schedules[1]
+        nodes = [_make_node(seed=21 + k, **overrides) for k in range(3)]
+        alone = SlotKernel.from_nodes(nodes[:1], n_runs=1, n_slots=64)
+        stacked = SlotKernel.from_lanes(
+            nodes, np.stack([node.slot_energy_vector(64) for node in nodes]), lanes
         )
         for slot in range(64):
-            alone.advance(slot, schedules[:1, slot])
+            alone.advance(slot, schedules[1:2, slot])
             stacked.advance(slot, schedules[:, slot])
-        assert alone.lane_stats(0) == stacked.lane_stats(0)
-        assert alone.stored[0] == stacked.stored[0]
+        for lane in (1, 3):
+            assert alone.lane_stats(0) == stacked.lane_stats(lane)
+            assert alone.stored[0] == stacked.stored[lane]
 
     def test_all_idle_schedule(self):
         node = _make_node(seed=2, initial_j=6e-6)
@@ -457,6 +462,31 @@ class TestBatchIdentity:
         specs = [rr_policy(3), origin_policy(6)]
         for spec, fast in zip(specs, run_policy_batch(experiment, specs, 9)):
             _assert_results_equal(fast, experiment.run(spec, seed=9))
+
+    def test_group_lanes_match_the_group_alone(self, tiny_experiment):
+        # One kernel holds every group's lanes; a group's runs (a faulted
+        # one's folded harvest rows included) equal the group run alone.
+        plan = FaultPlan(
+            faults=(
+                HarvesterDropout(node_id=0, windows=((5, 30),), factor=0.2),
+                Brownout(node_id=1, start_slot=12, duration_slots=5),
+            )
+        )
+        groups = [
+            BatchGroup(policies=GRID[:2], seed=7),
+            BatchGroup(policies=GRID[2:], seed=13, faults=plan),
+            BatchGroup(
+                policies=[origin_policy(12)],
+                seed=7,
+                config=replace(tiny_experiment.config, capacitor_capacity_j=60e-6),
+            ),
+        ]
+        batched = run_group_batch(tiny_experiment, groups)
+        assert batched[1][0].fault_stats is not None
+        for group, results in zip(groups, batched):
+            (alone,) = run_group_batch(tiny_experiment, [group])
+            for fast, slow in zip(results, alone):
+                _assert_results_equal(fast, slow)
 
     def test_faulted_traced_batch_matches_single_runs(self, tiny_experiment):
         plan = FaultPlan(

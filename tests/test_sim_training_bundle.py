@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.scheduling import RankTable
-from repro.datasets.body import BodyLocation
 from repro.errors import ConfigurationError
 from repro.sim.training import TrainedSensorBundle, TrainingConfig
 
