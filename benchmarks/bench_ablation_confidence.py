@@ -5,7 +5,6 @@ moving-average adaptation as Origin's accuracy lever over naive
 majority voting (AASR).
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import averaged_event_accuracy

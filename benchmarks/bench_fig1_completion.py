@@ -4,7 +4,6 @@ Paper: (a) all sensors attempt every window -> ~1% all succeed, ~9% at
 least one, ~90% fail; (b) plain RR3 -> 28% succeed / 72% fail.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import N_WINDOWS

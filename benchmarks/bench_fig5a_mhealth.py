@@ -8,10 +8,8 @@ delay for the scheduling-only policies; the baselines bracket the band.
 import numpy as np
 import pytest
 
-from benchmarks.conftest import DWELL, N_WINDOWS, SEEDS
-from repro.core.policies import Baseline1, Baseline2
+from benchmarks.conftest import SEEDS
 from repro.reporting import render_fig5_policies
-from repro.sim.baselines import evaluate_baseline
 from repro.sim.sweep import PolicySweep, paper_policy_grid
 
 RR_LENGTHS = (3, 6, 9, 12)

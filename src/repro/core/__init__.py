@@ -2,18 +2,16 @@
 
 * :mod:`repro.core.scheduling` — naive, extended round-robin (RR3..RR12)
   and activity-aware scheduling (AAS) with the per-activity rank table;
-* :mod:`repro.core.ensemble` — majority voting, the variance-of-softmax
-  confidence matrix, and confidence-weighted voting;
+* :mod:`repro.core.ensemble` — the variance-of-softmax confidence
+  matrix that confidence-weighted voting reads;
+* :mod:`repro.core.engine` — the host-side decision core (scheduling,
+  recall memory, majority or confidence-weighted vote, adaptation);
 * :mod:`repro.core.policies` — complete system configurations
   (RR / AAS / AASR / Origin) and the two fully-powered baselines.
 """
 
-from repro.core.engine import DecisionEngine, NodeSlotState, SessionEngine, make_vote
-from repro.core.ensemble import (
-    ConfidenceMatrix,
-    MajorityVote,
-    WeightedMajorityVote,
-)
+from repro.core.engine import DecisionEngine, NodeSlotState, SessionEngine
+from repro.core.ensemble import ConfidenceMatrix
 from repro.core.scheduling import (
     ActivityAwareScheduler,
     ExtendedRoundRobin,
@@ -39,10 +37,7 @@ __all__ = [
     "DecisionEngine",
     "NodeSlotState",
     "SessionEngine",
-    "make_vote",
     "ConfidenceMatrix",
-    "MajorityVote",
-    "WeightedMajorityVote",
     "ActivityAwareScheduler",
     "ExtendedRoundRobin",
     "NaiveAllOn",

@@ -18,12 +18,13 @@ Two engines implement it, one per consumer shape:
   node), confidence matrices per (row, node, class).  A row whose
   scheduler is not one of the three built-ins is stepped through the
   :class:`~repro.core.scheduling.base.SchedulingPolicy` protocol, for
-  that row only.
-* :class:`SessionEngine` is scalar: one run, one
-  :class:`~repro.wsn.host.HostDevice`, one scheduler object.  An online
-  serving session (:mod:`repro.serve`) steps it one window at a time.
-  A session has one row, and a minimal one-row columnar step costs
-  about 63 µs per slot against 8–12 µs for the scalar one (DESIGN §16).
+  that row only.  Fault plans reach only this engine: host restarts,
+  unresponsive-node flags, staleness fading and completion hooks.
+* :class:`SessionEngine` is scalar: one run, one scheduler object, one
+  recall memory and one vote.  An online serving session
+  (:mod:`repro.serve`) steps it one window at a time.  A session has
+  one row, and a one-row columnar step costs 11–14x the scalar one
+  (DESIGN §16).
 
 ``ready`` and ``online`` flags are in **node construction order**
 (ER-r/AAS tie-breaking follows that order).  Both engines make the same
@@ -35,22 +36,22 @@ hands the columnar engine :class:`SlotReports` arrays, and a session
 hands the scalar engine :class:`WireReport` records — the serving wire's
 record, which :func:`wire_reports` reads off one row of the arrays.
 
-Identity rules the columnar engine keeps, each a property of the scalar
-host and voters:
+The vote both engines cast:
 
-* a label's vote weights are summed in recall-memory insertion order; a
-  new report from a remembered node keeps its position, and a host
-  restart clears the order;
+* a label's vote weights are summed from 0.0 in recall-memory insertion
+  order; a new report from a remembered node keeps its position, and a
+  host restart clears the order;
+* a vote weighs 1.0 under majority recall and ``0.5 * confidence + 0.5
+  * matrix.weight(node, label)`` under confidence recall;
 * ties within ``1e-12`` go to the label with the freshest
   ``started_slot``, then to the smaller label;
-* staleness fading uses Python's ``0.5 ** (age / half_life)``, looked up
-  from a table, never ``np.power``.
+* staleness fading (batches only) uses Python's ``0.5 ** (age /
+  half_life)``, looked up from a table, never ``np.power``.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
@@ -58,7 +59,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.core.ensemble.confidence import ConfidenceMatrix
-from repro.core.ensemble.voting import MajorityVote, WeightedMajorityVote
 from repro.core.policies import AggregationMode, PolicySpec
 from repro.core.scheduling.aas import ActivityAwareScheduler
 from repro.core.scheduling.base import SchedulingContext
@@ -67,17 +67,14 @@ from repro.core.scheduling.rank_table import RankTable
 from repro.core.scheduling.round_robin import ExtendedRoundRobin
 from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.obs.observer import NULL_OBS, Observability
-from repro.wsn.host import HostDevice
 
 __all__ = [
     "DecisionEngine",
     "EngineRow",
     "NodeSlotState",
-    "RowHost",
     "SessionEngine",
     "SlotReports",
     "WireReport",
-    "make_vote",
     "wire_reports",
 ]
 
@@ -103,55 +100,28 @@ class NodeSlotState:
     online: bool = True
 
 
-def make_vote(spec: PolicySpec, confidence: ConfidenceMatrix):
-    """The host-side vote function for a recall-aggregating policy."""
-    if spec.aggregation is AggregationMode.MAJORITY_RECALL:
-        return MajorityVote()
-    if spec.aggregation is AggregationMode.CONFIDENCE_RECALL:
-        return WeightedMajorityVote(confidence)
-    raise SimulationError(f"{spec.aggregation} has no host-side vote")
-
-
 # ---------------------------------------------------------------------------
 # the scalar engine
 # ---------------------------------------------------------------------------
 
 
-class _RecalledVote:
-    """A host vote rerun only when something it reads has changed.
-
-    Sound only while recall can neither expire nor fade: the host then
-    passes every remembered vote at full weight, so an unchanged memory
-    version and matrix update count mean an unchanged vote.  The host
-    owns this object, so it is held weakly; a cycle would keep every
-    finished run alive until the garbage collector next ran.
-    """
-
-    def __init__(self, vote, host: HostDevice, confidence: ConfidenceMatrix) -> None:
-        self.vote = vote
-        self._host = weakref.ref(host)
-        self._confidence = confidence
-        self._key: Optional[tuple] = None
-        self._label: Optional[int] = None
-
-    def __call__(self, votes: Sequence, current_slot: int) -> Optional[int]:
-        key = (self._host().memory_version, self._confidence.updates)
-        if key != self._key:
-            self._label = self.vote(votes, current_slot)
-            self._key = key
-        return self._label
-
-
 class SessionEngine:
     """Host-side per-slot decision logic for one served run.
 
-    Owns the scheduler, the :class:`~repro.wsn.host.HostDevice` (recall
-    memory + vote) and the confidence matrix of a single run, advancing
-    them one slot at a time.  It never touches node physics: callers
-    hand it scheduler-visible node states and completed-inference
-    reports, which is exactly what lets it serve online traffic where
-    the nodes live on the other end of a socket.  Kernel batches use the
-    columnar :class:`DecisionEngine` instead; the two decide alike.
+    Owns the scheduler, the recall memory, the vote and the confidence
+    matrix of a single run, advancing them one slot at a time.  It never
+    touches node physics: callers hand it scheduler-visible node flags
+    and completed-inference reports, which is exactly what lets it serve
+    online traffic where the nodes live on the other end of a socket.
+    Kernel batches use the columnar :class:`DecisionEngine` instead; the
+    two decide alike.
+
+    The recall memory (the paper's §III-B) holds each reporting node's
+    most recent ``(label, confidence, started_slot)`` in insertion
+    order.  While recall cannot expire, the vote is rerun only when
+    :attr:`messages_received` or the matrix's update count moved since
+    the last one; otherwise the previous label is reused, still counted
+    in :attr:`decisions`, observed and traced.
 
     Parameters
     ----------
@@ -163,14 +133,15 @@ class SessionEngine:
     rank_table:
         Per-activity sensor ranking (required by activity-aware specs).
     confidence:
-        The run's confidence matrix; mutated in place by adaptive
-        policies, exactly like ``HARExperiment.run(confidence_matrix=)``.
-    max_recall_age_slots / staleness_half_life_slots:
-        Host recall knobs (see :class:`~repro.wsn.host.HostDevice`).
+        The run's confidence matrix; adaptive policies mutate it in
+        place, so a caller hands each run its own copy.
+    max_recall_age_slots:
+        Drop remembered votes whose window is older than this many
+        slots (``None`` = never expire).
     obs:
         Observability bundle; the engine emits ``slot.scheduled`` /
-        ``confidence.updated`` events and the host emits ``vote.cast``
-        when enabled.
+        ``confidence.updated`` / ``vote.cast`` events and observes
+        ``host.recall_age_slots`` when enabled.
     """
 
     def __init__(
@@ -181,24 +152,29 @@ class SessionEngine:
         confidence: ConfidenceMatrix,
         *,
         max_recall_age_slots: Optional[int] = None,
-        staleness_half_life_slots: Optional[int] = None,
         obs: Observability = NULL_OBS,
     ) -> None:
+        if max_recall_age_slots is not None and max_recall_age_slots < 1:
+            raise SimulationError("max_recall_age_slots must be >= 1 or None")
         self.policy = policy
         self._uses_recall = policy.uses_recall
+        self._weighted = policy.aggregation is AggregationMode.CONFIDENCE_RECALL
         self.node_ids = list(node_ids)
         self._position = {node_id: k for k, node_id in enumerate(self.node_ids)}
         self.confidence = confidence
+        self.max_recall_age_slots = max_recall_age_slots
         self.obs = obs
-        self.host = HostDevice(
-            make_vote(policy, confidence) if self._uses_recall else MajorityVote(),
-            max_recall_age_slots=max_recall_age_slots,
-            staleness_half_life_slots=staleness_half_life_slots,
+        # Registered up front: an observed run reports it before any vote.
+        self._recall_hist = (
+            obs.metrics.histogram("host.recall_age_slots") if obs.enabled else None
         )
-        if max_recall_age_slots is None and staleness_half_life_slots is None:
-            self.host.vote = _RecalledVote(self.host.vote, self.host, confidence)
-        if obs.enabled:
-            self.host.attach_obs(obs)
+        self._memory: Dict[int, tuple] = {}
+        #: Delivered reports ingested so far.
+        self.messages_received = 0
+        #: Votes cast so far (a reused vote counts again).
+        self.decisions = 0
+        self._vote_key: Optional[tuple] = None
+        self._vote_label: Optional[int] = None
         self.scheduler = policy.make_scheduler(self.node_ids, rank_table)
         self.scheduler.reset()
         #: The most recent final classification (the anticipated label).
@@ -220,7 +196,6 @@ class SessionEngine:
         ready: Sequence[bool],
         *,
         online: Optional[Sequence[bool]] = None,
-        node_responsive: Optional[Dict[int, bool]] = None,
     ) -> List[int]:
         """Scheduling phase: pick (and trace) this slot's active set.
 
@@ -254,9 +229,7 @@ class SessionEngine:
                     for node_id, is_ready, is_up in zip(node_ids, ready, online)
                 }
             context = SchedulingContext(
-                node_ready=node_ready,
-                anticipated_label=self.last_final,
-                node_responsive=node_responsive if node_responsive is not None else {},
+                node_ready=node_ready, anticipated_label=self.last_final
             )
             active = scheduler.active_nodes(slot, context)
             if online is not None:
@@ -278,14 +251,11 @@ class SessionEngine:
         reports: Sequence[WireReport],
         *,
         decide: bool = True,
-        on_completion: Optional[Callable[[WireReport], None]] = None,
     ) -> Optional[int]:
         """Decision phase: ingest reports, adapt, vote, observe.
 
-        Completed, delivered reports reach the host first.  When recall
-        can neither expire nor fade, the vote itself reruns only if the
-        host's memory version or the matrix's update count moved since
-        the last one; otherwise the host reuses its label.
+        Each completed, delivered report enters the recall memory and,
+        under an adaptive policy, folds its confidence into the matrix.
 
         Parameters
         ----------
@@ -297,40 +267,36 @@ class SessionEngine:
             scheduler still observes the slot — with ``final=None`` —
             so the session stays consistent, but no decision is made
             and ``last_final`` is unchanged.
-        on_completion:
-            Called with each completed report before confidence
-            adaptation (the fault engine's completion hook).
         """
-        policy = self.policy
         trace = self.obs.tracer
+        memory = self._memory
+        adaptive = self.policy.adaptive_confidence
         for report in reports:
-            if report.completed and report.delivered:
-                self.host.receive(report)
-        for report in reports:
-            if not report.completed:
+            if not (report.completed and report.delivered):
                 continue
-            if on_completion is not None:
-                on_completion(report)
-            if policy.adaptive_confidence and report.delivered:
-                # The matrix lives on the host: it adapts on what
-                # arrived, including a corrupted label.
-                self.confidence.update(
-                    report.node_id, report.delivered_label, report.confidence
-                )
+            # The host stores and adapts on what arrived, including a
+            # corrupted label.
+            label = report.delivered_label
+            confidence = report.confidence
+            memory[report.node_id] = (
+                label,
+                0.0 if confidence is None else confidence,
+                report.started_slot,
+            )
+            self.messages_received += 1
+            if adaptive:
+                self.confidence.update(report.node_id, label, confidence)
                 if trace.enabled:
                     trace.append(
                         "confidence.updated",
                         slot,
                         report.node_id,
-                        {
-                            "label": report.delivered_label,
-                            "confidence": float(report.confidence),
-                        },
+                        {"label": label, "confidence": float(confidence)},
                     )
         final: Optional[int] = None
         if decide:
             if self._uses_recall:
-                final = self.host.classify(slot)
+                final = self._classify(slot)
             else:
                 completed = [r for r in reports if r.completed and r.delivered]
                 if completed:
@@ -343,6 +309,68 @@ class SessionEngine:
         self.scheduler.observe(slot, [r for r in reports if r.delivered], final)
         return final
 
+    # ------------------------------------------------------------------
+    # the recall vote
+    # ------------------------------------------------------------------
+
+    def _classify(self, slot: int) -> Optional[int]:
+        """Vote over the participating recalled votes (``None``: none)."""
+        max_age = self.max_recall_age_slots
+        votes = self._memory
+        if max_age is not None:
+            votes = {
+                node_id: vote for node_id, vote in votes.items() if slot - vote[2] <= max_age
+            }
+        ages = None
+        if self._recall_hist is not None:
+            # Recall staleness: the age of every vote that participates
+            # in this slot's ensemble (the paper's stale-recall risk).
+            observe = self._recall_hist.observe
+            ages = [slot - started for _, _, started in votes.values()]
+            for age in ages:
+                observe(age)
+        if not votes:
+            return None
+        # Without expiry, unchanged reports and weights mean an
+        # unchanged vote.
+        key = (self.messages_received, self.confidence.updates)
+        if max_age is not None or key != self._vote_key:
+            self._vote_label = self._tally(votes)
+            self._vote_key = key
+        label = self._vote_label
+        self.decisions += 1
+        trace = self.obs.tracer
+        if trace.enabled:
+            # A tracing bundle is enabled, so ``ages`` were observed above.
+            trace.append(
+                "vote.cast",
+                slot,
+                None,
+                {"label": label, "n_votes": len(votes), "max_age": max(ages)},
+            )
+        return label
+
+    def _tally(self, votes: Dict[int, tuple]) -> int:
+        """The label with the largest summed weight; ties go to fresh evidence."""
+        scores: Dict[int, float] = {}
+        if self._weighted:
+            prior = self.confidence.weight
+            for node_id, (label, confidence, _) in votes.items():
+                scores[label] = scores.get(label, 0.0) + (
+                    0.5 * confidence + 0.5 * prior(node_id, label)
+                )
+        else:
+            for label, _, _ in votes.values():
+                scores[label] = scores.get(label, 0.0) + 1.0
+        top = max(scores.values())
+        tied = [label for label, score in scores.items() if abs(score - top) < 1e-12]
+        if len(tied) == 1:
+            return tied[0]
+        freshest: Dict[int, int] = {}
+        for label, _, started in votes.values():
+            freshest[label] = max(freshest.get(label, -1), started)
+        return max(tied, key=lambda label: (freshest[label], -label))
+
 
 # ---------------------------------------------------------------------------
 # the columnar engine
@@ -353,18 +381,16 @@ class SessionEngine:
 class EngineRow:
     """One run of a :class:`DecisionEngine` batch.
 
-    ``confidence`` is the matrix the row votes with.  With
-    ``adaptation_alpha=None`` the row adapts that matrix in place (a
-    caller-threaded matrix, like ``HARExperiment.run(confidence_matrix=)``);
-    a float adapts a private copy of its weights at that rate and leaves
-    the matrix untouched.  ``on_completion(node_id, slot)`` is called for
+    ``confidence`` is the matrix the row votes with.  An adaptive row
+    adapts a private copy of its weights at the matrix's
+    ``adaptation_alpha`` and leaves the matrix untouched, so rows may
+    share one matrix.  ``on_completion(node_id, slot)`` is called for
     every completed report, delivered or not (the fault engine's
     recovery hook).  ``obs`` carries the run's own trace buffer.
     """
 
     policy: Any
     confidence: ConfidenceMatrix
-    adaptation_alpha: Optional[float] = None
     max_recall_age_slots: Optional[int] = None
     staleness_half_life_slots: Optional[int] = None
     obs: Observability = NULL_OBS
@@ -395,8 +421,7 @@ class WireReport:
     """One node's slot report, as the host receives it.
 
     The wire record of :mod:`repro.serve`, what
-    :meth:`SessionEngine.finish_slot`, :meth:`HostDevice.receive
-    <repro.wsn.host.HostDevice.receive>` and a scheduler's ``observe``
+    :meth:`SessionEngine.finish_slot` and a scheduler's ``observe``
     take, and what a batch row's protocol-stepped scheduler observes.
     Softmax vectors never cross the wire: only the label and the
     variance-of-softmax confidence, exactly what the paper's result
@@ -422,20 +447,6 @@ class WireReport:
             if self.reported_label is not None
             else self.predicted_label
         )
-
-
-class RowHost:
-    """One row's host, as a fault engine drives it: it can restart."""
-
-    __slots__ = ("_engine", "_row")
-
-    def __init__(self, engine: "DecisionEngine", row: int) -> None:
-        self._engine = engine
-        self._row = row
-
-    def restart(self) -> None:
-        """Reboot this row's host (see :meth:`DecisionEngine.restart`)."""
-        self._engine.restart(self._row)
 
 
 class DecisionEngine:
@@ -585,8 +596,6 @@ class DecisionEngine:
         self._weights = np.empty((n_rows, n_nodes, self._n_classes), dtype=np.float64)
         self._alpha = np.zeros(n_rows, dtype=np.float64)
         self._adaptive = np.zeros(n_rows, dtype=bool)
-        #: ``row -> matrix`` of rows adapting a caller's matrix in place.
-        self._shared: Dict[int, ConfidenceMatrix] = {}
         normalized = np.zeros(n_rows, dtype=bool)
         seeded: Dict[int, np.ndarray] = {}
         for r, row in enumerate(rows):
@@ -596,29 +605,20 @@ class DecisionEngine:
             if id(matrix) not in seeded:
                 seeded[id(matrix)] = np.stack([matrix.row(n) for n in self.node_ids])
             self._weights[r] = seeded[id(matrix)]
-            if row.adaptation_alpha is None:
-                if any(shared is matrix for shared in self._shared.values()):
-                    raise ConfigurationError(
-                        "a confidence matrix can adapt in place in one row of a batch only"
-                    )
-                self._shared[r] = matrix
-                self._alpha[r] = matrix.adaptation_alpha
-            else:
-                self._alpha[r] = row.adaptation_alpha
+            self._alpha[r] = matrix.adaptation_alpha
             self._adaptive[r] = bool(row.policy.adaptive_confidence)
             normalized[r] = matrix.normalize
         # Positions among the weighted recall rows of normalizing matrices.
         self._normalized_recall = np.flatnonzero(
             normalized[self._recall_rows][self._weighted_recall]
         )
-        self._in_place = np.isin(np.arange(n_rows), list(self._shared))
         self.confidence_updates = np.zeros(n_rows, dtype=np.int64)
 
         # -- per-run python: hooks and observability ------------------
         self._hooks = [(r, row.on_completion) for r, row in enumerate(rows) if row.on_completion]
         self._traced = [r for r, row in enumerate(rows) if row.obs.tracer.enabled]
         self._traced_set = set(self._traced)
-        # Registered up front, as the scalar host's ``attach_obs`` does.
+        # Registered up front, as the session engine does.
         self._recall_hist = {
             r: row.obs.metrics.histogram("host.recall_age_slots")
             for r, row in enumerate(rows)
@@ -646,10 +646,6 @@ class DecisionEngine:
             order[label] = [self._position[node_id] for node_id in table.ranked_nodes(label)]
         return order
 
-    def host(self, row: int) -> RowHost:
-        """A handle on one row's host, for that run's fault engine."""
-        return RowHost(self, row)
-
     # ------------------------------------------------------------------
     # host state
     # ------------------------------------------------------------------
@@ -657,7 +653,7 @@ class DecisionEngine:
     def restart(self, row: int) -> None:
         """Reboot one row's host: its recall memory and link history go.
 
-        Cumulative counters survive, as on :meth:`HostDevice.restart`.
+        Cumulative counters survive: they are bookkeeping, not host RAM.
         """
         self._valid[row] = False
         self.restarts[row] += 1
@@ -903,14 +899,6 @@ class DecisionEngine:
         # Rows with a zero alpha adapt nothing and count nothing.
         live = self._alpha[rows] != 0.0
         self._stale = True
-        shared = live & self._in_place[rows]
-        for i in np.flatnonzero(shared).tolist():
-            r = int(rows[i])
-            self._weights[r, nodes[i], labels[i]] = self._shared[r].update(
-                self.node_ids[nodes[i]], int(labels[i]), float(scores[i])
-            )
-            self.confidence_updates[r] += 1
-        live &= ~shared
         if live.any():
             rows, nodes, labels, scores = rows[live], nodes[live], labels[live], scores[live]
             current = self._weights[rows, nodes, labels]
@@ -931,7 +919,7 @@ class DecisionEngine:
         """Staleness weights of the recall rows' votes (``None``: none fade).
 
         A vote of age ``a > 0`` weighs ``0.5 ** (a / half_life)``,
-        computed by Python's float power, as the scalar host does.
+        computed by Python's float power.
         """
         if not self._fading:
             return None
@@ -977,8 +965,7 @@ class DecisionEngine:
         weight = np.ones(age.shape) if fade is None else fade
         weighted = self._weighted_index
         if weighted.size:
-            # WeightedMajorityVote at its default blend of 0.5: half the
-            # transmitted confidence, half the matrix prior.
+            # Half the transmitted confidence, half the matrix prior.
             w_rows = self._weighted_rows
             w_labels = labels[weighted]
             prior = self._weights[w_rows[:, None], np.arange(n_nodes), w_labels]

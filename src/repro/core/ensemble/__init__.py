@@ -1,6 +1,5 @@
-"""Ensemble aggregation: majority voting and the confidence matrix."""
+"""Ensemble aggregation: the confidence matrix the host votes with."""
 
 from repro.core.ensemble.confidence import ConfidenceMatrix
-from repro.core.ensemble.voting import MajorityVote, WeightedMajorityVote
 
-__all__ = ["ConfidenceMatrix", "MajorityVote", "WeightedMajorityVote"]
+__all__ = ["ConfidenceMatrix"]

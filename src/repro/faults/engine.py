@@ -12,8 +12,8 @@ about plans.  Static schedules fold into a node's harvest timeline
 (:meth:`FaultEngine.slot_energies`); a power-down drains the node
 through a callback the caller supplies; a lossy link's channel is a
 per-message delivery hook (:meth:`FaultEngine.link_hook`) the kernel
-calls for each result message; a host restart goes through the
-``restart()`` of the host handle passed to :meth:`FaultEngine.begin_slot`.
+calls for each result message; a host restart calls the ``restart``
+callable passed to :meth:`FaultEngine.begin_slot`.
 """
 
 from __future__ import annotations
@@ -199,16 +199,21 @@ class FaultEngine:
         return not any(b.covers(slot) for b in self._brownouts.get(node_id, ()))
 
     def begin_slot(
-        self, slot: int, host, power_down: Callable[[int, int], None]
+        self,
+        slot: int,
+        restart: Callable[[], None],
+        power_down: Callable[[int, int], None],
     ) -> None:
         """Apply slot-boundary fault events before scheduling runs.
 
-        ``power_down(node_id, slot)`` is called when a node's supply
-        collapses: the node loses its stored charge and in-flight task.
+        ``restart()`` is called when the host reboots: it loses its
+        recall memory.  ``power_down(node_id, slot)`` is called when a
+        node's supply collapses: the node loses its stored charge and
+        in-flight task.
         """
         trace = self.obs.tracer
         if slot in self._restart_slots:
-            host.restart()
+            restart()
             self._host_restarts += 1
             logger.debug("slot %d: host restarted (recall store wiped)", slot)
             if trace.enabled:

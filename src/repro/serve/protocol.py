@@ -50,6 +50,7 @@ __all__ = [
     "read_frame",
     "write_frame",
     "validate_frame",
+    "integer_from_wire",
     "policy_to_wire",
     "policy_from_wire",
     "states_to_wire",
@@ -168,15 +169,31 @@ def policy_to_wire(spec: PolicySpec) -> Dict[str, Any]:
 
 
 def policy_from_wire(wire: Dict[str, Any]) -> PolicySpec:
-    """Rebuild a :class:`PolicySpec` from its wire dict."""
+    """Rebuild a :class:`PolicySpec` from its wire dict.
+
+    The flags must be JSON booleans (an absent ``adaptive_confidence``
+    or ``all_on`` reads as false) and ``rr_length`` a JSON integer;
+    anything else is a :class:`ServeError` (a string ``"false"`` must
+    not read as an adaptive policy, nor ``6.9`` as RR6).
+    """
     try:
+        name = str(wire["name"])
+        rr_length = wire["rr_length"]
+        flags = {
+            "activity_aware": wire["activity_aware"],
+            "adaptive_confidence": wire.get("adaptive_confidence", False),
+            "all_on": wire.get("all_on", False),
+        }
+        if not _is_integer(rr_length):
+            raise TypeError(f"rr_length must be an integer, got {rr_length!r}")
+        for flag, value in flags.items():
+            if not isinstance(value, bool):
+                raise TypeError(f"{flag} must be a boolean, got {value!r}")
         return PolicySpec(
-            name=str(wire["name"]),
-            rr_length=int(wire["rr_length"]),
-            activity_aware=bool(wire["activity_aware"]),
+            name=name,
+            rr_length=rr_length,
             aggregation=AggregationMode(wire["aggregation"]),
-            adaptive_confidence=bool(wire.get("adaptive_confidence", False)),
-            all_on=bool(wire.get("all_on", False)),
+            **flags,
         )
     except (KeyError, ValueError, TypeError) as error:
         raise ServeError(f"bad policy spec on the wire: {error}") from None
@@ -201,6 +218,18 @@ def _is_number(value: Any) -> bool:
 
 def _is_integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def integer_from_wire(frame: Dict[str, Any], name: str) -> int:
+    """``frame[name]``, which must be a JSON integer.
+
+    A bool, float, string or ``null`` is a :class:`ServeError`: ``int()``
+    would read ``0.9`` and ``false`` as 0 and raise on ``"abc"``.
+    """
+    value = frame[name]
+    if not _is_integer(value):
+        raise ServeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def states_from_wire(wire: Dict[str, Any]) -> Dict[int, NodeSlotState]:

@@ -11,8 +11,10 @@ advances it one wire exchange at a time:
   reply ``decision`` (with the next active set piggybacked);
 * ``bye`` → reply ``bye_ack`` with the session's counters.
 
-The engine is the scalar one: a session is a single run, where the
-columnar batch engine's fixed per-slot cost exceeds the scalar step.
+The engine is the scalar one — one scheduler, one recall memory, one
+vote: a session is a single run, where the columnar batch engine's
+fixed per-slot cost is 11–14x the scalar step (DESIGN §16).  A
+session hands it only ready/online flags, reports and ``decide``.
 
 The session is transport-free (it maps frames to reply frames,
 synchronously), so the protocol state machine is testable without a
@@ -31,10 +33,11 @@ from typing import Any, Dict, List, Optional
 from repro.core.engine import SessionEngine, WireReport
 from repro.core.policies import PolicySpec
 from repro.datasets.base import HARDataset
-from repro.errors import ServeError
+from repro.errors import ConfigurationError, SchedulingError, ServeError
 from repro.obs.observer import NULL_OBS, Observability
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
+    integer_from_wire,
     policy_from_wire,
     report_from_wire,
     states_from_wire,
@@ -84,24 +87,25 @@ class ServeProfile:
         """A fresh decision engine for one session of ``policy``.
 
         Mirrors ``HARExperiment.run``'s setup: the confidence matrix is
-        a per-run copy of the bundle's, adapting only under adaptive
+        a per-session copy of the bundle's, adapted only under adaptive
         policies — so every session starts from the validation-seeded
-        priors and personalizes independently.
+        priors and personalizes independently.  A policy this
+        deployment cannot schedule raises
+        :class:`~repro.errors.ServeError`.
         """
-        alpha = (
-            self.bundle.confidence_matrix.adaptation_alpha
-            if policy.adaptive_confidence
-            else 0.0
-        )
-        confidence = self.bundle.confidence_matrix.copy(adaptation_alpha=alpha)
-        return SessionEngine(
-            policy,
-            self.node_ids,
-            self.bundle.rank_table,
-            confidence,
-            max_recall_age_slots=self.config.max_recall_age_slots,
-            obs=obs,
-        )
+        try:
+            return SessionEngine(
+                policy,
+                self.node_ids,
+                self.bundle.rank_table,
+                self.bundle.confidence_matrix.copy(),
+                max_recall_age_slots=self.config.max_recall_age_slots,
+                obs=obs,
+            )
+        except (ConfigurationError, SchedulingError) as error:
+            raise ServeError(
+                f"profile {self.name!r} cannot run policy {policy.name!r}: {error}"
+            ) from None
 
 
 class EngineCatalog:
@@ -221,9 +225,10 @@ class Session:
             )
         self.profile = self.catalog.get(str(frame["profile"]))
         self.policy = policy_from_wire(frame["policy"])
-        n_windows = int(frame["n_windows"])
+        n_windows = integer_from_wire(frame, "n_windows")
         if n_windows < 1:
             raise ServeError(f"n_windows must be >= 1, got {n_windows}")
+        seed = integer_from_wire(frame, "seed")
         self.n_windows = n_windows
         self.engine = self.profile.build_engine(self.policy, obs=self.obs)
         states = self._check_states(states_from_wire(frame["states"]))
@@ -232,7 +237,7 @@ class Session:
             tracer.emit(
                 "run.started",
                 policy=self.policy.name,
-                seed=int(frame["seed"]),
+                seed=seed,
                 n_windows=n_windows,
                 n_nodes=len(self.profile.node_ids),
             )
@@ -305,7 +310,7 @@ class Session:
     ) -> List[Dict[str, Any]]:
         if self.state is not SessionState.STREAMING:
             raise ServeError("window before hello (or after close)")
-        slot = int(frame["slot"])
+        slot = integer_from_wire(frame, "slot")
         if slot != self.expected_slot:
             raise ServeError(
                 f"out-of-order window: expected slot {self.expected_slot}, "

@@ -25,7 +25,6 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.core.ensemble.confidence import ConfidenceMatrix
 from repro.core.policies import PolicySpec
 from repro.datasets.base import HARDataset
 from repro.datasets.body import BodyLocation
@@ -262,7 +261,6 @@ class HARExperiment:
         subject: Optional[SubjectProfile] = None,
         seed: Optional[int] = None,
         n_windows: Optional[int] = None,
-        confidence_matrix: Optional[ConfidenceMatrix] = None,
         faults: Optional[FaultPlan] = None,
         material: Optional[RunMaterial] = None,
         obs: Optional[Observability] = None,
@@ -272,7 +270,9 @@ class HARExperiment:
         The run is a batch of one on the slot kernel
         (:func:`repro.sim.kernel.run_policy_batch`), so it is
         byte-identical to the same ``(policy, seed)`` inside any sweep
-        or batch.
+        or batch.  It votes with the bundle's confidence matrix; an
+        adaptive policy adapts a private copy, so the bundle's matrix
+        never changes.
 
         Parameters
         ----------
@@ -283,10 +283,6 @@ class HARExperiment:
             Per-run seed (defaults to the experiment seed).
         n_windows:
             Override the configured slot count.
-        confidence_matrix:
-            Use (and mutate!) this matrix instead of a fresh copy of the
-            bundle's — the personalization study threads one matrix
-            through many runs this way.
         faults:
             A :class:`~repro.faults.FaultPlan` of node deaths,
             brownouts, lossy links, harvester shadowing and host
@@ -330,7 +326,6 @@ class HARExperiment:
             material=material,
             subject=subject,
             config=config,
-            confidence_matrices=[confidence_matrix],
             faults=faults,
             obs=obs,
         )[0]

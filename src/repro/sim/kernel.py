@@ -64,7 +64,7 @@ import functools
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -490,7 +490,7 @@ class _RunState:
     unresponsive_after: Optional[int] = None
     links: List[Optional[Callable]] = field(default_factory=list)
     row: int = 0
-    host: Any = None
+    restart: Optional[Callable[[], None]] = None
     power_down: Optional[Callable[[int, int], None]] = None
 
     @property
@@ -512,10 +512,10 @@ class BatchGroup:
 
     ``config`` (a :class:`~repro.sim.experiment.SimulationConfig`)
     defaults to the experiment's; ``material`` is built when omitted;
-    ``confidence_matrices`` optionally supplies (and mutates!) one
-    matrix per policy, ``None`` entries meaning fresh copies;
     ``faults`` is a :class:`~repro.faults.FaultPlan` every run of the
-    group compiles for itself.
+    group compiles for itself.  Every run votes with the bundle's
+    confidence matrix and, under an adaptive policy, adapts a private
+    copy of it.
     """
 
     policies: Sequence[PolicySpec]
@@ -523,7 +523,6 @@ class BatchGroup:
     config: Optional[object] = None
     material: Optional[RunMaterial] = None
     subject: Optional[object] = None
-    confidence_matrices: Optional[Sequence] = None
     faults: Optional[FaultPlan] = None
 
 
@@ -572,14 +571,6 @@ def _prepare_group(experiment, group: BatchGroup, obs: Observability) -> tuple:
     run_seed = int(group.seed)
     dataset_spec = experiment.dataset.spec
     subject = group.subject or default_subject(experiment.dataset)
-    confidence_matrices = group.confidence_matrices
-    if confidence_matrices is None:
-        confidence_matrices = [None] * len(policies)
-    elif len(confidence_matrices) != len(policies):
-        raise ConfigurationError(
-            f"confidence_matrices must match policies "
-            f"({len(confidence_matrices)} != {len(policies)})"
-        )
 
     material = group.material
     if material is None:
@@ -609,11 +600,10 @@ def _prepare_group(experiment, group: BatchGroup, obs: Observability) -> tuple:
     n_slots = config.n_windows
     energies = np.stack([node.slot_energy_vector(n_slots) for node in nodes])
     plan = group.faults if group.faults is not None else FaultPlan()
-    bundle_matrix = experiment.bundle.confidence_matrix
 
     runs: List[_RunState] = []
     rows: List[EngineRow] = []
-    for spec, matrix in zip(policies, confidence_matrices):
+    for spec in policies:
         run_obs = _run_obs(obs)
         engine = None
         links: List[Optional[Callable]] = [None] * len(nodes)
@@ -628,17 +618,10 @@ def _prepare_group(experiment, group: BatchGroup, obs: Observability) -> tuple:
             )
             engine.obs = run_obs
             links = [engine.link_hook(node_id) for node_id in node_ids]
-        # A caller's matrix adapts in place; otherwise the run adapts a
-        # private copy of the bundle's, frozen unless the policy adapts.
-        alpha = None
-        if matrix is None:
-            matrix = bundle_matrix
-            alpha = bundle_matrix.adaptation_alpha if spec.adaptive_confidence else 0.0
         rows.append(
             EngineRow(
                 policy=spec,
-                confidence=matrix,
-                adaptation_alpha=alpha,
+                confidence=experiment.bundle.confidence_matrix,
                 max_recall_age_slots=config.max_recall_age_slots,
                 staleness_half_life_slots=plan.recall_staleness_half_life_slots,
                 obs=run_obs,
@@ -833,7 +816,7 @@ def run_group_batch(
     for state in states:
         for run in state.runs:
             if run.faults is not None:
-                run.host = engine.host(run.row)
+                run.restart = functools.partial(engine.restart, run.row)
                 run.power_down = functools.partial(
                     _power_down, kernel, run, state.position, n_nodes
                 )
@@ -872,7 +855,7 @@ def run_group_batch(
             online = np.ones(shape, dtype=bool)
             for run in faulted:
                 if run.faults is not None:
-                    run.faults.begin_slot(slot, run.host, run.power_down)
+                    run.faults.begin_slot(slot, run.restart, run.power_down)
                     online[run.row] = [run.faults.node_online(n) for n in node_ids]
             responsive = online & (engine.quiet_slots(slot) <= limit)
         active = engine.begin_slot(
@@ -1076,7 +1059,6 @@ def run_policy_batch(
     material: Optional[RunMaterial] = None,
     subject=None,
     config=None,
-    confidence_matrices: Optional[Sequence] = None,
     faults: Optional[FaultPlan] = None,
     obs: Optional[Observability] = None,
 ) -> List[ExperimentResult]:
@@ -1089,10 +1071,7 @@ def run_policy_batch(
     :class:`~repro.sim.results.ExperimentResult` per policy, in order,
     each byte-identical to ``experiment.run(policy, seed=seed, ...)``.
 
-    This is :func:`run_group_batch` with a single :class:`BatchGroup`;
-    ``confidence_matrices`` optionally supplies (and mutates!) one
-    matrix per policy, mirroring ``run(confidence_matrix=...)``, with
-    ``None`` entries for the default fresh copies.
+    This is :func:`run_group_batch` with a single :class:`BatchGroup`.
     """
     policies = list(policies)
     if not policies:
@@ -1106,7 +1085,6 @@ def run_policy_batch(
                 config=config,
                 material=material,
                 subject=subject,
-                confidence_matrices=confidence_matrices,
                 faults=faults,
             )
         ],

@@ -2,15 +2,24 @@
 
 import pytest
 
-from repro.core.ensemble import ConfidenceMatrix, MajorityVote, WeightedMajorityVote
+from repro.core.engine import SessionEngine, WireReport
+from repro.core.ensemble import ConfidenceMatrix
 from repro.core.policies import aas_policy, aasr_policy, origin_policy, rr_policy
 from repro.core.scheduling import ActivityAwareScheduler, ExtendedRoundRobin, RankTable
 from repro.core.scheduling.base import SchedulingContext
-from repro.wsn.host import ReceivedVote
 
 
-def vote(node_id, label, confidence=0.1, started_slot=0):
-    return ReceivedVote(node_id, label, confidence, started_slot, started_slot)
+def vote(node_id, label, confidence=0.1):
+    return WireReport(
+        node_id, 0, 0, completed=True, predicted_label=label, confidence=confidence
+    )
+
+
+def decide(policy, matrix, votes):
+    """A fresh session's decision after one slot of ``votes``."""
+    nodes = matrix.node_ids
+    table = RankTable({label: nodes for label in range(matrix.n_classes)})
+    return SessionEngine(policy, nodes, table, matrix).finish_slot(0, votes)
 
 
 class TestAnticipationDrivesSelection:
@@ -42,25 +51,24 @@ class TestAnticipationDrivesSelection:
 class TestRecallEnsembleSemantics:
     def test_weighted_vote_downweights_confused_sensor(self):
         # Sensor 0 is flat/confused about class 0; sensors 1, 2 carry
-        # real confidence about class 1.
+        # real confidence about class 1.  Nothing is transmitted, so
+        # only the matrix weighs the votes.
         matrix = ConfidenceMatrix(
             {0: [0.001, 0.001], 1: [0.08, 0.10], 2: [0.07, 0.09]}
         )
-        voter = WeightedMajorityVote(matrix, blend=0.0)
-        votes = [vote(0, 0), vote(1, 1), vote(2, 1)]
-        assert voter(votes, 0) == 1
+        votes = [vote(n, label, confidence=0.0) for n, label in [(0, 0), (1, 1), (2, 1)]]
+        assert decide(origin_policy(3, adaptive=False), matrix, votes) == 1
 
     def test_weighted_differs_from_majority_when_weights_skew(self):
         matrix = ConfidenceMatrix({0: [0.2, 0.0], 1: [0.01, 0.01], 2: [0.01, 0.01]})
-        weighted = WeightedMajorityVote(matrix, blend=0.0)
-        naive = MajorityVote()
         votes = [
             vote(0, 0, confidence=0.2),
             vote(1, 1, confidence=0.01),
             vote(2, 1, confidence=0.01),
         ]
-        assert naive(votes, 0) == 1  # two beats one
-        assert weighted(votes, 0) == 0  # but node 0's weight dominates
+        assert decide(aasr_policy(3), matrix, votes) == 1  # two beats one
+        # ... but node 0's weight dominates.
+        assert decide(origin_policy(3, adaptive=False), matrix, votes) == 0
 
     def test_adaptation_tracks_transmitted_confidence(self):
         matrix = ConfidenceMatrix({0: [0.05, 0.05]}, adaptation_alpha=1.0)

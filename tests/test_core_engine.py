@@ -1,11 +1,10 @@
-"""DecisionEngine: the extracted decision core reproduces the scalar loop."""
+"""SessionEngine: the served decision core reproduces the offline run."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import NodeSlotState, make_vote
-from repro.core.ensemble.voting import MajorityVote, WeightedMajorityVote
+from repro.core.engine import NodeSlotState
 from repro.core.policies import (
     aas_policy,
     aasr_policy,
@@ -13,7 +12,6 @@ from repro.core.policies import (
     origin_policy,
     rr_policy,
 )
-from repro.errors import SimulationError
 from repro.serve.client import DeviceSim
 from repro.serve.session import ServeProfile
 
@@ -109,28 +107,3 @@ class TestSlotPhases:
         shed = engine.finish_slot(1, outcomes, decide=False)
         assert shed is None
         assert engine.last_final == anchor
-
-    def test_on_completion_hook_sees_completed_outcomes(self, tiny_experiment):
-        sim = DeviceSim(tiny_experiment, seed=9)
-        engine = profile_for(tiny_experiment).build_engine(origin_policy(6))
-        seen = []
-        for slot in range(4):
-            active = engine.begin_slot(slot, ready_flags(sim.states()))
-            outcomes = sim.step(slot, active)
-            engine.finish_slot(
-                slot, outcomes, on_completion=seen.append
-            )
-        assert all(outcome.completed for outcome in seen)
-
-
-class TestMakeVote:
-    def test_vote_flavors(self, tiny_bundle):
-        matrix = tiny_bundle.confidence_matrix
-        assert isinstance(make_vote(aasr_policy(6), matrix), MajorityVote)
-        assert isinstance(
-            make_vote(origin_policy(6), matrix), WeightedMajorityVote
-        )
-
-    def test_last_inference_has_no_host_vote(self, tiny_bundle):
-        with pytest.raises(SimulationError):
-            make_vote(rr_policy(3), tiny_bundle.confidence_matrix)

@@ -1,22 +1,22 @@
 """Both decision engines against a frozen copy of the dict-driven engine.
 
 The scalar ``SessionEngine`` takes per-node flags, skips ER-r no-op
-slots without building a scheduling context and reuses the previous
-recall vote while nothing it reads has changed.  The columnar
-``DecisionEngine`` decides for every run of a batch at once from
-``(rows, nodes)`` arrays.  The reference below is the engine as it was
-before either — ``begin_slot`` over ``{node_id: NodeSlotState}``,
-``HostDevice.classify`` voting on every slot, and both vote classes with
-their ``defaultdict`` tallies — kept here as the test oracle.
-Hypothesis drives each engine against it over random sessions and
-requires identical decisions, bookkeeping, confidence matrices and
-traces.
+slots without building a scheduling context, keeps its recall memory
+and vote in one class and reuses the previous recall vote while nothing
+it reads has changed.  The columnar ``DecisionEngine`` decides for every
+run of a batch at once from ``(rows, nodes)`` arrays.  The reference
+below is the engine as it was before either — ``begin_slot`` over
+``{node_id: NodeSlotState}``, a recall host whose ``classify`` votes on
+every slot, and both vote classes with their ``defaultdict`` tallies —
+kept here as the test oracle.  Hypothesis drives each engine against it
+over random sessions and requires identical decisions, bookkeeping,
+confidence matrices and traces.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ from repro.core.engine import (
     SlotReports,
 )
 from repro.core.ensemble.confidence import ConfidenceMatrix
-from repro.core.ensemble.voting import MajorityVote, WeightedMajorityVote
 from repro.core.policies import (
     AggregationMode,
     aas_policy,
@@ -46,11 +45,25 @@ from repro.core.scheduling.rank_table import RankTable
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.observer import NULL_OBS, Observability
 from repro.serve.protocol import WireReport
-from repro.wsn.host import HostDevice, ReceivedVote
 
 # ---------------------------------------------------------------------------
 # the reference: the engine, host vote and voters before lane flags
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReceivedVote:
+    """One node's most recent classification, as the host remembers it."""
+
+    node_id: int
+    label: int
+    confidence: float
+    received_slot: int
+    started_slot: int
+    weight: float = 1.0
+
+    def age(self, current_slot: int) -> int:
+        return current_slot - self.started_slot
 
 
 class RefMajorityVote:
@@ -98,8 +111,58 @@ class RefWeightedMajorityVote:
         return max(tied, key=lambda label: (freshest[label], -label))
 
 
-class RefHost(HostDevice):
-    """The host whose ``classify`` votes afresh on every slot."""
+class RefHost:
+    """The recall host, voting afresh on every slot.
+
+    Remembers each node's last delivered classification in insertion
+    order; a restart wipes the memory and link history but keeps the
+    counters.
+    """
+
+    def __init__(
+        self, vote, *, max_recall_age_slots=None, staleness_half_life_slots=None
+    ) -> None:
+        self.vote = vote
+        self.max_recall_age_slots = max_recall_age_slots
+        self.staleness_half_life_slots = staleness_half_life_slots
+        self.obs = NULL_OBS
+        self._recall_hist = None
+        self._memory: Dict[int, ReceivedVote] = {}
+        self._last_heard: Dict[int, int] = {}
+        self.messages_received = 0
+        self.decisions_made = 0
+        self.restarts = 0
+
+    def attach_obs(self, obs: Observability) -> None:
+        self.obs = obs
+        self._recall_hist = (
+            obs.metrics.histogram("host.recall_age_slots") if obs.enabled else None
+        )
+
+    def remembered_votes(self) -> List[ReceivedVote]:
+        return list(self._memory.values())
+
+    def quiet_slots(self, node_id: int, current_slot: int) -> int:
+        last = self._last_heard.get(node_id)
+        return current_slot + 1 if last is None else current_slot - last
+
+    def receive(self, report: WireReport) -> None:
+        if not (report.completed and report.delivered):
+            raise SimulationError("host only receives completed, delivered results")
+        self.messages_received += 1
+        self._last_heard[report.node_id] = report.slot_index
+        self._memory[report.node_id] = ReceivedVote(
+            node_id=report.node_id,
+            label=report.delivered_label,
+            confidence=report.confidence if report.confidence is not None else 0.0,
+            received_slot=report.slot_index,
+            started_slot=report.started_slot,
+        )
+
+    def restart(self) -> None:
+        self._memory.clear()
+        self._last_heard.clear()
+        self.restarts += 1
 
     def _ref_staleness_weighted(
         self, votes: List[ReceivedVote], current_slot: int
@@ -134,7 +197,7 @@ class RefHost(HostDevice):
             return None
         label = self.vote(votes, current_slot)
         if label is not None:
-            self._decisions += 1
+            self.decisions_made += 1
         if obs.tracer.enabled and label is not None:
             obs.tracer.append(
                 "vote.cast",
@@ -299,10 +362,6 @@ slot_plan = st.fixed_dictionaries(
     {
         "ready": st.lists(st.booleans(), min_size=3, max_size=3),
         "online": st.one_of(st.none(), st.lists(st.booleans(), min_size=3, max_size=3)),
-        "responsive": st.one_of(
-            st.none(), st.lists(st.booleans(), min_size=3, max_size=3)
-        ),
-        "restart": st.booleans(),
         # A write to the matrix from outside this run (a matrix shared
         # between runs), with no report to move the host's memory.
         "adapt": st.one_of(
@@ -322,7 +381,6 @@ session = st.fixed_dictionaries(
     {
         "policy": st.sampled_from(POLICIES),
         "max_recall_age": st.sampled_from([None, 3]),
-        "staleness": st.sampled_from([None, 4]),
         "observed": st.booleans(),
         "slots": st.lists(slot_plan, min_size=1, max_size=40),
     }
@@ -369,7 +427,6 @@ def build_pair(spec):
                 rank_table(),
                 confidence_matrix(alpha),
                 max_recall_age_slots=spec["max_recall_age"],
-                staleness_half_life_slots=spec["staleness"],
                 obs=obs,
             )
         )
@@ -382,18 +439,10 @@ class TestEngineMatchesReference:
     def test_random_sessions(self, spec):
         reference, engine = build_pair(spec)
         for slot, plan in enumerate(spec["slots"]):
-            if plan["restart"]:
-                reference.host.restart()
-                engine.host.restart()
             if plan["adapt"] is not None:
                 reference.confidence.update(*plan["adapt"])
                 engine.confidence.update(*plan["adapt"])
             online = plan["online"]
-            responsive = (
-                None
-                if plan["responsive"] is None
-                else dict(zip(NODES, plan["responsive"]))
-            )
             states = {
                 node_id: NodeSlotState(
                     energy_j=1e-4 * (k + 1),
@@ -402,12 +451,8 @@ class TestEngineMatchesReference:
                 )
                 for k, node_id in enumerate(NODES)
             }
-            expected_active = reference.begin_slot(
-                slot, states, node_responsive=responsive
-            )
-            active = engine.begin_slot(
-                slot, plan["ready"], online=online, node_responsive=responsive
-            )
+            expected_active = reference.begin_slot(slot, states)
+            active = engine.begin_slot(slot, plan["ready"], online=online)
             assert active == expected_active
 
             reports = reports_for(slot, active, plan)
@@ -420,8 +465,8 @@ class TestEngineMatchesReference:
             assert final == expected
             assert engine.last_final == reference.last_final
 
-        assert engine.host.decisions_made == reference.host.decisions_made
-        assert engine.host.messages_received == reference.host.messages_received
+        assert engine.decisions == reference.host.decisions_made
+        assert engine.messages_received == reference.host.messages_received
         assert (
             engine.confidence.as_array().tobytes()
             == reference.confidence.as_array().tobytes()
@@ -446,38 +491,36 @@ class TestVoteReuse:
         for slot in range(1, 4):  # no-op slots: the vote is reused
             assert engine.begin_slot(slot, [True, True, True]) == []
             assert engine.finish_slot(slot, []) == 1
-        assert engine.host.decisions_made == 4
+        assert engine.decisions == 4
         assert len(obs.tracer.of_kind("vote.cast")) == 4
         ages = obs.metrics.to_dict()["histograms"]["host.recall_age_slots"]
         assert ages["count"] == 4
 
     def test_restart_invalidates_the_reused_vote(self):
-        engine = SessionEngine(
-            origin_policy(12), NODES, rank_table(), confidence_matrix(0.0)
-        )
-        report = WireReport(
-            0, 0, 0, completed=True, predicted_label=1, confidence=0.2
-        )
-        engine.begin_slot(0, [True, True, True])
-        assert engine.finish_slot(0, [report]) == 1
-        engine.host.restart()
-        engine.begin_slot(1, [True, True, True])
-        assert engine.finish_slot(1, []) is None
+        # Host restarts come only from fault plans, so only batch rows
+        # take them.
+        engine = one_row(origin_policy(12), confidence_matrix(0.0))
+        ready = np.ones(engine.shape, dtype=bool)
+        engine.begin_slot(0, ready)
+        assert engine.finish_slot(0, one_report(engine.shape, 0, 0, 1, 0.2)).tolist() == [1]
+        engine.restart(0)
+        engine.begin_slot(1, ready)
+        assert engine.finish_slot(1, no_reports(engine.shape)).tolist() == [-1]
 
     @pytest.mark.parametrize(
         "recall, votes_cast",
-        [({}, 2), ({"staleness_half_life_slots": 4}, 6), ({"max_recall_age_slots": 9}, 6)],
-        ids=["reused", "fading", "expiring"],
+        [({}, 2), ({"max_recall_age_slots": 9}, 6)],
+        ids=["reused", "expiring"],
     )
     def test_vote_reruns_only_when_reuse_is_sound(self, monkeypatch, recall, votes_cast):
         calls = []
-        real = WeightedMajorityVote.__call__
+        real = SessionEngine._tally
 
-        def counted(self, votes, current_slot):
-            calls.append(current_slot)
-            return real(self, votes, current_slot)
+        def counted(self, votes):
+            calls.append(len(votes))
+            return real(self, votes)
 
-        monkeypatch.setattr(WeightedMajorityVote, "__call__", counted)
+        monkeypatch.setattr(SessionEngine, "_tally", counted)
         engine = SessionEngine(
             origin_policy(12), NODES, rank_table(), confidence_matrix(0.3), **recall
         )
@@ -493,12 +536,7 @@ class TestVoteReuse:
     def test_outside_matrix_write_revotes(self):
         # Two nodes disagree; a write to the shared matrix on a slot
         # without reports must flip the decision, as the reference does.
-        spec = {
-            "policy": origin_policy(12),
-            "max_recall_age": None,
-            "staleness": None,
-            "observed": False,
-        }
+        spec = {"policy": origin_policy(12), "max_recall_age": None, "observed": False}
         reference, engine = build_pair(spec)
         finals = []
         for slot in range(8):
@@ -519,52 +557,15 @@ class TestVoteReuse:
             finals.append(expected)
         assert finals == [0, 0, 0, 0, 0, 0, 1, 1]
 
-    def test_memory_version_moves_on_every_write(self):
-        host = HostDevice(MajorityVote())
-        versions = [host.memory_version]
-        host.receive(
-            WireReport(0, 0, 0, completed=True, predicted_label=1, confidence=0.2)
-        )
-        versions.append(host.memory_version)
-        host.restart()
-        versions.append(host.memory_version)
-        host.reset()
-        versions.append(host.memory_version)
-        assert versions == sorted(set(versions))  # strictly increasing
-        host.classify(3)  # reading the memory is not a write
-        assert host.memory_version == versions[-1]
-
 
 class TestVoters:
     def test_negative_label_raises_instead_of_wrapping(self):
-        voter = WeightedMajorityVote(confidence_matrix(0.0))
-        vote = ReceivedVote(0, -1, 0.2, 0, 0)
-        with pytest.raises(ConfigurationError, match="out of range"):
-            voter([vote], 0)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        votes=st.lists(
-            st.tuples(
-                st.sampled_from(NODES),
-                st.integers(0, N_CLASSES - 1),
-                st.sampled_from([0.0, 0.05, 0.1, 0.2]),
-                st.integers(0, 6),
-                st.sampled_from([1.0, 0.5, 0.25]),
-            ),
-            max_size=6,
+        engine = SessionEngine(
+            origin_policy(6, adaptive=False), NODES, rank_table(), confidence_matrix(0.0)
         )
-    )
-    def test_voters_match_reference(self, votes):
-        recalled = [
-            ReceivedVote(node, label, conf, 0, started, weight)
-            for node, label, conf, started, weight in votes
-        ]
-        matrix = confidence_matrix(0.0)
-        assert MajorityVote()(recalled, 9) == RefMajorityVote()(recalled, 9)
-        assert WeightedMajorityVote(matrix)(recalled, 9) == RefWeightedMajorityVote(
-            matrix
-        )(recalled, 9)
+        report = WireReport(0, 0, 0, completed=True, predicted_label=-1, confidence=0.2)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            engine.finish_slot(0, [report])
 
 
 def test_begin_slot_needs_one_flag_per_node():
@@ -669,7 +670,6 @@ row_plan = st.fixed_dictionaries(
         "observed": st.booleans(),
         # A zero alpha on an adaptive policy adapts and counts nothing.
         "alpha": st.sampled_from([0.0, 0.3]),
-        "shared": st.booleans(),
         "hooked": st.booleans(),
     }
 )
@@ -691,7 +691,8 @@ class BatchPair:
         self.specs: List[tuple] = []
         self.ref_hooks: List[list] = [[] for _ in plans]
         self.hooks: List[list] = [[] for _ in plans]
-        self.shared: List[Optional[ConfidenceMatrix]] = []
+        #: One matrix per alpha, shared by every row that adapts at it.
+        self.matrices: Dict[float, ConfidenceMatrix] = {}
         rows = []
         for r, plan in enumerate(plans):
             ref_policy, policy = row_policy(plan["kind"]), row_policy(plan["kind"])
@@ -711,13 +712,10 @@ class BatchPair:
                     **recall,
                 )
             )
-            matrix = confidence_matrix(alpha)
-            self.shared.append(matrix if plan["shared"] else None)
             rows.append(
                 EngineRow(
                     policy=policy,
-                    confidence=matrix,
-                    adaptation_alpha=None if plan["shared"] else alpha,
+                    confidence=self.matrices.setdefault(alpha, confidence_matrix(alpha)),
                     obs=Observability() if plan["observed"] else NULL_OBS,
                     on_completion=(
                         (lambda node_id, slot, log=self.hooks[r]: log.append((node_id, slot)))
@@ -821,10 +819,6 @@ class BatchPair:
             assert engine.restarts[r] == ref.host.restarts
             assert engine.matrix(r).tobytes() == ref.confidence.as_array().tobytes()
             assert engine.confidence_updates[r] == ref.confidence.updates
-            shared = self.shared[r]
-            if shared is not None:
-                assert shared.as_array().tobytes() == ref.confidence.as_array().tobytes()
-                assert shared.updates == ref.confidence.updates
             obs = engine.rows[r].obs
             assert obs.tracer.events == ref.obs.tracer.events
             if self.plans[r]["observed"]:
@@ -833,6 +827,10 @@ class BatchPair:
             ref_policy, policy = self.specs[r]
             if isinstance(policy, ForeignSpec):
                 assert policy.made[0].seen == ref_policy.made[0].seen
+        # Rows adapt private copies: the matrices they were handed stay put.
+        for alpha, matrix in self.matrices.items():
+            assert matrix.as_array().tobytes() == confidence_matrix(alpha).as_array().tobytes()
+            assert matrix.updates == 0
 
 
 class TestBatchEngineMatchesReference:
@@ -860,6 +858,29 @@ def one_row(policy, matrix, **kwargs) -> DecisionEngine:
     )
 
 
+def no_reports(shape) -> SlotReports:
+    return SlotReports(
+        attempted=np.zeros(shape, dtype=bool),
+        completed=np.zeros(shape, dtype=bool),
+        delivered=np.ones(shape, dtype=bool),
+        predicted=np.zeros(shape, dtype=np.int64),
+        reported=np.full(shape, -1, dtype=np.int64),
+        confidence=np.zeros(shape),
+        started=np.zeros(shape, dtype=np.int64),
+    )
+
+
+def one_report(shape, node_id, started, label, confidence) -> SlotReports:
+    """Row 0's completed, delivered report from one node of ``NODES``."""
+    reports = no_reports(shape)
+    k = NODES.index(node_id)
+    reports.attempted[0, k] = reports.completed[0, k] = True
+    reports.predicted[0, k] = label
+    reports.confidence[0, k] = confidence
+    reports.started[0, k] = started
+    return reports
+
+
 class TestBatchEngineHazards:
     def test_label_weights_sum_in_insertion_order(self):
         # Four nodes, static weights: three votes for label 0 arrive in
@@ -878,8 +899,7 @@ class TestBatchEngineHazards:
         engines = [
             DecisionEngine(
                 [EngineRow(policy=origin_policy(4, adaptive=False),
-                           confidence=ConfidenceMatrix(zeros, adaptation_alpha=0.0),
-                           adaptation_alpha=0.0)],
+                           confidence=ConfidenceMatrix(zeros, adaptation_alpha=0.0))],
                 nodes,
                 RankTable({0: nodes, 1: nodes}),
             ),
@@ -918,7 +938,7 @@ class TestBatchEngineHazards:
         # although it is offline: the active set is empty, but node 2
         # is on cooldown afterwards and node 0 runs next.
         matrix = confidence_matrix(0.0)
-        engine = one_row(aasr_policy(3), matrix, adaptation_alpha=0.0)
+        engine = one_row(aasr_policy(3), matrix)
         engine.last_final[0] = 0
         online = np.array([[False, True, True]])
         idle = engine.begin_slot(0, np.zeros(engine.shape, dtype=bool), online=online)
@@ -928,7 +948,7 @@ class TestBatchEngineHazards:
 
     def test_zero_alpha_adapts_and_counts_nothing(self):
         matrix = confidence_matrix(0.0)
-        engine = one_row(origin_policy(3), matrix, adaptation_alpha=0.0)
+        engine = one_row(origin_policy(3), matrix)
         before = engine.matrix(0).copy()
         reports = SlotReports(
             attempted=np.ones(engine.shape, dtype=bool),
@@ -946,7 +966,7 @@ class TestBatchEngineHazards:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
     def test_non_finite_or_negative_confidence_rejected(self, bad):
-        engine = one_row(origin_policy(3), confidence_matrix(0.3), adaptation_alpha=0.3)
+        engine = one_row(origin_policy(3), confidence_matrix(0.3))
         reports = SlotReports(
             attempted=np.ones(engine.shape, dtype=bool),
             completed=np.ones(engine.shape, dtype=bool),
@@ -961,14 +981,8 @@ class TestBatchEngineHazards:
             engine.finish_slot(0, reports)
         assert engine.matrix(0).tobytes() == before.tobytes()
 
-    def test_a_matrix_adapts_in_place_in_one_row_only(self):
-        matrix = confidence_matrix(0.3)
-        rows = [EngineRow(policy=origin_policy(3), confidence=matrix)] * 2
-        with pytest.raises(ConfigurationError, match="one row"):
-            DecisionEngine(rows, NODES, rank_table())
-
     def test_begin_slot_needs_one_flag_per_row_and_node(self):
-        engine = one_row(rr_policy(3), confidence_matrix(0.0), adaptation_alpha=0.0)
+        engine = one_row(rr_policy(3), confidence_matrix(0.0))
         with pytest.raises(SimulationError, match="one flag per row and node"):
             engine.begin_slot(0, np.ones((1, 2), dtype=bool))
         with pytest.raises(SimulationError, match="one flag per row and node"):

@@ -1,21 +1,36 @@
-"""Tests for the confidence matrix and voting functions."""
+"""Tests for the confidence matrix and the session engine's recall vote."""
 
 import numpy as np
 import pytest
 
-from repro.core.ensemble import ConfidenceMatrix, MajorityVote, WeightedMajorityVote
+from repro.core.engine import SessionEngine, WireReport
+from repro.core.ensemble import ConfidenceMatrix
+from repro.core.policies import aasr_policy, origin_policy
+from repro.core.scheduling import RankTable
 from repro.errors import ConfigurationError
-from repro.wsn.host import ReceivedVote
+
+#: Naive majority over recall, and Origin's confidence-weighted vote
+#: over a static matrix.
+MAJORITY = aasr_policy(3)
+WEIGHTED = origin_policy(3, adaptive=False)
 
 
-def vote(node_id, label, confidence=0.1, started_slot=0):
-    return ReceivedVote(
+def vote(node_id, label, *, slot=0, started_slot=None, confidence=0.1):
+    """A completed, delivered report received at ``slot``."""
+    return WireReport(
         node_id=node_id,
-        label=label,
+        slot_index=slot,
+        started_slot=slot if started_slot is None else started_slot,
+        completed=True,
+        predicted_label=label,
         confidence=confidence,
-        received_slot=started_slot,
-        started_slot=started_slot,
     )
+
+
+def session(policy, matrix, **kwargs) -> SessionEngine:
+    nodes = matrix.node_ids
+    table = RankTable({label: nodes for label in range(matrix.n_classes)})
+    return SessionEngine(policy, nodes, table, matrix, **kwargs)
 
 
 @pytest.fixture
@@ -116,54 +131,47 @@ class TestConfidenceMatrix:
 
 
 class TestMajorityVote:
-    def test_simple_majority(self):
-        voter = MajorityVote()
-        assert voter([vote(0, 1), vote(1, 1), vote(2, 0)], 5) == 1
+    def test_simple_majority(self, matrix):
+        votes = [vote(0, 1, slot=5), vote(1, 1, slot=5), vote(2, 0, slot=5)]
+        assert session(MAJORITY, matrix).finish_slot(5, votes) == 1
 
-    def test_tie_resolves_to_freshest(self):
-        voter = MajorityVote()
-        votes = [vote(0, 1, started_slot=2), vote(1, 0, started_slot=7)]
-        assert voter(votes, 8) == 0
+    def test_tie_resolves_to_freshest(self, matrix):
+        votes = [vote(0, 1, slot=8, started_slot=2), vote(1, 0, slot=8, started_slot=7)]
+        assert session(MAJORITY, matrix).finish_slot(8, votes) == 0
 
-    def test_empty_votes(self):
-        assert MajorityVote()([], 0) is None
+    def test_empty_votes(self, matrix):
+        engine = session(MAJORITY, matrix)
+        assert engine.finish_slot(0, []) is None
+        assert engine.decisions == 0
 
-    def test_unanimous(self):
-        voter = MajorityVote()
-        assert voter([vote(n, 2) for n in range(3)], 0) == 2
+    def test_unanimous(self, matrix):
+        votes = [vote(n, 2) for n in range(3)]
+        assert session(MAJORITY, matrix).finish_slot(0, votes) == 2
 
 
 class TestWeightedMajorityVote:
     def test_matrix_weight_swings_vote(self, matrix):
-        # Node 1 confident in class 1 outweighs two weak votes for 2.
-        voter = WeightedMajorityVote(matrix, blend=0.0)
-        votes = [vote(0, 2), vote(2, 2), vote(1, 1)]
-        # weights: class2 = 0.05 + 0.01 = 0.06 < class1 = 0.12
-        assert voter(votes, 0) == 1
-
-    def test_transmitted_confidence_used_with_blend_one(self, matrix):
-        voter = WeightedMajorityVote(matrix, blend=1.0)
-        votes = [vote(0, 0, confidence=0.01), vote(1, 2, confidence=0.5)]
-        assert voter(votes, 0) == 2
+        # Node 1 confident in class 1 outweighs two weak votes for 2;
+        # nothing is transmitted, so only the matrix weighs the votes.
+        votes = [vote(n, label, confidence=0.0) for n, label in [(0, 2), (2, 2), (1, 1)]]
+        # weights: class2 = 0.5 * (0.05 + 0.01) < class1 = 0.5 * 0.12
+        assert session(WEIGHTED, matrix).finish_slot(0, votes) == 1
 
     def test_blend_mixes(self, matrix):
-        voter = WeightedMajorityVote(matrix, blend=0.5)
-        weight = voter._weight(vote(0, 0, confidence=0.2))
-        assert weight == pytest.approx(0.5 * 0.2 + 0.5 * 0.10)
+        # Node 0's vote for class 0 weighs 0.5 * 0.2 + 0.5 * 0.10 = 0.15
+        # against 0.5 * confidence + 0.5 * 0.12 for node 1's class 1:
+        # the matrix alone would always pick 1, the transmitted scores
+        # alone always 0.
+        for confidence, label in [(0.17, 0), (0.19, 1)]:
+            votes = [vote(0, 0, confidence=0.2), vote(1, 1, confidence=confidence)]
+            assert session(WEIGHTED, matrix).finish_slot(0, votes) == label
 
     def test_empty_votes(self, matrix):
-        assert WeightedMajorityVote(matrix)([], 0) is None
+        engine = session(WEIGHTED, matrix)
+        assert engine.finish_slot(0, []) is None
+        assert engine.decisions == 0
 
     def test_exact_tie_resolves_to_freshest(self):
-        matrix = ConfidenceMatrix({0: [0.1, 0.1], 1: [0.1, 0.1]})
-        voter = WeightedMajorityVote(matrix, blend=0.0)
-        votes = [vote(0, 0, started_slot=1), vote(1, 1, started_slot=4)]
-        assert voter(votes, 5) == 1
-
-    def test_invalid_blend(self, matrix):
-        with pytest.raises(ConfigurationError):
-            WeightedMajorityVote(matrix, blend=1.5)
-
-    def test_requires_matrix(self):
-        with pytest.raises(ConfigurationError):
-            WeightedMajorityVote({"not": "a matrix"})
+        matrix = ConfidenceMatrix({node: [0.1, 0.1] for node in range(3)})
+        votes = [vote(0, 0, slot=5, started_slot=1), vote(1, 1, slot=5, started_slot=4)]
+        assert session(WEIGHTED, matrix).finish_slot(5, votes) == 1

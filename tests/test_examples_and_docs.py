@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -51,6 +52,26 @@ class TestDocs:
             "Fig. 6",
         ):
             assert token in text, f"DESIGN.md missing {token}"
+
+    def test_design_inventory_names_only_code_that_exists(self):
+        text = (ROOT / "DESIGN.md").read_text()
+        table = text[text.index("## 3. System inventory"):text.index("## 4.")]
+        named = {
+            token
+            for line in table.splitlines()
+            if line.startswith("|")
+            for token in re.findall(r"`([^`]+)`", line)
+            if token.isidentifier()
+        }
+        defined = set()
+        for path in (ROOT / "src" / "repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    defined.add(node.id)
+        assert named, "DESIGN.md §3 names no identifiers"
+        assert sorted(named - defined) == []
 
     def test_experiments_doc_records_paper_vs_measured(self):
         text = (ROOT / "EXPERIMENTS.md").read_text()

@@ -1,22 +1,22 @@
 """Unit tests for the fault-injection subsystem (`repro.faults`).
 
 Covers construction-time plan validation, the Gilbert–Elliott loss
-statistics, the lossy CommLink surface, the host's fault surface
-(link health, restart, staleness down-weighting) and the AAS
-retry/backoff reroute.  Experiment-level behaviour lives in
+statistics, the lossy CommLink surface, the host's fault surface on a
+batch's decision rows (link health, restart, staleness down-weighting)
+and the AAS retry/backoff reroute.  Experiment-level behaviour lives in
 ``test_faults_integration.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.engine import WireReport
-from repro.core.policies import naive_policy
+from repro.core.engine import DecisionEngine, EngineRow, SlotReports, WireReport
+from repro.core.ensemble.confidence import ConfidenceMatrix
+from repro.core.policies import aasr_policy, naive_policy
 from repro.core.scheduling.aas import ActivityAwareScheduler
 from repro.core.scheduling.base import SchedulingContext
 from repro.core.scheduling.rank_table import RankTable
 from repro.core.scheduling.round_robin import ExtendedRoundRobin
-from repro.core.ensemble.voting import MajorityVote
 from repro.errors import FaultError, ReproError, SimulationError
 from repro.faults import (
     Brownout,
@@ -28,10 +28,9 @@ from repro.faults import (
     PacketLoss,
     PayloadCorruption,
 )
-from repro.wsn.host import HostDevice
 
 
-def _outcome(node_id, label, slot, *, delivered=True, reported=None):
+def _outcome(node_id, label, slot):
     return WireReport(
         node_id=node_id,
         slot_index=slot,
@@ -39,9 +38,41 @@ def _outcome(node_id, label, slot, *, delivered=True, reported=None):
         completed=True,
         predicted_label=label,
         confidence=0.9,
-        delivered=delivered,
-        reported_label=reported,
     )
+
+
+#: A majority-recall deployment of four nodes and five classes.
+HOST_NODES = [0, 1, 2, 3]
+
+
+def _host_rows(*recall) -> DecisionEngine:
+    """One majority-recall row per keyword set of recall settings."""
+    matrix = ConfidenceMatrix({node: [0.1] * 5 for node in HOST_NODES}, adaptation_alpha=0.0)
+    table = RankTable({label: HOST_NODES for label in range(5)})
+    rows = [EngineRow(policy=aasr_policy(4), confidence=matrix, **kwargs) for kwargs in recall]
+    return DecisionEngine(rows, HOST_NODES, table)
+
+
+def _receive(engine, slot, reports) -> list:
+    """Every row receives ``(node_id, label[, garbled label])`` reports
+    sensed at ``slot``; returns the rows' final labels."""
+    shape = engine.shape
+    columns = SlotReports(
+        attempted=np.zeros(shape, dtype=bool),
+        completed=np.zeros(shape, dtype=bool),
+        delivered=np.ones(shape, dtype=bool),
+        predicted=np.zeros(shape, dtype=np.int64),
+        reported=np.full(shape, -1, dtype=np.int64),
+        confidence=np.full(shape, 0.9),
+        started=np.full(shape, slot, dtype=np.int64),
+    )
+    for node_id, label, *garbled in reports:
+        k = HOST_NODES.index(node_id)
+        columns.attempted[:, k] = columns.completed[:, k] = True
+        columns.predicted[:, k] = label
+        if garbled:
+            columns.reported[:, k] = garbled[0]
+    return engine.finish_slot(slot, columns).tolist()
 
 
 class TestFaultModelValidation:
@@ -311,63 +342,44 @@ class TestLossyCommLink:
 
 
 class TestHostFaultSurface:
-    def test_quiet_slots_and_last_heard(self):
-        host = HostDevice(MajorityVote())
-        assert host.last_heard_slot(0) is None
-        assert host.quiet_slots(0, current_slot=4) == 5  # never heard
-        host.receive(_outcome(0, label=1, slot=3))
-        assert host.last_heard_slot(0) == 3
-        assert host.quiet_slots(0, current_slot=7) == 4
-        assert host.link_health([0, 1], current_slot=7) == {0: 4, 1: 8}
+    """The host a fault plan acts on: a batch row of the decision engine."""
 
-    def test_dropped_message_rejected(self):
-        host = HostDevice(MajorityVote())
-        with pytest.raises(SimulationError):
-            host.receive(_outcome(0, label=1, slot=3, delivered=False))
+    def test_quiet_slots_and_last_heard(self):
+        engine = _host_rows({})
+        assert engine.quiet_slots(4).tolist() == [[5, 5, 5, 5]]  # never heard
+        _receive(engine, 3, [(0, 1)])
+        assert engine.quiet_slots(7).tolist() == [[4, 8, 8, 8]]
 
     def test_corrupted_label_is_what_gets_stored(self):
-        host = HostDevice(MajorityVote())
-        host.receive(_outcome(0, label=1, slot=3, reported=4))
-        assert host.remembered_for(0).label == 4
+        engine = _host_rows({})
+        assert _receive(engine, 3, [(0, 1, 4)]) == [4]
 
     def test_restart_wipes_memory_keeps_counters(self):
-        host = HostDevice(MajorityVote())
-        host.receive(_outcome(0, label=1, slot=3))
-        host.restart()
-        assert host.remembered_votes() == []
-        assert host.last_heard_slot(0) is None
-        assert host.messages_received == 1  # bookkeeping survives
-        assert host.restarts == 1
+        engine = _host_rows({})
+        _receive(engine, 3, [(0, 1)])
+        engine.restart(0)
+        assert engine.quiet_slots(4).tolist() == [[5, 5, 5, 5]]
+        assert engine.messages_received.tolist() == [1]  # bookkeeping survives
+        assert engine.restarts.tolist() == [1]
         # A restarted host has no opinion until someone reports again.
-        assert host.classify(4) is None
+        assert _receive(engine, 4, []) == [-1]
 
     def test_staleness_half_life_validated(self):
         with pytest.raises(SimulationError):
-            HostDevice(MajorityVote(), staleness_half_life_slots=0)
+            _host_rows({"staleness_half_life_slots": 0})
 
     def test_stale_votes_fade_under_half_life(self):
         # Two ancient votes for label 0 vs one fresh vote for label 1:
         # plain majority recalls label 0, staleness weighting lets the
         # fresh minority win.
-        def fill(host):
-            host.receive(_outcome(1, label=0, slot=0))
-            host.receive(_outcome(2, label=0, slot=0))
-            host.receive(_outcome(3, label=1, slot=20))
-
-        plain = HostDevice(MajorityVote())
-        fill(plain)
-        assert plain.classify(20) == 0
-
-        fading = HostDevice(MajorityVote(), staleness_half_life_slots=2)
-        fill(fading)
-        assert fading.classify(20) == 1
+        engine = _host_rows({}, {"staleness_half_life_slots": 2})
+        _receive(engine, 0, [(1, 0), (2, 0)])
+        assert _receive(engine, 20, [(3, 1)]) == [0, 1]
 
     def test_fresh_votes_keep_full_weight(self):
-        host = HostDevice(MajorityVote(), staleness_half_life_slots=2)
-        host.receive(_outcome(1, label=0, slot=5))
-        host.receive(_outcome(2, label=0, slot=5))
-        host.receive(_outcome(3, label=1, slot=5))
-        assert host.classify(5) == 0  # same-slot votes are not discounted
+        engine = _host_rows({"staleness_half_life_slots": 2})
+        # Same-slot votes are not discounted.
+        assert _receive(engine, 5, [(1, 0), (2, 0), (3, 1)]) == [0]
 
 
 class TestSchedulerRetryBackoff:

@@ -133,6 +133,40 @@ class TestCodecs:
                 dict(policy_to_wire(rr_policy(3)), aggregation="quantum")
             )
 
+    def test_absent_optional_flags_read_false(self):
+        wire = policy_to_wire(aasr_policy(6))
+        del wire["adaptive_confidence"], wire["all_on"]
+        assert policy_from_wire(wire) == aasr_policy(6)
+
+    @pytest.mark.parametrize(
+        "base, field, value",
+        [
+            (origin_policy(6, adaptive=False), "adaptive_confidence", "false"),
+            (rr_policy(6), "activity_aware", "no"),
+            (rr_policy(6), "activity_aware", 1),
+            (rr_policy(6), "all_on", "yes"),
+            (rr_policy(6), "rr_length", 6.9),
+            (rr_policy(6), "rr_length", 6.0),
+            (rr_policy(6), "rr_length", True),
+            (rr_policy(6), "rr_length", "6"),
+        ],
+        ids=[
+            "adaptive-string",
+            "aware-string",
+            "aware-integer",
+            "all-on-string",
+            "rr-float",
+            "rr-integral-float",
+            "rr-bool",
+            "rr-string",
+        ],
+    )
+    def test_policy_fields_must_have_json_types(self, base, field, value):
+        # bool() and int() would read each of these as a different policy.
+        wire = dict(policy_to_wire(base), **{field: value})
+        with pytest.raises(ServeError, match=f"bad policy spec on the wire: {field}"):
+            policy_from_wire(wire)
+
     def test_states_round_trip_preserves_order_and_floats(self):
         states = {
             2: NodeSlotState(energy_j=1.1e-4, ready=True),

@@ -173,6 +173,38 @@ class TestLifecycle:
         result, _, _ = with_server(catalog, body)
         assert result.mismatches == 0
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_windows", "abc", "n_windows must be an integer"),
+            ("policy", dict(rr_length=4), "cannot run policy"),
+        ],
+        ids=["n_windows-string", "unschedulable-policy"],
+    )
+    def test_malformed_hello_answered_with_error_frame(
+        self, catalog, tape, field, value, message
+    ):
+        if field == "policy":
+            value = dict(tape.hello["policy"], **value)
+
+        async def body(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                await write_frame(writer, dict(tape.hello, **{field: value}))
+                error = await read_frame(reader)
+                assert error is not None and error["type"] == "error"
+                assert message in error["message"]
+                assert await read_frame(reader) is None  # server hung up
+            finally:
+                writer.close()
+            # The server survives to serve a real session.
+            return await replay_session("127.0.0.1", server.port, tape)
+
+        result, _, _ = with_server(catalog, body)
+        assert result.mismatches == 0
+
     def test_malformed_bytes_drop_connection_not_server(self, catalog, tape):
         async def body(server):
             reader, writer = await asyncio.open_connection(

@@ -171,6 +171,37 @@ class TestViolations:
         assert decision["label"] == tape.expected_labels[0]
 
 
+#: Values ``int()`` would read as some integer, or raise on.
+NOT_INTEGERS = pytest.mark.parametrize(
+    "value", ["abc", None, 0.9, False, 3.0], ids=["string", "null", "float", "bool", "integral-float"]
+)
+
+
+class TestMalformedFrames:
+    """A malformed hello or window ends in a ServeError, never deeper."""
+
+    @NOT_INTEGERS
+    @pytest.mark.parametrize("field", ["n_windows", "seed"])
+    def test_hello_integers(self, catalog, tape, field, value):
+        with pytest.raises(ServeError, match=f"{field} must be an integer"):
+            fresh(catalog).handle(dict(tape.hello, **{field: value}))
+
+    @NOT_INTEGERS
+    def test_window_slot_must_be_an_integer(self, catalog, tape, value):
+        session = fresh(catalog)
+        session.handle(tape.hello)
+        with pytest.raises(ServeError, match="slot must be an integer"):
+            session.handle(dict(tape.windows[0], slot=value))
+        (decision,) = session.handle(tape.windows[0])
+        assert decision["label"] == tape.expected_labels[0]
+
+    def test_unschedulable_policy_rejected(self, catalog, tape):
+        # RR4 on three nodes has no ER-r cycle.
+        policy = dict(tape.hello["policy"], name="RR4 Origin", rr_length=4)
+        with pytest.raises(ServeError, match="cannot run policy 'RR4 Origin'"):
+            fresh(catalog).handle(dict(tape.hello, policy=policy))
+
+
 def with_report(frame, report):
     """``frame`` carrying one crafted report in place of its own."""
     return dict(frame, reports=[report])
@@ -282,7 +313,7 @@ class TestReportsADeviceCouldSend:
 
         def state():
             return (
-                engine.host.messages_received,
+                engine.messages_received,
                 engine.confidence_updates,
                 session.completions,
                 session.windows,

@@ -57,11 +57,13 @@ class TestRunBasics:
         assert adaptive.confidence_updates > 0
         assert static.confidence_updates == 0
 
-    def test_external_confidence_matrix_adapts_in_place(self, tiny_experiment):
-        matrix = tiny_experiment.bundle.confidence_matrix.copy(adaptation_alpha=0.5)
-        before = matrix.as_array().copy()
-        tiny_experiment.run(origin_policy(3), seed=2, confidence_matrix=matrix)
-        assert not np.allclose(matrix.as_array(), before)
+    def test_adaptive_run_leaves_the_bundle_matrix_untouched(self, tiny_experiment):
+        matrix = tiny_experiment.bundle.confidence_matrix
+        before, updates = matrix.as_array().copy(), matrix.updates
+        result = tiny_experiment.run(origin_policy(3), seed=2)
+        assert result.confidence_updates > 0
+        np.testing.assert_array_equal(matrix.as_array(), before)
+        assert matrix.updates == updates
 
     def test_comm_energy_is_negligible(self, tiny_experiment):
         """Verify the paper's assumption: radio energy << total consumed."""

@@ -30,7 +30,6 @@ from repro.energy.harvester import Harvester
 from repro.energy.nvp import NonVolatileProcessor
 from repro.energy.storage import Capacitor
 from repro.energy.traces import PowerTrace
-from repro.errors import ConfigurationError
 from repro.faults import Brownout, FaultPlan, HarvesterDropout, NodeDeath, PacketLoss
 from repro.obs.observer import Observability
 from repro.obs.summarize import split_runs
@@ -506,28 +505,6 @@ class TestBatchIdentity:
             single_events.extend(obs.tracer.events)
         assert [e[1:] for e in batch_obs.tracer.events] == [e[1:] for e in single_events]
         assert len(split_runs(batch_obs.tracer.events)) == len(GRID)
-
-    def test_confidence_matrix_threading(self, tiny_experiment):
-        # A caller-threaded matrix must mutate identically whether its
-        # runs go one by one or through a batch (Fig. 6 idiom).
-        base = tiny_experiment.bundle.confidence_matrix
-        fast_matrix = base.copy(adaptation_alpha=base.adaptation_alpha)
-        slow_matrix = base.copy(adaptation_alpha=base.adaptation_alpha)
-        spec = origin_policy(3)
-        for seed in (3, 4):
-            fast = tiny_experiment.run(spec, seed=seed, confidence_matrix=fast_matrix)
-            slow = run_policy_batch(
-                tiny_experiment, [spec], seed, confidence_matrices=[slow_matrix]
-            )[0]
-            _assert_results_equal(fast, slow)
-        np.testing.assert_array_equal(fast_matrix.as_array(), slow_matrix.as_array())
-        assert fast_matrix.updates == slow_matrix.updates
-
-    def test_batch_rejects_mismatched_matrices(self, tiny_experiment):
-        with pytest.raises(ConfigurationError, match="confidence_matrices"):
-            run_policy_batch(
-                tiny_experiment, GRID, 3, confidence_matrices=[None]
-            )
 
 
 @pytest.fixture(scope="module")

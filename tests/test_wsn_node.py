@@ -1,18 +1,22 @@
-"""Tests for SensorNode (stepped as a one-lane kernel) and HostDevice."""
+"""Tests for SensorNode (stepped as a one-lane kernel) and the host device.
+
+The host device is the session engine's recall memory and vote.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.engine import SlotReports, WireReport, wire_reports
+from repro.core.engine import SessionEngine, SlotReports, WireReport, wire_reports
+from repro.core.ensemble.confidence import ConfidenceMatrix
+from repro.core.policies import aasr_policy
+from repro.core.scheduling.rank_table import RankTable
 from repro.datasets.body import BodyLocation
 from repro.energy.harvester import Harvester
 from repro.energy.nvp import NonVolatileProcessor
 from repro.energy.storage import Capacitor
 from repro.energy.traces import PowerTrace
-from repro.errors import SimulationError
 from repro.sim.kernel import SlotKernel
 from repro.wsn.comm import RadioProfile
-from repro.wsn.host import HostDevice, ReceivedVote
 from repro.wsn.node import NodeCosts, SensorNode
 
 
@@ -200,6 +204,12 @@ class TestNodeCosts:
 
 
 class TestHostDevice:
+    def make_host(self, **kwargs):
+        nodes = [0, 1, 2]
+        matrix = ConfidenceMatrix({node: [0.1, 0.1, 0.1] for node in nodes})
+        table = RankTable({label: nodes for label in range(3)})
+        return SessionEngine(aasr_policy(3), nodes, table, matrix, **kwargs)
+
     def make_outcome(self, node_id, label, slot, confidence=0.1):
         return WireReport(
             node_id=node_id,
@@ -211,44 +221,19 @@ class TestHostDevice:
         )
 
     def test_recall_remembers_latest(self):
-        host = HostDevice(vote=lambda votes, slot: votes[0].label)
-        host.receive(self.make_outcome(1, 0, slot=0))
-        host.receive(self.make_outcome(1, 2, slot=5))
-        vote = host.remembered_for(1)
-        assert vote.label == 2
-        assert vote.received_slot == 5
-
-    def test_classify_uses_vote_function(self):
-        host = HostDevice(vote=lambda votes, slot: max(v.label for v in votes))
-        host.receive(self.make_outcome(0, 1, slot=0))
-        host.receive(self.make_outcome(1, 2, slot=1))
-        assert host.classify(2) == 2
-        assert host.decisions_made == 1
+        host = self.make_host()
+        host.finish_slot(0, [self.make_outcome(1, 0, slot=0)])
+        host.finish_slot(1, [self.make_outcome(2, 0, slot=1)])
+        # Node 1's second report replaces its first, so labels 0 and 2
+        # tie and the fresher 2 wins; a kept first report would make 0
+        # the majority.
+        assert host.finish_slot(5, [self.make_outcome(1, 2, slot=5)]) == 2
 
     def test_classify_empty_memory(self):
-        host = HostDevice(vote=lambda votes, slot: 0)
-        assert host.classify(0) is None
+        assert self.make_host().finish_slot(0, []) is None
 
     def test_recall_age_expiry(self):
-        host = HostDevice(
-            vote=lambda votes, slot: votes[0].label, max_recall_age_slots=3
-        )
-        host.receive(self.make_outcome(0, 1, slot=0))
-        assert host.classify(3) == 1
-        assert host.classify(4) is None
-
-    def test_incomplete_outcome_rejected(self):
-        host = HostDevice(vote=lambda votes, slot: 0)
-        with pytest.raises(SimulationError):
-            host.receive(WireReport(0, 0, 0, False))
-
-    def test_reset(self):
-        host = HostDevice(vote=lambda votes, slot: votes[0].label)
-        host.receive(self.make_outcome(0, 1, slot=0))
-        host.reset()
-        assert host.remembered_votes() == []
-        assert host.messages_received == 0
-
-    def test_vote_age(self):
-        vote = ReceivedVote(0, 1, 0.1, received_slot=5, started_slot=3)
-        assert vote.age(10) == 7
+        host = self.make_host(max_recall_age_slots=3)
+        host.finish_slot(0, [self.make_outcome(0, 1, slot=0)])
+        assert host.finish_slot(3, []) == 1
+        assert host.finish_slot(4, []) is None
