@@ -33,11 +33,7 @@ class ExtendedRoundRobin(SchedulingPolicy):
             raise SchedulingError(f"noops_per_node must be >= 0, got {noops_per_node}")
         self.node_ids = list(node_ids)
         self.noops_per_node = int(noops_per_node)
-        self._cycle: List[Optional[int]] = []
-        for node_id in self.node_ids:
-            self._cycle.append(node_id)
-            self._cycle.extend([None] * self.noops_per_node)
-        self.name = f"RR{len(self._cycle)}"
+        self.name = f"RR{self.cycle_length}"
 
     # ------------------------------------------------------------------
 
@@ -65,18 +61,23 @@ class ExtendedRoundRobin(SchedulingPolicy):
     @property
     def cycle_length(self) -> int:
         """Slots per full cycle."""
-        return len(self._cycle)
+        return len(self.node_ids) * (self.noops_per_node + 1)
 
     @property
     def cycle(self) -> List[Optional[int]]:
-        """The slot pattern: node id or ``None`` (no-op)."""
-        return list(self._cycle)
+        """The slot pattern: node id or ``None`` (no-op), built on each read."""
+        return [
+            owner
+            for node_id in self.node_ids
+            for owner in [node_id] + [None] * self.noops_per_node
+        ]
 
     def slot_owner(self, slot_index: int) -> Optional[int]:
         """Which node (if any) owns slot ``slot_index``."""
         if slot_index < 0:
             raise SchedulingError(f"slot_index must be >= 0, got {slot_index}")
-        return self._cycle[slot_index % len(self._cycle)]
+        turn, offset = divmod(slot_index % self.cycle_length, self.noops_per_node + 1)
+        return self.node_ids[turn] if offset == 0 else None
 
     def is_compute_slot(self, slot_index: int) -> bool:
         """True when some node is scheduled in this slot."""
@@ -93,6 +94,6 @@ class ExtendedRoundRobin(SchedulingPolicy):
     def describe(self) -> str:
         """Fig. 3-style rendering of the cycle."""
         cells = [
-            "No Op" if owner is None else f"node {owner}" for owner in self._cycle
+            "No Op" if owner is None else f"node {owner}" for owner in self.cycle
         ]
         return f"{self.name}: " + " | ".join(cells)

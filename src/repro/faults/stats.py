@@ -22,11 +22,6 @@ class LinkStats:
     messages_dropped: int = 0
     messages_corrupted: int = 0
 
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of sent messages that never arrived."""
-        return self.messages_dropped / self.messages_sent if self.messages_sent else 0.0
-
     def __add__(self, other: "LinkStats") -> "LinkStats":
         """Counter-wise sum (merging one link across runs)."""
         return LinkStats(
@@ -124,12 +119,6 @@ class FaultStats:
     def messages_corrupted(self) -> int:
         """Delivered messages whose label was garbled."""
         return sum(s.messages_corrupted for s in self.per_link.values())
-
-    @property
-    def drop_rate(self) -> float:
-        """Overall fraction of sent messages lost."""
-        sent = self.messages_sent
-        return self.messages_dropped / sent if sent else 0.0
 
     @property
     def total_offline_slots(self) -> int:

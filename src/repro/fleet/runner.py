@@ -15,8 +15,9 @@ speed on each side of it:
    same call as extra groups.
 2. **Sharded execution** — each ``[lo, hi)`` user range is one executor
    unit and one journal cell holding the shard's exact aggregate, run
-   in-process or on a :class:`~repro.resilience.SupervisedPool` with
-   store-keyed bundle rehydration, and resumable after a crash.
+   in-process or on a :class:`~repro.resilience.SupervisedPool` whose
+   workers get the experiment from this process (inherited on fork,
+   unpickled on spawn), and resumable after a crash.
 3. **Streaming aggregation** — shards reduce to
    :class:`~repro.fleet.aggregate.FleetAggregate` tables whose merge is
    exact and order-invariant, so 1, 3 or N shards (or a resumed run)
@@ -459,9 +460,7 @@ class FleetRunner:
             done = run_units(
                 [Unit(cells=(shard_cell(lo, hi),), items=((lo, hi),)) for lo, hi in shards],
                 _shard_unit,
-                _FleetWorker,
-                self.experiment,
-                state_args=(self.spec, self.policies),
+                _FleetWorker(self.experiment, self.spec, self.policies),
                 journal=book,
                 obs=obs,
                 progress=progress,

@@ -63,11 +63,6 @@ class EnergyCostModel:
             if getattr(self, name) < 0:
                 raise EnergyModelError(f"{name} must be >= 0")
 
-    @staticmethod
-    def mcu_default() -> "EnergyCostModel":
-        """The default MCU-class cost model described above."""
-        return EnergyCostModel()
-
 
 @dataclass(frozen=True)
 class LayerEnergy:

@@ -20,16 +20,6 @@ def he_normal(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int) -> 
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float64)
 
 
-def glorot_uniform(
-    rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int, fan_out: int
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ModelError(f"fan_in/fan_out must be positive, got {fan_in}/{fan_out}")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     """All-zero initialization (biases, batch-norm shifts)."""
     return np.zeros(shape, dtype=np.float64)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -169,8 +169,3 @@ class Sequential:
         lines.append("-" * 54)
         lines.append(f"{'total':<44}{self.n_params():>10}")
         return "\n".join(lines)
-
-    def layer_shapes(self) -> List[Tuple[str, Shape, Shape]]:
-        """``(name, input_shape, output_shape)`` for every layer."""
-        self._require_built()
-        return [(layer.name, layer.input_shape, layer.output_shape) for layer in self.layers]

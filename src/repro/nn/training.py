@@ -32,11 +32,6 @@ class TrainingHistory:
         """How many epochs actually ran."""
         return len(self.train_loss)
 
-    @property
-    def final_val_accuracy(self) -> float:
-        """Validation accuracy of the last epoch (NaN if no validation)."""
-        return self.val_accuracy[-1] if self.val_accuracy else float("nan")
-
 
 class Trainer:
     """Trains a :class:`~repro.nn.model.Sequential` model.

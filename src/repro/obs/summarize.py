@@ -192,12 +192,13 @@ def _fleet_line(exported: Dict[str, Any]) -> Optional[str]:
 def fleet_journal_lines(path: str) -> List[str]:
     """Fleet progress read straight from a shard journal (read-only).
 
-    Works mid-flight: the journal is parsed tolerantly (torn tails
-    skipped), so this is also the watcher's progress source.
+    Works mid-flight: the journal is read up to its torn tail, as the
+    watcher and a resume read it.
     """
-    from repro.obs.watch import _read_journal_cells, _shard_span
+    from repro.obs.watch import _shard_span
+    from repro.resilience.journal import read_journal
 
-    cells = _read_journal_cells(path)
+    cells = read_journal(path)[1]
     spans = [span for span in map(_shard_span, cells) if span is not None]
     users = sum(hi - lo for lo, hi in spans)
     lines = [

@@ -9,11 +9,13 @@ The watcher tails the two files a ``--run-dir``-armed job streams —
 the shard journal (``fleet.journal`` / ``sweep.journal``) and the
 timeseries (``timeseries.jsonl``) — and renders shard progress, users/s,
 ETA, worker health and incident counters.  It is strictly **read-only**:
-both files are parsed in place (never through ``SweepJournal.open``,
-which holds an append handle and truncates torn tails), so attaching and
-detaching mid-run cannot perturb the run.  Torn tails — the writer is
-mid-append, or died there — are skipped, not fatal; a directory with no
-files yet renders a waiting frame.
+both files are parsed in place (the journal by
+:func:`~repro.resilience.journal.read_journal`, never through
+``SweepJournal.open``, which holds an append handle and truncates torn
+tails), so attaching and detaching mid-run cannot perturb the run.  The
+journal counts the cells a resume would keep: reading stops at a torn
+tail (the writer is mid-append, or died there) or at any line that does
+not parse.  A directory with no files yet renders a waiting frame.
 
 A frame, mid-flight::
 
@@ -29,7 +31,6 @@ A frame, mid-flight::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -38,6 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.timeline import TimeSeriesTail, _rate_from_samples
+from repro.resilience.journal import read_journal
 
 __all__ = ["RunSnapshot", "snapshot_run_dir", "render_frame", "main"]
 
@@ -147,26 +149,6 @@ def _shard_span(cell: str) -> Optional[Tuple[int, int]]:
         return None
 
 
-def _read_journal_cells(path: str) -> Dict[str, Dict[str, Any]]:
-    """Parse a sweep/fleet journal read-only, tolerating torn tails."""
-    cells: Dict[str, Dict[str, Any]] = {}
-    with open(path) as handle:
-        raw_lines = handle.readlines()
-    for index, raw in enumerate(raw_lines):
-        if index == len(raw_lines) - 1 and not raw.endswith("\n"):
-            break
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        try:
-            document = json.loads(stripped)
-        except json.JSONDecodeError:
-            continue
-        if document.get("kind") == "cell" and "cell" in document:
-            cells[document["cell"]] = document.get("payload") or {}
-    return cells
-
-
 def snapshot_run_dir(
     run_dir: str,
     *,
@@ -194,7 +176,7 @@ def snapshot_run_dir(
                 break
     if journal_path is not None and os.path.exists(journal_path):
         snapshot.journal_path = journal_path
-        snapshot.journal_cells = _read_journal_cells(journal_path)
+        snapshot.journal_cells = read_journal(journal_path)[1]
 
     if tail is None:
         tail = TimeSeriesTail(

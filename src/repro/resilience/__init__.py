@@ -24,9 +24,8 @@ or on the pool, journals each unit as it finishes and folds results,
 metrics and traces back in unit order.
 
 :mod:`repro.resilience.chaos` is the matching test harness: it injects
-scheduled worker crashes, hangs and store-entry deletions so the
-recovery paths above are exercised by tests and by
-``bench_perf_sweep --chaos``, not just trusted.
+scheduled worker crashes and hangs so the recovery paths above are
+exercised by tests and by ``bench_perf_sweep --chaos``, not just trusted.
 """
 
 from repro.resilience.chaos import ChaosAction, ChaosPlan, apply_chaos

@@ -13,36 +13,11 @@ directly — no fingerprint is required, so any journal can be inspected.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.errors import ResilienceError
-from repro.resilience.journal import _CELL_KIND, _HEADER_KIND
-
-
-def read_journal(path: str) -> Tuple[Dict[str, Any], List[str]]:
-    """The header and cell keys of a journal file (tolerant of a torn
-    tail, like the runtime loader)."""
-    header: Optional[Dict[str, Any]] = None
-    cells: List[str] = []
-    with open(path, "r") as handle:
-        for line in handle:
-            if not line.endswith("\n"):
-                break
-            try:
-                document = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            if header is None:
-                if document.get("kind") != _HEADER_KIND:
-                    raise ResilienceError(f"{path} is not a sweep journal")
-                header = document
-            elif document.get("kind") == _CELL_KIND:
-                cells.append(document["cell"])
-    if header is None:
-        raise ResilienceError(f"{path} has no journal header")
-    return header, cells
+from repro.resilience.journal import _HEADER_KIND, read_journal
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -53,7 +28,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("journal", help="sweep journal JSONL file")
     args = parser.parse_args(argv)
 
-    header, cells = read_journal(args.journal)
+    header, cells, _ = read_journal(args.journal)
+    if header is None or header.get("kind") != _HEADER_KIND:
+        raise ResilienceError(f"{args.journal} is not a sweep journal")
     if args.command == "cells":
         for cell in sorted(cells):
             print(cell)  # noqa: T201 - CLI output

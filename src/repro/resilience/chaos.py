@@ -1,4 +1,4 @@
-"""Chaos harness: scheduled crashes, hangs and store deletions.
+"""Chaos harness: scheduled worker crashes and hangs.
 
 PR 1 taught the *simulated* WSN to fail on purpose (``repro.faults``);
 this module does the same for the execution substrate.  A
@@ -8,10 +8,7 @@ units:
 * ``crash`` — the worker dies via ``os._exit`` (indistinguishable from
   a segfault or an OOM kill: the parent sees ``BrokenProcessPool``);
 * ``hang`` — the worker sleeps past its task timeout, exercising the
-  timeout→kill→requeue path;
-* ``drop_store_entry`` — an artifact-store entry is deleted before the
-  work runs, forcing rehydrating workers onto the deterministic-retrain
-  fallback.
+  timeout→kill→requeue path.
 
 Actions fire on a specific attempt (default: the first), so a chaos-hit
 task recovers on its retry and the perturbed sweep's results stay
@@ -25,7 +22,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -37,7 +34,7 @@ logger = logging.getLogger(__name__)
 #: so the parent-side experience matches a real native crash).
 CRASH_EXIT_CODE = 139
 
-_KINDS = ("crash", "hang", "drop_store_entry")
+_KINDS = ("crash", "hang")
 
 
 @dataclass(frozen=True)
@@ -50,8 +47,6 @@ class ChaosAction:
     #: Sleep length for ``hang`` — must exceed the task timeout for the
     #: hang to be observed as one.
     hang_s: float = 60.0
-    #: Entry deleted by ``drop_store_entry``.
-    store_key: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -62,8 +57,6 @@ class ChaosAction:
             raise ConfigurationError(
                 f"on_attempt must be >= 0, got {self.on_attempt}"
             )
-        if self.kind == "drop_store_entry" and not self.store_key:
-            raise ConfigurationError("drop_store_entry needs a store_key")
 
 
 def apply_chaos(action: Optional[ChaosAction]) -> None:
@@ -82,13 +75,6 @@ def apply_chaos(action: Optional[ChaosAction]) -> None:
             os.getpid(), action.hang_s,
         )
         time.sleep(action.hang_s)
-    elif action.kind == "drop_store_entry":
-        from repro.store.core import default_store
-
-        store = default_store()
-        if store.enabled:
-            logger.warning("chaos: dropping store entry %s", action.store_key)
-            store.invalidate(action.store_key)
 
 
 @dataclass(frozen=True)
@@ -97,19 +83,12 @@ class ChaosPlan:
 
     ``actions`` maps work-unit index (the sweep's deterministic unit
     construction order) to the action injected into that unit's task.
-    ``drop_store_keys`` are artifact-store entries the sweep deletes
-    up front, before spawning workers — rehydration then exercises the
-    recorded-recipe retrain fallback.
     """
 
     actions: Mapping[int, ChaosAction] = field(default_factory=dict)
-    drop_store_keys: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "actions", dict(self.actions))
-        object.__setattr__(
-            self, "drop_store_keys", tuple(self.drop_store_keys)
-        )
         for index, action in self.actions.items():
             if index < 0 or not isinstance(action, ChaosAction):
                 raise ConfigurationError(
@@ -126,7 +105,7 @@ class ChaosPlan:
     @property
     def empty(self) -> bool:
         """Whether this plan perturbs nothing."""
-        return not self.actions and not self.drop_store_keys
+        return not self.actions
 
     @classmethod
     def for_units(

@@ -10,21 +10,20 @@ worker count:
   from it, and a unit runs only the cells it still lacks;
 * ``workers=1`` runs the units in this process and ``workers > 1`` on a
   :class:`~repro.resilience.SupervisedPool`.  Both call the same
-  module-level unit function against a worker state built by
-  :func:`worker_state`.  In-process units share one state for the whole
-  call, the way a pool worker keeps its caches across its units;
+  module-level unit function against the worker state the caller
+  built.  In-process units share that one state for the whole call, the
+  way a pool worker keeps its caches across its units;
 * each unit's cells are journaled the moment it finishes, and results,
   metrics and trace events fold back in unit order (pool units ship
   per-unit snapshots whose counters list every increment, folded one
   by one; in-process units record into the caller's observability
   directly), so the outcome is identical for every worker count.
 
-Pool workers get the bundle by artifact-store key when the store holds
-it (:func:`worker_experiment_payload`), falling back to a deterministic
-retrain from the recorded recipe if the entry vanishes; without a key
-the whole experiment is pickled.  Results are pickled only when they
-cross a process boundary, and journal-encoded only when a journal is
-attached.
+Pool workers receive that same state as their initializer's one
+argument: a forked worker inherits it and a spawned one unpickles it,
+so no worker reads the artifact store or trains.  Results are pickled
+only when they cross a process boundary, and journal-encoded only when
+a journal is attached.
 
 A unit function returns one entry per cell.  :func:`each_cell` turns a
 cell that raises into a :class:`CellError`, so that cell is lost alone.
@@ -36,10 +35,9 @@ in-process; the front end decides whether to raise or salvage.
 
 from __future__ import annotations
 
-import copy
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ResilienceError
 from repro.obs.metrics import MetricsRegistry, SteppedMetrics
@@ -48,9 +46,6 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.resilience.chaos import ChaosAction, ChaosPlan, apply_chaos
 from repro.resilience.journal import SweepJournal
 from repro.resilience.pool import SupervisedPool, SupervisedTask, TaskOutcome
-
-if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.sim.training import TrainedSensorBundle, TrainingConfig
 
 logger = logging.getLogger(__name__)
 
@@ -166,114 +161,17 @@ class UnitRun:
 
 
 # ---------------------------------------------------------------------------
-# worker state: the bundle by store key, or the pickled experiment
+# pool workers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _BundleRecipe:
-    """Enough provenance to retrain a bundle deterministically.
-
-    Shipped to workers alongside the store key so a rehydration miss
-    (the entry was GC'd between submit and worker start) degrades to an
-    identical retrain instead of a failed run.
-    """
-
-    budget_j: float
-    seed: Optional[int]
-    config: Optional[TrainingConfig]
-    cost_model: Any
-
-
-def _store_has_entry(key: str) -> bool:
-    """Whether the default artifact store currently holds ``key``."""
-    from repro.store.core import default_store
-
-    store = default_store()
-    return store.enabled and store.contains(key)
-
-
-def worker_experiment_payload(
-    experiment: Any,
-) -> Tuple[Any, Optional[str], Optional[_BundleRecipe]]:
-    """``(experiment, store key, recipe)`` to ship to pool workers.
-
-    When the bundle has artifact-store provenance and the store holds
-    the entry, the experiment is a bundle-less stub and workers
-    rehydrate the bundle by key, retraining from ``recipe`` if the entry
-    vanished.  Otherwise the full experiment is returned with ``(None,
-    None)`` and pickles whole.
-    """
-    bundle = experiment.bundle
-    store_key = getattr(bundle, "store_key", None)
-    if store_key is None or not _store_has_entry(store_key):
-        return experiment, None, None
-    stub = copy.copy(experiment)
-    stub.bundle = None
-    recipe = _BundleRecipe(
-        budget_j=bundle.budget_j,
-        seed=bundle.train_seed,
-        config=bundle.train_config,
-        cost_model=bundle.cost_model,
-    )
-    logger.debug("pool workers rehydrate bundle from key %s", store_key)
-    return stub, store_key, recipe
-
-
-def _worker_bundle(
-    experiment: Any, store_key: str, recipe: Optional[_BundleRecipe]
-) -> TrainedSensorBundle:
-    """Rehydrate the trained bundle in a worker, retraining on a miss."""
-    from repro.sim.training import TrainedSensorBundle
-    from repro.store.bundles import load_trained_bundle
-    from repro.store.core import default_store
-
-    store = default_store()
-    if store.enabled:
-        # Deliberately unobserved: worker-side store traffic must not
-        # perturb the workers=N == workers=1 metrics-merge contract.
-        bundle = load_trained_bundle(store, store_key, experiment.dataset)
-        if bundle is not None:
-            return bundle
-    if recipe is None or recipe.seed is None or recipe.config is None:
-        raise ConfigurationError(
-            f"store entry {store_key} vanished and no training recipe was "
-            "recorded; cannot rehydrate the pool worker"
-        )
-    logger.warning(
-        "store entry %s unavailable in worker; retraining deterministically",
-        store_key,
-    )
-    return TrainedSensorBundle.train(
-        experiment.dataset,
-        recipe.budget_j,
-        seed=recipe.seed,
-        config=recipe.config,
-        cost_model=recipe.cost_model,
-    )
-
-
-def worker_state(
-    make_state: Callable[..., Any],
-    experiment: Any,
-    store_key: Optional[str] = None,
-    recipe: Optional[_BundleRecipe] = None,
-    state_args: Tuple[Any, ...] = (),
-) -> Any:
-    """``make_state(experiment, *state_args)``, the bundle rehydrated first
-    when a ``store_key`` came with a bundle-less experiment."""
-    if store_key is not None:
-        experiment.bundle = _worker_bundle(experiment, store_key, recipe)
-    return make_state(experiment, *state_args)
 
 
 #: This pool worker's state, installed once by :func:`_init_pool_worker`.
 _STATE: Any = None
 
 
-def _init_pool_worker(*initargs: Any) -> None:
+def _init_pool_worker(state: Any) -> None:
     global _STATE
-    _STATE = worker_state(*initargs)
+    _STATE = state
 
 
 def _pool_unit(
@@ -302,18 +200,6 @@ def _pool_unit(
     return results, obs.metrics.to_dict(), obs.tracer.events if with_trace else None
 
 
-def _drop_store_entries(keys: Sequence[str]) -> None:
-    """Delete artifact-store entries on the chaos plan's behalf."""
-    from repro.store.core import default_store
-
-    store = default_store()
-    if not store.enabled:
-        return
-    for key in keys:
-        logger.warning("chaos: dropping store entry %s before the run", key)
-        store.invalidate(key)
-
-
 # ---------------------------------------------------------------------------
 # the executor
 # ---------------------------------------------------------------------------
@@ -322,10 +208,8 @@ def _drop_store_entries(keys: Sequence[str]) -> None:
 def run_units(
     units: Sequence[Unit],
     unit_fn: Callable[..., List[Any]],
-    make_state: Callable[..., Any],
-    experiment: Any,
+    state: Any,
     *,
-    state_args: Tuple[Any, ...] = (),
     journal: Optional[SweepJournal] = None,
     encode: Callable[[Any], Dict[str, Any]] = lambda result: result,
     decode: Callable[[Dict[str, Any]], Any] = lambda payload: payload,
@@ -340,12 +224,13 @@ def run_units(
     """Serve or compute every cell of ``units`` (see the module docstring).
 
     ``unit_fn(state, items, *args, obs=...)`` is module level (it
-    pickles by name) and returns one result per item; ``make_state`` and
-    ``state_args`` build each worker's state.  ``encode``/``decode``
-    translate results to and from journal payloads.  With observability
-    on, ``progress`` is called parent-side with each finished unit's
-    completed items, before a timeseries sample.  ``chaos`` schedules
-    faults by pending-unit index and needs ``workers > 1``.
+    pickles by name) and returns one result per item; ``state`` is the
+    worker state every unit runs against, here or in a pool worker.
+    ``encode``/``decode`` translate results to and from journal
+    payloads.  With observability on, ``progress`` is called
+    parent-side with each finished unit's completed items, before a
+    timeseries sample.  ``chaos`` schedules faults by pending-unit index
+    and needs ``workers > 1``.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -416,7 +301,6 @@ def run_units(
     if workers == 1:
         # In-process units record straight into ``obs``: in unit order
         # already, and with no process boundary to snapshot across.
-        state = worker_state(make_state, experiment, state_args=state_args)
         for unit in pending:
             try:
                 results = unit_fn(state, unit.items, *unit.args, obs=obs)
@@ -426,11 +310,6 @@ def run_units(
             fold(unit, (results, None, None), attempts=1)
         return run
 
-    initargs = (make_state, *worker_experiment_payload(experiment), state_args)
-    if chaos is not None and chaos.drop_store_keys:
-        # Dropped after the payload chose rehydration, so workers must
-        # fall back to the recorded deterministic-retrain recipe.
-        _drop_store_entries(chaos.drop_store_keys)
     logger.debug("%d unit(s) over %d worker(s)", len(pending), workers)
 
     def task(index: int, unit: Unit) -> SupervisedTask:
@@ -447,7 +326,7 @@ def run_units(
     pool = SupervisedPool(
         workers,
         initializer=_init_pool_worker,
-        initargs=initargs,
+        initargs=(state,),
         task_timeout_s=task_timeout_s,
         max_retries=max_retries,
         backoff_s=retry_backoff_s,

@@ -25,7 +25,9 @@ Cell payloads are exact: every numeric field round-trips bit-for-bit
 :class:`~repro.sim.results.ExperimentResult` compares equal to the run
 that produced it.  A torn final line (the writer died mid-append) is
 detected on open and truncated away — the journal loses at most the
-cell being written at the instant of the crash.
+cell being written at the instant of the crash.  :func:`read_journal`
+is the one reader of the file, for resumes and read-only inspectors
+alike.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import json
 import logging
 import os
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -275,6 +277,39 @@ def decode_baseline_result(data: Dict[str, Any]) -> "BaselineResult":
 # ---------------------------------------------------------------------------
 
 
+def read_journal(
+    path: str,
+) -> Tuple[Optional[Dict[str, Any]], Dict[str, Dict[str, Any]], int]:
+    """Read a journal file without changing it.
+
+    Returns the first document (the header, unchecked; ``None`` when no
+    line is complete), the cells after it in file order, and the byte
+    length of the readable prefix.  Reading stops at the first line
+    that lacks its newline (the writer died, or is still, mid-append)
+    or does not parse as a JSON object: nothing after it is trusted,
+    and a resumed run truncates the file there.
+    """
+    header: Optional[Dict[str, Any]] = None
+    cells: Dict[str, Dict[str, Any]] = {}
+    readable = 0
+    with open(path, "rb") as handle:
+        for line in handle:
+            if not line.endswith(b"\n"):
+                break
+            try:
+                document = json.loads(line)
+            except ValueError:
+                break
+            if not isinstance(document, dict):
+                break
+            if header is None:
+                header = document
+            elif document.get("kind") == _CELL_KIND:
+                cells[document["cell"]] = document["payload"]
+            readable += len(line)
+    return header, cells, readable
+
+
 class SweepJournal:
     """Append-only JSONL checkpoint store for one sweep (see module doc).
 
@@ -330,48 +365,32 @@ class SweepJournal:
         )
 
     def _load_existing(self) -> None:
-        cells: Dict[str, Dict[str, Any]] = {}
-        good_offset = 0
-        header_seen = False
-        with open(self.path, "r") as handle:
-            for line in handle:
-                if not line.endswith("\n"):
-                    break  # torn tail: the writer died mid-append
-                try:
-                    document = json.loads(line)
-                except json.JSONDecodeError:
-                    break
-                if not header_seen:
-                    if (
-                        document.get("kind") != _HEADER_KIND
-                        or document.get("schema_version") != JOURNAL_SCHEMA_VERSION
-                    ):
-                        raise ResilienceError(
-                            f"{self.path} is not a schema-v{JOURNAL_SCHEMA_VERSION} "
-                            "sweep journal"
-                        )
-                    if document.get("fingerprint") != self.fingerprint:
-                        raise ResilienceError(
-                            f"journal {self.path} belongs to a different sweep "
-                            f"(fingerprint {document.get('fingerprint')!r} != "
-                            f"{self.fingerprint!r}); pass resume=False to replace it"
-                        )
-                    header_seen = True
-                elif document.get("kind") == _CELL_KIND:
-                    cells[document["cell"]] = document["payload"]
-                good_offset += len(line.encode("utf-8"))
-        if not header_seen:
+        header, cells, readable = read_journal(self.path)
+        if header is None:
             # Empty or headerless file: nothing salvageable, rewrite.
             self._start_fresh()
             return
+        if (
+            header.get("kind") != _HEADER_KIND
+            or header.get("schema_version") != JOURNAL_SCHEMA_VERSION
+        ):
+            raise ResilienceError(
+                f"{self.path} is not a schema-v{JOURNAL_SCHEMA_VERSION} sweep journal"
+            )
+        if header.get("fingerprint") != self.fingerprint:
+            raise ResilienceError(
+                f"journal {self.path} belongs to a different sweep "
+                f"(fingerprint {header.get('fingerprint')!r} != "
+                f"{self.fingerprint!r}); pass resume=False to replace it"
+            )
         size = os.path.getsize(self.path)
-        if good_offset < size:
+        if readable < size:
             logger.warning(
                 "journal %s has a torn tail (%d trailing byte(s)); truncating",
-                self.path, size - good_offset,
+                self.path, size - readable,
             )
             with open(self.path, "r+") as handle:
-                handle.truncate(good_offset)
+                handle.truncate(readable)
         self._payloads = cells
         self._handle = open(self.path, "a")
 

@@ -18,7 +18,9 @@ them in one executor pass and merges the results.
 * ``run(..., workers=N)`` runs the units on a
   :class:`~repro.resilience.SupervisedPool` — per-task timeouts,
   bounded deterministic-backoff retries and ``BrokenProcessPool``
-  recovery — whose workers rehydrate the trained bundle by store key.
+  recovery — whose workers get the experiment, trained bundle
+  included, from this process: a forked worker inherits it and a
+  spawned one unpickles it.
 * ``run(journal=...)`` checkpoints every completed cell to a
   :class:`~repro.resilience.SweepJournal`, making interrupted sweeps
   resumable; ``run(on_failure="salvage")`` returns the merged surviving
@@ -280,8 +282,8 @@ class PolicySweep:
         :class:`~repro.errors.ResilienceError`.
 
         ``chaos`` injects a :class:`~repro.resilience.ChaosPlan` of
-        scheduled worker crashes/hangs and store-entry deletions into
-        the pool — the test/bench harness for everything above.
+        scheduled worker crashes and hangs into the pool — the
+        test/bench harness for everything above.
 
         ``obs`` instruments the sweep.  In this process the runs record
         straight into it; a pool unit records into a fresh registry in
@@ -320,7 +322,7 @@ class PolicySweep:
         try:
             with obs.timed("sweep.run"):
                 grid = run_units(
-                    units, _sweep_unit, _SweepWorker, self.experiment,
+                    units, _sweep_unit, _SweepWorker(self.experiment),
                     journal=book, encode=_encode_result,
                     decode=_decode_result, obs=obs, progress=progress,
                     workers=workers, task_timeout_s=task_timeout_s,

@@ -95,9 +95,10 @@ class TrainedSensorBundle:
         self.budget_j = budget_j
         #: Artifact-store provenance: the content-addressed key this
         #: bundle was loaded from / published under (``None`` when the
-        #: store never saw it), and the training recipe retained so
-        #: sweep workers that cannot rehydrate can fall back to a
-        #: deterministic retrain.  See :mod:`repro.store.bundles`.
+        #: store never saw it), and the training recipe, from which
+        #: :func:`~repro.resilience.sweep_fingerprint` derives the
+        #: same key for a bundle the store never saw.  See
+        #: :mod:`repro.store.bundles`.
         self.store_key: Optional[str] = None
         self.train_seed: Optional[int] = None
         self.train_config: Optional[TrainingConfig] = None

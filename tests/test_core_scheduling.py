@@ -1,5 +1,7 @@
 """Tests for naive, ER-r and activity-aware scheduling."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.scheduling import (
@@ -86,6 +88,21 @@ class TestExtendedRoundRobin:
     def test_negative_slot(self):
         with pytest.raises(SchedulingError):
             ExtendedRoundRobin(NODES).slot_owner(-1)
+
+    def test_long_cycle_is_not_allocated(self):
+        # ``rr_length`` can arrive off the wire; building the scheduler
+        # must not cost memory in proportion to it.
+        tracemalloc.start()
+        try:
+            policy = ExtendedRoundRobin.from_rr_length(NODES, 3_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert policy.name == "RR3000000"
+        assert policy.cycle_length == 3_000_000
+        slots = (0, 1_000_000, 2_999_999, 3_000_000)
+        assert [policy.slot_owner(slot) for slot in slots] == [0, 1, None, 0]
 
 
 class TestRankTable:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.obs.watch import (
     snapshot_run_dir,
 )
 from repro.obs.watch import main as watch_main
+from repro.resilience import SweepJournal
 
 
 def _registry_with_two_runs(root):
@@ -227,6 +229,17 @@ class TestWatch:
         render_frame(snapshot)
         assert _dir_digest(run_dir) == before
         assert snapshot.done_shards == 2  # torn cell skipped, not fatal
+
+    def test_done_shards_count_what_a_resume_keeps(self, tmp_path):
+        run_dir = _write_run_dir(tmp_path)
+        cell = {"kind": "cell", "cell": "shard:4-6", "payload": {}}
+        with open(run_dir / "fleet.journal", "a") as handle:
+            handle.write("garbage\n" + json.dumps(cell) + "\n")
+        copy = tmp_path / "copy.journal"
+        shutil.copyfile(run_dir / "fleet.journal", copy)
+        snapshot = snapshot_run_dir(str(run_dir))
+        with SweepJournal.open(str(copy), "f") as resumed:
+            assert snapshot.done_shards == len(resumed) == 2
 
     def test_waiting_frame_for_empty_dir(self, tmp_path):
         empty = tmp_path / "empty"

@@ -171,8 +171,6 @@ class TestChaosPlan:
             ChaosAction(kind="meteor")
         with pytest.raises(ConfigurationError):
             ChaosAction(kind="crash", on_attempt=-1)
-        with pytest.raises(ConfigurationError):
-            ChaosAction(kind="drop_store_entry")  # needs a store_key
 
     def test_action_fires_only_on_its_attempt(self):
         plan = ChaosPlan(actions={2: ChaosAction(kind="crash", on_attempt=1)})

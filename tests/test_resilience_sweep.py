@@ -2,12 +2,14 @@
 must recover byte-identically, journaled sweeps must resume exactly, and
 salvage mode must account for every lost cell.
 
-All tests reuse the session ``tiny_experiment``; the store-deletion
-chaos test trains its own micro bundle against a private store (the
-idiom from ``test_store_bundles.py``).
+All tests reuse the session ``tiny_experiment``.
 """
 
 from __future__ import annotations
+
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -112,6 +114,21 @@ class TestChaosByteIdentity:
     def test_bad_on_failure_rejected(self, sweep):
         with pytest.raises(ConfigurationError, match="on_failure"):
             sweep.run(GRID, workers=1, on_failure="shrug")
+
+
+class TestSpawnedWorkers:
+    def test_spawned_workers_match_in_process(self, sweep, reference, monkeypatch):
+        # Linux forks pool workers, which inherit their state; under the
+        # spawn start method (the macOS default) each worker unpickles it.
+        import repro.resilience.pool as pool_mod
+
+        spawning = functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        )
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", spawning)
+        spawned = sweep.run(GRID, workers=2, max_retries=0)
+        _assert_identical(reference, spawned)
+        assert spawned.degradation is None
 
 
 class TestJournalResume:
@@ -257,53 +274,3 @@ class TestSalvage:
         plan = ChaosPlan(actions={0: ChaosAction(kind="crash")})
         with pytest.raises(ResilienceError, match="cell\\(s\\) completed"):
             sweep.run(GRID, workers=2, chaos=plan, max_retries=0)
-
-
-class TestStoreDropChaos:
-    def test_dropped_entry_falls_back_to_recipe_retrain(self, tmp_path, monkeypatch):
-        from repro.datasets.mhealth import make_mhealth
-        from repro.sim.experiment import HARExperiment, SimulationConfig
-        from repro.sim.training import TrainedSensorBundle, TrainingConfig
-        from repro.store import (
-            ENV_STORE_DIR,
-            ENV_STORE_SWITCH,
-            load_trained_bundle,
-            save_trained_bundle,
-            trained_bundle_key,
-        )
-        from repro.store.core import default_store
-
-        monkeypatch.setenv(ENV_STORE_DIR, str(tmp_path / "store"))
-        monkeypatch.delenv(ENV_STORE_SWITCH, raising=False)
-        fast = TrainingConfig(
-            epochs=1, batch_size=32, early_stopping_patience=1,
-            finetune_epochs=1, final_finetune_epochs=1, finetune_every=8,
-        )
-        dataset = make_mhealth(
-            seed=11, train_windows_per_activity=6, val_windows_per_activity=4,
-            test_windows_per_activity=4, n_train_subjects=2, n_eval_subjects=1,
-        )
-        bundle = TrainedSensorBundle.train(
-            dataset, budget_j=160e-6, seed=5, config=fast
-        )
-        store = default_store()
-        key = trained_bundle_key(
-            dataset, 160e-6, seed=5, config=fast, cost_model=bundle.cost_model
-        )
-        assert save_trained_bundle(store, key, bundle) is not None
-        stored = load_trained_bundle(store, key, dataset)
-        assert stored is not None and stored.store_key == key
-        experiment = HARExperiment(
-            dataset, stored, config=SimulationConfig(n_windows=30), seed=3
-        )
-        sweep = PolicySweep(experiment, n_seeds=2, include_baselines=False)
-        clean = sweep.run(GRID, workers=1)
-
-        # The chaos plan deletes the entry after worker initargs are
-        # computed, so rehydration misses and the recorded recipe must
-        # retrain an identical bundle in each worker.
-        plan = ChaosPlan(drop_store_keys=(key,))
-        perturbed = sweep.run(GRID, workers=2, chaos=plan)
-        assert not store.contains(key)
-        _assert_identical(clean, perturbed, baselines=False)
-        assert perturbed.degradation is None  # drops are not pool incidents

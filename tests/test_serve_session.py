@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.core.policies import aasr_policy, origin_policy, rr_policy
 from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.client import record_tape
+from repro.serve.protocol import policy_from_wire
 from repro.serve.session import EngineCatalog, ServeProfile, Session
 
 
@@ -200,6 +203,24 @@ class TestMalformedFrames:
         policy = dict(tape.hello["policy"], name="RR4 Origin", rr_length=4)
         with pytest.raises(ServeError, match="cannot run policy 'RR4 Origin'"):
             fresh(catalog).handle(dict(tape.hello, policy=policy))
+
+
+class TestLongCycles:
+    """A valid but huge ``rr_length`` costs the server no ER-r cycle."""
+
+    def test_hello_with_a_long_cycle_is_cheap(self, catalog, tape):
+        wire = dict(tape.hello["policy"], name="RR3000000 Origin", rr_length=3_000_000)
+        (ack,) = fresh(catalog).handle(dict(tape.hello, policy=wire))
+        assert ack["type"] == "hello_ack"
+        profile = catalog.get(tape.hello["profile"])
+        policy = policy_from_wire(wire)
+        tracemalloc.start()
+        try:
+            profile.build_engine(policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def with_report(frame, report):

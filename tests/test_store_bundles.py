@@ -1,9 +1,9 @@
 """Tests for trained-bundle (de)hydration and the simulation wiring.
 
 The expensive guarantees live here: a store hit reproduces a fresh
-training run byte for byte, corruption degrades to a rebuild, and the
-parallel sweep's worker rehydration matches the sequential sweep
-exactly.  Training is kept cheap with a one-epoch recipe on a
+training run byte for byte, corruption degrades to a rebuild, and pool
+workers sweep on the bundle their parent holds, never loading or
+training one.  Training is kept cheap with a one-epoch recipe on a
 module-scoped micro dataset.
 """
 
@@ -17,14 +17,8 @@ import pytest
 
 from repro.core.policies import origin_policy, rr_policy
 from repro.datasets.mhealth import make_mhealth
-from repro.errors import ConfigurationError
 from repro.obs.observer import Observability
 from repro.sim.experiment import HARExperiment, SimulationConfig
-from repro.resilience.executor import (
-    _BundleRecipe,
-    _worker_bundle,
-    worker_experiment_payload,
-)
 from repro.sim.sweep import PolicySweep
 from repro.sim.training import TrainedSensorBundle, TrainingConfig
 from repro.store import (
@@ -203,10 +197,12 @@ class TestLoadOrTrain:
         assert resolve_store(False) is None
 
 
-class TestSweepRehydration:
-    @pytest.fixture
-    def stored_experiment(self, tiny_dataset, tiny_bundle, store_env):
-        """An experiment whose bundle carries a live store key."""
+class TestPoolWorkers:
+    def test_pool_workers_never_load_or_train_a_bundle(
+        self, tiny_dataset, tiny_bundle, store_env, monkeypatch
+    ):
+        import repro.store.bundles as bundles_mod
+
         store = ArtifactStore(store_env)
         key = trained_bundle_key(
             tiny_dataset,
@@ -217,58 +213,25 @@ class TestSweepRehydration:
         )
         save_trained_bundle(store, key, tiny_bundle)
         bundle = load_trained_bundle(store, key, tiny_dataset)
-        return HARExperiment(
+        assert bundle.store_key == key
+        experiment = HARExperiment(
             tiny_dataset, bundle, config=SimulationConfig(n_windows=30), seed=3
         )
 
-    def test_initargs_prefer_rehydration(self, stored_experiment, monkeypatch):
-        experiment, key, recipe = worker_experiment_payload(stored_experiment)
-        assert key == stored_experiment.bundle.store_key
-        assert experiment.bundle is None  # the stub ships without weights
-        assert stored_experiment.bundle is not None  # original untouched
-        assert recipe.seed == stored_experiment.bundle.train_seed
-        assert recipe.config == stored_experiment.bundle.train_config
-        # Disabled store → full pickle fallback.
-        monkeypatch.setenv(ENV_STORE_SWITCH, "off")
-        experiment, key, recipe = worker_experiment_payload(stored_experiment)
-        assert key is None and recipe is None
-        assert experiment.bundle is not None
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool worker loaded or trained a bundle")
 
-    def test_initargs_pickle_without_provenance(self, tiny_experiment):
-        experiment, key, recipe = worker_experiment_payload(tiny_experiment)
-        assert key is None and recipe is None
-        assert experiment is tiny_experiment
-
-    def test_parallel_rehydration_matches_sequential(self, stored_experiment):
+        # Patched before the pool forks, so every worker inherits them.
+        monkeypatch.setattr(bundles_mod, "load_trained_bundle", refuse)
+        monkeypatch.setattr(TrainedSensorBundle, "train", refuse)
         policies = [rr_policy(3), origin_policy(3)]
-        sweep = PolicySweep(stored_experiment, n_seeds=2, include_baselines=False)
+        sweep = PolicySweep(experiment, n_seeds=2, include_baselines=False)
         sequential = sweep.run(policies, workers=1)
-        parallel = sweep.run(policies, workers=2)
+        parallel = sweep.run(policies, workers=2, max_retries=0)
+        assert parallel.degradation is None
         for spec in policies:
             a = sequential.policies[spec.name]
             b = parallel.policies[spec.name]
-            assert [
-                (r.true_label, r.predicted_label, r.active_nodes) for r in a.records
-            ] == [(r.true_label, r.predicted_label, r.active_nodes) for r in b.records]
+            assert a.records == b.records
+            assert a.node_stats == b.node_stats
             assert a.comm_energy_j == b.comm_energy_j
-
-    def test_worker_bundle_retrains_on_vanished_entry(self, micro_dataset, store_env):
-        trained = load_or_train_bundle(micro_dataset, BUDGET_J, seed=5, config=FAST)
-        experiment = HARExperiment(
-            micro_dataset, trained, config=SimulationConfig(n_windows=10), seed=3
-        )
-        recipe = _BundleRecipe(
-            budget_j=trained.budget_j,
-            seed=trained.train_seed,
-            config=trained.train_config,
-            cost_model=trained.cost_model,
-        )
-        ArtifactStore(store_env).invalidate(trained.store_key)
-        rebuilt = _worker_bundle(experiment, trained.store_key, recipe)
-        _states_equal(trained, rebuilt)
-
-    def test_worker_bundle_without_recipe_fails_loudly(
-        self, tiny_experiment, store_env
-    ):
-        with pytest.raises(ConfigurationError):
-            _worker_bundle(tiny_experiment, "d" * 32, None)
