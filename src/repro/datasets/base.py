@@ -1,27 +1,29 @@
-"""Dataset containers.
+"""Dataset containers and the one factory body.
 
 :class:`LabeledWindows` is the in-memory format every model consumes:
 an ``(n, channels, window)`` float32 array plus integer labels.
-:class:`HARDataset` bundles one :class:`LabeledWindows` split per body
-location together with the spec and synthesizer that produced them, so
-downstream code (training, rank tables, confidence seeding, streaming
-simulation) works from a single object.
+:class:`HARDataset` bundles the spec, the synthesizer and the subjects
+with the train/val splits they produce (one :class:`LabeledWindows` per
+body location, synthesized on first read), so downstream code
+(training, rank tables, confidence seeding, streaming simulation) works
+from a single object.  :func:`make_dataset` is the body of
+``make_mhealth`` and ``make_pamap2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.datasets.activities import Activity
 from repro.datasets.body import BodyLocation, DEPLOYMENT_ORDER
 from repro.datasets.profiles import SignatureTable
-from repro.datasets.subjects import SubjectProfile
+from repro.datasets.subjects import SubjectProfile, sample_subjects
 from repro.datasets.synthesis import SignalSynthesizer
 from repro.errors import DatasetError
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, SeedSequenceFactory, as_generator
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,17 @@ class DatasetSpec:
             raise DatasetError(f"label {label} out of range for {self.name}")
         return self.activities[label]
 
+    def describe(self) -> Dict[str, Any]:
+        """The spec's fields as plain JSON values (the signature factory,
+        which is code, excluded)."""
+        return {
+            "name": self.name,
+            "activities": [activity.value for activity in self.activities],
+            "locations": [location.value for location in self.locations],
+            "sample_rate_hz": self.sample_rate_hz,
+            "window_size": self.window_size,
+        }
+
     def make_synthesizer(self) -> SignalSynthesizer:
         """A synthesizer configured for this dataset."""
         return SignalSynthesizer(
@@ -116,74 +129,140 @@ class LabeledWindows:
         order = rng.permutation(len(self))
         return LabeledWindows(self.X[order], self.y[order])
 
-    def subset(self, indices: Sequence[int]) -> "LabeledWindows":
-        """Rows at ``indices``."""
-        idx = np.asarray(indices, dtype=int)
-        return LabeledWindows(self.X[idx], self.y[idx])
-
-    def of_class(self, label: int) -> "LabeledWindows":
-        """Only the rows labeled ``label``."""
-        mask = self.y == label
-        return LabeledWindows(self.X[mask], self.y[mask])
-
     def class_counts(self, n_classes: int) -> np.ndarray:
         """Histogram of labels over ``n_classes`` bins."""
         return np.bincount(self.y, minlength=n_classes)
 
-    def concat(self, other: "LabeledWindows") -> "LabeledWindows":
-        """Row-wise concatenation."""
-        if self.X.shape[1:] != other.X.shape[1:]:
-            raise DatasetError(
-                f"window shapes differ: {self.X.shape[1:]} vs {other.X.shape[1:]}"
-            )
-        return LabeledWindows(
-            np.concatenate([self.X, other.X]), np.concatenate([self.y, other.y])
-        )
-
 
 @dataclass
 class HARDataset:
-    """All splits of one dataset, per sensor location.
+    """One dataset: its spec, synthesizer, subjects and train/val splits.
+
+    The splits are synthesized on first read, each from its own
+    label-derived stream of ``seed`` (``split/train``, ``split/val``), so
+    their bytes do not depend on read order.  A warm experiment build
+    forms its store key from stored split digests and never reads them
+    (see :mod:`repro.store.bundles`).
 
     Attributes
     ----------
     spec:
         The static dataset description.
-    train / val / test:
-        ``location -> LabeledWindows`` mappings.  ``val`` seeds the rank
-        table and the confidence matrix; ``test`` is only used for final
-        accuracy.
     synthesizer:
         The generator behind the data, reusable for streaming simulation.
     train_subjects / eval_subjects:
-        Subject profiles used for the respective splits.
+        Subject profiles of the train and the validation split.
+    seed:
+        Root seed the splits derive their streams from.
+    train_windows_per_activity / val_windows_per_activity:
+        Split sizes per activity and location.
+    recipe:
+        JSON-ready record of the factory call that built the dataset
+        (spec fields, seed, split sizes, subject counts), which with the
+        synthesis code determines the splits byte for byte.  ``None``
+        when the caller supplied the spec: its signature factory is code
+        no record covers.
     """
 
     spec: DatasetSpec
-    train: Mapping[BodyLocation, LabeledWindows]
-    val: Mapping[BodyLocation, LabeledWindows]
-    test: Mapping[BodyLocation, LabeledWindows]
     synthesizer: SignalSynthesizer
-    train_subjects: List[SubjectProfile] = field(default_factory=list)
-    eval_subjects: List[SubjectProfile] = field(default_factory=list)
+    train_subjects: List[SubjectProfile]
+    eval_subjects: List[SubjectProfile]
+    seed: int
+    train_windows_per_activity: int
+    val_windows_per_activity: int
+    recipe: Optional[Dict[str, Any]] = None
+    _splits: Dict[str, Dict[BodyLocation, LabeledWindows]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        for split_name, split in (("train", self.train), ("val", self.val), ("test", self.test)):
-            for location in self.spec.locations:
-                if location not in split:
-                    raise DatasetError(f"{split_name} split is missing location {location}")
+        for name, count in (
+            ("train_windows_per_activity", self.train_windows_per_activity),
+            ("val_windows_per_activity", self.val_windows_per_activity),
+        ):
+            if count < 1:
+                raise DatasetError(f"{name} must be >= 1, got {count}")
+        if not self.train_subjects or not self.eval_subjects:
+            raise DatasetError("train and eval subjects must be non-empty")
 
     @property
     def n_classes(self) -> int:
         """Number of activity classes."""
         return self.spec.n_classes
 
-    def split(self, name: str) -> Mapping[BodyLocation, LabeledWindows]:
-        """Access a split by name (``"train" | "val" | "test"``)."""
-        try:
-            return {"train": self.train, "val": self.val, "test": self.test}[name]
-        except KeyError as error:
-            raise DatasetError(f"unknown split {name!r}") from error
+    @property
+    def train(self) -> Mapping[BodyLocation, LabeledWindows]:
+        """Training windows per location (synthesized on first read)."""
+        return self._split("train", self.train_subjects, self.train_windows_per_activity)
+
+    @property
+    def val(self) -> Mapping[BodyLocation, LabeledWindows]:
+        """Validation windows per location (synthesized on first read).
+
+        They seed the rank table and the confidence matrix.
+        """
+        return self._split("val", self.eval_subjects, self.val_windows_per_activity)
+
+    def _split(
+        self, name: str, subjects: Sequence[SubjectProfile], windows_per_activity: int
+    ) -> Mapping[BodyLocation, LabeledWindows]:
+        split = self._splits.get(name)
+        if split is None:
+            split = self._splits[name] = synthesize_split(
+                self.spec,
+                self.synthesizer,
+                subjects,
+                windows_per_activity,
+                SeedSequenceFactory(self.seed).generator(f"split/{name}"),
+            )
+        return split
+
+
+def make_dataset(
+    default_spec: Callable[[], DatasetSpec],
+    seed: int,
+    *,
+    train_windows_per_activity: int,
+    val_windows_per_activity: int,
+    n_train_subjects: int,
+    n_eval_subjects: int,
+    spec: Optional[DatasetSpec],
+) -> HARDataset:
+    """The body of every dataset factory.
+
+    Training and evaluation subjects are disjoint draws; the evaluation
+    subjects generate the validation split.  Only a dataset built on
+    ``default_spec()`` records its recipe.
+    """
+    recipe = None
+    if spec is None:
+        spec = default_spec()
+        recipe = {
+            "spec": spec.describe(),
+            "seed": int(seed),
+            "train_windows_per_activity": train_windows_per_activity,
+            "val_windows_per_activity": val_windows_per_activity,
+            "n_train_subjects": n_train_subjects,
+            "n_eval_subjects": n_eval_subjects,
+        }
+    factory = SeedSequenceFactory(seed)
+    return HARDataset(
+        spec=spec,
+        synthesizer=spec.make_synthesizer(),
+        train_subjects=sample_subjects(
+            n_train_subjects, factory.generator("subjects/train"), first_id=0
+        ),
+        eval_subjects=sample_subjects(
+            n_eval_subjects,
+            factory.generator("subjects/eval"),
+            first_id=n_train_subjects,
+        ),
+        seed=int(seed),
+        train_windows_per_activity=train_windows_per_activity,
+        val_windows_per_activity=val_windows_per_activity,
+        recipe=recipe,
+    )
 
 
 def synthesize_split(

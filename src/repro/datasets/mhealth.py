@@ -12,10 +12,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.datasets.activities import Activity
-from repro.datasets.base import DatasetSpec, HARDataset, synthesize_split
+from repro.datasets.base import DatasetSpec, HARDataset, make_dataset
 from repro.datasets.profiles import mhealth_signatures
-from repro.datasets.subjects import sample_subjects
-from repro.utils.rng import SeedSequenceFactory
 
 #: The six MHEALTH activities the paper reports (Figs. 2, 4, 5a, Table I).
 MHEALTH_ACTIVITIES: Tuple[Activity, ...] = (
@@ -42,43 +40,22 @@ def make_mhealth(
     *,
     train_windows_per_activity: int = 140,
     val_windows_per_activity: int = 50,
-    test_windows_per_activity: int = 45,
     n_train_subjects: int = 14,
     n_eval_subjects: int = 2,
     spec: Optional[DatasetSpec] = None,
 ) -> HARDataset:
     """Build the full MHEALTH-like dataset.
 
-    Training and evaluation subjects are disjoint draws; evaluation
-    subjects generate both the validation and test splits (validation
-    seeds rank/confidence tables, test measures final accuracy).
+    Training and evaluation subjects are disjoint draws; the evaluation
+    subjects generate the validation split, which seeds the rank table
+    and the confidence matrix.  See :func:`~repro.datasets.base.make_dataset`.
     """
-    spec = spec or mhealth_spec()
-    factory = SeedSequenceFactory(seed)
-    synthesizer = spec.make_synthesizer()
-    train_subjects = sample_subjects(
-        n_train_subjects, factory.generator("subjects/train"), first_id=0
-    )
-    eval_subjects = sample_subjects(
-        n_eval_subjects,
-        factory.generator("subjects/eval"),
-        first_id=n_train_subjects,
-    )
-    return HARDataset(
+    return make_dataset(
+        mhealth_spec,
+        seed,
+        train_windows_per_activity=train_windows_per_activity,
+        val_windows_per_activity=val_windows_per_activity,
+        n_train_subjects=n_train_subjects,
+        n_eval_subjects=n_eval_subjects,
         spec=spec,
-        train=synthesize_split(
-            spec, synthesizer, train_subjects, train_windows_per_activity,
-            factory.generator("split/train"),
-        ),
-        val=synthesize_split(
-            spec, synthesizer, eval_subjects, val_windows_per_activity,
-            factory.generator("split/val"),
-        ),
-        test=synthesize_split(
-            spec, synthesizer, eval_subjects, test_windows_per_activity,
-            factory.generator("split/test"),
-        ),
-        synthesizer=synthesizer,
-        train_subjects=train_subjects,
-        eval_subjects=eval_subjects,
     )

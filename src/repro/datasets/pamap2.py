@@ -10,10 +10,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.datasets.activities import Activity
-from repro.datasets.base import DatasetSpec, HARDataset, synthesize_split
+from repro.datasets.base import DatasetSpec, HARDataset, make_dataset
 from repro.datasets.profiles import pamap2_signatures
-from repro.datasets.subjects import sample_subjects
-from repro.utils.rng import SeedSequenceFactory
 
 #: The five PAMAP2 activities the paper reports (Fig. 5b).
 PAMAP2_ACTIVITIES: Tuple[Activity, ...] = (
@@ -39,38 +37,18 @@ def make_pamap2(
     *,
     train_windows_per_activity: int = 140,
     val_windows_per_activity: int = 50,
-    test_windows_per_activity: int = 45,
     n_train_subjects: int = 14,
     n_eval_subjects: int = 2,
     spec: Optional[DatasetSpec] = None,
 ) -> HARDataset:
-    """Build the full PAMAP2-like dataset (same recipe as MHEALTH)."""
-    spec = spec or pamap2_spec()
-    factory = SeedSequenceFactory(seed)
-    synthesizer = spec.make_synthesizer()
-    train_subjects = sample_subjects(
-        n_train_subjects, factory.generator("subjects/train"), first_id=0
-    )
-    eval_subjects = sample_subjects(
-        n_eval_subjects,
-        factory.generator("subjects/eval"),
-        first_id=n_train_subjects,
-    )
-    return HARDataset(
+    """Build the full PAMAP2-like dataset (same recipe as MHEALTH; see
+    :func:`~repro.datasets.base.make_dataset`)."""
+    return make_dataset(
+        pamap2_spec,
+        seed,
+        train_windows_per_activity=train_windows_per_activity,
+        val_windows_per_activity=val_windows_per_activity,
+        n_train_subjects=n_train_subjects,
+        n_eval_subjects=n_eval_subjects,
         spec=spec,
-        train=synthesize_split(
-            spec, synthesizer, train_subjects, train_windows_per_activity,
-            factory.generator("split/train"),
-        ),
-        val=synthesize_split(
-            spec, synthesizer, eval_subjects, val_windows_per_activity,
-            factory.generator("split/val"),
-        ),
-        test=synthesize_split(
-            spec, synthesizer, eval_subjects, test_windows_per_activity,
-            factory.generator("split/test"),
-        ),
-        synthesizer=synthesizer,
-        train_subjects=train_subjects,
-        eval_subjects=eval_subjects,
     )

@@ -35,7 +35,6 @@ def build_smoke_experiment(seed: int, n_windows: int) -> HARExperiment:
         seed=11,
         train_windows_per_activity=14,
         val_windows_per_activity=8,
-        test_windows_per_activity=8,
         n_train_subjects=3,
         n_eval_subjects=1,
     )

@@ -136,6 +136,11 @@ def _store_line(exported: Dict[str, Any]) -> Optional[str]:
     if not hits and not misses:
         return None
     parts = [f"artifact store: {hits} hit(s), {misses} miss(es)"]
+    digest_hits = int(counters.get("store.digests.hit", 0))
+    digest_misses = int(counters.get("store.digests.miss", 0))
+    if digest_hits or digest_misses:
+        # A digests miss is a build that synthesized its splits.
+        parts.append(f"split digests {digest_hits} hit(s) / {digest_misses} miss(es)")
     rebuilds = int(counters.get("store.rebuild", 0))
     if rebuilds:
         parts.append(f"{rebuilds} corrupt rebuild(s)")

@@ -9,7 +9,9 @@ makes trained bundles cheap to reuse instead:
     Content-addressed key derivation: SHA-256 over dataset content
     digests, seed, :class:`~repro.sim.training.TrainingConfig`,
     pruning budget, cost model, per-location architecture
-    hyperparameters and the store schema version.
+    hyperparameters and the store schema version; and the key of a
+    dataset recipe's stored split digests, which lets a warm build form
+    that key without synthesizing the splits.
 ``repro.store.core``
     :class:`ArtifactStore` — atomic temp-dir-and-rename writes,
     per-entry cross-process locks, per-file SHA-256 integrity checks
@@ -20,8 +22,7 @@ makes trained bundles cheap to reuse instead:
     Pack/unpack of :class:`~repro.sim.training.TrainedSensorBundle`
     (weight checkpoints via :mod:`repro.nn.serialization` + a JSON
     manifest) and :func:`load_or_train_bundle`, the hit-or-train entry
-    point used by ``standard_*`` and the parallel sweep's worker
-    rehydration.
+    point used by ``standard_*``.
 ``python -m repro.store``
     ``ls`` / ``info`` / ``verify`` / ``gc`` management CLI.
 
@@ -52,7 +53,6 @@ from repro.store.bundles import (
 from repro.store.keys import (
     KEY_HEX_CHARS,
     STORE_SCHEMA_VERSION,
-    dataset_fingerprint,
     trained_bundle_key,
 )
 from repro.store.locks import FileLock
@@ -66,7 +66,6 @@ __all__ = [
     "KEY_HEX_CHARS",
     "STORE_SCHEMA_VERSION",
     "StoreEntry",
-    "dataset_fingerprint",
     "default_store",
     "default_store_root",
     "load_or_train_bundle",

@@ -20,8 +20,11 @@ the manifest.  Nothing in the simulation stack reads the step log.
 
 :func:`load_or_train_bundle` is the single entry point the simulation
 layer uses: store hit → rehydrate; miss (or corruption, which the store
-evicts) → train, publish, return.  All hit/miss/rebuild/build-time
-accounting flows through the caller's :class:`~repro.obs.Observability`.
+evicts) → train, publish, return.  It also keeps the second entry kind,
+``dataset-digests``: a manifest-only entry holding a dataset recipe's
+split digests, from which a warm build forms the bundle key without
+synthesizing the splits.  All hit/miss/rebuild/build-time accounting
+flows through the caller's :class:`~repro.obs.Observability`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import logging
 import os
 import time
 from dataclasses import asdict
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from repro.core.ensemble.confidence import ConfidenceMatrix
 from repro.core.scheduling.rank_table import RankTable
 from repro.datasets.base import HARDataset
 from repro.datasets.body import BodyLocation
+from repro.datasets.profiles import N_CHANNELS
 from repro.errors import StoreError
 from repro.nn.architectures import build_har_cnn, har_architecture_for
 from repro.nn.energy_model import EnergyCostModel
@@ -51,7 +55,11 @@ from repro.sim.training import (
     TrainingConfig,
 )
 from repro.store.core import ArtifactStore, StoreEntry, default_store
-from repro.store.keys import trained_bundle_key
+from repro.store.keys import (
+    bundle_key_from_digests,
+    dataset_digests_key,
+    split_digests,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -187,22 +195,21 @@ def _unpack(entry: StoreEntry, dataset: HARDataset) -> TrainedSensorBundle:
             f"entry {entry.key} holds a {payload.get('dataset')!r} bundle, "
             f"not {spec.name!r}"
         )
+    expected_shape = (N_CHANNELS, spec.window_size)
     by_location: Dict[BodyLocation, TrainedLocationModel] = {}
     for loc_spec in payload["locations"]:
         location = BodyLocation(loc_spec["location"])
-        train = dataset.train[location]
         # The unpruned model is architecture-registry code; the stored
         # input shape is cross-checked against the dataset we were
         # handed so a wrong dataset fails loudly, not numerically.
-        expected_shape = (train.X.shape[1], train.X.shape[2])
         if tuple(loc_spec["input_shape"]) != expected_shape:
             raise StoreError(
                 f"entry {entry.key}: stored input shape "
                 f"{tuple(loc_spec['input_shape'])} != dataset {expected_shape}"
             )
         model = build_har_cnn(
-            n_channels=train.X.shape[1],
-            window=train.X.shape[2],
+            n_channels=N_CHANNELS,
+            window=spec.window_size,
             n_classes=spec.n_classes,
             architecture=har_architecture_for(location),
             seed=loc_spec["node_id"],
@@ -307,6 +314,34 @@ def resolve_store(store: StoreArg, obs: Optional[Observability] = None) -> Optio
     return store if store.enabled else None
 
 
+def _stored_split_digests(
+    store: ArtifactStore, digests_key: Optional[str]
+) -> Optional[Dict[str, Any]]:
+    """The split digests a dataset's digests entry holds, or ``None``."""
+    entry = store.get(digests_key) if digests_key is not None else None
+    splits = entry.payload.get("splits") if entry is not None else None
+    return splits if isinstance(splits, dict) else None
+
+
+def _publish_split_digests(
+    store: ArtifactStore, digests_key: str, dataset: HARDataset, splits: Dict[str, Any]
+) -> None:
+    """Write (or replace) ``dataset``'s digests entry.
+
+    The entry only saves later builds a synthesis, so a store root that
+    refuses the write is logged and the build goes on.
+    """
+    try:
+        store.invalidate(digests_key)
+        store.put(
+            digests_key,
+            lambda tmpdir: {"dataset": dataset.spec.name, "splits": splits},
+            kind="dataset-digests",
+        )
+    except OSError as error:
+        logger.warning("could not write split digests %s: %s", digests_key, error)
+
+
 def load_or_train_bundle(
     dataset: HARDataset,
     budget_j: float,
@@ -319,11 +354,21 @@ def load_or_train_bundle(
 ) -> TrainedSensorBundle:
     """``TrainedSensorBundle.train`` with the store consulted first.
 
-    Hit → rehydrate (counted as ``store.hit``, timed as ``store.load``);
-    miss → train (timed as ``store.build``), publish, return.  A miss
-    caused by an evicted corrupt entry is additionally counted as
-    ``store.rebuild``.  With the store disabled (``store=False`` or
-    ``REPRO_STORE=off``) this is exactly ``TrainedSensorBundle.train``.
+    A dataset with a recipe first looks up its digests entry
+    (:func:`~repro.store.keys.dataset_digests_key`) and forms the bundle
+    key from the stored split digests.  When that bundle is there, the
+    build renders no window (``store.digests.hit``).  Otherwise
+    (``store.digests.miss``, or a dataset without a recipe) the key comes
+    from the synthesized arrays, the digests entry is written or
+    corrected, and the bundle is looked up under that content key, so a
+    bundle is only ever published under its content key.
+
+    Hit → rehydrate (counted as ``store.hit``; ``store.load`` times the
+    whole lookup); miss → train (timed as ``store.build``), publish,
+    return.  A miss caused by an evicted corrupt entry is additionally
+    counted as ``store.rebuild``.  With the store disabled
+    (``store=False`` or ``REPRO_STORE=off``) this is exactly
+    ``TrainedSensorBundle.train``.
     """
     obs = obs if obs is not None else NULL_OBS
     resolved = resolve_store(store, obs=obs)
@@ -331,12 +376,28 @@ def load_or_train_bundle(
         return TrainedSensorBundle.train(
             dataset, budget_j, seed=seed, config=config, cost_model=cost_model
         )
-    key = trained_bundle_key(
-        dataset, budget_j, seed=seed, config=config, cost_model=cost_model
-    )
-    had_entry = resolved.contains(key)
     start = time.perf_counter()
-    bundle = load_trained_bundle(resolved, key, dataset, obs=obs)
+
+    def lookup(splits: Dict[str, Any]) -> Tuple[str, bool, Optional[TrainedSensorBundle]]:
+        key = bundle_key_from_digests(
+            dataset.spec, splits, budget_j, seed=seed, config=config, cost_model=cost_model
+        )
+        had_entry = resolved.contains(key)
+        return key, had_entry, load_trained_bundle(resolved, key, dataset, obs=obs)
+
+    digests_key = dataset_digests_key(dataset)
+    stored = _stored_split_digests(resolved, digests_key)
+    bundle = None
+    if stored is not None:
+        key, had_entry, bundle = lookup(stored)
+    if digests_key is not None and obs.enabled:
+        obs.metrics.inc("store.digests.hit" if bundle is not None else "store.digests.miss")
+    if bundle is None:
+        splits = split_digests(dataset)
+        if splits != stored:
+            if digests_key is not None:
+                _publish_split_digests(resolved, digests_key, dataset, splits)
+            key, had_entry, bundle = lookup(splits)
     if bundle is not None:
         if obs.enabled:
             obs.metrics.inc("store.hit")

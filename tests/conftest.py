@@ -27,7 +27,6 @@ def make_tiny_dataset():
         seed=11,
         train_windows_per_activity=14,
         val_windows_per_activity=8,
-        test_windows_per_activity=8,
         n_train_subjects=3,
         n_eval_subjects=1,
     )
@@ -52,7 +51,6 @@ def make_tiny_pamap2_dataset():
         seed=7,
         train_windows_per_activity=8,
         val_windows_per_activity=5,
-        test_windows_per_activity=5,
         n_train_subjects=2,
         n_eval_subjects=1,
     )

@@ -69,26 +69,8 @@ class TestLabeledWindows:
             original = np.where((windows.X == row).all(axis=(1, 2)))[0]
             assert windows.y[original[0]] == label
 
-    def test_of_class(self, windows):
-        zeros = windows.of_class(0)
-        assert len(zeros) == 2
-        assert set(zeros.y) == {0}
-
     def test_class_counts(self, windows):
         np.testing.assert_array_equal(windows.class_counts(3), [2, 1, 1])
-
-    def test_subset(self, windows):
-        sub = windows.subset([0, 3])
-        assert len(sub) == 2
-
-    def test_concat(self, windows):
-        merged = windows.concat(windows)
-        assert len(merged) == 8
-
-    def test_concat_shape_mismatch(self, windows):
-        other = LabeledWindows(np.zeros((1, 2, 5), dtype=np.float32), np.array([0]))
-        with pytest.raises(DatasetError):
-            windows.concat(other)
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(DatasetError):
@@ -104,7 +86,6 @@ class TestFactories:
             seed=0,
             train_windows_per_activity=6,
             val_windows_per_activity=4,
-            test_windows_per_activity=4,
             n_train_subjects=2,
             n_eval_subjects=1,
         )
@@ -122,16 +103,10 @@ class TestFactories:
         eval_ids = {s.subject_id for s in dataset.eval_subjects}
         assert not train_ids & eval_ids
 
-    def test_split_lookup(self, dataset):
-        assert dataset.split("val") is dataset.val
-        with pytest.raises(DatasetError):
-            dataset.split("nope")
-
     def test_reproducible(self):
         kwargs = dict(
             train_windows_per_activity=4,
             val_windows_per_activity=2,
-            test_windows_per_activity=2,
             n_train_subjects=2,
             n_eval_subjects=1,
         )
@@ -146,7 +121,6 @@ class TestFactories:
             seed=0,
             train_windows_per_activity=4,
             val_windows_per_activity=2,
-            test_windows_per_activity=2,
             n_train_subjects=2,
             n_eval_subjects=1,
         )

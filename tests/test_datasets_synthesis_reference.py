@@ -209,7 +209,7 @@ def test_splits_match_per_window_reference(dataset):
 
     make = make_mhealth if dataset == "mhealth" else make_pamap2
     data = make(seed=3, train_windows_per_activity=5, val_windows_per_activity=2,
-                test_windows_per_activity=2, n_train_subjects=3, n_eval_subjects=1)
+                n_train_subjects=3, n_eval_subjects=1)
     subjects = list(data.train_subjects) + [SUBJECTS[1]]
     for count in (1, 4, 7):
         got = synthesize_split(

@@ -121,6 +121,22 @@ class TestMetricLines:
             "artifact store: 3 hit(s), 1 miss(es), 1 corrupt rebuild(s), load 0.50 s"
         )
 
+    def test_store_line_tells_whether_set_up_synthesized(self):
+        warm = {
+            "counters": {"store.hit": 1, "store.digests.hit": 1},
+            "timers": {
+                "store.load": {"calls": 1, "total_s": 0.03, "min_s": 0.03, "max_s": 0.03}
+            },
+        }
+        assert _store_line(warm) == (
+            "artifact store: 1 hit(s), 0 miss(es), "
+            "split digests 1 hit(s) / 0 miss(es), load 0.03 s"
+        )
+        cold = {"counters": {"store.miss": 1, "store.digests.miss": 1}, "timers": {}}
+        assert _store_line(cold) == (
+            "artifact store: 0 hit(s), 1 miss(es), split digests 0 hit(s) / 1 miss(es)"
+        )
+
     def test_store_line_none_without_traffic(self):
         assert _store_line({"counters": {}, "timers": {}}) is None
 

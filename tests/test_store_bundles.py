@@ -1,10 +1,11 @@
 """Tests for trained-bundle (de)hydration and the simulation wiring.
 
 The expensive guarantees live here: a store hit reproduces a fresh
-training run byte for byte, corruption degrades to a rebuild, and pool
-workers sweep on the bundle their parent holds, never loading or
-training one.  Training is kept cheap with a one-epoch recipe on a
-module-scoped micro dataset.
+training run byte for byte, corruption degrades to a rebuild, a warm
+build keys its bundle from stored split digests without synthesizing
+a window, and pool workers sweep on the bundle their parent holds,
+never loading or training one.  Training is kept cheap with a one-epoch
+recipe on a micro dataset.
 """
 
 from __future__ import annotations
@@ -45,16 +46,19 @@ FAST = TrainingConfig(
 BUDGET_J = 160e-6
 
 
-@pytest.fixture(scope="module")
-def micro_dataset():
+def make_micro_dataset():
     return make_mhealth(
         seed=11,
         train_windows_per_activity=6,
         val_windows_per_activity=4,
-        test_windows_per_activity=4,
         n_train_subjects=2,
         n_eval_subjects=1,
     )
+
+
+@pytest.fixture(scope="module")
+def micro_dataset():
+    return make_micro_dataset()
 
 
 @pytest.fixture
@@ -154,7 +158,13 @@ class TestLoadOrTrain:
         )
         counters = obs.metrics.to_dict()["counters"]
         assert counters["store.miss"] == 1
-        assert counters["store.put"] == 1
+        assert counters["store.digests.miss"] == 1
+        # One put per entry kind: the split digests and the bundle.
+        assert counters["store.put"] == 2
+        assert sorted(s.kind for s in ArtifactStore(store_env).verify()) == [
+            "dataset-digests",
+            "trained-bundle",
+        ]
         assert "store.hit" not in counters
         assert first.store_key is not None
         assert "store.build" in obs.metrics.to_dict()["timers"]
@@ -195,6 +205,113 @@ class TestLoadOrTrain:
 
     def test_store_false_bypasses_even_when_enabled(self):
         assert resolve_store(False) is None
+
+
+def _digests_entry(store: ArtifactStore):
+    (key,) = [k for k in store.keys() if store.status(k).kind == "dataset-digests"]
+    return store.get(key)
+
+
+class TestSplitDigests:
+    """A warm build keys its bundle from the stored split digests."""
+
+    @pytest.fixture
+    def published(self, store_env):
+        """A store holding only the micro bundle, as one written before
+        digests entries existed; returns the bundle and its content key."""
+        bundle = TrainedSensorBundle.train(
+            make_micro_dataset(), BUDGET_J, seed=5, config=FAST
+        )
+        store = ArtifactStore(store_env)
+        key = trained_bundle_key(
+            bundle.dataset, BUDGET_J, seed=5, config=FAST, cost_model=bundle.cost_model
+        )
+        save_trained_bundle(store, key, bundle)
+        return store, bundle, key
+
+    @staticmethod
+    def _load(obs=None):
+        dataset = make_micro_dataset()
+        bundle = load_or_train_bundle(dataset, BUDGET_J, seed=5, config=FAST, obs=obs)
+        return dataset, bundle
+
+    def test_warm_build_renders_no_window(self, published, monkeypatch):
+        import repro.datasets.base as base_mod
+
+        store, trained, key = published
+        obs = Observability()
+        self._load(obs)  # digests miss: synthesizes, finds the bundle, writes digests
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters["store.digests.miss"] == 1
+        assert counters["store.hit"] == 1
+        assert counters["store.put"] == 1
+        assert _digests_entry(store).payload["dataset"] == "MHEALTH"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm build synthesized a split")
+
+        monkeypatch.setattr(base_mod, "synthesize_split", refuse)
+        obs = Observability()
+        dataset, bundle = self._load(obs)
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters == {"store.digests.hit": 1, "store.hit": 1}
+        monkeypatch.undo()
+        assert bundle.store_key == key == trained_bundle_key(
+            dataset, BUDGET_J, seed=5, config=FAST, cost_model=bundle.cost_model
+        )
+        _states_equal(trained, bundle)
+
+    def test_changed_source_digest_misses_digests_entry(self, published, monkeypatch):
+        import repro.store.keys as keys_mod
+
+        store, _, key = published
+        self._load()
+        monkeypatch.setattr(keys_mod, "synthesis_source_digest", lambda: "0" * 64)
+        obs = Observability()
+        _, bundle = self._load(obs)
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters["store.digests.miss"] == 1
+        assert counters["store.hit"] == 1
+        assert "store.miss" not in counters
+        assert bundle.store_key == key
+        kinds = sorted(status.kind for status in store.verify())
+        assert kinds == ["dataset-digests", "dataset-digests", "trained-bundle"]
+
+    def test_wrong_digests_entry_is_corrected(self, published):
+        store, _, key = published
+        self._load()
+        entry = _digests_entry(store)
+        right = entry.payload["splits"]
+        wrong = json.loads(json.dumps(right))
+        wrong["val"]["chest"]["X"] = "0" * 64
+        store.invalidate(entry.key)
+        store.put(entry.key, lambda tmpdir: {"splits": wrong}, kind="dataset-digests")
+
+        obs = Observability()
+        _, bundle = self._load(obs)
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters["store.digests.miss"] == 1
+        assert counters["store.hit"] == 1
+        assert "store.miss" not in counters
+        assert bundle.store_key == key
+        assert _digests_entry(store).payload["splits"] == right
+        assert len(store.keys()) == 2  # nothing published under a wrong key
+
+    def test_unwritable_digests_entry_still_returns_bundle(
+        self, published, monkeypatch
+    ):
+        store, _, key = published
+        put = ArtifactStore.put
+
+        def read_only_digests(self, entry_key, stage, *, kind="artifact"):
+            if kind == "dataset-digests":
+                raise PermissionError("read-only store root")
+            return put(self, entry_key, stage, kind=kind)
+
+        monkeypatch.setattr(ArtifactStore, "put", read_only_digests)
+        _, bundle = self._load()
+        assert bundle.store_key == key
+        assert store.keys() == [key]
 
 
 class TestPoolWorkers:
