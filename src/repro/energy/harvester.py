@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.energy.traces import PowerTrace
+from repro.energy.traces import PowerTrace, slot_energies
 from repro.errors import EnergyModelError
 from repro.utils.validation import check_fraction, check_non_negative
 
@@ -69,21 +67,17 @@ class Harvester:
         With ``n_slots`` the vector is truncated or zero-padded to that
         length.  Padded slots deliver exactly 0.0 J — no supplemental
         trickle either: a node stops harvesting (and supplementing) once
-        the trace runs out.
+        the trace runs out.  See :func:`~repro.energy.traces.slot_energies`.
         """
-        vec = (
-            self.trace.slot_energies(slot_duration_s) * self.efficiency * self.gain
-            + self.supplemental_w * slot_duration_s
+        return slot_energies(
+            self.trace.watts,
+            self.trace.dt_s,
+            slot_duration_s,
+            n_slots=n_slots,
+            efficiency=self.efficiency,
+            gain=self.gain,
+            supplemental_w=self.supplemental_w,
         )
-        if n_slots is None:
-            return vec
-        if n_slots < 0:
-            raise EnergyModelError(f"n_slots must be >= 0, got {n_slots}")
-        if vec.size >= n_slots:
-            return vec[:n_slots].copy()
-        out = np.zeros(n_slots, dtype=np.float64)
-        out[: vec.size] = vec
-        return out
 
     @property
     def average_power_w(self) -> float:

@@ -77,19 +77,9 @@ class PowerTrace:
         """Joules harvested in ``[t0, t1)`` (rectangle rule, clamped)."""
         if t1_s < t0_s:
             raise EnergyModelError(f"t1 ({t1_s}) must be >= t0 ({t0_s})")
-        start = max(t0_s, 0.0)
-        stop = min(t1_s, self.duration_s)
-        if stop <= start:
-            return 0.0
-        first = int(start / self.dt_s)
-        last = int(np.ceil(stop / self.dt_s))
         energy = 0.0
-        for index in range(first, min(last, self.watts.size)):
-            sample_start = index * self.dt_s
-            sample_stop = sample_start + self.dt_s
-            overlap = min(stop, sample_stop) - max(start, sample_start)
-            if overlap > 0:
-                energy += self.watts[index] * overlap
+        for index, overlap in _overlaps(self.dt_s, self.watts.size, t0_s, t1_s):
+            energy += self.watts[index] * overlap
         return energy
 
     def slot_energy(self, slot_index: int, slot_duration_s: float) -> float:
@@ -104,41 +94,12 @@ class PowerTrace:
     ) -> np.ndarray:
         """Vector of per-slot harvested joules for the whole trace.
 
-        Fast path used by the simulator: requires the slot duration to
-        be an integer multiple of ``dt_s`` (within rounding).
-
         With ``n_slots`` the vector is truncated or zero-padded to
         exactly that length — the scan-friendly form the slot kernel
-        consumes.  Slots beyond the trace harvest exactly 0.0 J.
+        consumes.  Slots beyond the trace harvest exactly 0.0 J.  See
+        :func:`slot_energies`.
         """
-        check_positive("slot_duration_s", slot_duration_s)
-        samples_per_slot = slot_duration_s / self.dt_s
-        rounded = int(round(samples_per_slot))
-        if rounded < 1 or abs(samples_per_slot - rounded) > 1e-9:
-            # Fall back to exact integration.
-            covered = int(self.duration_s // slot_duration_s)
-            vec = np.array(
-                [self.slot_energy(index, slot_duration_s) for index in range(covered)]
-            )
-        else:
-            covered = self.watts.size // rounded
-            trimmed = self.watts[: covered * rounded].reshape(covered, rounded)
-            vec = trimmed.sum(axis=1) * self.dt_s
-        if n_slots is None:
-            return vec
-        if n_slots < 0:
-            raise EnergyModelError(f"n_slots must be >= 0, got {n_slots}")
-        if vec.size >= n_slots:
-            return vec[:n_slots].copy()
-        out = np.zeros(n_slots, dtype=np.float64)
-        out[: vec.size] = vec
-        return out
-
-    def scaled(self, factor: float) -> "PowerTrace":
-        """A copy with every sample multiplied by ``factor`` (>= 0)."""
-        if factor < 0:
-            raise EnergyModelError(f"factor must be >= 0, got {factor}")
-        return PowerTrace(self.dt_s, self.watts * factor)
+        return slot_energies(self.watts, self.dt_s, slot_duration_s, n_slots=n_slots)
 
     def segment(self, t0_s: float, t1_s: float) -> "PowerTrace":
         """The sub-trace covering ``[t0, t1)``."""
@@ -147,6 +108,82 @@ class PowerTrace:
         if last <= first:
             raise EnergyModelError("empty segment requested")
         return PowerTrace(self.dt_s, self.watts[first:last].copy())
+
+
+def _overlaps(
+    dt_s: float, n_samples: int, t0_s: float, t1_s: float
+) -> List[Tuple[int, float]]:
+    """``(sample, seconds)`` of every sample overlapping ``[t0, t1)``, in order.
+
+    The interval is clamped to the trace's ``n_samples * dt_s`` seconds.
+    """
+    start = max(t0_s, 0.0)
+    stop = min(t1_s, dt_s * n_samples)
+    if stop <= start:
+        return []
+    first = int(start / dt_s)
+    last = int(np.ceil(stop / dt_s))
+    spans = []
+    for index in range(first, min(last, n_samples)):
+        sample_start = index * dt_s
+        overlap = min(stop, sample_start + dt_s) - max(start, sample_start)
+        if overlap > 0:
+            spans.append((index, overlap))
+    return spans
+
+
+def slot_energies(
+    watts: np.ndarray,
+    dt_s: float,
+    slot_duration_s: float,
+    *,
+    n_slots: Optional[int] = None,
+    efficiency: float = 1.0,
+    gain: float = 1.0,
+    supplemental_w: float = 0.0,
+) -> np.ndarray:
+    """Per-slot delivered joules along the last axis of ``watts``.
+
+    The simulator's one slot arithmetic: a trace's
+    (:meth:`PowerTrace.slot_energies`), a harvester's
+    (:meth:`~repro.energy.harvester.Harvester.slot_energies`) and a
+    kernel batch's ``(nodes, samples)`` block of harvest rows.  Each
+    slot sums its ``slot_duration_s / dt_s`` samples times ``dt_s`` —
+    by exact overlap integration when a slot is not a whole number of
+    samples — then scales by ``efficiency`` and ``gain`` and adds the
+    ``supplemental_w`` trickle.  Only whole slots inside the trace
+    count.  With ``n_slots`` the last axis is truncated or zero-padded
+    to that length; padded slots deliver exactly 0.0 J, trickle
+    included.  A row's floats do not depend on the rows beside it.
+    """
+    check_positive("slot_duration_s", slot_duration_s)
+    watts = np.asarray(watts, dtype=np.float64)
+    n_samples = watts.shape[-1]
+    samples_per_slot = slot_duration_s / dt_s
+    rounded = int(round(samples_per_slot))
+    if rounded < 1 or abs(samples_per_slot - rounded) > 1e-9:
+        covered = int(dt_s * n_samples // slot_duration_s)
+        vec = np.zeros(watts.shape[:-1] + (covered,))
+        for slot in range(covered):
+            start = slot * slot_duration_s
+            for index, overlap in _overlaps(
+                dt_s, n_samples, start, start + slot_duration_s
+            ):
+                vec[..., slot] += watts[..., index] * overlap
+    else:
+        covered = n_samples // rounded
+        trimmed = watts[..., : covered * rounded]
+        vec = trimmed.reshape(watts.shape[:-1] + (covered, rounded)).sum(axis=-1) * dt_s
+    vec = vec * efficiency * gain + supplemental_w * slot_duration_s
+    if n_slots is None:
+        return vec
+    if n_slots < 0:
+        raise EnergyModelError(f"n_slots must be >= 0, got {n_slots}")
+    if covered >= n_slots:
+        return vec[..., :n_slots].copy()
+    out = np.zeros(vec.shape[:-1] + (n_slots,))
+    out[..., :covered] = vec
+    return out
 
 
 @dataclass(frozen=True)

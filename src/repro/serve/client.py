@@ -49,7 +49,6 @@ from repro.serve.protocol import (
 from repro.serve.session import ServeProfile
 from repro.sim.kernel import SlotKernel
 from repro.sim.predcache import build_run_material, default_subject
-from repro.utils.rng import SeedSequenceFactory
 
 __all__ = [
     "DeviceSim",
@@ -100,10 +99,10 @@ class DeviceSim:
             use_pruned_models=config.use_pruned_models,
             subject=self.subject,
         )
-        nodes = experiment._build_nodes(SeedSequenceFactory(self.seed), config)
+        ((nodes, energies),) = experiment.build_nodes([(self.seed, config)])
         self.node_ids = [node.node_id for node in nodes]
         self._position = {node_id: k for k, node_id in enumerate(self.node_ids)}
-        self.kernel = SlotKernel.from_nodes(nodes, n_runs=1, n_slots=config.n_windows)
+        self.kernel = SlotKernel.from_lanes(nodes, energies, range(len(nodes)))
         self._active = np.zeros(len(nodes), dtype=bool)
         # The row's lossless link and the label/confidence columns that
         # completed lanes fill each slot.

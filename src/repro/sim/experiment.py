@@ -14,16 +14,20 @@ One scheduling slot = one IMU window (2.56 s by default).  Every slot:
 The same harness runs every configuration of the paper's ladder (plain
 ER-r, AAS, AASR, Origin) — only the :class:`~repro.core.policies.PolicySpec`
 changes.  :class:`HARExperiment` owns the deployment (dataset, trained
-bundle, RF environment, config) and builds each seed's node parameters;
-the slot physics of every run, faulted and observed ones included, is
-the lane kernel of :mod:`repro.sim.kernel`.
+bundle, RF environment, config) and builds a batch's node parameters and
+harvest rows (:meth:`HARExperiment.build_nodes`, one office walk per
+seed); the slot physics of every run, faulted and observed ones
+included, is the lane kernel of :mod:`repro.sim.kernel`.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.policies import PolicySpec
 from repro.datasets.base import HARDataset
@@ -32,7 +36,7 @@ from repro.datasets.subjects import SubjectProfile
 from repro.energy.harvester import Harvester
 from repro.energy.nvp import NonVolatileProcessor
 from repro.energy.storage import Capacitor
-from repro.energy.traces import PowerTraceGenerator
+from repro.energy.traces import PowerTrace, PowerTraceGenerator, slot_energies
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.obs.observer import Observability
@@ -92,8 +96,15 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n_windows < 1:
             raise ConfigurationError(f"n_windows must be >= 1, got {self.n_windows}")
-        if self.trace_scale <= 0:
-            raise ConfigurationError(f"trace_scale must be positive, got {self.trace_scale}")
+        if not (math.isfinite(self.trace_scale) and self.trace_scale > 0):
+            raise ConfigurationError(
+                f"trace_scale must be finite and positive, got {self.trace_scale}"
+            )
+        for location, gain in (self.node_gains or {}).items():
+            if not (math.isfinite(gain) and gain >= 0):
+                raise ConfigurationError(
+                    f"node gain at {location} must be finite and >= 0, got {gain}"
+                )
         if self.dwell_scale <= 0:
             raise ConfigurationError(f"dwell_scale must be positive, got {self.dwell_scale}")
         if self.battery_supplement_w < 0:
@@ -210,45 +221,74 @@ class HARExperiment:
     # construction helpers
     # ------------------------------------------------------------------
 
-    def _build_nodes(
-        self, factory: SeedSequenceFactory, config: SimulationConfig
-    ) -> List[SensorNode]:
-        spec = self.dataset.spec
-        duration = config.n_windows * spec.window_duration_s
-        locations = list(spec.locations)
-        gains = [config.gain_for(location) for location in locations]
-        traces = self.trace_generator.generate_correlated(
-            duration, gains, factory.generator("traces")
-        )
-        energies = self.bundle.inference_energies(pruned=config.use_pruned_models)
+    def build_nodes(
+        self, setups: Sequence[Tuple[int, SimulationConfig]]
+    ) -> List[Tuple[List[SensorNode], np.ndarray]]:
+        """Each ``(seed, config)`` setup's nodes and harvest rows.
 
-        nodes = []
-        for location, trace in zip(locations, traces):
-            node_id = self.bundle.node_id_of(location)
-            nodes.append(
-                SensorNode(
-                    node_id=node_id,
-                    location=location,
-                    inference_energy_j=energies[node_id],
-                    harvester=Harvester(
-                        trace.scaled(config.trace_scale),
-                        supplemental_w=config.battery_supplement_w,
-                    ),
-                    capacitor=Capacitor(
-                        config.capacitor_capacity_j,
-                        config.capacitor_initial_j,
-                        config.capacitor_leakage_w,
-                    ),
-                    nvp=NonVolatileProcessor(
-                        config.checkpoint_overhead, volatile=config.volatile
-                    ),
-                    radio=config.radio,
-                    costs=config.costs,
-                    slot_duration_s=spec.window_duration_s,
-                    max_task_age_slots=config.max_task_age_slots,
+        Returns one ``(nodes, rows)`` pair per setup, ``rows`` a fresh
+        ``(nodes, n_windows)`` array.  Setups sharing ``(seed,
+        n_windows)`` share one office walk at unit gain (one
+        ``generate_correlated`` call per call of this method); a
+        setup's watts are ``(unit x gain) x trace_scale``, the floats
+        the walk at its own gains would give, scaled.  Node ``k``'s
+        harvester holds row ``k`` of those watts, so its
+        ``slot_energy_vector(n_windows)`` equals ``rows[k]``.
+        """
+        spec = self.dataset.spec
+        slot_s = spec.window_duration_s
+        locations = list(spec.locations)
+        dt_s = self.trace_generator.dt_s
+        walks: Dict[Tuple[int, int], np.ndarray] = {}
+        built = []
+        for seed, config in setups:
+            key = (int(seed), config.n_windows)
+            unit = walks.get(key)
+            if unit is None:
+                traces = self.trace_generator.generate_correlated(
+                    config.n_windows * slot_s,
+                    [1.0] * len(locations),
+                    SeedSequenceFactory(key[0]).generator("traces"),
                 )
+                unit = walks[key] = np.stack([trace.watts for trace in traces])
+            gains = np.array([config.gain_for(location) for location in locations])
+            watts = (unit * gains[:, None]) * config.trace_scale
+            rows = slot_energies(
+                watts,
+                dt_s,
+                slot_s,
+                n_slots=config.n_windows,
+                supplemental_w=config.battery_supplement_w,
             )
-        return nodes
+            energies = self.bundle.inference_energies(pruned=config.use_pruned_models)
+            nodes = []
+            for location, node_watts in zip(locations, watts):
+                node_id = self.bundle.node_id_of(location)
+                nodes.append(
+                    SensorNode(
+                        node_id=node_id,
+                        location=location,
+                        inference_energy_j=energies[node_id],
+                        harvester=Harvester(
+                            PowerTrace(dt_s, node_watts),
+                            supplemental_w=config.battery_supplement_w,
+                        ),
+                        capacitor=Capacitor(
+                            config.capacitor_capacity_j,
+                            config.capacitor_initial_j,
+                            config.capacitor_leakage_w,
+                        ),
+                        nvp=NonVolatileProcessor(
+                            config.checkpoint_overhead, volatile=config.volatile
+                        ),
+                        radio=config.radio,
+                        costs=config.costs,
+                        slot_duration_s=slot_s,
+                        max_task_age_slots=config.max_task_age_slots,
+                    )
+                )
+            built.append((nodes, rows))
+        return built
 
     # ------------------------------------------------------------------
     # runs

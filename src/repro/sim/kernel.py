@@ -20,10 +20,12 @@ wipe → result-message draw.
   and ``finish_slot`` once per slot each, with ``(rows, nodes)`` flag
   and report arrays read off the lanes.
 
-A batch builds its lanes once: each group contributes its nodes and
-their harvest rows (fault folding included) and one
-:meth:`SlotKernel.from_lanes` call makes every lane.  Its outcome stays
-columnar too: every run's :class:`~repro.sim.results.ExperimentResult`
+A batch builds its lanes once: one
+:meth:`~repro.sim.experiment.HARExperiment.build_nodes` call draws each
+distinct office walk of the batch once and writes every group's harvest
+rows from it, each group folds its fault plan into its own rows, and
+one :meth:`SlotKernel.from_lanes` call makes every lane.  Its outcome
+stays columnar too: every run's :class:`~repro.sim.results.ExperimentResult`
 is its row of the batch's ``(rows, slots)`` arrays (final label,
 attempts, completions, dropped messages) plus its active-node tuples,
 so neither end of a batch builds a per-slot object.
@@ -183,9 +185,9 @@ class SlotKernel:
     ) -> "SlotKernel":
         """Lanes for ``n_runs`` identical runs over freshly built nodes.
 
-        Lane ``r * len(nodes) + k`` is run ``r``'s copy of ``nodes[k]``
-        (e.g. fresh from ``HARExperiment._build_nodes``), harvesting the
-        node's own :meth:`~repro.wsn.node.SensorNode.slot_energy_vector`.
+        Lane ``r * len(nodes) + k`` is run ``r``'s copy of ``nodes[k]``,
+        harvesting the node's own
+        :meth:`~repro.wsn.node.SensorNode.slot_energy_vector`.
         """
         if n_runs < 1:
             raise SimulationError(f"n_runs must be >= 1, got {n_runs}")
@@ -558,17 +560,25 @@ def _run_obs(obs: Observability) -> Observability:
     return Observability(tracer=tracer, metrics=obs.metrics)
 
 
-def _prepare_group(experiment, group: BatchGroup, obs: Observability) -> tuple:
-    """Materialize one group's nodes, harvest rows, material and runs.
+def _prepare_group(
+    experiment,
+    group: BatchGroup,
+    config,
+    nodes: List[SensorNode],
+    energies: np.ndarray,
+    obs: Observability,
+) -> tuple:
+    """Materialize one group's material and runs over its built nodes.
 
-    Returns ``(_GroupState, rows)``, ``rows`` holding one
+    ``nodes`` and ``energies`` are the group's node records and harvest
+    rows from :meth:`~repro.sim.experiment.HARExperiment.build_nodes`;
+    the group's fault plan folds into ``energies`` in place.  Returns
+    ``(_GroupState, rows)``, ``rows`` holding one
     :class:`~repro.core.engine.EngineRow` per run.
     """
     policies = list(group.policies)
-    if not policies:
-        raise ConfigurationError("a batch group needs at least one policy")
-    config = group.config if group.config is not None else experiment.config
     run_seed = int(group.seed)
+    factory = SeedSequenceFactory(run_seed)
     dataset_spec = experiment.dataset.spec
     subject = group.subject or default_subject(experiment.dataset)
 
@@ -592,13 +602,8 @@ def _prepare_group(experiment, group: BatchGroup, obs: Observability) -> tuple:
             subject=subject,
         )
 
-    # The seed's node templates: traces, capacitors and NVPs are a pure
-    # function of the seed's factory stream.
-    factory = SeedSequenceFactory(run_seed)
-    nodes = experiment._build_nodes(factory, config)
     node_ids = [node.node_id for node in nodes]
     n_slots = config.n_windows
-    energies = np.stack([node.slot_energy_vector(n_slots) for node in nodes])
     plan = group.faults if group.faults is not None else FaultPlan()
 
     runs: List[_RunState] = []
@@ -780,10 +785,19 @@ def run_group_batch(
     obs = obs if obs is not None else NULL_OBS
     clock_start = time.perf_counter() if obs.enabled else 0.0
 
+    configs = []
+    for group in groups:
+        if not group.policies:
+            raise ConfigurationError("a batch group needs at least one policy")
+        configs.append(group.config if group.config is not None else experiment.config)
+    # One office walk per distinct (seed, n_windows) for the whole batch.
+    built = experiment.build_nodes(
+        [(group.seed, config) for group, config in zip(groups, configs)]
+    )
     states: List[_GroupState] = []
     rows: List[EngineRow] = []
-    for group in groups:
-        state, group_rows = _prepare_group(experiment, group, obs)
+    for group, config, (nodes, energies) in zip(groups, configs, built):
+        state, group_rows = _prepare_group(experiment, group, config, nodes, energies, obs)
         states.append(state)
         rows.extend(group_rows)
     n_slots = states[0].n_slots

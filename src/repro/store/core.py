@@ -95,6 +95,15 @@ def _sha256_file(path: str) -> str:
     return hasher.hexdigest()
 
 
+def _entry_bytes(path: str, manifest: Dict[str, Any]) -> int:
+    """An entry's size: its manifest-recorded payload plus the manifest file.
+
+    A manifest-only entry (``dataset-digests``) is all manifest.
+    """
+    payload = sum(spec["bytes"] for spec in manifest.get("files", {}).values())
+    return int(payload) + os.path.getsize(os.path.join(path, MANIFEST_NAME))
+
+
 @dataclass
 class StoreEntry:
     """One complete, integrity-checked entry as returned by ``get``."""
@@ -116,10 +125,8 @@ class StoreEntry:
 
     @property
     def size_bytes(self) -> int:
-        """Total payload + manifest size recorded in the manifest."""
-        return int(
-            sum(spec["bytes"] for spec in self.manifest.get("files", {}).values())
-        )
+        """Payload bytes recorded in the manifest plus the manifest's own."""
+        return _entry_bytes(self.path, self.manifest)
 
 
 @dataclass
@@ -358,7 +365,7 @@ class ArtifactStore:
         created = last_used = None
         try:
             manifest = self._read_manifest(path)
-            size = sum(spec["bytes"] for spec in manifest.get("files", {}).values())
+            size = _entry_bytes(path, manifest)
             created = manifest.get("created_utc")
             kind = manifest.get("kind", "?")
         except (OSError, json.JSONDecodeError):
@@ -385,7 +392,7 @@ class ArtifactStore:
         return [self.status(key) for key in self.keys()]
 
     def size_bytes(self) -> int:
-        """Total manifest-recorded payload size across entries."""
+        """Total size across entries, payloads and manifests."""
         return sum(self.status(key).size_bytes for key in self.keys())
 
     def gc(

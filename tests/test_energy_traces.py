@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.energy.traces import OfficeState, PowerTrace, PowerTraceGenerator
+from repro.energy.harvester import Harvester
+from repro.energy.traces import OfficeState, PowerTrace, PowerTraceGenerator, slot_energies
 from repro.errors import ConfigurationError, EnergyModelError
 
 
@@ -51,11 +52,6 @@ class TestPowerTrace:
         assert len(slots) == 2
         assert slots[0] == pytest.approx(trace.energy_between(0.0, 0.75))
 
-    def test_scaled(self, trace):
-        assert trace.scaled(2.0).average_power_w == 5.0
-        with pytest.raises(EnergyModelError):
-            trace.scaled(-1.0)
-
     def test_segment(self, trace):
         seg = trace.segment(0.5, 1.5)
         np.testing.assert_allclose(seg.watts, [2.0, 3.0])
@@ -67,6 +63,30 @@ class TestPowerTrace:
     def test_negative_power_rejected(self):
         with pytest.raises(EnergyModelError):
             PowerTrace(0.5, np.array([-1.0]))
+
+
+class TestSlotEnergies:
+    def test_fallback_integrates_like_energy_between(self):
+        # A 2.56 s slot is not a whole number of 0.3 s samples: each
+        # slot is the exact overlap integral, summed in sample order.
+        rng = np.random.default_rng(3)
+        trace = PowerTrace(0.3, rng.lognormal(-11.0, 1.0, size=90))
+        slots = trace.slot_energies(2.56)
+        assert slots.size == int(trace.duration_s // 2.56)
+        expected = [trace.energy_between(k * 2.56, k * 2.56 + 2.56) for k in range(slots.size)]
+        assert slots.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("dt_s", [0.32, 0.3], ids=["whole-samples", "fallback"])
+    def test_block_rows_equal_one_row_calls(self, dt_s):
+        rng = np.random.default_rng(4)
+        watts = rng.lognormal(-11.0, 1.0, size=(3, 80))
+        knobs = dict(efficiency=0.9, gain=1.5, supplemental_w=2e-6)
+        block = slot_energies(watts, dt_s, 2.56, n_slots=12, **knobs)
+        assert block.shape == (3, 12)
+        np.testing.assert_array_equal(block[:, 10:], 0.0)  # past the trace
+        for row, samples in zip(block, watts):
+            harvester = Harvester(PowerTrace(dt_s, samples), **knobs)
+            assert row.tobytes() == harvester.slot_energies(2.56, n_slots=12).tobytes()
 
 
 class TestPowerTraceGenerator:

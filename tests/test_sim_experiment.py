@@ -10,6 +10,7 @@ from repro.core.policies import (
     origin_policy,
     rr_policy,
 )
+from repro.datasets.body import BodyLocation
 from repro.errors import ConfigurationError
 from repro.sim.baselines import evaluate_baseline
 from repro.sim.completion import CompletionExperiment
@@ -85,6 +86,26 @@ class TestSimulationConfig:
     def test_invalid_trace_scale(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(trace_scale=0)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(trace_scale=float("nan")),
+            dict(trace_scale=float("inf")),
+            dict(trace_scale=-1.0),
+            dict(node_gains={BodyLocation.CHEST: float("nan")}),
+            dict(node_gains={BodyLocation.RIGHT_WRIST: float("inf")}),
+            dict(node_gains={BodyLocation.LEFT_ANKLE: -0.5}),
+        ],
+        ids=["scale-nan", "scale-inf", "scale-negative", "gain-nan", "gain-inf", "gain-negative"],
+    )
+    def test_non_finite_deployment_knobs_rejected(self, knobs):
+        # A NaN knob would run and silently starve its nodes.
+        with pytest.raises(ConfigurationError):
+            SimulationConfig(**knobs)
+        assert SimulationConfig(node_gains={BodyLocation.CHEST: 0.0}).gain_for(
+            BodyLocation.CHEST
+        ) == 0.0
 
     def test_gain_lookup_defaults(self):
         from repro.datasets.body import BodyLocation

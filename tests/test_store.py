@@ -240,11 +240,32 @@ class TestGC:
         store.get(KEY_A)
         old = time.time() - 3600
         os.utime(os.path.join(store.entry_path(KEY_B), ".last_used"), (old, old))
-        report = store.gc(max_bytes=150)
+        size_b = store.status(KEY_B).size_bytes
+        budget = store.size_bytes() - 1
+        report = store.gc(max_bytes=budget)
         assert report["removed"]["evicted"] == [KEY_B]
         assert store.keys() == [KEY_A]
-        assert report["reclaimed_bytes"] == 100
-        assert report["remaining_bytes"] <= 150
+        assert report["reclaimed_bytes"] == size_b
+        assert report["remaining_bytes"] <= budget
+
+    def test_sizes_count_the_manifest(self, store, capsys):
+        # Manifest-only entries (the dataset-digests kind) have a size,
+        # so a size budget can evict them.
+        for key in (KEY_A, KEY_B):
+            store.put(key, lambda tmpdir: {"splits": {"train": "0" * 64}}, kind="digests")
+        _put_text(store, "c" * 32, "x" * 100)
+        for key in (KEY_A, KEY_B, "c" * 32):
+            manifest = os.path.getsize(os.path.join(store.entry_path(key), MANIFEST_NAME))
+            payload = 100 if key == "c" * 32 else 0
+            assert store.status(key).size_bytes == payload + manifest
+            assert store.get(key).size_bytes == payload + manifest
+        store.invalidate("c" * 32)
+        assert store_cli(["--store-dir", store.root, "ls"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if "digests" in line]
+        assert len(rows) == 2 and not any(" 0 B " in row for row in rows)
+        report = store.gc(max_bytes=0)
+        assert sorted(report["removed"]["evicted"]) == [KEY_A, KEY_B]
+        assert store.keys() == []
 
     def test_corrupt_dropped_first(self, tmp_path):
         obs = Observability()
@@ -302,10 +323,12 @@ class TestCLI:
     def test_gc_and_dry_run(self, store, capsys):
         _put_text(store, KEY_A, "x" * 50)
         _put_text(store, KEY_B, "y" * 50)
-        assert self.run("gc", "--max-bytes", "60", "--dry-run", root=store.root) == 0
+        # A budget that holds either entry but not both.
+        budget = str(max(store.status(key).size_bytes for key in (KEY_A, KEY_B)))
+        assert self.run("gc", "--max-bytes", budget, "--dry-run", root=store.root) == 0
         assert "would remove 1" in capsys.readouterr().out
         assert store.keys() == [KEY_A, KEY_B]  # dry run deleted nothing
-        assert self.run("gc", "--max-bytes", "60", root=store.root) == 0
+        assert self.run("gc", "--max-bytes", budget, root=store.root) == 0
         assert len(store.keys()) == 1
 
 
