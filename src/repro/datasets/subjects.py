@@ -35,7 +35,8 @@ class SubjectProfile:
         Constant phase added to all oscillators, in radians.
     channel_gains:
         Per-channel multiplicative gain (sensor mounting variation),
-        length :data:`~repro.datasets.profiles.N_CHANNELS`.
+        length :data:`~repro.datasets.profiles.N_CHANNELS`; any sequence,
+        kept as a tuple so the profile is hashable.
     noise_factor:
         Multiplies the location's sensor-noise sigma.
     """
@@ -48,6 +49,7 @@ class SubjectProfile:
     noise_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "channel_gains", tuple(self.channel_gains))
         if self.frequency_scale <= 0 or self.amplitude_scale <= 0:
             raise DatasetError("frequency_scale and amplitude_scale must be positive")
         if len(self.channel_gains) != N_CHANNELS:

@@ -11,20 +11,26 @@ Per-window log-normal amplitude jitter and frequency wobble provide
 intra-class variability, so two windows of the same activity are similar
 but never identical.
 
-:meth:`SignalSynthesizer.batch` makes each window's random draws in
-window order, then the arithmetic for a block of windows at once, so it
-equals that many one-window calls bit for bit.  The arithmetic is
-elementwise across windows, which lets :meth:`SignalSynthesizer.interleaved`
-render a dataset split's windows by subject after drawing them in order,
-and lets a run's material render any span of a stream on its own after a
-draw-only pass (:meth:`SignalSynthesizer.stream_states`) recorded the
-generator state before each window.
+A window is made in two steps.  The draws come first, window by window
+in window order, and evaluate only what decides how many raw outputs a
+window consumes (its style wobble when none is given, then frequency,
+period, impact start and burst count); the amplitude, phase and burst
+draws stay raw standard draws.  The render then does all the
+arithmetic for a block of windows at once, each window with its own
+signature and subject, elementwise across windows, so a window has the
+same bytes alone or in any mix.  :meth:`SignalSynthesizer.batch`,
+:meth:`~SignalSynthesizer.stream` and
+:meth:`~SignalSynthesizer.interleaved` are that pair over their
+windows; :meth:`~SignalSynthesizer.stream_states` is the draws alone,
+noise dropped, recording the generator state before each window of a
+stream; and :meth:`~SignalSynthesizer.replay` renders any windows of
+such streams together from their recorded states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import cycle, islice
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -79,9 +85,14 @@ class StyleWobble:
 #: stable relative phase (e.g. vertical acceleration leads the pitch).
 _AXIS_PHASE = np.array([0.0, 1.25, 2.1, 0.6, 1.9, 2.8])
 
-#: Windows per vectorized pass of ``batch``: bounds its float64
-#: temporaries (6 KB per window each).
+#: Accelerometer direction of an impact burst.
+_IMPACT_DIRECTION = np.array([0.3, 1.0, 0.35])
+
+#: Windows per vectorized render: bounds its float64 temporaries (6 KB
+#: per window each).
 _BLOCK = 64
+
+_NO_BURSTS = np.empty(0)
 
 
 class SignalSynthesizer:
@@ -115,8 +126,8 @@ class SignalSynthesizer:
         self.window_size = int(window_size)
         self._time = np.arange(self.window_size) / self.sample_rate_hz
         # Render constants, computed on first use: per signature its
-        # amplitude and gravity columns, per burst length its decay row.
-        self._columns: Dict[ActivitySignature, tuple] = {}
+        # row of columns, per burst length its decay row.
+        self._columns: Dict[ActivitySignature, np.ndarray] = {}
         self._decay: Dict[int, np.ndarray] = {}
 
     @property
@@ -157,24 +168,13 @@ class SignalSynthesizer:
         """``count`` windows, shape ``(count, N_CHANNELS, window_size)``.
 
         ``style`` is one wobble for every window, a sequence of one
-        wobble per window, or ``None`` to draw one per window.
+        wobble per window, or ``None`` to draw one per window.  Equals
+        ``count`` :meth:`window` calls in window order on one generator.
         """
         if count < 1:
             raise DatasetError(f"count must be >= 1, got {count}")
         styles = [style] * count if style is None or isinstance(style, StyleWobble) else style
-        if len(styles) != count:
-            raise DatasetError(f"got {len(styles)} styles for {count} windows")
-        rng = as_generator(seed)
-        subject = subject or SubjectProfile.canonical()
-        signature = self.signatures.signature(location, activity)
-        noise_sigma = self.signatures.noise(location) * subject.noise_factor
-
-        windows = np.empty((count, N_CHANNELS, self.window_size), dtype=np.float32)
-        for lo in range(0, count, _BLOCK):
-            windows[lo : lo + _BLOCK] = self._block(
-                signature, subject, noise_sigma, styles[lo : lo + _BLOCK], rng
-            )
-        return windows
+        return self._windows(self._slots([activity] * count, location, subject, seed, styles))
 
     def stream(
         self,
@@ -187,23 +187,10 @@ class SignalSynthesizer:
     ) -> np.ndarray:
         """One window per slot of an activity timeline, with the slot's style.
 
-        Each dwell run (consecutive slots of one activity) is one
-        :meth:`batch` call, so the stream equals a :meth:`window` call
-        per slot, in slot order, on one generator.
+        Equals a :meth:`window` call per slot, in slot order, on one
+        generator.
         """
-        if len(styles) != len(activities):
-            raise DatasetError(f"got {len(styles)} styles for {len(activities)} slots")
-        rng = as_generator(seed)
-        stream = np.empty((len(activities), N_CHANNELS, self.window_size), dtype=np.float32)
-        start = 0
-        for activity, run in groupby(activities):
-            stop = start + len(list(run))
-            stream[start:stop] = self.batch(
-                activity, location, count=stop - start, subject=subject, seed=rng,
-                style=styles[start:stop],
-            )
-            start = stop
-        return stream
+        return self._windows(self._slots(activities, location, subject, seed, styles))
 
     def stream_states(
         self,
@@ -216,24 +203,33 @@ class SignalSynthesizer:
     ) -> List[dict]:
         """The generator state before each slot's window of :meth:`stream`.
 
-        Makes every draw of the stream in slot order and none of its
-        arithmetic, so the generator ends where :meth:`stream` leaves
-        it.  Restoring state ``i`` and calling :meth:`batch` for slots
-        ``i..j`` of one dwell run renders exactly those slots' windows.
+        Makes every draw of the stream in slot order (the noise drawn
+        and dropped) and none of its arithmetic, so the generator ends
+        where :meth:`stream` leaves it.  A slot's state renders exactly
+        that slot's window, through :meth:`replay` or by restoring it
+        and calling :meth:`batch` for slots of one dwell run.
         """
-        if len(styles) != len(activities):
-            raise DatasetError(f"got {len(styles)} styles for {len(activities)} slots")
-        rng = as_generator(seed)
-        subject = subject or SubjectProfile.canonical()
-        noise_sigma = self.signatures.noise(location) * subject.noise_factor
         states: List[dict] = []
-        start = 0
-        for activity, run in groupby(activities):
-            stop = start + len(list(run))
-            signature = self.signatures.signature(location, activity)
-            self._draws(signature, subject, noise_sigma, styles[start:stop], rng, states=states)
-            start = stop
+        self._draws(self._slots(activities, location, subject, seed, styles), states=states)
         return states
+
+    def replay(self, windows: Sequence[tuple]) -> np.ndarray:
+        """Windows of recorded streams, all rendered together.
+
+        Each entry is ``(generator, state, activity, location, subject,
+        style)`` of one slot of a :meth:`stream`, with the state
+        :meth:`stream_states` recorded before that slot: the entry gets
+        exactly the window the stream made there, whatever else the
+        call renders.  Entries may mix streams, signatures and subjects.
+        """
+        signature, noise = self.signatures.signature, self.signatures.noise
+        return self._windows(
+            [
+                (rng, state, signature(location, activity), subject,
+                 noise(location) * subject.noise_factor, style)
+                for rng, state, activity, location, subject, style in windows
+            ]
+        )
 
     def interleaved(
         self,
@@ -246,8 +242,7 @@ class SignalSynthesizer:
         """``count`` windows, window ``i`` performed by ``subjects[i % len(subjects)]``.
 
         Equals ``count`` :meth:`window` calls in window order on one
-        generator (each drawing its own wobble): the draws run in that
-        order, then each subject's windows are rendered together.
+        generator (each drawing its own wobble).
         """
         if count < 1:
             raise DatasetError(f"count must be >= 1, got {count}")
@@ -255,166 +250,200 @@ class SignalSynthesizer:
             raise DatasetError("subjects must be non-empty")
         rng = as_generator(seed)
         signature = self.signatures.signature(location, activity)
-        sigmas = [self.signatures.noise(location) * subject.noise_factor for subject in subjects]
-        noise = np.empty((count, N_CHANNELS, self.window_size))
-        draws = []
-        for index in range(count):
-            k = index % len(subjects)
-            buffer = noise[index : index + 1] if sigmas[k] > 0 else None
-            draws += self._draws(signature, subjects[k], sigmas[k], [None], rng, buffer)
-        windows = np.empty((count, N_CHANNELS, self.window_size), dtype=np.float32)
-        for k, subject in enumerate(subjects):
-            rows = np.arange(k, count, len(subjects))
-            for lo in range(0, len(rows), _BLOCK):
-                block = rows[lo : lo + _BLOCK]
-                windows[block] = self._render(
-                    signature,
-                    subject,
-                    [draws[index] for index in block],
-                    noise[block] if sigmas[k] > 0 else None,
-                )
-        return windows
+        noise = self.signatures.noise(location)
+        return self._windows(
+            [
+                (rng, None, signature, subject, noise * subject.noise_factor, None)
+                for subject in islice(cycle(subjects), count)
+            ]
+        )
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    def _block(
+    def _slots(
         self,
-        signature: ActivitySignature,
-        subject: SubjectProfile,
-        noise_sigma: float,
+        activities: Sequence[Activity],
+        location: BodyLocation,
+        subject: Optional[SubjectProfile],
+        seed: SeedLike,
         styles: Sequence[Optional[StyleWobble]],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """One window per style: every random draw window by window, then
-        the arithmetic over the block in the one-window operation order."""
-        noise = np.empty((len(styles), N_CHANNELS, self.window_size)) if noise_sigma > 0 else None
-        draws = self._draws(signature, subject, noise_sigma, styles, rng, noise)
-        return self._render(signature, subject, draws, noise)
+    ) -> List[tuple]:
+        """One :meth:`_windows` recipe per slot of a timeline, on one generator."""
+        if len(styles) != len(activities):
+            raise DatasetError(f"got {len(styles)} styles for {len(activities)} windows")
+        rng = as_generator(seed)
+        subject = subject or SubjectProfile.canonical()
+        noise_sigma = self.signatures.noise(location) * subject.noise_factor
+        signature = self.signatures.signature
+        return [
+            (rng, None, signature(location, activity), subject, noise_sigma, style)
+            for activity, style in zip(activities, styles)
+        ]
+
+    def _windows(self, recipes: Sequence[tuple]) -> np.ndarray:
+        """Draw and render one window per recipe, :data:`_BLOCK` at a time.
+
+        A recipe is ``(generator, state, signature, subject, noise_sigma,
+        style)``: a ``state`` is restored before the window's draws
+        (``None`` continues the generator), a ``None`` style draws one.
+        """
+        windows = np.empty((len(recipes), N_CHANNELS, self.window_size), dtype=np.float32)
+        noise = np.empty((min(len(recipes), _BLOCK), N_CHANNELS, self.window_size))
+        for lo in range(0, len(recipes), _BLOCK):
+            block = recipes[lo : lo + _BLOCK]
+            windows[lo : lo + len(block)] = self._render(self._draws(block, noise), noise)
+        return windows
 
     def _draws(
         self,
-        signature: ActivitySignature,
-        subject: SubjectProfile,
-        noise_sigma: float,
-        styles: Sequence[Optional[StyleWobble]],
-        rng: np.random.Generator,
+        recipes: Sequence[tuple],
         noise: Optional[np.ndarray] = None,
         states: Optional[list] = None,
     ) -> list:
-        """Every random draw of one window per style, in window order.
+        """Every random draw of one window per recipe, in window order.
 
-        Returns one ``(freq, amp_scale, window_phase, start,
-        period_samples, scales)`` tuple per window.  With
-        ``noise_sigma > 0`` the sensor noise goes to ``noise[index]``
-        (drawn and dropped when ``noise`` is ``None``); ``states``
-        collects the generator state before each window's draws.
+        Evaluates only what decides how many raw outputs a window
+        consumes: the style wobble when none is given, then frequency,
+        period, impact start and burst count.  The amplitude normal,
+        the phase uniform and the burst normals are taken as raw
+        standard draws (``normal(0, s)`` is ``s * standard_normal()``
+        and ``uniform(0, 2 pi)`` is ``2 pi * random()`` on the same raw
+        outputs) and left for :meth:`_render`.  Returns one
+        ``(signature, subject, style amplitude scale, freq, amplitude
+        draw, phase draw, start, period_samples, burst draws, noisy)``
+        tuple per window.  A noisy window's sensor noise goes to
+        ``noise[index]`` (drawn and dropped when ``noise`` is ``None``);
+        ``states`` collects the generator state before each window.
         """
-        jitter = signature.jitter
         draws = []
-        dropped = np.empty((N_CHANNELS, self.window_size)) if noise is None and noise_sigma > 0 else None
-        for index, style in enumerate(styles):
+        dropped = np.empty((N_CHANNELS, self.window_size)) if noise is None else None
+        for index, (rng, state, signature, subject, noise_sigma, style) in enumerate(recipes):
+            if state is not None:
+                rng.bit_generator.state = state
             if states is not None:
                 states.append(rng.bit_generator.state)
-            style = style if style is not None else StyleWobble.sample(rng)
+            if style is None:
+                style = StyleWobble.sample(rng)
             freq = (
                 signature.frequency_hz
                 * subject.frequency_scale
                 * style.frequency_scale
-                * float(np.exp(rng.normal(0.0, 0.03 + 0.25 * jitter)))
+                * float(np.exp(rng.normal(0.0, 0.03 + 0.25 * signature.jitter)))
             )
-            amp_scale = (
-                subject.amplitude_scale
-                * style.amplitude_scale
-                * float(np.exp(rng.normal(0.0, jitter)))
-            )
-            window_phase = float(rng.uniform(0.0, 2.0 * np.pi)) + subject.phase_offset
-            # Impact train: a start sample, then one log-normal scale per burst.
+            amplitude = rng.standard_normal()
+            phase = rng.random()
+            # Impact train: a start sample, then one raw normal per burst.
             period_samples = max(int(self.sample_rate_hz / max(freq, 1e-3)), 2)
-            start, scales = 0, []
+            start, bursts = 0, _NO_BURSTS
             if signature.impact > 0:
                 start = int(rng.integers(0, period_samples))
-                n_bursts = len(range(start, self.window_size, period_samples))
-                amplitude = signature.impact * amp_scale
-                scales = [amplitude * float(np.exp(z)) for z in rng.normal(0.0, 0.2, n_bursts)]
-            draws.append((freq, amp_scale, window_phase, start, period_samples, scales))
-            if noise is not None:
-                noise[index] = rng.normal(0.0, noise_sigma, size=(N_CHANNELS, self.window_size))
-            elif dropped is not None:
-                # The same raw draws as ``normal``, without its arithmetic.
-                rng.standard_normal(out=dropped)
+                bursts = rng.standard_normal(len(range(start, self.window_size, period_samples)))
+            if noise_sigma > 0:
+                if noise is not None:
+                    noise[index] = rng.normal(
+                        0.0, noise_sigma, size=(N_CHANNELS, self.window_size)
+                    )
+                else:
+                    # The same raw draws as ``normal``, without its arithmetic.
+                    rng.standard_normal(out=dropped)
+            draws.append(
+                (signature, subject, style.amplitude_scale, freq, amplitude, phase,
+                 start, period_samples, bursts, noise_sigma > 0)
+            )
         return draws
 
-    def _render(
-        self,
-        signature: ActivitySignature,
-        subject: SubjectProfile,
-        draws: Sequence[tuple],
-        noise: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """The arithmetic of one window per ``draws`` entry, elementwise
-        across windows (so a window renders the same in any block)."""
-        freq, amp_scale, window_phase, start, period_samples, scales = zip(*draws)
+    def _render(self, draws: Sequence[tuple], noise: np.ndarray) -> np.ndarray:
+        """The arithmetic of one window per ``draws`` entry, each with its
+        own signature and subject, elementwise across windows in the
+        one-window operation order (so a window renders the same bytes
+        in any block).  A harmonic of weight <= 0, a zero impact and a
+        zero noise sigma skip their term for that window only."""
+        (signatures, subjects, style_amplitude, freq, amplitude, phase,
+         start, period_samples, bursts, noisy) = zip(*draws)
         count = len(draws)
-        amplitudes, gravity = self._signature_columns(signature)
+        amplitudes, gravity, impact, jitter, harmonics = self._signature_columns(signatures)
+        amp_scale = (
+            np.array([subject.amplitude_scale for subject in subjects])
+            * np.array(style_amplitude)
+            * np.exp(jitter * np.array(amplitude))
+        )
 
         # Periodic component: harmonic series per channel.
         signal = np.empty((count, N_CHANNELS, self.window_size))
         signal[:] = gravity
-        phases = _AXIS_PHASE[:, None] + np.array(window_phase)[:, None, None]
+        window_phase = 2.0 * np.pi * np.array(phase) + np.array(
+            [subject.phase_offset for subject in subjects]
+        )
+        phases = _AXIS_PHASE[:, None] + window_phase[:, None, None]
         omega_t = (2.0 * np.pi * np.array(freq))[:, None, None] * self._time
-        amp_scale = np.array(amp_scale)[:, None, None]
-        for order, weight in enumerate(signature.harmonics, start=1):
-            if weight <= 0:
+        scaled = amplitudes * amp_scale[:, None, None]
+        for order, weight in enumerate(harmonics.T, start=1):
+            rows = _rows(weight > 0)
+            if rows is None:
                 continue
-            signal += (
-                amplitudes
-                * amp_scale
-                * weight
-                * np.sin(order * omega_t + order * phases)
+            signal[rows] += (
+                scaled[rows]
+                * weight[rows, None, None]
+                * np.sin(order * omega_t[rows] + order * phases[rows])
             )
 
         # Impact spikes at each footfall (decaying half-sine bursts on the
         # accelerometer channels only).  Burst j of a window covers
         # max(period // 6, 2) samples from start + j * period on: at most
         # a period, so bursts never overlap.
-        if signature.impact > 0:
-            periods = np.array(period_samples)[:, None]
+        hit = _rows(impact > 0)
+        if hit is not None:
+            z = np.zeros((count, max(map(len, bursts))))
+            for row, values in enumerate(bursts):
+                z[row, : len(values)] = values
+            scale = ((impact * amp_scale)[:, None] * np.exp(0.2 * z))[hit]
+            periods = np.array(period_samples)[hit, None]
             burst_len = np.maximum(periods // 6, 2)
-            since_start = np.arange(self.window_size) - np.array(start)[:, None]
+            since_start = np.arange(self.window_size) - np.array(start)[hit, None]
             burst, offset = np.divmod(since_start, periods)
             rows, samples = np.nonzero((burst >= 0) & (offset < burst_len))
-            scale = np.zeros((len(scales), max(map(len, scales))))
-            for row, values in enumerate(scales):
-                scale[row, : len(values)] = values
-            decay = np.zeros((len(scales), int(burst_len.max())))
+            decay = np.zeros((len(scale), int(burst_len.max())))
             for length in set(burst_len.flat):
                 decay[burst_len[:, 0] == length, :length] = self._decay_row(length)
-            direction = np.array([0.3, 1.0, 0.35])
-            impacts = np.zeros((len(scales), 3, self.window_size))
+            impacts = np.zeros((len(scale), 3, self.window_size))
             impacts[rows, :, samples] = (
-                direction[:, None] * scale[rows, burst[rows, samples]]
+                _IMPACT_DIRECTION[:, None] * scale[rows, burst[rows, samples]]
                 * decay[rows, offset[rows, samples]]
             ).T
-            signal[:, :3] += impacts
+            signal[hit, :3] += impacts
 
         # Per-channel subject gains and white sensor noise.
-        signal *= np.asarray(subject.channel_gains)[:, None]
-        if noise is not None:
-            signal += noise
+        signal *= np.array([subject.channel_gains for subject in subjects])[:, :, None]
+        noisy = _rows(np.array(noisy))
+        if noisy is not None:
+            signal[noisy] += noise[:count][noisy]
         return signal.astype(np.float32)
 
-    def _signature_columns(self, signature: ActivitySignature) -> tuple:
-        """``(amplitudes[:, None], gravity[:, None])`` over the six channels."""
-        columns = self._columns.get(signature)
-        if columns is None:
-            amplitudes = np.concatenate(
-                [np.asarray(signature.accel_amplitude), np.asarray(signature.gyro_amplitude)]
+    def _signature_columns(self, signatures: Sequence[ActivitySignature]) -> tuple:
+        """Per-window ``(amplitudes, gravity, impact, jitter, harmonic
+        weights)``: ``(count, 6, 1)``, ``(count, 6, 1)``, ``(count,)``,
+        ``(count,)`` and ``(count, harmonics)``, zero-padded."""
+        position: Dict[int, int] = {}
+        which = [position.setdefault(id(signature), len(position)) for signature in signatures]
+        rows = [self._signature_row(signature) for signature in {id(s): s for s in signatures}.values()]
+        table = np.zeros((len(rows), max(map(len, rows))))
+        for index, row in enumerate(rows):
+            table[index, : len(row)] = row
+        table = table[which]
+        return table[:, :6, None], table[:, 6:12, None], table[:, 12], table[:, 13], table[:, 14:]
+
+    def _signature_row(self, signature: ActivitySignature) -> np.ndarray:
+        """``[amplitudes (6), gravity (6), impact, jitter, harmonic weights]``."""
+        row = self._columns.get(signature)
+        if row is None:
+            row = self._columns[signature] = np.array(
+                [*signature.accel_amplitude, *signature.gyro_amplitude, *signature.gravity,
+                 0.0, 0.0, 0.0, signature.impact, signature.jitter, *signature.harmonics],
+                dtype=float,
             )
-            gravity = np.concatenate([np.asarray(signature.gravity), np.zeros(3)])
-            columns = self._columns[signature] = (amplitudes[:, None], gravity[:, None])
-        return columns
+        return row
 
     def _decay_row(self, length: int) -> np.ndarray:
         """The half-sine burst's ``length``-sample exponential decay."""
@@ -422,3 +451,12 @@ class SignalSynthesizer:
         if row is None:
             row = self._decay[length] = np.exp(-np.linspace(0.0, 4.0, length))
         return row
+
+
+def _rows(mask: np.ndarray) -> Union[slice, np.ndarray, None]:
+    """The rows ``mask`` selects: every row as a slice, some as indices, none as ``None``."""
+    if mask.all():
+        return slice(None)
+    if not mask.any():
+        return None
+    return np.flatnonzero(mask)

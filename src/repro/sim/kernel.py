@@ -49,9 +49,10 @@ any of this per slot.
 
 A material's rows are computed on demand: in each slot the batch
 brings in the ``(material, node, started slot)`` rows of the lanes that
-completed, computing the new ones with one predict per model across all
-of the batch's materials (:func:`~repro.sim.predcache.fill_rows`), so a
-batch synthesizes and classifies only the windows its runs finish.
+completed, computing the new ones with one render, one predict and one
+softmax per model across all of the batch's materials
+(:func:`~repro.sim.predcache.fill_rows`), so a batch synthesizes and
+classifies only the windows its runs finish.
 
 Observed runs synthesize the node trace events (``window.sensed``,
 ``nvp.*``, ``inference.*``, ``message.*``) and metrics from lane state,
@@ -717,17 +718,15 @@ class _RowTables:
         self.known = np.zeros(shape, dtype=bool)
         for m, material in enumerate(self.materials):
             for k, node_id in enumerate(self.node_ids):
-                slots = np.flatnonzero(material.filled(node_id))
-                self.labels[m, k, slots], self.confidences[m, k, slots] = material.rows(
-                    node_id, slots
-                )
-                self.known[m, k, slots] = True
+                self.labels[m, k], self.confidences[m, k] = material.predictions(node_id)
+                self.known[m, k] = material.filled(node_id)
 
     def fill(self, material: np.ndarray, node: np.ndarray, slot: np.ndarray, obs) -> None:
         """Bring in the rows at the ``(material, node, slot)`` index arrays.
 
-        Rows no material has computed yet are computed together, one
-        predict per model across the batch's materials.
+        Rows no material has computed yet are computed together (one
+        render, one predict and one softmax per model across the batch's
+        materials), then read straight from the materials' columns.
         """
         shape = self.known.shape
         flat = np.unique(np.ravel_multi_index((material, node, slot), shape))
@@ -742,9 +741,9 @@ class _RowTables:
             [(self.materials[m], self.node_ids[k], slots) for m, k, slots in groups], obs=obs
         )
         for m, k, slots in groups:
-            labels, confidences = self.materials[m].rows(self.node_ids[k], slots)
-            self.labels[m, k, slots] = labels
-            self.confidences[m, k, slots] = confidences
+            labels, confidences = self.materials[m].predictions(self.node_ids[k])
+            self.labels[m, k, slots] = labels[slots]
+            self.confidences[m, k, slots] = confidences[slots]
         self.known.flat[flat] = True
 
 

@@ -19,17 +19,18 @@ needs it:
 * building draws the timeline and the styles, nothing else;
 * the first fill of a node runs a draw pass over its
   ``windows/<location>`` stream, which makes every window's draws in
-  slot order and keeps the generator state before each window
+  slot order, evaluating only what decides their count, and keeps the
+  generator state before each window
   (:meth:`~repro.datasets.synthesis.SignalSynthesizer.stream_states`);
-* a fill renders each contiguous span of one dwell run with one
-  :meth:`~repro.datasets.synthesis.SignalSynthesizer.batch` call from
-  the span's first state, and :func:`fill_rows` classifies every
-  requested row with one ``predict_logits`` per model, across all the
-  materials of a kernel batch;
+* :func:`fill_rows` groups the requested rows by model across all the
+  materials of a request (a kernel batch), and per group renders every
+  row with one :meth:`~repro.datasets.synthesis.SignalSynthesizer.replay`
+  call from the recorded states, classifies them with one
+  ``predict_logits`` and takes one softmax, argmax and variance;
 * :meth:`RunMaterial.complete` computes whatever is left, for consumers
   that read every row (a sweep unit, the baselines).  Kernel batches and
   served devices read only the rows their completions need
-  (:meth:`RunMaterial.rows`).
+  (:meth:`RunMaterial.rows`, :meth:`RunMaterial.predictions`).
 
 Determinism contract
 --------------------
@@ -99,15 +100,22 @@ class _NodeRows:
         self.confidence = np.zeros(n_windows)
         self.filled = np.zeros(n_windows, dtype=bool)
 
-    def store(self, slots, windows: np.ndarray, logits: np.ndarray) -> None:
-        probabilities = softmax(logits, axis=1)
+    def store(self, slots, windows, logits, probabilities, predicted, confidence) -> None:
         if windows is not self.windows:
             self.windows[slots] = windows
         self.logits[slots] = logits
         self.probabilities[slots] = probabilities
-        self.predicted[slots] = probabilities.argmax(axis=1)
-        self.confidence[slots] = np.var(probabilities, axis=1)
+        self.predicted[slots] = predicted
+        self.confidence[slots] = confidence
         self.filled[slots] = True
+
+
+def _classify(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(probabilities, labels, confidences)`` of ``(rows, classes)`` logits.
+
+    Row-wise softmax, its argmax and its variance (the confidence)."""
+    probabilities = softmax(logits, axis=1)
+    return probabilities, probabilities.argmax(axis=1), np.var(probabilities, axis=1)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -207,13 +215,24 @@ class RunMaterial:
         """Read-only mask of the slots whose rows ``node_id`` has computed."""
         return _read_only(self._nodes[node_id].filled)
 
+    def predictions(self, node_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(labels, confidences)`` of ``node_id`` over every slot.
+
+        Computes nothing: a slot's entries hold its row once
+        :meth:`filled` marks it (zeros before).
+        """
+        node = self._nodes[node_id]
+        return _read_only(node.predicted), _read_only(node.confidence)
+
     def rows(self, node_id: int, slots: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """``(labels, confidences)`` of ``node_id`` at ``slots``, filling them first.
 
         Each row's softmax argmax and variance-of-softmax confidence.
+        Raises :class:`ConfigurationError` unless every slot is an
+        integer in ``[0, n_windows)``.
         """
-        slots = np.asarray(slots, dtype=np.int64)
         fill_rows([(self, node_id, slots)])
+        slots = np.asarray(slots, dtype=np.int64)  # checked by fill_rows
         node = self._nodes[node_id]
         return node.predicted[slots], node.confidence[slots]
 
@@ -228,63 +247,39 @@ class RunMaterial:
             obs = obs if obs is not None else NULL_OBS
             with obs.timed("predcache.fill"):
                 for node_id in missing:
-                    self._complete_node(node_id)
+                    self._complete_node(node_id, obs)
         return self
 
-    def _complete_node(self, node_id: int) -> _NodeRows:
+    def _complete_node(self, node_id: int, obs: Observability = NULL_OBS) -> _NodeRows:
         node = self._nodes[node_id]
         if node.filled.all():
             return node
         if node.states is None:
             # Never filled: the whole stream in one pass, one predict.
-            node.windows = self._synthesizer.stream(
-                self.labels,
-                node.location,
-                self.subject,
-                self._generator(node),
-                styles=self._styles,
-            )
-            node.store(slice(None), node.windows, node.model.predict_logits(node.windows))
+            with obs.timed("predcache.fill.render"):
+                node.windows = self._synthesizer.stream(
+                    self.labels,
+                    node.location,
+                    self.subject,
+                    self._generator(node),
+                    styles=self._styles,
+                )
+            with obs.timed("predcache.fill.predict"):
+                logits = node.model.predict_logits(node.windows)
+            node.store(slice(None), node.windows, logits, *_classify(logits))
         else:
-            _fill([(self, node, np.flatnonzero(~node.filled))])
+            _fill([(self, node, np.flatnonzero(~node.filled))], obs)
         return node
 
     def _generator(self, node: _NodeRows) -> np.random.Generator:
         return self._factory.generator(f"windows/{node.location.value}")
 
-    def _render(self, node: _NodeRows, slots: np.ndarray) -> np.ndarray:
-        """The windows at ``slots`` (ascending), one ``batch`` per span.
-
-        A span is a run of consecutive slots inside one dwell run; it
-        renders from the generator state before its first window, which
-        the node's draw pass recorded.
-        """
-        if node.states is None:
-            node.generator = self._generator(node)
-            node.states = self._synthesizer.stream_states(
-                self.labels, node.location, self.subject, node.generator, styles=self._styles
-            )
-        labels = self.labels
-        breaks = [
-            index
-            for index in range(1, len(slots))
-            if slots[index] != slots[index - 1] + 1 or labels[slots[index]] != labels[slots[index - 1]]
-        ]
-        spans = []
-        for lo, hi in zip([0, *breaks], [*breaks, len(slots)]):
-            first, count = int(slots[lo]), hi - lo
-            node.generator.bit_generator.state = node.states[first]
-            spans.append(
-                self._synthesizer.batch(
-                    labels[first],
-                    node.location,
-                    count=count,
-                    subject=self.subject,
-                    seed=node.generator,
-                    style=self._styles[first : first + count],
-                )
-            )
-        return spans[0] if len(spans) == 1 else np.concatenate(spans)
+    def _draw_pass(self, node: _NodeRows) -> None:
+        """Record the generator state before each slot's window of ``node``."""
+        node.generator = self._generator(node)
+        node.states = self._synthesizer.stream_states(
+            self.labels, node.location, self.subject, node.generator, styles=self._styles
+        )
 
     # ------------------------------------------------------------------
 
@@ -298,14 +293,8 @@ class RunMaterial:
         subject: SubjectProfile,
     ) -> None:
         """Raise :class:`ConfigurationError` unless the material matches."""
-        wanted = (seed, n_windows, dwell_scale, use_pruned_models, subject.subject_id)
-        have = (
-            self.seed,
-            self.n_windows,
-            self.dwell_scale,
-            self.use_pruned_models,
-            self.subject.subject_id,
-        )
+        wanted = (seed, n_windows, dwell_scale, use_pruned_models, subject)
+        have = (self.seed, self.n_windows, self.dwell_scale, self.use_pruned_models, self.subject)
         if wanted != have:
             raise ConfigurationError(
                 f"run material was built for (seed, n_windows, dwell_scale, "
@@ -313,21 +302,65 @@ class RunMaterial:
             )
 
 
-def _fill(parts: Sequence[Tuple[RunMaterial, _NodeRows, np.ndarray]]) -> None:
-    """Render and classify ``(material, node, ascending slots)`` rows,
-    one ``predict_logits`` per model."""
-    by_model: Dict[int, list] = {}
-    for part in parts:
-        by_model.setdefault(id(part[1].model), []).append(part)
-    for group in by_model.values():
-        windows = [material._render(node, slots) for material, node, slots in group]
-        logits = group[0][1].model.predict_logits(
-            windows[0] if len(windows) == 1 else np.concatenate(windows)
+def _slot_array(slots: Sequence[int], n_windows: int) -> np.ndarray:
+    """``slots`` as a flat int64 array of slots in ``[0, n_windows)``.
+
+    Raises :class:`ConfigurationError` for a non-integral slot or one
+    outside the material, so a slot never wraps or truncates.
+    """
+    array = np.asarray(slots).reshape(-1)
+    if array.dtype.kind not in "iu" and array.size:
+        integral = (
+            np.isfinite(array) & (np.trunc(array) == array)
+            if array.dtype.kind == "f"
+            else np.zeros(array.shape, dtype=bool)
         )
+        if not integral.all():
+            raise ConfigurationError(f"slot {array[~integral][0]!r} is not an integer")
+    if array.size and (array.min() < 0 or array.max() >= n_windows):
+        bad = array[(array < 0) | (array >= n_windows)][0]
+        raise ConfigurationError(f"slot {bad} is outside the material's {n_windows} windows")
+    return array.astype(np.int64, copy=False)
+
+
+def _fill(parts: Sequence[Tuple[RunMaterial, _NodeRows, np.ndarray]], obs: Observability) -> None:
+    """Render and classify ``(material, node, ascending slots)`` rows.
+
+    Per model group: the draw pass of every node that has none, one
+    render, one ``predict_logits`` and one softmax over all the
+    group's rows, then each part's slice is stored.  ``obs`` times the
+    three as ``predcache.fill.draw_pass``, ``.render`` and ``.predict``.
+    """
+    groups: Dict[Tuple[int, int], list] = {}
+    for part in parts:
+        material, node, _ = part
+        groups.setdefault((id(node.model), id(material._synthesizer)), []).append(part)
+    for group in groups.values():
+        fresh = [(material, node) for material, node, _ in group if node.states is None]
+        if fresh:
+            with obs.timed("predcache.fill.draw_pass"):
+                for material, node in fresh:
+                    material._draw_pass(node)
+        with obs.timed("predcache.fill.render"):
+            windows = group[0][0]._synthesizer.replay(
+                [
+                    (node.generator, node.states[slot], material.labels[slot], node.location,
+                     material.subject, material._styles[slot])
+                    for material, node, slots in group
+                    for slot in slots.tolist()
+                ]
+            )
+        with obs.timed("predcache.fill.predict"):
+            logits = group[0][1].model.predict_logits(windows)
+        probabilities, predicted, confidence = _classify(logits)
         lo = 0
-        for (material, node, slots), rendered in zip(group, windows):
-            node.store(slots, rendered, logits[lo : lo + len(slots)])
-            lo += len(slots)
+        for material, node, slots in group:
+            rows = slice(lo, lo + len(slots))
+            node.store(
+                slots, windows[rows], logits[rows], probabilities[rows], predicted[rows],
+                confidence[rows],
+            )
+            lo = rows.stop
 
 
 def fill_rows(
@@ -337,15 +370,17 @@ def fill_rows(
 ) -> None:
     """Compute the requested ``(material, node id, slots)`` rows not computed yet.
 
-    Rows of one node's model are classified together, across every
-    material of the request, with one ``predict_logits`` call; ``obs``
-    times the work as ``predcache.fill`` (nothing to compute records
-    nothing).
+    Rows of one node's model are rendered together, classified with one
+    ``predict_logits`` call and one softmax, across every material of
+    the request; ``obs`` times the work as ``predcache.fill`` (nothing
+    to compute records nothing), split into its draw pass, render and
+    predict.  Raises :class:`ConfigurationError` unless every slot is an
+    integer in ``[0, n_windows)`` of its material.
     """
     wanted: Dict[Tuple[int, int], list] = {}
     for material, node_id, slots in requests:
         entry = wanted.setdefault((id(material), node_id), [material, node_id, []])
-        entry[2].append(np.asarray(slots, dtype=np.int64).reshape(-1))
+        entry[2].append(_slot_array(slots, material.n_windows))
     parts = []
     for material, node_id, slots in wanted.values():
         node = material._nodes[node_id]
@@ -356,7 +391,7 @@ def fill_rows(
     if parts:
         obs = obs if obs is not None else NULL_OBS
         with obs.timed("predcache.fill"):
-            _fill(parts)
+            _fill(parts, obs)
 
 
 def build_run_material(
@@ -425,8 +460,9 @@ class PredictionCache:
     baselines reuse it (a fleet worker shares one across its users).
     The cache is keyed by everything the material depends on, so
     changing ``n_windows``, ``dwell_scale``, the model variant or the
-    subject builds fresh material instead of serving a stale one.  At
-    most :data:`MATERIAL_CACHE_CAP` materials stay alive.
+    subject (the profile itself, not its id) builds fresh material
+    instead of serving a stale one.  At most :data:`MATERIAL_CACHE_CAP`
+    materials stay alive.
     """
 
     def __init__(self, experiment) -> None:
@@ -452,13 +488,7 @@ class PredictionCache:
         config = config if config is not None else self.experiment.config
         subject = subject or default_subject(self.experiment.dataset)
         obs = obs if obs is not None else NULL_OBS
-        key = (
-            int(seed),
-            config.n_windows,
-            config.dwell_scale,
-            config.use_pruned_models,
-            subject.subject_id,
-        )
+        key = (int(seed), config.n_windows, config.dwell_scale, config.use_pruned_models, subject)
         material = self._materials.get(key)
         if material is not None:
             self._materials.move_to_end(key)

@@ -1,17 +1,25 @@
-"""The vectorized ``SignalSynthesizer.batch`` against the per-window loop.
+"""The vectorized ``SignalSynthesizer`` against the per-window loop.
 
 ``reference_batch`` below is the original one-window-at-a-time
 synthesis, kept here (not in the library) as the specification the
 vectorized code must reproduce: byte-identical windows, and the
-generator left in the same state, so the draw count matches too.
+generator left in the same state, so the draw count matches too.  The
+library draws the amplitude, phase and burst normals raw and
+exponentiates them in one array call per render; the reference draws
+``normal``/``uniform`` and exponentiates each value alone, so these
+tests also pin that the two agree on this CPU's numpy dispatch.
+A mixed render (``replay``) must equal one-window ``batch`` calls.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.profiles import N_CHANNELS, mhealth_signatures, pamap2_signatures
 from repro.datasets.subjects import SubjectProfile, sample_subjects
@@ -222,3 +230,71 @@ def test_splits_match_per_window_reference(dataset):
             assert got[location].X.tobytes() == windows.tobytes(), location
             assert got[location].y.dtype == labels.dtype
             assert got[location].y.tobytes() == labels.tobytes(), location
+
+
+# ---------------------------------------------------------------------------
+# one render for any windows
+# ---------------------------------------------------------------------------
+
+
+def _custom_table():
+    """mhealth's table with per-window skips: zero and negative harmonic
+    weights (both skipped), no impact, and harmonic series of other
+    lengths."""
+    base = mhealth_signatures()
+    signatures = {}
+    for index, (key, signature) in enumerate(base.signatures.items()):
+        if index % 3 == 0:
+            signature = replace(signature, harmonics=(1.0, 0.0, -0.5), impact=0.0)
+        elif index % 3 == 1:
+            signature = replace(signature, harmonics=(0.8, 0.3, 0.0, 0.2, 0.1))
+        signatures[key] = signature
+    return replace(base, signatures=signatures)
+
+
+MIXED_TABLES = {**TABLES, "custom": _custom_table()}
+SHARED_STYLE = StyleWobble(amplitude_scale=0.8, frequency_scale=1.07)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    table=st.sampled_from(sorted(MIXED_TABLES)),
+    windows=st.lists(
+        st.tuples(
+            st.integers(0, 2),  # location
+            st.integers(0, 11),  # activity
+            st.integers(0, len(SUBJECTS) - 1),
+            st.sampled_from(["none", "shared", "each"]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**16),
+    order_seed=st.integers(0, 2**16),
+)
+def test_mixed_render_matches_one_window_batches(table, windows, seed, order_seed):
+    """One render of windows of different signatures, subjects and styles
+    equals each window rendered alone by ``batch`` from its state."""
+    synth = SignalSynthesizer(MIXED_TABLES[table])
+    signatures = synth.signatures
+    style_rng = np.random.default_rng(order_seed)
+    rng = np.random.default_rng(seed)
+    entries, alone, after = [], [], []
+    for location, activity, subject, kind in windows:
+        location = signatures.locations[location % len(signatures.locations)]
+        activity = signatures.activities[activity % len(signatures.activities)]
+        subject = SUBJECTS[subject]
+        style = {"none": None, "shared": SHARED_STYLE, "each": StyleWobble.sample(style_rng)}[kind]
+        state = rng.bit_generator.state
+        alone.append(synth.batch(activity, location, 1, subject, rng, style=style)[0])
+        after.append(rng.bit_generator.state)
+        entries.append((state, activity, location, subject, style))
+
+    order = np.random.default_rng(order_seed).permutation(len(entries))
+    replayed = np.random.default_rng(seed + 1)
+    got = synth.replay(
+        [(replayed, state, *rest) for state, *rest in (entries[index] for index in order)]
+    )
+    assert got.dtype == np.float32
+    assert got.tobytes() == np.stack([alone[index] for index in order]).tobytes()
+    assert replayed.bit_generator.state == after[order[-1]]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.policies import BaselineSpec, origin_policy, rr_policy
+from repro.datasets.subjects import SubjectProfile
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, PacketLoss
 from repro.faults.stats import FaultStats, LinkStats, RecoveryEvent
@@ -119,6 +120,30 @@ class TestRunMaterial:
             assert (material.n_windows, material.dwell_scale, material.use_pruned_models) == (
                 other.n_windows, other.dwell_scale, other.use_pruned_models,
             )
+
+    def test_cache_keys_on_the_subject_not_its_id(self, tiny_experiment):
+        # A training subject and the canonical profile share id 0 but
+        # not their windows.
+        cache = PredictionCache(tiny_experiment)
+        config = replace(tiny_experiment.config, n_windows=12)
+        trained = tiny_experiment.dataset.train_subjects[0]
+        canonical = SubjectProfile.canonical()
+        assert trained.subject_id == canonical.subject_id
+        first = cache.material(3, config=config, subject=trained)
+        other = cache.material(3, config=config, subject=canonical)
+        assert other is not first and other.subject is canonical
+        node_id = next(iter(first.windows))
+        assert first.windows[node_id].tobytes() != other.windows[node_id].tobytes()
+        with pytest.raises(ConfigurationError, match="subject"):
+            other.check_compatible(
+                seed=3, n_windows=12, dwell_scale=config.dwell_scale,
+                use_pruned_models=config.use_pruned_models, subject=trained,
+            )
+        # A profile given its gains as a list is the same profile.
+        listed = SubjectProfile(subject_id=0, channel_gains=[1.0] * 6)
+        assert listed == canonical and hash(listed) == hash(canonical)
+        assert cache.material(3, config=config, subject=listed) is other
+        assert cache.hits == 1 and cache.misses == 2
 
     def test_mismatched_material_rejected(self, tiny_experiment):
         cache = PredictionCache(tiny_experiment)
@@ -238,14 +263,16 @@ class TestSharedMaterialBaselines:
     def test_each_seed_is_synthesized_once(self, tiny_experiment, monkeypatch):
         from repro.datasets.synthesis import SignalSynthesizer
 
-        real_batch = SignalSynthesizer.batch
+        # Every window, whichever public call asked for it, is rendered
+        # by the synthesizer's one render.
+        real_render = SignalSynthesizer._render
         windows = []
 
-        def counting(self, activity, location, count, *args, **kwargs):
-            windows.append(count)
-            return real_batch(self, activity, location, count, *args, **kwargs)
+        def counting(self, draws, *args, **kwargs):
+            windows.append(len(draws))
+            return real_render(self, draws, *args, **kwargs)
 
-        monkeypatch.setattr(SignalSynthesizer, "batch", counting)
+        monkeypatch.setattr(SignalSynthesizer, "_render", counting)
         n_seeds = 2
         sweep = PolicySweep(tiny_experiment, n_seeds=n_seeds, include_baselines=True)
         sequential = sweep.run([rr_policy(3), origin_policy(3)], seed=4, workers=1)

@@ -24,7 +24,11 @@ from repro.core.policies import (
     origin_policy,
     rr_policy,
 )
+from repro.datasets.subjects import SubjectProfile
+from repro.datasets.synthesis import SignalSynthesizer
+from repro.errors import ConfigurationError
 from repro.fleet import CohortSpec, ParameterDist
+from repro.fleet.runner import shard_aggregate
 from repro.nn.architectures import HARArchitecture, build_har_cnn
 from repro.nn.model import Sequential
 from repro.obs import Observability
@@ -32,6 +36,7 @@ from repro.obs.summarize import split_runs
 from repro.obs.trace import NULL_TRACER
 from repro.serve.client import DeviceSim
 from repro.serve.session import ServeProfile
+from repro.sim import predcache
 from repro.sim.kernel import BatchGroup, run_group_batch, run_policy_batch
 from repro.sim.predcache import build_run_material, fill_rows
 from repro.sim.sweep import PolicySweep
@@ -104,7 +109,7 @@ class TestRowIndependence:
 # ---------------------------------------------------------------------------
 
 
-def _material(experiment, seed: int, **overrides):
+def _material(experiment, seed: int, subject=None, **overrides):
     config = replace(experiment.config, **overrides)
     return build_run_material(
         experiment.dataset,
@@ -113,7 +118,14 @@ def _material(experiment, seed: int, **overrides):
         n_windows=config.n_windows,
         dwell_scale=config.dwell_scale,
         use_pruned_models=config.use_pruned_models,
+        subject=subject,
     )
+
+
+def _subjects(experiment) -> list:
+    """The default subject, a training subject and the canonical profile."""
+    dataset = experiment.dataset
+    return [None, dataset.train_subjects[0], SubjectProfile.canonical()]
 
 
 def _assert_same_material(lazy, full) -> None:
@@ -142,17 +154,37 @@ class TestLazyMaterial:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_random_request_orders_match_completion(self, tiny_experiment, data):
-        seeds = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True))
+        # One fill_rows call may mix materials of different seed, dwell
+        # and subject; every row must still match its completed material.
         n_windows = data.draw(st.integers(1, 50), label="n_windows")
-        dwell = data.draw(st.sampled_from([0.5, 2.0, 5.0]), label="dwell")
-        lazy = {seed: _material(tiny_experiment, seed, n_windows=n_windows, dwell_scale=dwell)
-                for seed in seeds}
+        keys = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 6),
+                    st.sampled_from([0.5, 2.0, 5.0]),
+                    st.integers(0, len(_subjects(tiny_experiment)) - 1),
+                ),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            ),
+            label="materials",
+        )
+
+        def build(key):
+            seed, dwell, subject = key
+            return _material(
+                tiny_experiment, seed, subject=_subjects(tiny_experiment)[subject],
+                n_windows=n_windows, dwell_scale=dwell,
+            )
+
+        lazy = {key: build(key) for key in keys}
         node_ids = list(next(iter(lazy.values())).logits)
         for _ in range(data.draw(st.integers(1, 6), label="requests")):
             requests = data.draw(
                 st.lists(
                     st.tuples(
-                        st.sampled_from(seeds),
+                        st.sampled_from(keys),
                         st.sampled_from(node_ids),
                         st.lists(st.integers(0, n_windows - 1), min_size=1, max_size=12),
                     ),
@@ -161,20 +193,15 @@ class TestLazyMaterial:
                 ),
                 label="fill",
             )
-            fill_rows([(lazy[seed], node_id, slots) for seed, node_id, slots in requests])
-            for seed, node_id, slots in requests:
-                assert lazy[seed].filled(node_id)[slots].all()
-                labels, confidences = lazy[seed].rows(node_id, slots)
-                full = _material(
-                    tiny_experiment, seed, n_windows=n_windows, dwell_scale=dwell
-                ).complete()
-                expected = full.rows(node_id, slots)
+            fill_rows([(lazy[key], node_id, slots) for key, node_id, slots in requests])
+            for key, node_id, slots in requests:
+                assert lazy[key].filled(node_id)[slots].all()
+                labels, confidences = lazy[key].rows(node_id, slots)
+                expected = build(key).complete().rows(node_id, slots)
                 np.testing.assert_array_equal(labels, expected[0])
                 np.testing.assert_array_equal(confidences, expected[1])
-        for seed, material in lazy.items():
-            _assert_same_material(
-                material, _material(tiny_experiment, seed, n_windows=n_windows, dwell_scale=dwell)
-            )
+        for key, material in lazy.items():
+            _assert_same_material(material, build(key))
 
     def test_item_access_completes_one_node(self, tiny_experiment):
         material = _material(tiny_experiment, 5)
@@ -200,6 +227,34 @@ class TestLazyMaterial:
         material.complete(obs=obs)
         material.complete(obs=obs)
         assert obs.metrics.to_dict()["timers"]["predcache.fill"]["calls"] == 2
+
+    def test_fill_parts_are_timed_within_the_fill(self, tiny_experiment):
+        obs = Observability(tracer=NULL_TRACER)
+        run_policy_batch(
+            tiny_experiment, GRID, 4, material=_material(tiny_experiment, 4), obs=obs
+        )
+        timers = obs.metrics.to_dict()["timers"]
+        parts = [timers[f"predcache.fill.{name}"] for name in ("draw_pass", "render", "predict")]
+        assert all(part["calls"] > 0 for part in parts)
+        assert sum(part["total_s"] for part in parts) <= timers["predcache.fill"]["total_s"]
+
+    def test_slots_outside_the_material_are_rejected(self, tiny_experiment):
+        material = _material(tiny_experiment, 6, n_windows=20)
+        node_id = next(iter(material.logits))
+        for slots in ([-1], [20], [2.7], [float("nan")], [True]):
+            with pytest.raises(ConfigurationError):
+                material.rows(node_id, slots)
+            with pytest.raises(ConfigurationError):
+                fill_rows([(material, node_id, slots)])
+        assert not material.filled(node_id).any()
+        labels, confidences = material.rows(node_id, [19])
+        with pytest.raises(ConfigurationError):
+            material.rows(node_id, [-1])  # would wrap to slot 19
+        with pytest.raises(ConfigurationError):
+            material.rows(node_id, [19.5])  # would truncate to slot 19
+        for got, expected in zip(material.rows(node_id, [19.0]), (labels, confidences)):
+            np.testing.assert_array_equal(got, expected)
+        assert material.filled(node_id).tolist() == [False] * 19 + [True]
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +347,34 @@ class TestShardRows:
         ]
         assert filled == completed
         assert 0 < sum(rows) == sum(map(len, filled))
+
+
+    def test_shard_renders_and_predicts_once_per_fill_group(self, tiny_experiment, monkeypatch):
+        # Each fill renders all of a model group's rows in one call and
+        # classifies them in one predict; no window goes through batch.
+        spec = CohortSpec(size=16, seed=5, base=tiny_experiment.config, n_timelines=2)
+        calls = {"groups": 0, "render": 0, "predict": 0, "batch": 0}
+        real_fill, real_render = predcache._fill, SignalSynthesizer._render
+        real_predict, real_batch = Sequential.predict_logits, SignalSynthesizer.batch
+
+        def fill(parts, obs):
+            calls["groups"] += len({id(node.model) for _, node, _ in parts})
+            return real_fill(parts, obs)
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(predcache, "_fill", fill)
+        monkeypatch.setattr(SignalSynthesizer, "_render", counted("render", real_render))
+        monkeypatch.setattr(Sequential, "predict_logits", counted("predict", real_predict))
+        monkeypatch.setattr(SignalSynthesizer, "batch", counted("batch", real_batch))
+        shard_aggregate(tiny_experiment, spec, [origin_policy(12)], 0, spec.size)
+        assert calls["groups"] > 0
+        assert calls["render"] == calls["predict"] == calls["groups"]
+        assert calls["batch"] == 0
 
 
 class TestServedDeviceRows:
