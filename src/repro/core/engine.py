@@ -18,8 +18,8 @@ Two engines implement it, one per consumer shape:
   node), confidence matrices per (row, node, class).  A row whose
   scheduler is not one of the three built-ins is stepped through the
   :class:`~repro.core.scheduling.base.SchedulingPolicy` protocol, for
-  that row only.  Fault plans reach only this engine: host restarts,
-  unresponsive-node flags, staleness fading and completion hooks.
+  that row only.  Fault plans reach only this engine: host restarts
+  and completion hooks.
 * :class:`SessionEngine` is scalar: one run, one scheduler object, one
   recall memory and one vote.  An online serving session
   (:mod:`repro.serve`) steps it one window at a time.  A session has
@@ -27,9 +27,12 @@ Two engines implement it, one per consumer shape:
   (DESIGN §16).
 
 ``ready`` and ``online`` flags are in **node construction order**
-(ER-r/AAS tie-breaking follows that order).  Both engines make the same
-decisions from the same inputs: a served session fed the states and
-reports of an offline run produces the identical decision stream.
+(ER-r/AAS tie-breaking follows that order).  A node is responsive
+exactly when it is online: an AAS choice that is offline draws a
+strike, and after :data:`~repro.core.scheduling.aas.RETRY_BUDGET`
+strikes the node backs off for one ER-r cycle.  Both engines make the
+same decisions from the same inputs: a served session fed the states
+and reports of an offline run produces the identical decision stream.
 
 A node's slot report reaches the engines in one of two shapes: a batch
 hands the columnar engine :class:`SlotReports` arrays, and a session
@@ -45,8 +48,8 @@ The vote both engines cast:
   * matrix.weight(node, label)`` under confidence recall;
 * ties within ``1e-12`` go to the label with the freshest
   ``started_slot``, then to the smaller label;
-* staleness fading (batches only) uses Python's ``0.5 ** (age /
-  half_life)``, looked up from a table, never ``np.power``.
+* a remembered vote never expires and never fades: it stays until the
+  node reports again or the host restarts.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import numpy as np
 
 from repro.core.ensemble.confidence import ConfidenceMatrix
 from repro.core.policies import AggregationMode, PolicySpec
-from repro.core.scheduling.aas import ActivityAwareScheduler
+from repro.core.scheduling.aas import RETRY_BUDGET, ActivityAwareScheduler
 from repro.core.scheduling.base import SchedulingContext
 from repro.core.scheduling.naive import NaiveAllOn
 from repro.core.scheduling.rank_table import RankTable
@@ -91,8 +94,9 @@ class NodeSlotState:
     The wire record of :mod:`repro.serve`: the engines themselves take
     the ``ready`` and ``online`` flags (see
     :meth:`SessionEngine.begin_slot`).  ``online=False`` models a
-    dead/browned-out node: the scheduler sees it not-ready, and the node
-    is filtered out of the active set even if the policy insists on it.
+    dead/browned-out node: the scheduler sees it not-ready and
+    unresponsive, and the node is filtered out of the active set even
+    if the policy insists on it.
     """
 
     energy_j: float
@@ -118,10 +122,10 @@ class SessionEngine:
 
     The recall memory (the paper's §III-B) holds each reporting node's
     most recent ``(label, confidence, started_slot)`` in insertion
-    order.  While recall cannot expire, the vote is rerun only when
-    :attr:`messages_received` or the matrix's update count moved since
-    the last one; otherwise the previous label is reused, still counted
-    in :attr:`decisions`, observed and traced.
+    order.  The vote is rerun only when :attr:`messages_received` or
+    the matrix's update count moved since the last one; otherwise the
+    previous label is reused, still counted in :attr:`decisions`,
+    observed and traced.
 
     Parameters
     ----------
@@ -135,9 +139,6 @@ class SessionEngine:
     confidence:
         The run's confidence matrix; adaptive policies mutate it in
         place, so a caller hands each run its own copy.
-    max_recall_age_slots:
-        Drop remembered votes whose window is older than this many
-        slots (``None`` = never expire).
     obs:
         Observability bundle; the engine emits ``slot.scheduled`` /
         ``confidence.updated`` / ``vote.cast`` events and observes
@@ -151,18 +152,13 @@ class SessionEngine:
         rank_table: Optional[RankTable],
         confidence: ConfidenceMatrix,
         *,
-        max_recall_age_slots: Optional[int] = None,
         obs: Observability = NULL_OBS,
     ) -> None:
-        if max_recall_age_slots is not None and max_recall_age_slots < 1:
-            raise SimulationError("max_recall_age_slots must be >= 1 or None")
         self.policy = policy
         self._uses_recall = policy.uses_recall
         self._weighted = policy.aggregation is AggregationMode.CONFIDENCE_RECALL
         self.node_ids = list(node_ids)
-        self._position = {node_id: k for k, node_id in enumerate(self.node_ids)}
         self.confidence = confidence
-        self.max_recall_age_slots = max_recall_age_slots
         self.obs = obs
         # Registered up front: an observed run reports it before any vote.
         self._recall_hist = (
@@ -201,9 +197,9 @@ class SessionEngine:
 
         ``ready`` holds one flag per node (could it finish a fresh
         inference now?) and ``online`` (default: all up) one power flag
-        per node, both in construction order.  Offline nodes are masked: the scheduler sees
-        them not-ready, and any offline id it picks anyway is dropped
-        from the returned set.
+        per node, both in construction order.  Offline nodes are
+        masked: the scheduler sees them not-ready and unresponsive, and
+        any offline id it picks anyway is dropped from the returned set.
         """
         if not isinstance(ready, list) and isinstance(ready, Mapping):
             raise TypeError(
@@ -220,21 +216,18 @@ class SessionEngine:
         scheduler = self.scheduler
         if not scheduler.is_compute_slot(slot):
             active: List[int] = []
-        else:
-            if online is None:
-                node_ready = dict(zip(node_ids, ready))
-            else:
-                node_ready = {
-                    node_id: (is_ready and is_up)
-                    for node_id, is_ready, is_up in zip(node_ids, ready, online)
-                }
-            context = SchedulingContext(
-                node_ready=node_ready, anticipated_label=self.last_final
-            )
+        elif online is None:
+            context = SchedulingContext(dict(zip(node_ids, ready)), self.last_final)
             active = scheduler.active_nodes(slot, context)
-            if online is not None:
-                position = self._position
-                active = [node_id for node_id in active if online[position[node_id]]]
+        else:
+            node_ready = {
+                node_id: (is_ready and is_up)
+                for node_id, is_ready, is_up in zip(node_ids, ready, online)
+            }
+            # Responsive exactly when online, as in a batch row.
+            up = dict(zip(node_ids, online))
+            context = SchedulingContext(node_ready, self.last_final, up)
+            active = [node_id for node_id in scheduler.active_nodes(slot, context) if up[node_id]]
         trace = self.obs.tracer
         if trace.enabled:
             trace.append(
@@ -314,13 +307,8 @@ class SessionEngine:
     # ------------------------------------------------------------------
 
     def _classify(self, slot: int) -> Optional[int]:
-        """Vote over the participating recalled votes (``None``: none)."""
-        max_age = self.max_recall_age_slots
+        """Vote over the recalled votes (``None``: none)."""
         votes = self._memory
-        if max_age is not None:
-            votes = {
-                node_id: vote for node_id, vote in votes.items() if slot - vote[2] <= max_age
-            }
         ages = None
         if self._recall_hist is not None:
             # Recall staleness: the age of every vote that participates
@@ -331,10 +319,9 @@ class SessionEngine:
                 observe(age)
         if not votes:
             return None
-        # Without expiry, unchanged reports and weights mean an
-        # unchanged vote.
+        # Unchanged reports and weights mean an unchanged vote.
         key = (self.messages_received, self.confidence.updates)
-        if max_age is not None or key != self._vote_key:
+        if key != self._vote_key:
             self._vote_label = self._tally(votes)
             self._vote_key = key
         label = self._vote_label
@@ -391,8 +378,6 @@ class EngineRow:
 
     policy: Any
     confidence: ConfidenceMatrix
-    max_recall_age_slots: Optional[int] = None
-    staleness_half_life_slots: Optional[int] = None
     obs: Observability = NULL_OBS
     on_completion: Optional[Callable[[int, int], None]] = None
 
@@ -482,8 +467,6 @@ class DecisionEngine:
         self._round_robin = np.zeros(n_rows, dtype=bool)
         self._aware = np.zeros(n_rows, dtype=bool)
         self._cooldown = np.zeros(n_rows, dtype=np.int64)
-        self._retry_budget = np.ones(n_rows, dtype=np.int64)
-        self._backoff_slots = np.zeros(n_rows, dtype=np.int64)
         #: ``(row, scheduler)`` of rows stepped through the protocol.
         self._protocol: List[tuple] = []
         tables: Dict[int, np.ndarray] = {}
@@ -502,8 +485,6 @@ class DecisionEngine:
                 self._aware[r] = True
                 cycle = self._owners(scheduler.base)
                 self._cooldown[r] = scheduler.cooldown_slots
-                self._retry_budget[r] = scheduler.retry_budget
-                self._backoff_slots[r] = scheduler.backoff_slots
                 table = scheduler.rank_table
                 if id(table) not in tables:
                     tables[id(table)] = self._ranks(table)
@@ -545,33 +526,11 @@ class DecisionEngine:
         self._label = np.zeros((n_rows, n_nodes), dtype=np.int64)
         self._confidence = np.zeros((n_rows, n_nodes), dtype=np.float64)
         self._started = np.zeros((n_rows, n_nodes), dtype=np.int64)
-        self._received = np.zeros((n_rows, n_nodes), dtype=np.int64)
         self._rank = np.zeros((n_rows, n_nodes), dtype=np.int64)
         self._next_rank = np.zeros(n_rows, dtype=np.int64)
-        for row in rows:
-            for name in ("max_recall_age_slots", "staleness_half_life_slots"):
-                value = getattr(row, name)
-                if value is not None and value < 1:
-                    raise SimulationError(f"{name} must be >= 1 or None")
-        limit = np.iinfo(np.int64).max
-        self._max_age = np.array(
-            [limit if row.max_recall_age_slots is None else row.max_recall_age_slots
-             for row in rows],
-            dtype=np.int64,
-        )
         self._recall_rows = np.array(
             [r for r, row in enumerate(rows) if row.policy.uses_recall], dtype=np.int64
         )
-        #: ``(half-life, its positions among the recall rows, fading
-        #: table)``; the table of ``0.5 ** (age / half_life)`` grows on demand.
-        half_lives = np.array(
-            [rows[r].staleness_half_life_slots or 0 for r in self._recall_rows.tolist()],
-            dtype=np.int64,
-        )
-        self._fading = [
-            (half_life, np.flatnonzero(half_lives == half_life), [1.0])
-            for half_life in sorted(set(half_lives.tolist()) - {0})
-        ]
         self._last_rows = np.array(
             [r for r, row in enumerate(rows) if not row.policy.uses_recall], dtype=np.int64
         )
@@ -581,11 +540,8 @@ class DecisionEngine:
         self._weighted_recall = weighted[self._recall_rows]
         self._weighted_index = np.flatnonzero(self._weighted_recall)
         self._weighted_rows = self._recall_rows[self._weighted_index]
-        # A vote is rerun only when its inputs moved: the memory, the
-        # matrices or, for rows that expire or fade recall, the slot.
-        self._timed_recall = bool(self._fading) or bool(
-            (self._max_age[self._recall_rows] < limit).any()
-        )
+        # A vote is rerun only when its inputs moved: the memory or the
+        # matrices.
         self._stale = True
         self._winner = np.full(self._recall_rows.size, -1, dtype=np.int64)
         self._voted = self._winner >= 0
@@ -596,7 +552,6 @@ class DecisionEngine:
         self._weights = np.empty((n_rows, n_nodes, self._n_classes), dtype=np.float64)
         self._alpha = np.zeros(n_rows, dtype=np.float64)
         self._adaptive = np.zeros(n_rows, dtype=bool)
-        normalized = np.zeros(n_rows, dtype=bool)
         seeded: Dict[int, np.ndarray] = {}
         for r, row in enumerate(rows):
             matrix = row.confidence
@@ -607,11 +562,6 @@ class DecisionEngine:
             self._weights[r] = seeded[id(matrix)]
             self._alpha[r] = matrix.adaptation_alpha
             self._adaptive[r] = bool(row.policy.adaptive_confidence)
-            normalized[r] = matrix.normalize
-        # Positions among the weighted recall rows of normalizing matrices.
-        self._normalized_recall = np.flatnonzero(
-            normalized[self._recall_rows][self._weighted_recall]
-        )
         self.confidence_updates = np.zeros(n_rows, dtype=np.int64)
 
         # -- per-run python: hooks and observability ------------------
@@ -651,7 +601,7 @@ class DecisionEngine:
     # ------------------------------------------------------------------
 
     def restart(self, row: int) -> None:
-        """Reboot one row's host: its recall memory and link history go.
+        """Reboot one row's host: its recall memory goes.
 
         Cumulative counters survive: they are bookkeeping, not host RAM.
         """
@@ -664,14 +614,6 @@ class DecisionEngine:
         order (the layout of :meth:`ConfidenceMatrix.as_array`)."""
         return self._weights[row][np.argsort(self.node_ids)]
 
-    def quiet_slots(self, slot: int) -> np.ndarray:
-        """``(rows, nodes)`` slots since each host last heard each node.
-
-        A node never heard from (or forgotten by a restart) counts as
-        quiet since slot 0.
-        """
-        return np.where(self._valid, slot - self._received, slot + 1)
-
     # ------------------------------------------------------------------
     # the two slot phases
     # ------------------------------------------------------------------
@@ -682,33 +624,29 @@ class DecisionEngine:
         ready: np.ndarray,
         *,
         online: Optional[np.ndarray] = None,
-        responsive: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Scheduling phase: every row's active set as a ``(rows, nodes)`` mask.
 
         ``ready`` says whether each node could finish a fresh inference
         now; ``online`` (default: all up) masks dead or browned-out
-        nodes, which the schedulers see not-ready and which are dropped
-        from the active set even when chosen.  ``responsive`` (default:
-        all) flags the nodes the host believes reachable; AAS charges a
-        strike to an unresponsive node it chooses.
+        nodes, which the schedulers see not-ready and unresponsive and
+        which are dropped from the active set even when chosen.  AAS
+        charges a strike to an offline node it chooses.
         """
         shape = self.shape
         ready = np.asarray(ready, dtype=bool)
-        if ready.shape != shape or (online is not None and online.shape != shape) or (
-            responsive is not None and responsive.shape != shape
-        ):
+        if ready.shape != shape or (online is not None and online.shape != shape):
             raise SimulationError(f"begin_slot needs one flag per row and node {shape}")
         can_run = ready if online is None else ready & online
         turn, turn_owner, aware, aware_owner = self._phase(slot)
         active = self._all_on_mask.copy()
         active[turn, turn_owner] = True
         if aware.size:
-            chosen = self._select(slot, aware, aware_owner, can_run, responsive)
+            chosen = self._select(slot, aware, aware_owner, can_run, online)
             active[aware, chosen] = True
         for r, scheduler in self._protocol:
             self.protocol_active[r] = self._protocol_begin(
-                slot, r, scheduler, can_run[r], online, responsive
+                slot, r, scheduler, can_run[r], online
             )
             active[r, [self._position[n] for n in self.protocol_active[r]]] = True
         if online is not None:
@@ -740,7 +678,7 @@ class DecisionEngine:
         rows: np.ndarray,
         owner: np.ndarray,
         can_run: np.ndarray,
-        responsive: Optional[np.ndarray],
+        online: Optional[np.ndarray],
     ) -> np.ndarray:
         """AAS on a compute slot: each row's chosen node position.
 
@@ -774,15 +712,15 @@ class DecisionEngine:
             tier = 4 * (rested & can_run[column, ranked]) + 2 * rested + candidates
             chosen[known] = ranked[np.arange(r.size), np.argmax(tier, axis=1)]
         # A chosen node counts as activated even if it is then masked
-        # offline; only an unresponsive choice draws a strike.
+        # offline; only an offline choice draws a strike.
         self._last_activated[rows, chosen] = slot
         strikes = self._strikes[rows, chosen] + 1
-        if responsive is None:
+        if online is None:
             strikes[:] = 0
         else:
-            strikes[responsive[rows, chosen]] = 0
-            out = strikes >= self._retry_budget[rows]
-            self._backoff_until[rows[out], chosen[out]] = slot + self._backoff_slots[rows[out]]
+            strikes[online[rows, chosen]] = 0
+            out = strikes >= RETRY_BUDGET
+            self._backoff_until[rows[out], chosen[out]] = slot + self._cycle_length[rows[out]]
             strikes[out] = 0
         self._strikes[rows, chosen] = strikes
         return chosen
@@ -794,23 +732,18 @@ class DecisionEngine:
         scheduler,
         can_run: np.ndarray,
         online: Optional[np.ndarray],
-        responsive: Optional[np.ndarray],
     ) -> List[int]:
         """One protocol row's active list, in the scheduler's order."""
         if not scheduler.is_compute_slot(slot):
             return []
-        context = SchedulingContext(
-            node_ready=dict(zip(self.node_ids, can_run.tolist())),
-            anticipated_label=self._final_of(r),
-            node_responsive=(
-                {} if responsive is None else dict(zip(self.node_ids, responsive[r].tolist()))
-            ),
-        )
-        active = scheduler.active_nodes(slot, context)
-        if online is not None:
-            up = online[r]
-            active = [node_id for node_id in active if up[self._position[node_id]]]
-        return list(active)
+        node_ready = dict(zip(self.node_ids, can_run.tolist()))
+        if online is None:
+            context = SchedulingContext(node_ready, self._final_of(r))
+            return list(scheduler.active_nodes(slot, context))
+        # Responsive exactly when online; an offline choice is dropped.
+        up = dict(zip(self.node_ids, online[r].tolist()))
+        context = SchedulingContext(node_ready, self._final_of(r), up)
+        return [node_id for node_id in scheduler.active_nodes(slot, context) if up[node_id]]
 
     def active_ids(self, row: int, active: np.ndarray) -> List[int]:
         """One row's active node ids: scheduler order on a protocol row,
@@ -840,7 +773,7 @@ class DecisionEngine:
             label = np.where(reports.reported >= 0, reports.reported, reports.predicted)
             adapt = got & self._adaptive[:, None]
             if got.any():
-                self._receive(slot, got, label, reports)
+                self._receive(got, label, reports)
                 if adapt.any():
                     self._adapt(adapt, label, reports.confidence)
             for r, hook in self._hooks:
@@ -867,9 +800,7 @@ class DecisionEngine:
         self._observe(slot, got, reports, final)
         return final
 
-    def _receive(
-        self, slot: int, got: np.ndarray, label: np.ndarray, reports: SlotReports
-    ) -> None:
+    def _receive(self, got: np.ndarray, label: np.ndarray, reports: SlotReports) -> None:
         """Write delivered reports into recall memory, keeping insertion order."""
         new = got & ~self._valid
         if new.any():
@@ -880,7 +811,6 @@ class DecisionEngine:
         self._label[got] = label[got]
         self._confidence[got] = reports.confidence[got]
         self._started[got] = reports.started[got]
-        self._received[got] = slot
         self.messages_received += got.sum(axis=1)
         self._stale = True
 
@@ -915,22 +845,6 @@ class DecisionEngine:
             {"label": int(label[r, k]), "confidence": float(confidence[r, k])},
         )
 
-    def _fade(self, age: np.ndarray) -> Optional[np.ndarray]:
-        """Staleness weights of the recall rows' votes (``None``: none fade).
-
-        A vote of age ``a > 0`` weighs ``0.5 ** (a / half_life)``,
-        computed by Python's float power.
-        """
-        if not self._fading:
-            return None
-        fade = np.ones(age.shape, dtype=np.float64)
-        for half_life, picked, table in self._fading:
-            ages = np.maximum(age[picked], 0)
-            while len(table) <= int(ages.max()):
-                table.append(0.5 ** (len(table) / half_life))
-            fade[picked] = np.asarray(table)[ages]
-        return fade
-
     def _vote(self, slot: int) -> np.ndarray:
         """The recall rows' votes over their memory; ``-1`` for no votes.
 
@@ -938,21 +852,19 @@ class DecisionEngine:
         slot, but it is recomputed only when something it reads moved.
         """
         rows = self._recall_rows
-        rerun = self._stale or self._timed_recall
-        if rerun or self._recall_hist:
-            age = slot - self._started[rows]
-            part = self._valid[rows] & (age <= self._max_age[rows, None])
-        if rerun:
-            self._winner = self._tally(rows, age, part)
+        if self._stale or self._recall_hist:
+            part = self._valid[rows]
+        if self._stale:
+            self._winner = self._tally(rows, part)
             self._voted = self._winner >= 0
             self._stale = False
         self.decisions[rows] += self._voted
         if self._recall_hist:
-            self._observe_votes(slot, rows, part, age, self._winner)
+            self._observe_votes(slot, rows, part, self._winner)
         return self._winner
 
-    def _tally(self, rows: np.ndarray, age: np.ndarray, part: np.ndarray) -> np.ndarray:
-        """Each row's winning label over its participating votes, or ``-1``.
+    def _tally(self, rows: np.ndarray, part: np.ndarray) -> np.ndarray:
+        """Each row's winning label over its remembered votes, or ``-1``.
 
         Votes are taken in memory insertion order; a label's score is
         the running sum of its votes' weights from 0.0, then the top
@@ -961,23 +873,13 @@ class DecisionEngine:
         """
         n_nodes = self.shape[1]
         labels = self._label[rows]
-        fade = self._fade(age)
-        weight = np.ones(age.shape) if fade is None else fade
+        weight = np.ones(part.shape)
         weighted = self._weighted_index
         if weighted.size:
             # Half the transmitted confidence, half the matrix prior.
             w_rows = self._weighted_rows
-            w_labels = labels[weighted]
-            prior = self._weights[w_rows[:, None], np.arange(n_nodes), w_labels]
-            for i in self._normalized_recall.tolist():
-                for k in range(n_nodes):
-                    row_weights = self._weights[w_rows[i], k]
-                    mean = float(row_weights.mean())
-                    prior[i, k] = (
-                        1.0 if mean <= 0 else float(row_weights[w_labels[i, k]]) / mean
-                    )
-            blended = 0.5 * self._confidence[w_rows] + 0.5 * prior
-            weight[weighted] = blended if fade is None else blended * fade[weighted]
+            prior = self._weights[w_rows[:, None], np.arange(n_nodes), labels[weighted]]
+            weight[weighted] = 0.5 * self._confidence[w_rows] + 0.5 * prior
 
         index = self._voter_index
         order = np.argsort(np.where(part, self._rank[rows], _LAST), axis=1, kind="stable")
@@ -1003,10 +905,10 @@ class DecisionEngine:
         slot: int,
         rows: np.ndarray,
         part: np.ndarray,
-        age: np.ndarray,
         winner: np.ndarray,
     ) -> None:
         """Recall-age histograms and ``vote.cast`` events of observed rows."""
+        age = slot - self._started[rows]
         for i, r in enumerate(rows.tolist()):
             histogram = self._recall_hist.get(r)
             if histogram is None:

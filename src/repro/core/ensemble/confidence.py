@@ -40,12 +40,10 @@ class ConfidenceMatrix:
         weights: Mapping[int, Sequence[float]],
         *,
         adaptation_alpha: float = 0.05,
-        normalize: bool = False,
     ) -> None:
         if not weights:
             raise ConfigurationError("weights must be non-empty")
         check_fraction("adaptation_alpha", adaptation_alpha)
-        self.normalize = bool(normalize)
         self._weights: Dict[int, np.ndarray] = {}
         n_classes = None
         for node_id, row in weights.items():
@@ -76,7 +74,6 @@ class ConfidenceMatrix:
         validation: Mapping[int, tuple],
         *,
         adaptation_alpha: float = 0.05,
-        normalize: bool = False,
         floor: float = 1e-4,
     ) -> "ConfidenceMatrix":
         """Seed from per-node validation data.
@@ -103,7 +100,7 @@ class ConfidenceMatrix:
                         np.mean([confidence_from_softmax(p) for p in probabilities[mask]])
                     )
             weights[node_id] = row
-        return cls(weights, adaptation_alpha=adaptation_alpha, normalize=normalize)
+        return cls(weights, adaptation_alpha=adaptation_alpha)
 
     # ------------------------------------------------------------------
     # access
@@ -122,13 +119,10 @@ class ConfidenceMatrix:
     def weight(self, node_id: int, label: int) -> float:
         """Voting weight of ``node_id`` predicting class ``label``.
 
-        With ``normalize=False`` (the default, and what the paper's
-        variance weighting amounts to) this is the raw stored expected
-        confidence: a sensor that is genuinely confused about a class —
-        a flat softmax, low variance — contributes little weight for it.
-        ``normalize=True`` divides by the node's row mean instead, so
-        every node contributes ~1 on average (majority-like behavior
-        with confidence used for swings and ties).
+        The stored expected confidence, which is what the paper's
+        variance weighting amounts to: a sensor that is genuinely
+        confused about a class — a flat softmax, low variance —
+        contributes little weight for it.
         """
         try:
             row = self._weights[int(node_id)]
@@ -136,17 +130,7 @@ class ConfidenceMatrix:
             raise ConfigurationError(f"unknown node {node_id}") from error
         if not 0 <= label < self.n_classes:
             raise ConfigurationError(f"label {label} out of range")
-        if not self.normalize:
-            return float(row[label])
-        mean = float(row.mean())
-        if mean <= 0:
-            return 1.0
-        return float(row[label]) / mean
-
-    def raw_weight(self, node_id: int, label: int) -> float:
-        """Unnormalized stored confidence (what :meth:`update` adapts)."""
-        self.weight(node_id, label)  # validates arguments
-        return float(self._weights[int(node_id)][label])
+        return float(row[label])
 
     def row(self, node_id: int) -> np.ndarray:
         """Copy of one node's confidence row."""
@@ -166,8 +150,7 @@ class ConfidenceMatrix:
 
         Called after each successful classification with the confidence
         the sensor transmitted alongside its result; returns the new
-        *raw* stored value (the same scale as the transmitted variance —
-        voting weights remain row-normalized via :meth:`weight`).  A
+        stored value (the same scale as the transmitted variance).  A
         zero ``adaptation_alpha`` makes this a no-op.
         """
         # Validate the observation before the lookup, so a bad
@@ -177,7 +160,7 @@ class ConfidenceMatrix:
             raise ConfigurationError(
                 f"confidence must be >= 0 and finite, got {confidence}"
             )
-        current = self.raw_weight(node_id, label)
+        current = self.weight(node_id, label)
         if self.adaptation_alpha == 0.0:
             return current
         updated = current + self.adaptation_alpha * (float(confidence) - current)
@@ -191,5 +174,4 @@ class ConfidenceMatrix:
         return ConfidenceMatrix(
             {node_id: row.copy() for node_id, row in self._weights.items()},
             adaptation_alpha=alpha,
-            normalize=self.normalize,
         )

@@ -12,6 +12,11 @@ no-ops so nodes can harvest) but replaces "whoever's turn it is" with
    so on down the ranking;
 4. before any classification exists, AAS falls back to plain
    round-robin over the cycle.
+
+A chosen node the context flags unresponsive (offline) draws a strike;
+after :data:`RETRY_BUDGET` strikes it backs off for one ER-r cycle and
+the ranking falls through to the next-best sensor.  A completed
+inference from the node clears both.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from repro.errors import SchedulingError
 
 if TYPE_CHECKING:
     from repro.core.engine import WireReport
+
+#: Strikes an unresponsive choice may draw before the node backs off.
+RETRY_BUDGET = 2
 
 
 class ActivityAwareScheduler(SchedulingPolicy):
@@ -44,8 +52,6 @@ class ActivityAwareScheduler(SchedulingPolicy):
         rank_table: RankTable,
         *,
         cooldown_slots: Optional[int] = None,
-        retry_budget: int = 2,
-        backoff_slots: Optional[int] = None,
     ) -> None:
         if set(base.node_ids) != set(rank_table.node_ids):
             raise SchedulingError(
@@ -67,19 +73,6 @@ class ActivityAwareScheduler(SchedulingPolicy):
         if cooldown_slots < 0:
             raise SchedulingError(f"cooldown_slots must be >= 0, got {cooldown_slots}")
         self.cooldown_slots = int(cooldown_slots)
-        # Fault handling: an unresponsive node is still retried up to
-        # ``retry_budget`` activations (its radio may just be unlucky);
-        # after that it backs off for ``backoff_slots`` and the ranking
-        # falls through to the next-best sensor.  A completed inference
-        # from the node clears both immediately.
-        if retry_budget < 1:
-            raise SchedulingError(f"retry_budget must be >= 1, got {retry_budget}")
-        if backoff_slots is None:
-            backoff_slots = base.cycle_length
-        if backoff_slots < 1:
-            raise SchedulingError(f"backoff_slots must be >= 1, got {backoff_slots}")
-        self.retry_budget = int(retry_budget)
-        self.backoff_slots = int(backoff_slots)
         self._anticipated: Optional[int] = None
         self._last_activated = {node_id: None for node_id in base.node_ids}
         self._strikes = {node_id: 0 for node_id in base.node_ids}
@@ -143,8 +136,8 @@ class ActivityAwareScheduler(SchedulingPolicy):
         self._last_activated[chosen] = slot_index
         if not context.is_responsive(chosen):
             self._strikes[chosen] += 1
-            if self._strikes[chosen] >= self.retry_budget:
-                self._backoff_until[chosen] = slot_index + self.backoff_slots
+            if self._strikes[chosen] >= RETRY_BUDGET:
+                self._backoff_until[chosen] = slot_index + self.base.cycle_length
                 self._strikes[chosen] = 0
         else:
             self._strikes[chosen] = 0

@@ -36,11 +36,10 @@ class SchedulingContext:
         The activity the system expects next (= the last classification,
         by temporal continuity); ``None`` before the first result.
     node_responsive:
-        Fault-awareness: ``False`` flags a node the system believes is
-        down or unreachable (dead, browned out, or quiet on a lossy link
-        past the plan's ``unresponsive_after_slots``).  Missing entries
-        mean responsive — a fault-free run passes an empty dict and
-        behaves exactly as before.
+        Fault-awareness: ``False`` flags a node that is offline (dead or
+        browned out); the engines pass each node's online flag here.
+        Missing entries mean responsive — a run without online flags
+        passes an empty dict.
     """
 
     node_ready: Dict[int, bool] = field(default_factory=dict)

@@ -1,17 +1,10 @@
 """The declarative fault plan.
 
 A :class:`FaultPlan` is an immutable, validated composition of fault
-models plus two host/scheduler knobs that only make sense under faults:
-
-``unresponsive_after_slots``
-    If the host has not heard from a node for more than this many slots,
-    the scheduler sees it flagged unresponsive (and, after its retry
-    budget, reroutes to the next-ranked sensor).
-
-``recall_staleness_half_life_slots``
-    Host-side down-weighting of recalled votes: a remembered vote's
-    weight halves every this-many slots of age, so a dead node's stale
-    opinion fades instead of voting at full strength forever.
+models.  The host's response to them is fixed: the scheduler sees a
+node unresponsive exactly while it is offline (an AAS choice then draws
+a strike, and after two the ranking reroutes for one ER-r cycle), and a
+recalled vote keeps its full weight until a host restart clears it.
 
 Construction-time validation raises :class:`~repro.errors.FaultError`
 for negative slots, bad probabilities, and overlapping brownout windows;
@@ -43,18 +36,12 @@ class FaultPlan:
     """A validated, composable set of faults for one run."""
 
     faults: Tuple[FaultModel, ...] = ()
-    unresponsive_after_slots: Optional[int] = None
-    recall_staleness_half_life_slots: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
         for fault in self.faults:
             if not isinstance(fault, FaultModel):
                 raise FaultError(f"not a fault model: {fault!r}")
-        for knob in ("unresponsive_after_slots", "recall_staleness_half_life_slots"):
-            value = getattr(self, knob)
-            if value is not None and value < 1:
-                raise FaultError(f"{knob} must be >= 1 or None, got {value}")
         self._check_brownout_overlap()
 
     def _check_brownout_overlap(self) -> None:
@@ -73,15 +60,6 @@ class FaultPlan:
                     )
 
     # ------------------------------------------------------------------
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the plan changes nothing about a run."""
-        return (
-            not self.faults
-            and self.unresponsive_after_slots is None
-            and self.recall_staleness_half_life_slots is None
-        )
 
     @property
     def has_link_faults(self) -> bool:

@@ -99,7 +99,6 @@ class ServeProfile:
                 self.node_ids,
                 self.bundle.rank_table,
                 self.bundle.confidence_matrix.copy(),
-                max_recall_age_slots=self.config.max_recall_age_slots,
                 obs=obs,
             )
         except (ConfigurationError, SchedulingError) as error:

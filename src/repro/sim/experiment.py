@@ -81,9 +81,6 @@ class SimulationConfig:
     radio: RadioProfile = field(default_factory=RadioProfile.ble)
     costs: NodeCosts = field(default_factory=NodeCosts)
     max_task_age_slots: Optional[int] = None
-    #: Host-side recall expiry: drop remembered votes older than this
-    #: many slots (None = the paper's never-expiring recall).
-    max_recall_age_slots: Optional[int] = None
     #: Hybrid operation (paper Discussion): a constant battery trickle
     #: added to every node's harvest.  0 = pure energy harvesting.
     battery_supplement_w: float = 0.0

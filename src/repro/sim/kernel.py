@@ -480,26 +480,19 @@ class _RunState:
 
     ``row`` is the run's row in the batch's
     :class:`~repro.core.engine.DecisionEngine`; node ``k`` of the run is
-    kernel lane ``row * n_nodes + k``.  ``faults`` and
-    ``unresponsive_after`` are the run's compiled fault plan, and
-    ``links`` its per-node delivery hooks (``None`` = lossless); ``obs``
-    carries the run's own trace buffer over the caller's metrics
-    registry.
+    kernel lane ``row * n_nodes + k``.  ``faults`` is the run's compiled
+    fault plan (``None`` = fault-free), and ``links`` its per-node
+    delivery hooks (``None`` = lossless); ``obs`` carries the run's own
+    trace buffer over the caller's metrics registry.
     """
 
     spec: PolicySpec
     obs: Observability = NULL_OBS
     faults: Optional[FaultEngine] = None
-    unresponsive_after: Optional[int] = None
     links: List[Optional[Callable]] = field(default_factory=list)
     row: int = 0
     restart: Optional[Callable[[], None]] = None
     power_down: Optional[Callable[[int, int], None]] = None
-
-    @property
-    def faulted(self) -> bool:
-        """Whether the fault plan changes the run's scheduling flags."""
-        return self.faults is not None or self.unresponsive_after is not None
 
 
 @dataclass(frozen=True)
@@ -628,8 +621,6 @@ def _prepare_group(
             EngineRow(
                 policy=spec,
                 confidence=experiment.bundle.confidence_matrix,
-                max_recall_age_slots=config.max_recall_age_slots,
-                staleness_half_life_slots=plan.recall_staleness_half_life_slots,
                 obs=run_obs,
                 on_completion=None if engine is None else engine.note_completion,
             )
@@ -651,7 +642,6 @@ def _prepare_group(
                 spec=spec,
                 obs=run_obs,
                 faults=engine,
-                unresponsive_after=plan.unresponsive_after_slots,
                 links=links,
             )
         )
@@ -841,13 +831,9 @@ def run_group_batch(
         len(states), kernel.n_lanes, n_slots,
     )
 
-    faulted = [run for run in runs if run.faulted]
+    faulted = [run for run in runs if run.faults is not None]
     lossy = [run for run in runs if any(hook is not None for hook in run.links)]
     observed = [(run, state) for state in states for run in state.runs if run.obs.enabled]
-    if faulted:
-        limit = np.array(
-            [np.inf if run.unresponsive_after is None else run.unresponsive_after for run in runs]
-        )[:, None]
     traced = obs.tracer.enabled
     predicted = np.zeros(shape, dtype=np.int64)
     confidence = np.zeros(shape, dtype=np.float64)
@@ -860,20 +846,16 @@ def run_group_batch(
     completions = np.empty((n_slots, n_rows, n_nodes), dtype=bool)
     dropped = np.zeros((n_slots, n_rows, n_nodes), dtype=bool)
     protocol_active: Dict[int, List[tuple]] = {r: [] for r in engine.protocol_active}
-    online = responsive = None
+    online = None
     before: Optional[_LaneSnapshot] = None
     for slot in range(n_slots):
         if faulted:
             # Fault events fire at the slot boundary, before scheduling.
             online = np.ones(shape, dtype=bool)
             for run in faulted:
-                if run.faults is not None:
-                    run.faults.begin_slot(slot, run.restart, run.power_down)
-                    online[run.row] = [run.faults.node_online(n) for n in node_ids]
-            responsive = online & (engine.quiet_slots(slot) <= limit)
-        active = engine.begin_slot(
-            slot, kernel.ready_mask().reshape(shape), online=online, responsive=responsive
-        )
+                run.faults.begin_slot(slot, run.restart, run.power_down)
+                online[run.row] = [run.faults.node_online(n) for n in node_ids]
+        active = engine.begin_slot(slot, kernel.ready_mask().reshape(shape), online=online)
         for r, ids in engine.protocol_active.items():
             protocol_active[r].append(tuple(ids))
         if traced:

@@ -152,7 +152,6 @@ def save_trained_bundle(
                     for node_id in confidence.node_ids
                 },
                 "adaptation_alpha": confidence.adaptation_alpha,
-                "normalize": confidence.normalize,
             },
         }
         return payload
@@ -195,6 +194,16 @@ def _unpack(entry: StoreEntry, dataset: HARDataset) -> TrainedSensorBundle:
             f"entry {entry.key} holds a {payload.get('dataset')!r} bundle, "
             f"not {spec.name!r}"
         )
+    # Older entries also record weighting options the matrix no longer
+    # has, always off; one that turns any on would vote differently.
+    confidence_spec = payload["confidence"]
+    enabled = sorted(
+        name
+        for name, value in confidence_spec.items()
+        if name not in ("weights", "adaptation_alpha") and value
+    )
+    if enabled:
+        raise StoreError(f"entry {entry.key}: unsupported confidence options {enabled}")
     expected_shape = (N_CHANNELS, spec.window_size)
     by_location: Dict[BodyLocation, TrainedLocationModel] = {}
     for loc_spec in payload["locations"]:
@@ -240,14 +249,12 @@ def _unpack(entry: StoreEntry, dataset: HARDataset) -> TrainedSensorBundle:
             for label, nodes in payload["rank_table"].items()
         }
     )
-    confidence_spec = payload["confidence"]
     confidence = ConfidenceMatrix(
         {
             int(node_id): np.asarray(row, dtype=np.float64)
             for node_id, row in confidence_spec["weights"].items()
         },
         adaptation_alpha=float(confidence_spec["adaptation_alpha"]),
-        normalize=bool(confidence_spec["normalize"]),
     )
     bundle = TrainedSensorBundle(
         dataset,
@@ -300,7 +307,7 @@ StoreArg = Union[ArtifactStore, None, bool]
 
 
 def resolve_store(store: StoreArg, obs: Optional[Observability] = None) -> Optional[ArtifactStore]:
-    """Normalize the ``store=`` argument convention.
+    """Resolve the ``store=`` argument convention.
 
     ``None`` → the environment-configured default store; ``False`` → no
     store at all (bypass, regardless of environment); an

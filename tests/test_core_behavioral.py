@@ -73,7 +73,7 @@ class TestRecallEnsembleSemantics:
     def test_adaptation_tracks_transmitted_confidence(self):
         matrix = ConfidenceMatrix({0: [0.05, 0.05]}, adaptation_alpha=1.0)
         matrix.update(0, 1, confidence=0.13)
-        assert matrix.raw_weight(0, 1) == pytest.approx(0.13)
+        assert matrix.weight(0, 1) == pytest.approx(0.13)
         # alpha=1: the matrix *is* the last transmitted confidence.
 
 

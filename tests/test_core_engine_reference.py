@@ -10,13 +10,14 @@ below is the engine as it was before either — ``begin_slot`` over
 every slot, and both vote classes with their ``defaultdict`` tallies —
 kept here as the test oracle.  Hypothesis drives each engine against it
 over random sessions and requires identical decisions, bookkeeping,
-confidence matrices and traces.
+confidence matrices and traces; the oracle's scheduler is told a node
+is responsive exactly when it is online, as both engines do.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -60,7 +61,6 @@ class ReceivedVote:
     confidence: float
     received_slot: int
     started_slot: int
-    weight: float = 1.0
 
     def age(self, current_slot: int) -> int:
         return current_slot - self.started_slot
@@ -75,7 +75,7 @@ class RefMajorityVote:
         counts: Dict[int, float] = defaultdict(float)
         freshest: Dict[int, int] = defaultdict(lambda: -1)
         for vote in votes:
-            counts[vote.label] += vote.weight
+            counts[vote.label] += 1.0
             freshest[vote.label] = max(freshest[vote.label], vote.started_slot)
         top = max(counts.values())
         tied = [label for label, count in counts.items() if abs(count - top) < 1e-12]
@@ -91,8 +91,7 @@ class RefWeightedMajorityVote:
 
     def _weight(self, vote: ReceivedVote) -> float:
         prior = self.confidence.weight(vote.node_id, vote.label)
-        blended = self.blend * vote.confidence + (1.0 - self.blend) * prior
-        return blended * vote.weight
+        return self.blend * vote.confidence + (1.0 - self.blend) * prior
 
     def __call__(
         self, votes: Sequence[ReceivedVote], current_slot: int
@@ -115,20 +114,14 @@ class RefHost:
     """The recall host, voting afresh on every slot.
 
     Remembers each node's last delivered classification in insertion
-    order; a restart wipes the memory and link history but keeps the
-    counters.
+    order; a restart wipes the memory but keeps the counters.
     """
 
-    def __init__(
-        self, vote, *, max_recall_age_slots=None, staleness_half_life_slots=None
-    ) -> None:
+    def __init__(self, vote) -> None:
         self.vote = vote
-        self.max_recall_age_slots = max_recall_age_slots
-        self.staleness_half_life_slots = staleness_half_life_slots
         self.obs = NULL_OBS
         self._recall_hist = None
         self._memory: Dict[int, ReceivedVote] = {}
-        self._last_heard: Dict[int, int] = {}
         self.messages_received = 0
         self.decisions_made = 0
         self.restarts = 0
@@ -142,15 +135,10 @@ class RefHost:
     def remembered_votes(self) -> List[ReceivedVote]:
         return list(self._memory.values())
 
-    def quiet_slots(self, node_id: int, current_slot: int) -> int:
-        last = self._last_heard.get(node_id)
-        return current_slot + 1 if last is None else current_slot - last
-
     def receive(self, report: WireReport) -> None:
         if not (report.completed and report.delivered):
             raise SimulationError("host only receives completed, delivered results")
         self.messages_received += 1
-        self._last_heard[report.node_id] = report.slot_index
         self._memory[report.node_id] = ReceivedVote(
             node_id=report.node_id,
             label=report.delivered_label,
@@ -161,31 +149,10 @@ class RefHost:
 
     def restart(self) -> None:
         self._memory.clear()
-        self._last_heard.clear()
         self.restarts += 1
-
-    def _ref_staleness_weighted(
-        self, votes: List[ReceivedVote], current_slot: int
-    ) -> List[ReceivedVote]:
-        half_life = self.staleness_half_life_slots
-        if half_life is None:
-            return votes
-        return [
-            vote
-            if vote.age(current_slot) <= 0
-            else replace(
-                vote, weight=vote.weight * 0.5 ** (vote.age(current_slot) / half_life)
-            )
-            for vote in votes
-        ]
 
     def classify(self, current_slot: int) -> Optional[int]:
         votes = self.remembered_votes()
-        if self.max_recall_age_slots is not None:
-            votes = [
-                vote for vote in votes if vote.age(current_slot) <= self.max_recall_age_slots
-            ]
-        votes = self._ref_staleness_weighted(votes, current_slot)
         obs = self.obs
         ages = None
         if self._recall_hist is not None:
@@ -226,8 +193,6 @@ class RefEngine:
         rank_table,
         confidence,
         *,
-        max_recall_age_slots=None,
-        staleness_half_life_slots=None,
         obs=NULL_OBS,
     ) -> None:
         self.policy = policy
@@ -238,11 +203,7 @@ class RefEngine:
             vote = RefWeightedMajorityVote(confidence)
         else:
             vote = RefMajorityVote()
-        self.host = RefHost(
-            vote,
-            max_recall_age_slots=max_recall_age_slots,
-            staleness_half_life_slots=staleness_half_life_slots,
-        )
+        self.host = RefHost(vote)
         if obs.enabled:
             self.host.attach_obs(obs)
         self.scheduler = policy.make_scheduler(self.node_ids, rank_table)
@@ -380,11 +341,29 @@ slot_plan = st.fixed_dictionaries(
 session = st.fixed_dictionaries(
     {
         "policy": st.sampled_from(POLICIES),
-        "max_recall_age": st.sampled_from([None, 3]),
         "observed": st.booleans(),
         "slots": st.lists(slot_plan, min_size=1, max_size=40),
     }
 )
+
+
+def responsive_of(online) -> Optional[Dict[int, bool]]:
+    """The oracle scheduler's ``node_responsive``: each node's online flag."""
+    return None if online is None else dict(zip(NODES, online))
+
+
+def fill_row(columns: SlotReports, r: int, wire: List[WireReport]) -> None:
+    """Write one row's wire reports into a batch's slot columns."""
+    for report in wire:
+        k = NODES.index(report.node_id)
+        columns.completed[r, k] = report.completed
+        columns.delivered[r, k] = report.delivered
+        columns.started[r, k] = report.started_slot
+        if report.completed:
+            columns.predicted[r, k] = report.predicted_label
+            columns.confidence[r, k] = report.confidence
+            if report.reported_label is not None:
+                columns.reported[r, k] = report.reported_label
 
 
 def reports_for(slot: int, active: List[int], plan) -> List[WireReport]:
@@ -417,20 +396,16 @@ def build_pair(spec):
     policy = spec["policy"]
     # Faster than a bundle's adaptation, so adapted weights flip votes.
     alpha = 0.3 if policy.adaptive_confidence else 0.0
-    pair = []
-    for factory in (RefEngine, SessionEngine):
-        obs = Observability() if spec["observed"] else NULL_OBS
-        pair.append(
-            factory(
-                policy,
-                NODES,
-                rank_table(),
-                confidence_matrix(alpha),
-                max_recall_age_slots=spec["max_recall_age"],
-                obs=obs,
-            )
+    return [
+        factory(
+            policy,
+            NODES,
+            rank_table(),
+            confidence_matrix(alpha),
+            obs=Observability() if spec["observed"] else NULL_OBS,
         )
-    return pair
+        for factory in (RefEngine, SessionEngine)
+    ]
 
 
 class TestEngineMatchesReference:
@@ -451,7 +426,9 @@ class TestEngineMatchesReference:
                 )
                 for k, node_id in enumerate(NODES)
             }
-            expected_active = reference.begin_slot(slot, states)
+            expected_active = reference.begin_slot(
+                slot, states, node_responsive=responsive_of(online)
+            )
             active = engine.begin_slot(slot, plan["ready"], online=online)
             assert active == expected_active
 
@@ -507,12 +484,7 @@ class TestVoteReuse:
         engine.begin_slot(1, ready)
         assert engine.finish_slot(1, no_reports(engine.shape)).tolist() == [-1]
 
-    @pytest.mark.parametrize(
-        "recall, votes_cast",
-        [({}, 2), ({"max_recall_age_slots": 9}, 6)],
-        ids=["reused", "expiring"],
-    )
-    def test_vote_reruns_only_when_reuse_is_sound(self, monkeypatch, recall, votes_cast):
+    def test_vote_reruns_only_when_reuse_is_sound(self, monkeypatch):
         calls = []
         real = SessionEngine._tally
 
@@ -521,9 +493,7 @@ class TestVoteReuse:
             return real(self, votes)
 
         monkeypatch.setattr(SessionEngine, "_tally", counted)
-        engine = SessionEngine(
-            origin_policy(12), NODES, rank_table(), confidence_matrix(0.3), **recall
-        )
+        engine = SessionEngine(origin_policy(12), NODES, rank_table(), confidence_matrix(0.3))
         report = WireReport(0, 0, 0, completed=True, predicted_label=1, confidence=0.2)
         for slot in range(6):
             engine.begin_slot(slot, [True, True, True])
@@ -531,12 +501,12 @@ class TestVoteReuse:
             if slot == 3:
                 engine.confidence.update(2, 1, 0.4)
             engine.finish_slot(slot, [report] if slot == 0 else [])
-        assert len(calls) == votes_cast
+        assert len(calls) == 2
 
     def test_outside_matrix_write_revotes(self):
         # Two nodes disagree; a write to the shared matrix on a slot
         # without reports must flip the decision, as the reference does.
-        spec = {"policy": origin_policy(12), "max_recall_age": None, "observed": False}
+        spec = {"policy": origin_policy(12), "observed": False}
         reference, engine = build_pair(spec)
         finals = []
         for slot in range(8):
@@ -665,8 +635,6 @@ def row_policy(kind):
 row_plan = st.fixed_dictionaries(
     {
         "kind": st.sampled_from(KINDS),
-        "max_recall_age": st.sampled_from([None, 3]),
-        "staleness": st.sampled_from([None, 4]),
         "observed": st.booleans(),
         # A zero alpha on an adaptive policy adapts and counts nothing.
         "alpha": st.sampled_from([0.0, 0.3]),
@@ -698,10 +666,6 @@ class BatchPair:
             ref_policy, policy = row_policy(plan["kind"]), row_policy(plan["kind"])
             self.specs.append((ref_policy, policy))
             alpha = plan["alpha"] if policy.adaptive_confidence else 0.0
-            recall = dict(
-                max_recall_age_slots=plan["max_recall_age"],
-                staleness_half_life_slots=plan["staleness"],
-            )
             self.refs.append(
                 RefEngine(
                     ref_policy,
@@ -709,7 +673,6 @@ class BatchPair:
                     rank_table(),
                     confidence_matrix(alpha),
                     obs=Observability() if plan["observed"] else NULL_OBS,
-                    **recall,
                 )
             )
             rows.append(
@@ -722,7 +685,6 @@ class BatchPair:
                         if plan["hooked"]
                         else None
                     ),
-                    **recall,
                 )
             )
         self.engine = DecisionEngine(rows, NODES, rank_table())
@@ -732,21 +694,14 @@ class BatchPair:
         n_rows = len(refs)
         ready = data.draw(flags(n_rows), label="ready")
         online = data.draw(st.one_of(st.none(), flags(n_rows)), label="online")
-        responsive = data.draw(st.one_of(st.none(), flags(n_rows)), label="responsive")
         restarts = data.draw(
             st.sets(st.integers(0, n_rows - 1), max_size=2), label="restarts"
         )
         for r in sorted(restarts):
             refs[r].host.restart()
             engine.restart(r)
-        quiet = engine.quiet_slots(slot)
-        for r, ref in enumerate(refs):
-            assert quiet[r].tolist() == [ref.host.quiet_slots(n, slot) for n in NODES]
         active = engine.begin_slot(
-            slot,
-            np.array(ready),
-            online=None if online is None else np.array(online),
-            responsive=None if responsive is None else np.array(responsive),
+            slot, np.array(ready), online=None if online is None else np.array(online)
         )
         shape = engine.shape
         columns = SlotReports(
@@ -769,11 +724,7 @@ class BatchPair:
                 for k, node_id in enumerate(NODES)
             }
             expected_active = ref.begin_slot(
-                slot,
-                states,
-                node_responsive=(
-                    None if responsive is None else dict(zip(NODES, responsive[r]))
-                ),
+                slot, states, node_responsive=responsive_of(None if online is None else online[r])
             )
             assert engine.active_ids(r, active) == expected_active
             plan = {
@@ -784,16 +735,7 @@ class BatchPair:
                 ]
             }
             wire = reports_for(slot, expected_active, plan)
-            for report in wire:
-                k = NODES.index(report.node_id)
-                columns.completed[r, k] = report.completed
-                columns.delivered[r, k] = report.delivered
-                columns.started[r, k] = report.started_slot
-                if report.completed:
-                    columns.predicted[r, k] = report.predicted_label
-                    columns.confidence[r, k] = report.confidence
-                    if report.reported_label is not None:
-                        columns.reported[r, k] = report.reported_label
+            fill_row(columns, r, wire)
             hook = (
                 (lambda outcome, log=self.ref_hooks[r]: log.append(
                     (outcome.node_id, outcome.slot_index)
@@ -850,6 +792,52 @@ class TestBatchEngineMatchesReference:
         for slot in range(n_slots):
             pair.step(slot, data)
         pair.check()
+
+
+#: The policies whose schedulers strike an offline choice.
+AWARE = [aas_policy(3), aasr_policy(3), origin_policy(3), aas_policy(6), origin_policy(12)]
+
+aware_slot = st.fixed_dictionaries(
+    {
+        "ready": st.lists(st.booleans(), min_size=3, max_size=3),
+        # About three flags in ten are offline.
+        "online": st.lists(st.integers(0, 9).map(lambda x: x >= 3), min_size=3, max_size=3),
+        "reports": st.lists(node_report, min_size=3, max_size=3),
+    }
+)
+
+
+class TestSessionMatchesBatch:
+    """A session and a one-row batch decide alike once nodes go offline.
+
+    Both strike an offline AAS choice and back off after the budget, as
+    the oracle does when told a node is responsive exactly while online.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(policy=st.sampled_from(AWARE), slots=st.lists(aware_slot, min_size=10, max_size=60))
+    def test_offline_choices_decide_alike(self, policy, slots):
+        alpha = 0.3 if policy.adaptive_confidence else 0.0
+        reference = RefEngine(policy, NODES, rank_table(), confidence_matrix(alpha))
+        session = SessionEngine(policy, NODES, rank_table(), confidence_matrix(alpha))
+        batch = one_row(policy, confidence_matrix(alpha))
+        for slot, plan in enumerate(slots):
+            ready, online = plan["ready"], plan["online"]
+            states = {
+                node_id: NodeSlotState(0.0, ready[k], online[k])
+                for k, node_id in enumerate(NODES)
+            }
+            expected = reference.begin_slot(slot, states, node_responsive=responsive_of(online))
+            active = session.begin_slot(slot, ready, online=online)
+            mask = batch.begin_slot(slot, np.array([ready]), online=np.array([online]))
+            assert active == batch.active_ids(0, mask) == expected
+
+            wire = reports_for(slot, active, plan)
+            columns = no_reports(batch.shape)._replace(attempted=mask)
+            fill_row(columns, 0, wire)
+            final = session.finish_slot(slot, wire)
+            assert final == reference.finish_slot(slot, wire, receive=True)
+            assert batch.finish_slot(slot, columns).tolist() == [-1 if final is None else final]
 
 
 def one_row(policy, matrix, **kwargs) -> DecisionEngine:

@@ -43,13 +43,9 @@ def matrix():
 
 class TestConfidenceMatrix:
     def test_raw_weight_lookup(self, matrix):
-        assert matrix.raw_weight(0, 0) == pytest.approx(0.10)
-        assert matrix.weight(0, 0) == pytest.approx(0.10)  # unnormalized default
-
-    def test_normalized_weight(self):
-        normalized = ConfidenceMatrix({0: [0.2, 0.1, 0.0]}, normalize=True)
-        assert normalized.weight(0, 0) == pytest.approx(2.0)
-        assert normalized.weight(0, 2) == pytest.approx(0.0)
+        # The voting weight is the stored expected confidence.
+        assert matrix.weight(0, 0) == pytest.approx(0.10)
+        assert matrix.weight(1, 1) == pytest.approx(0.12)
 
     def test_update_moves_toward_observation(self, matrix):
         updated = matrix.update(0, 1, confidence=0.10)
@@ -58,25 +54,16 @@ class TestConfidenceMatrix:
 
     def test_update_noop_with_zero_alpha(self, matrix):
         frozen = matrix.copy(adaptation_alpha=0.0)
-        before = frozen.raw_weight(0, 0)
+        before = frozen.weight(0, 0)
         frozen.update(0, 0, confidence=0.9)
-        assert frozen.raw_weight(0, 0) == before
+        assert frozen.weight(0, 0) == before
         assert frozen.updates == 0
-
-    def test_update_operates_on_raw_scale(self):
-        """Regression: update() must read the raw entry, not the
-        normalized voting weight, or one update inflates the row."""
-        normalized = ConfidenceMatrix(
-            {0: [0.1, 0.1, 0.1]}, adaptation_alpha=0.5, normalize=True
-        )
-        normalized.update(0, 0, confidence=0.1)
-        assert normalized.raw_weight(0, 0) == pytest.approx(0.1)
 
     def test_copy_is_independent(self, matrix):
         clone = matrix.copy()
         clone.update(0, 0, confidence=0.9)
-        assert matrix.raw_weight(0, 0) == pytest.approx(0.10)
-        assert clone.normalize == matrix.normalize
+        assert matrix.weight(0, 0) == pytest.approx(0.10)
+        assert clone.adaptation_alpha == matrix.adaptation_alpha
 
     def test_as_array(self, matrix):
         array = matrix.as_array()

@@ -2,8 +2,8 @@
 
 Covers construction-time plan validation, the Gilbert–Elliott loss
 statistics, the lossy CommLink surface, the host's fault surface on a
-batch's decision rows (link health, restart, staleness down-weighting)
-and the AAS retry/backoff reroute.  Experiment-level behaviour lives in
+batch's decision row (corrupted labels, restart) and the AAS
+retry/backoff reroute.  Experiment-level behaviour lives in
 ``test_faults_integration.py``.
 """
 
@@ -13,11 +13,11 @@ import pytest
 from repro.core.engine import DecisionEngine, EngineRow, SlotReports, WireReport
 from repro.core.ensemble.confidence import ConfidenceMatrix
 from repro.core.policies import aasr_policy, naive_policy
-from repro.core.scheduling.aas import ActivityAwareScheduler
+from repro.core.scheduling.aas import RETRY_BUDGET, ActivityAwareScheduler
 from repro.core.scheduling.base import SchedulingContext
 from repro.core.scheduling.rank_table import RankTable
 from repro.core.scheduling.round_robin import ExtendedRoundRobin
-from repro.errors import FaultError, ReproError, SimulationError
+from repro.errors import FaultError, ReproError
 from repro.faults import (
     Brownout,
     FaultPlan,
@@ -45,12 +45,13 @@ def _outcome(node_id, label, slot):
 HOST_NODES = [0, 1, 2, 3]
 
 
-def _host_rows(*recall) -> DecisionEngine:
-    """One majority-recall row per keyword set of recall settings."""
+def _host_row() -> DecisionEngine:
+    """One majority-recall row."""
     matrix = ConfidenceMatrix({node: [0.1] * 5 for node in HOST_NODES}, adaptation_alpha=0.0)
     table = RankTable({label: HOST_NODES for label in range(5)})
-    rows = [EngineRow(policy=aasr_policy(4), confidence=matrix, **kwargs) for kwargs in recall]
-    return DecisionEngine(rows, HOST_NODES, table)
+    return DecisionEngine(
+        [EngineRow(policy=aasr_policy(4), confidence=matrix)], HOST_NODES, table
+    )
 
 
 def _receive(engine, slot, reports) -> list:
@@ -159,19 +160,9 @@ class TestFaultModelValidation:
 class TestFaultPlanValidation:
     def test_default_plan_is_empty(self):
         plan = FaultPlan()
-        assert plan.is_empty
+        assert plan.faults == ()
         assert not plan.has_link_faults
         assert plan.named_nodes() == ()
-
-    def test_knob_only_plan_is_not_empty(self):
-        assert not FaultPlan(unresponsive_after_slots=4).is_empty
-        assert not FaultPlan(recall_staleness_half_life_slots=8).is_empty
-
-    def test_knobs_validated(self):
-        with pytest.raises(FaultError):
-            FaultPlan(unresponsive_after_slots=0)
-        with pytest.raises(FaultError):
-            FaultPlan(recall_staleness_half_life_slots=-2)
 
     def test_non_fault_entries_rejected(self):
         with pytest.raises(FaultError):
@@ -344,51 +335,26 @@ class TestLossyCommLink:
 class TestHostFaultSurface:
     """The host a fault plan acts on: a batch row of the decision engine."""
 
-    def test_quiet_slots_and_last_heard(self):
-        engine = _host_rows({})
-        assert engine.quiet_slots(4).tolist() == [[5, 5, 5, 5]]  # never heard
-        _receive(engine, 3, [(0, 1)])
-        assert engine.quiet_slots(7).tolist() == [[4, 8, 8, 8]]
-
     def test_corrupted_label_is_what_gets_stored(self):
-        engine = _host_rows({})
+        engine = _host_row()
         assert _receive(engine, 3, [(0, 1, 4)]) == [4]
 
     def test_restart_wipes_memory_keeps_counters(self):
-        engine = _host_rows({})
+        engine = _host_row()
         _receive(engine, 3, [(0, 1)])
         engine.restart(0)
-        assert engine.quiet_slots(4).tolist() == [[5, 5, 5, 5]]
         assert engine.messages_received.tolist() == [1]  # bookkeeping survives
         assert engine.restarts.tolist() == [1]
         # A restarted host has no opinion until someone reports again.
         assert _receive(engine, 4, []) == [-1]
 
-    def test_staleness_half_life_validated(self):
-        with pytest.raises(SimulationError):
-            _host_rows({"staleness_half_life_slots": 0})
-
-    def test_stale_votes_fade_under_half_life(self):
-        # Two ancient votes for label 0 vs one fresh vote for label 1:
-        # plain majority recalls label 0, staleness weighting lets the
-        # fresh minority win.
-        engine = _host_rows({}, {"staleness_half_life_slots": 2})
-        _receive(engine, 0, [(1, 0), (2, 0)])
-        assert _receive(engine, 20, [(3, 1)]) == [0, 1]
-
-    def test_fresh_votes_keep_full_weight(self):
-        engine = _host_rows({"staleness_half_life_slots": 2})
-        # Same-slot votes are not discounted.
-        assert _receive(engine, 5, [(1, 0), (2, 0), (3, 1)]) == [0]
-
 
 class TestSchedulerRetryBackoff:
-    def _scheduler(self, **kwargs):
-        base = ExtendedRoundRobin([0, 1, 2])  # compute slot every slot
+    def _scheduler(self):
+        # A compute slot every slot; a backoff lasts one 3-slot cycle.
+        base = ExtendedRoundRobin([0, 1, 2])
         table = RankTable({0: [0, 1, 2], 1: [1, 0, 2]})
-        return ActivityAwareScheduler(
-            base, table, cooldown_slots=0, **kwargs
-        )
+        return ActivityAwareScheduler(base, table, cooldown_slots=0)
 
     def _context(self, responsive):
         return SchedulingContext(
@@ -398,29 +364,31 @@ class TestSchedulerRetryBackoff:
         )
 
     def test_unresponsive_node_retried_then_rerouted(self):
-        scheduler = self._scheduler(retry_budget=2, backoff_slots=4)
+        scheduler = self._scheduler()
         context = self._context({0: False, 1: True, 2: True})
-        # Two retries of the best-ranked node burn its budget...
-        assert scheduler.active_nodes(0, context) == [0]
-        assert scheduler.active_nodes(1, context) == [0]
+        # RETRY_BUDGET retries of the best-ranked node burn its budget...
+        for slot in range(RETRY_BUDGET):
+            assert scheduler.active_nodes(slot, context) == [0]
         # ...then the ranking falls through to the next-best sensor for
-        # the whole backoff window (slots 2..4, backoff_slots=4 from
-        # slot 1).
-        for slot in range(2, 5):
+        # one cycle from the last strike.
+        backoff_end = RETRY_BUDGET - 1 + scheduler.base.cycle_length
+        for slot in range(RETRY_BUDGET, backoff_end):
             assert scheduler.active_nodes(slot, context) == [1]
         # Backoff expires: the best sensor gets another chance.
-        assert scheduler.active_nodes(5, context) == [0]
+        assert scheduler.active_nodes(backoff_end, context) == [0]
 
     def test_completion_clears_backoff_immediately(self):
-        scheduler = self._scheduler(retry_budget=1, backoff_slots=50)
+        scheduler = self._scheduler()
         context = self._context({0: False, 1: True, 2: True})
-        assert scheduler.active_nodes(0, context) == [0]
-        assert scheduler.active_nodes(1, context) == [1]  # backing off
-        scheduler.observe(1, [_outcome(0, label=0, slot=1)], final_label=0)
-        assert scheduler.active_nodes(2, self._context({0: True})) == [0]
+        for slot in range(RETRY_BUDGET):
+            assert scheduler.active_nodes(slot, context) == [0]
+        slot = RETRY_BUDGET
+        assert scheduler.active_nodes(slot, context) == [1]  # backing off
+        scheduler.observe(slot, [_outcome(0, label=0, slot=slot)], final_label=0)
+        assert scheduler.active_nodes(slot + 1, self._context({0: True})) == [0]
 
     def test_responsive_node_never_penalized(self):
-        scheduler = self._scheduler(retry_budget=1, backoff_slots=50)
+        scheduler = self._scheduler()
         context = self._context({0: True, 1: True, 2: True})
         for slot in range(6):
             assert scheduler.active_nodes(slot, context) == [0]
@@ -431,9 +399,3 @@ class TestSchedulerRetryBackoff:
         )
         assert context.is_responsive(0)
         assert context.is_responsive(99)
-
-    def test_budget_and_backoff_validated(self):
-        with pytest.raises(Exception):
-            self._scheduler(retry_budget=0)
-        with pytest.raises(Exception):
-            self._scheduler(backoff_slots=0)

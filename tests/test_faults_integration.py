@@ -5,8 +5,6 @@ fault-free run bit for bit; the legacy ``failures=`` dict is gone
 (``FaultPlan.from_failures`` builds the equivalent plan).
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.policies import aas_policy, origin_policy, rr_policy
@@ -80,25 +78,6 @@ class TestNodeDeath:
                 assert 0 not in record.active_nodes
         assert result.fault_stats.offline_slots[0] == result.n_slots - 10
         assert result.fault_stats.offline_slots[1] == 0
-
-    def test_recall_expiry_drops_dead_nodes_vote(self, tiny_experiment):
-        saved = tiny_experiment.config
-        try:
-            tiny_experiment.config = replace(saved, max_recall_age_slots=6)
-            result = tiny_experiment.run(
-                origin_policy(3),
-                seed=7,
-                faults=FaultPlan(faults=(NodeDeath(node_id=0, at_slot=5),)),
-            )
-        finally:
-            tiny_experiment.config = saved
-        # The survivors keep producing decisions once node 0's
-        # remembered vote has aged out.
-        late_events = [
-            r for r in result.records if r.slot_index > 15 and r.completions > 0
-        ]
-        assert late_events
-        assert result.n_events > 0
 
 
 class TestBrownout:
@@ -216,13 +195,3 @@ class TestDegradationAccounting:
             assert report["retained_event_accuracy"] == pytest.approx(
                 faulted.event_accuracy / clean.event_accuracy
             )
-
-    def test_unresponsive_knob_keeps_system_running(self, tiny_experiment):
-        plan = FaultPlan(
-            faults=(NodeDeath(node_id=0, at_slot=0),),
-            unresponsive_after_slots=4,
-            recall_staleness_half_life_slots=8,
-        )
-        result = tiny_experiment.run(aas_policy(6), seed=5, faults=plan)
-        assert result.fault_stats.offline_slots[0] == result.n_slots
-        assert result.total_completions > 0

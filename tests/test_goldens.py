@@ -13,10 +13,10 @@ round-trips exactly, so equal digests mean byte-identical floats.
 
 The matrix is ``paper_policy_grid()`` plus ``naive_policy()`` on a tiny
 MHEALTH and a micro PAMAP2 deployment, under no fault plan, each fault
-model alone, each plan knob alone and one composed plan, each untraced,
-metrics-only and traced; two deployment variants (volatile MCUs with
-task expiry, and a pre-charged capacitor with a battery trickle) run the
-composed plan.  A traced two-seed sweep pins the sweep-level stream.
+model alone and one composed plan, each untraced, metrics-only and
+traced; two deployment variants (volatile MCUs with task expiry, and a
+pre-charged capacitor with a battery trickle) run the composed plan.
+A traced two-seed sweep pins the sweep-level stream.
 
 Softmax-derived floats stay out of the digests: the ``confidence`` of
 ``inference.completed`` and ``confidence.updated`` events.  float64
@@ -102,8 +102,6 @@ PLANS: Dict[str, Optional[FaultPlan]] = {
         faults=(GilbertElliottLoss(p_good_to_bad=0.2, p_bad_to_good=0.3),)
     ),
     "corruption": FaultPlan(faults=(PayloadCorruption(rate=0.4),)),
-    "unresponsive": FaultPlan(unresponsive_after_slots=5),
-    "staleness": FaultPlan(recall_staleness_half_life_slots=8),
     "composed": FaultPlan(
         faults=(
             NodeDeath(node_id=2, at_slot=70),
@@ -116,8 +114,6 @@ PLANS: Dict[str, Optional[FaultPlan]] = {
             PacketLoss(rate=0.5, node_id=1, start_slot=60, end_slot=90),
             PayloadCorruption(rate=0.2),
         ),
-        unresponsive_after_slots=6,
-        recall_staleness_half_life_slots=10,
     ),
 }
 

@@ -93,17 +93,3 @@ class TestHybridSupply:
     def test_invalid_battery_config(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(battery_supplement_w=-1e-6)
-
-
-class TestRecallExpiryConfig:
-    def test_expiry_drops_dead_nodes_votes(self, tiny_experiment):
-        saved = tiny_experiment.config
-        try:
-            tiny_experiment.config = replace(saved, max_recall_age_slots=6)
-            result = tiny_experiment.run(
-                origin_policy(3), seed=7, faults=_deaths({0: 5})
-            )
-        finally:
-            tiny_experiment.config = saved
-        # Still produces decisions with the dead node's vote expired.
-        assert result.n_events > 0

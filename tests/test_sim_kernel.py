@@ -425,7 +425,6 @@ class TestProtocolRows:
                 Brownout(node_id=0, start_slot=10, duration_slots=8),
                 PacketLoss(rate=0.3),
             ),
-            unresponsive_after_slots=6,
         )
         obs = Observability()
         builtin, foreign = run_policy_batch(
@@ -451,9 +450,8 @@ class TestBatchIdentity:
             dict(max_task_age_slots=2),
             dict(battery_supplement_w=2e-6),
             dict(capacitor_capacity_j=30e-6, capacitor_initial_j=10e-6),
-            dict(max_recall_age_slots=6),
         ],
-        ids=["volatile", "stale-abort", "hybrid", "small-cap", "recall-expiry"],
+        ids=["volatile", "stale-abort", "hybrid", "small-cap"],
     )
     def test_config_variants_identical(self, tiny_dataset, tiny_bundle, overrides):
         config = SimulationConfig(n_windows=40, **overrides)
@@ -494,7 +492,6 @@ class TestBatchIdentity:
                 NodeDeath(1, at_slot=40),
                 PacketLoss(rate=0.3),
             ),
-            unresponsive_after_slots=6,
         )
         batch_obs = Observability()
         batch = run_policy_batch(tiny_experiment, GRID, 5, faults=plan, obs=batch_obs)

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.policies import origin_policy, rr_policy
 from repro.datasets.mhealth import make_mhealth
+from repro.errors import StoreError
 from repro.obs.observer import Observability
 from repro.sim.experiment import HARExperiment, SimulationConfig
 from repro.sim.sweep import PolicySweep
@@ -32,6 +33,7 @@ from repro.store import (
     save_trained_bundle,
     trained_bundle_key,
 )
+from repro.store.bundles import _unpack
 from repro.store.core import MANIFEST_NAME
 
 #: One-epoch recipe: fast enough to train several times in this module.
@@ -148,6 +150,36 @@ class TestRoundTrip:
         # semantic unpack fails → miss + eviction.
         assert load_trained_bundle(store, key, tiny_dataset) is None
         assert not store.contains(key)
+
+    @pytest.mark.parametrize("stored", [True, False, None], ids=["true", "false", "absent"])
+    def test_normalized_weights_refused(self, tiny_dataset, tiny_bundle, tmp_path, stored):
+        # Older entries record ``"normalize": false``.  The matrix votes
+        # with its stored weights only, so an entry asking for
+        # row-normalized ones is refused rather than silently revoted.
+        store = ArtifactStore(str(tmp_path / "store"))
+        key = "d" * 32
+        save_trained_bundle(store, key, tiny_bundle)
+        manifest_path = os.path.join(store.entry_path(key), MANIFEST_NAME)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        assert "normalize" not in manifest["payload"]["confidence"]
+        if stored is not None:
+            manifest["payload"]["confidence"]["normalize"] = stored
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        if stored:
+            with pytest.raises(StoreError, match="normalize"):
+                _unpack(store.get(key), tiny_dataset)
+            # A load evicts it, so the caller rebuilds.
+            assert load_trained_bundle(store, key, tiny_dataset) is None
+            assert not store.contains(key)
+        else:
+            loaded = load_trained_bundle(store, key, tiny_dataset)
+            assert loaded is not None
+            assert (
+                loaded.confidence_matrix.as_array().tobytes()
+                == tiny_bundle.confidence_matrix.as_array().tobytes()
+            )
 
 
 class TestLoadOrTrain:

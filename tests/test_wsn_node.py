@@ -204,11 +204,11 @@ class TestNodeCosts:
 
 
 class TestHostDevice:
-    def make_host(self, **kwargs):
+    def make_host(self):
         nodes = [0, 1, 2]
         matrix = ConfidenceMatrix({node: [0.1, 0.1, 0.1] for node in nodes})
         table = RankTable({label: nodes for label in range(3)})
-        return SessionEngine(aasr_policy(3), nodes, table, matrix, **kwargs)
+        return SessionEngine(aasr_policy(3), nodes, table, matrix)
 
     def make_outcome(self, node_id, label, slot, confidence=0.1):
         return WireReport(
@@ -231,9 +231,3 @@ class TestHostDevice:
 
     def test_classify_empty_memory(self):
         assert self.make_host().finish_slot(0, []) is None
-
-    def test_recall_age_expiry(self):
-        host = self.make_host(max_recall_age_slots=3)
-        host.finish_slot(0, [self.make_outcome(0, 1, slot=0)])
-        assert host.finish_slot(3, []) == 1
-        assert host.finish_slot(4, []) is None
