@@ -13,9 +13,9 @@ Two engines implement it, one per consumer shape:
   *row*) of one kernel batch at once, so :mod:`repro.sim.kernel` calls
   each phase once per slot however many runs the batch holds.  Flags
   and reports are ``(rows, nodes)`` arrays, and the decision state is
-  arrays too: ER-r owner tables per cycle length, AAS activation,
-  strike and backoff slots per (row, node), recall memory per (row,
-  node), confidence matrices per (row, node, class).  A row whose
+  arrays too: each row's ER-r cycle, AAS rest, strike and backoff
+  slots per (row, node), recall memory per (row, slot) in insertion
+  order, confidence matrices per (row, node, class).  A row whose
   scheduler is not one of the three built-ins is stepped through the
   :class:`~repro.core.scheduling.base.SchedulingPolicy` protocol, for
   that row only.  Fault plans reach only this engine: host restarts
@@ -23,7 +23,7 @@ Two engines implement it, one per consumer shape:
 * :class:`SessionEngine` is scalar: one run, one scheduler object, one
   recall memory and one vote.  An online serving session
   (:mod:`repro.serve`) steps it one window at a time.  A session has
-  one row, and a one-row columnar step costs 11–14x the scalar one
+  one row, and a one-row columnar step costs about 5x the scalar one
   (DESIGN §16).
 
 ``ready`` and ``online`` flags are in **node construction order**
@@ -81,10 +81,12 @@ __all__ = [
     "wire_reports",
 ]
 
-#: ``last_activated`` of a node AAS never chose: off cooldown at any slot.
+#: ``rested_from`` of a node AAS never chose: off cooldown at any slot.
 _NEVER = -(1 << 62)
-#: Sort key of recall slots that do not vote, after every real rank.
-_LAST = np.iinfo(np.int64).max
+#: Tie-break key of a label that is not tied for the top score.
+_UNTIED = np.iinfo(np.int64).min
+#: Schedule phases whose plan a columnar engine keeps.
+_PLANS = 1024
 
 
 @dataclass(frozen=True)
@@ -442,6 +444,9 @@ class DecisionEngine:
     result needs are public arrays: :attr:`decisions`,
     :attr:`messages_received`, :attr:`confidence_updates`,
     :attr:`restarts` and :attr:`last_final` (``-1`` = no decision yet).
+
+    A slot makes a fixed number of numpy calls, whatever the batch
+    holds, and only the rows a report or a restart touched revote.
     """
 
     def __init__(
@@ -458,111 +463,113 @@ class DecisionEngine:
         n_rows, n_nodes = len(rows), len(self.node_ids)
         self.shape = (n_rows, n_nodes)
         self._position = {node_id: k for k, node_id in enumerate(self.node_ids)}
-        self._row_index = np.arange(n_rows)
+        self._n_classes = n_classes = rows[0].confidence.n_classes
 
         # -- scheduling ------------------------------------------------
-        schedulers = [row.policy.make_scheduler(self.node_ids, rank_table) for row in rows]
-        cycles: List[List[int]] = []
         self._all_on = np.zeros(n_rows, dtype=bool)
         self._round_robin = np.zeros(n_rows, dtype=bool)
         self._aware = np.zeros(n_rows, dtype=bool)
         self._cooldown = np.zeros(n_rows, dtype=np.int64)
+        # Each ER-r row's cadence, read as ExtendedRoundRobin.slot_owner
+        # does: slot ``s`` is node ``k``'s turn when ``divmod(s % length,
+        # stride) == (k, 0)``.  Other rows keep a one-slot cycle.
+        self._cycle_length = np.ones(n_rows, dtype=np.int64)
+        self._stride = np.ones(n_rows, dtype=np.int64)
         #: ``(row, scheduler)`` of rows stepped through the protocol.
         self._protocol: List[tuple] = []
-        tables: Dict[int, np.ndarray] = {}
-        orders: Dict[int, np.ndarray] = {}
-        for r, scheduler in enumerate(schedulers):
+        # AAS: the rank order each row follows per anticipated label; the
+        # last column (index -1) is "no decision yet", -2 an unranked label.
+        self._order_of = np.full((n_rows, n_classes + 1), -1, dtype=np.int64)
+        orders: Dict[tuple, int] = {}
+        ranked: Dict[int, List[int]] = {}
+        for r, row in enumerate(rows):
+            scheduler = row.policy.make_scheduler(self.node_ids, rank_table)
             kind = type(scheduler)
-            cycle = [-1]
-            # Parameters are read only off the exact built-in classes;
-            # anything else keeps its own behaviour as a protocol row.
-            if kind is NaiveAllOn and scheduler.node_ids == self.node_ids:
-                self._all_on[r] = True
-            elif kind is ExtendedRoundRobin:
-                self._round_robin[r] = True
-                cycle = self._owners(scheduler)
-            elif kind is ActivityAwareScheduler and type(scheduler.base) is ExtendedRoundRobin:
-                self._aware[r] = True
-                cycle = self._owners(scheduler.base)
-                self._cooldown[r] = scheduler.cooldown_slots
-                table = scheduler.rank_table
-                if id(table) not in tables:
-                    tables[id(table)] = self._ranks(table)
-                orders[r] = tables[id(table)]
-            else:
+            aware = kind is ActivityAwareScheduler and type(scheduler.base) is ExtendedRoundRobin
+            base = scheduler.base if aware else scheduler
+            # Parameters are read only off the exact built-in classes over
+            # this deployment's node order; anything else keeps its own
+            # behaviour as a protocol row.
+            if not (aware or kind in (NaiveAllOn, ExtendedRoundRobin)) or (
+                base.node_ids != self.node_ids
+            ):
                 scheduler.reset()
                 self._protocol.append((r, scheduler))
-            cycles.append(cycle)
-        # ER-r owner tables: one row of owner positions per run, padded
-        # to the longest cycle; slot ``s`` reads column ``s % length``.
-        longest = max(len(cycle) for cycle in cycles)
-        self._cycle_length = np.array([len(cycle) for cycle in cycles], dtype=np.int64)
-        self._owner = np.full((n_rows, longest), -1, dtype=np.int64)
-        for r, cycle in enumerate(cycles):
-            self._owner[r, : len(cycle)] = cycle
-        #: Every row's schedule repeats with this period; the ER-r and
-        #: AAS turns of each phase are computed once (:meth:`_phase`).
+            elif kind is NaiveAllOn:
+                self._all_on[r] = True
+            else:
+                self._cycle_length[r] = base.cycle_length
+                self._stride[r] = base.noops_per_node + 1
+                self._round_robin[r] = not aware
+                self._aware[r] = aware
+            if self._aware[r]:
+                self._cooldown[r] = scheduler.cooldown_slots
+                table = scheduler.rank_table
+                if id(table) not in ranked:
+                    ranked[id(table)] = self._orders(table, orders)
+                self._order_of[r, :n_classes] = ranked[id(table)]
+        #: Every row's schedule repeats with this period; the turns of a
+        #: phase are computed once (:meth:`_plan`).
         self._period = math.lcm(*set(self._cycle_length.tolist()))
-        self._phases: Dict[int, tuple] = {}
+        self._plans: Dict[int, tuple] = {}
         self._all_on_mask = np.zeros((n_rows, n_nodes), dtype=bool)
         self._all_on_mask[self._all_on] = True
-        # AAS rank positions per (row, label), best first; ``-1`` rows
-        # are labels the row's table does not rank.
-        n_labels = max((order.shape[0] for order in orders.values()), default=0)
-        self._rank_order = np.full((n_rows, n_labels, n_nodes), -1, dtype=np.int64)
-        for r, order in orders.items():
-            self._rank_order[r, : order.shape[0]] = order
-        self._rank_gaps = bool((self._rank_order[self._aware, :, 0] < 0).any())
-        self._aware_rows = np.flatnonzero(self._aware)
-        self._last_activated = np.full((n_rows, n_nodes), _NEVER, dtype=np.int64)
+        # ``[order, node]``: the node's rank in the order as a fraction
+        # below 1, higher for better nodes (a choice adds its tier flags);
+        # the last row, all 0, serves undecided rows.
+        self._rank_key = np.zeros((len(orders) + 1, n_nodes), dtype=np.float64)
+        for order, o in orders.items():
+            self._rank_key[o, list(order)] = np.arange(n_nodes, 0, -1) / (n_nodes + 1)
+        # AAS per (row, node): the slot from which the node is rested
+        # again, strikes, and the slot its backoff ends.
+        self._rested_from = np.full((n_rows, n_nodes), _NEVER, dtype=np.int64)
         self._strikes = np.zeros((n_rows, n_nodes), dtype=np.int64)
         self._backoff_until = np.zeros((n_rows, n_nodes), dtype=np.int64)
-        self._anticipated = np.full(n_rows, -1, dtype=np.int64)
+        #: Whether ``online`` flags ever struck, and when every backoff ends.
+        self._struck = False
+        self._backoff_end = 0
         #: Per protocol row, its last active list (scheduler order).
         self.protocol_active: Dict[int, List[int]] = {r: [] for r, _ in self._protocol}
 
-        # -- host recall memory ---------------------------------------
-        self._valid = np.zeros((n_rows, n_nodes), dtype=bool)
-        self._label = np.zeros((n_rows, n_nodes), dtype=np.int64)
-        self._confidence = np.zeros((n_rows, n_nodes), dtype=np.float64)
-        self._started = np.zeros((n_rows, n_nodes), dtype=np.int64)
-        self._rank = np.zeros((n_rows, n_nodes), dtype=np.int64)
-        self._next_rank = np.zeros(n_rows, dtype=np.int64)
-        self._recall_rows = np.array(
-            [r for r, row in enumerate(rows) if row.policy.uses_recall], dtype=np.int64
-        )
-        self._last_rows = np.array(
-            [r for r, row in enumerate(rows) if not row.policy.uses_recall], dtype=np.int64
-        )
-        weighted = np.array(
+        # -- host recall memory, in insertion order --------------------
+        # Slot ``i`` of a row holds the ``i``-th node to report since the
+        # row's last restart; a node's later report keeps its slot.  An
+        # empty slot's label is -1; a majority vote weighs 1.0.
+        # ``_slot_of[row, node]`` is the node's flat memory index, or -1.
+        self._slot_of = np.full((n_rows, n_nodes), -1, dtype=np.int64)
+        self._filled = np.zeros(n_rows, dtype=np.int64)
+        self._memory_label = np.full((n_rows, n_nodes), -1, dtype=np.int64)
+        self._memory_weight = np.ones((n_rows, n_nodes), dtype=np.float64)
+        self._memory_started = np.zeros((n_rows, n_nodes), dtype=np.int64)
+        self._recall = np.array([row.policy.uses_recall for row in rows])
+        self._weighted = np.array(
             [row.policy.aggregation is AggregationMode.CONFIDENCE_RECALL for row in rows]
         )
-        self._weighted_recall = weighted[self._recall_rows]
-        self._weighted_index = np.flatnonzero(self._weighted_recall)
-        self._weighted_rows = self._recall_rows[self._weighted_index]
-        # A vote is rerun only when its inputs moved: the memory or the
-        # matrices.
-        self._stale = True
-        self._winner = np.full(self._recall_rows.size, -1, dtype=np.int64)
-        self._voted = self._winner >= 0
-        self._voter_index = np.arange(self._recall_rows.size)[:, None]
+        self._adaptive = np.array([bool(row.policy.adaptive_confidence) for row in rows])
+        if (self._adaptive & ~self._weighted).any():
+            raise ConfigurationError("adaptive_confidence requires CONFIDENCE_RECALL aggregation")
+        self._classes = np.arange(n_classes)
+        #: Each row's decision this slot (-1: none): a recall row's vote,
+        #: a last-inference row's last delivered label.
+        self._final = np.full(n_rows, -1, dtype=np.int64)
+        self._voting = np.zeros(n_rows, dtype=bool)
 
         # -- confidence matrices --------------------------------------
-        self._n_classes = rows[0].confidence.n_classes
-        self._weights = np.empty((n_rows, n_nodes, self._n_classes), dtype=np.float64)
+        self._weights = np.empty((n_rows, n_nodes, n_classes), dtype=np.float64)
         self._alpha = np.zeros(n_rows, dtype=np.float64)
-        self._adaptive = np.zeros(n_rows, dtype=bool)
         seeded: Dict[int, np.ndarray] = {}
         for r, row in enumerate(rows):
             matrix = row.confidence
-            if matrix.n_classes != self._n_classes:
+            if matrix.n_classes != n_classes:
                 raise ConfigurationError("every row's matrix must cover the same classes")
             if id(matrix) not in seeded:
                 seeded[id(matrix)] = np.stack([matrix.row(n) for n in self.node_ids])
             self._weights[r] = seeded[id(matrix)]
-            self._alpha[r] = matrix.adaptation_alpha
-            self._adaptive[r] = bool(row.policy.adaptive_confidence)
-        self.confidence_updates = np.zeros(n_rows, dtype=np.int64)
+            if self._adaptive[r]:
+                self._alpha[r] = matrix.adaptation_alpha
+        # Rows with a zero alpha adapt nothing and count nothing.
+        self._adapts = self._alpha != 0.0
+        self._weighing = bool(self._weighted.any())
 
         # -- per-run python: hooks and observability ------------------
         self._hooks = [(r, row.on_completion) for r, row in enumerate(rows) if row.on_completion]
@@ -574,6 +581,7 @@ class DecisionEngine:
             for r, row in enumerate(rows)
             if row.obs.enabled
         }
+        self._observed_recall = [r for r in self._recall_hist if self._recall[r]]
 
         self.last_final = np.full(n_rows, -1, dtype=np.int64)
         self.decisions = np.zeros(n_rows, dtype=np.int64)
@@ -584,17 +592,16 @@ class DecisionEngine:
     # construction helpers
     # ------------------------------------------------------------------
 
-    def _owners(self, scheduler: ExtendedRoundRobin) -> List[int]:
-        """An ER-r cycle as node positions, ``-1`` on no-op slots."""
-        return [-1 if owner is None else self._position[owner] for owner in scheduler.cycle]
-
-    def _ranks(self, table: RankTable) -> np.ndarray:
-        """``(labels, nodes)`` positions best first; ``-1`` rows are unranked labels."""
-        labels = table.labels
-        order = np.full((max(labels) + 1, len(self.node_ids)), -1, dtype=np.int64)
-        for label in labels:
-            order[label] = [self._position[node_id] for node_id in table.ranked_nodes(label)]
-        return order
+    def _orders(self, table: RankTable, orders: Dict[tuple, int]) -> List[int]:
+        """Per class, the id in ``orders`` of the table's node positions
+        best first; -2 for a class the table does not rank."""
+        ranked = set(table.labels)
+        return [
+            orders.setdefault(tuple(self._position[n] for n in table.ranked_nodes(c)), len(orders))
+            if c in ranked
+            else -2
+            for c in range(self._n_classes)
+        ]
 
     # ------------------------------------------------------------------
     # host state
@@ -605,9 +612,19 @@ class DecisionEngine:
 
         Cumulative counters survive: they are bookkeeping, not host RAM.
         """
-        self._valid[row] = False
+        self._slot_of[row] = -1
+        self._filled[row] = 0
+        self._memory_label[row] = -1
+        if self._recall[row]:
+            self._final[row] = -1
+            self._voting[row] = False
         self.restarts[row] += 1
-        self._stale = True
+
+    @property
+    def confidence_updates(self) -> np.ndarray:
+        """Per row, online matrix updates so far: an adapting row adapts
+        once per received report."""
+        return self.messages_received * self._adapts
 
     def matrix(self, row: int) -> np.ndarray:
         """One row's confidence weights, ``(nodes, classes)`` in node-id
@@ -638,11 +655,10 @@ class DecisionEngine:
         if ready.shape != shape or (online is not None and online.shape != shape):
             raise SimulationError(f"begin_slot needs one flag per row and node {shape}")
         can_run = ready if online is None else ready & online
-        turn, turn_owner, aware, aware_owner = self._phase(slot)
-        active = self._all_on_mask.copy()
-        active[turn, turn_owner] = True
+        turns, aware, owner, cooldown = self._plan(slot)
+        active = turns.copy()
         if aware.size:
-            chosen = self._select(slot, aware, aware_owner, can_run, online)
+            chosen = self._select(slot, aware, owner, cooldown, can_run, online)
             active[aware, chosen] = True
         for r, scheduler in self._protocol:
             self.protocol_active[r] = self._protocol_begin(
@@ -660,16 +676,21 @@ class DecisionEngine:
             )
         return active
 
-    def _phase(self, slot: int) -> tuple:
-        """The ER-r rows whose owner runs at ``slot`` and the AAS rows on
-        a compute slot: ``(rows, owners, aware rows, their owners)``."""
+    def _plan(self, slot: int) -> tuple:
+        """The schedule at ``slot``: the all-on and ER-r turns as a mask,
+        then the AAS rows on a compute slot, their ER-r owners and their
+        cooldowns."""
         phase = slot % self._period
-        plan = self._phases.get(phase)
+        plan = self._plans.get(phase)
         if plan is None:
-            owner = self._owner[self._row_index, phase % self._cycle_length]
-            turn = (self._round_robin & (owner >= 0)).nonzero()[0]
-            aware = (self._aware & (owner >= 0)).nonzero()[0]
-            plan = self._phases[phase] = (turn, owner[turn], aware, owner[aware])
+            owner, offset = np.divmod(slot % self._cycle_length, self._stride)
+            turns = self._all_on_mask.copy()
+            rows = np.flatnonzero(self._round_robin & (offset == 0))
+            turns[rows, owner[rows]] = True
+            aware = np.flatnonzero(self._aware & (offset == 0))
+            plan = (turns, aware, owner[aware], self._cooldown[aware])
+            if len(self._plans) < _PLANS:
+                self._plans[phase] = plan
         return plan
 
     def _select(
@@ -677,52 +698,54 @@ class DecisionEngine:
         slot: int,
         rows: np.ndarray,
         owner: np.ndarray,
+        cooldown: np.ndarray,
         can_run: np.ndarray,
         online: Optional[np.ndarray],
     ) -> np.ndarray:
         """AAS on a compute slot: each row's chosen node position.
 
-        The anticipated label is the last final decision, else the
-        scheduler's own; without one the ER-r owner runs.  Otherwise the
-        best-ranked node that is reachable, rested and ready wins, then
-        the best rested one, then the best reachable one (every node
-        when all are backing off).
+        The anticipated label is the last final decision; without one
+        the ER-r owner runs.  Otherwise the best-ranked node that is
+        reachable, rested and ready wins, then the best rested one,
+        then the best reachable one (every node when all are backing
+        off).
         """
-        anticipated = self.last_final[rows]
-        anticipated = np.where(anticipated >= 0, anticipated, self._anticipated[rows])
-        chosen = owner.copy()
-        known = np.flatnonzero(anticipated >= 0)
-        if known.size:
-            r = rows[known]
-            labels = anticipated[known]
-            n_labels = self._rank_order.shape[1]
-            if labels.max() >= n_labels or (
-                self._rank_gaps and (self._rank_order[r, labels, 0] < 0).any()
-            ):
-                for row, label in zip(r.tolist(), labels.tolist()):
-                    if label >= n_labels or self._rank_order[row, label, 0] < 0:
-                        raise SchedulingError(f"no ranking for class {label}")
-            ranked = self._rank_order[r, labels]
-            column = r[:, None]
-            reachable = slot >= self._backoff_until[column, ranked]
+        labels = self.last_final[rows]
+        order = self._order_of[rows, labels]
+        lowest = np.minimum.reduce(order)
+        if lowest < -1:
+            raise SchedulingError(f"no ranking for class {int(labels[order < -1][0])}")
+        # Tier flags over the rank key: the argmax is the best-ranked node
+        # of the best non-empty tier.
+        key = self._rank_key[order]
+        if lowest < 0:
+            # No decision yet: the ER-r owner runs.
+            undecided = order < 0
+            key[undecided, owner[undecided]] = 4.0
+        rested = self._rested_from[rows] <= slot
+        if slot < self._backoff_end:
+            reachable = self._backoff_until[rows] <= slot
             candidates = reachable | ~reachable.any(axis=1, keepdims=True)
-            rested = candidates & (
-                slot - self._last_activated[column, ranked] >= self._cooldown[column]
-            )
-            tier = 4 * (rested & can_run[column, ranked]) + 2 * rested + candidates
-            chosen[known] = ranked[np.arange(r.size), np.argmax(tier, axis=1)]
+            rested &= candidates
+            key += candidates
+        key += rested
+        key += rested & can_run[rows]
+        chosen = key.argmax(axis=1)
         # A chosen node counts as activated even if it is then masked
         # offline; only an offline choice draws a strike.
-        self._last_activated[rows, chosen] = slot
-        strikes = self._strikes[rows, chosen] + 1
-        if online is None:
-            strikes[:] = 0
-        else:
-            strikes[online[rows, chosen]] = 0
+        self._rested_from[rows, chosen] = slot + cooldown
+        if online is not None:
+            self._struck = True
+            strikes = np.where(online[rows, chosen], 0, self._strikes[rows, chosen] + 1)
             out = strikes >= RETRY_BUDGET
-            self._backoff_until[rows[out], chosen[out]] = slot + self._cycle_length[rows[out]]
-            strikes[out] = 0
-        self._strikes[rows, chosen] = strikes
+            if out.any():
+                until = slot + self._cycle_length[rows[out]]
+                self._backoff_until[rows[out], chosen[out]] = until
+                self._backoff_end = max(self._backoff_end, int(until.max()))
+                strikes[out] = 0
+            self._strikes[rows, chosen] = strikes
+        elif self._struck:
+            self._strikes[rows, chosen] = 0
         return chosen
 
     def _protocol_begin(
@@ -765,75 +788,120 @@ class DecisionEngine:
         matrix.  Recall rows vote over their memory, the others keep the
         last delivered label; the schedulers observe what arrived.
         Returns each row's final label, ``-1`` for no decision.
-        """
-        completed = reports.completed
-        got = None
-        if completed.any():
-            got = completed & reports.delivered
-            label = np.where(reports.reported >= 0, reports.reported, reports.predicted)
-            adapt = got & self._adaptive[:, None]
-            if got.any():
-                self._receive(got, label, reports)
-                if adapt.any():
-                    self._adapt(adapt, label, reports.confidence)
-            for r, hook in self._hooks:
-                traced = r in self._traced_set
-                for k in completed[r].nonzero()[0].tolist():
-                    hook(self.node_ids[k], slot)
-                    if traced and adapt[r, k]:
-                        self._trace_update(slot, r, k, label, reports.confidence)
-            for r in self._traced:
-                if self.rows[r].on_completion is None:
-                    for k in adapt[r].nonzero()[0].tolist():
-                        self._trace_update(slot, r, k, label, reports.confidence)
 
-        final = self.last_final.copy()
-        if self._recall_rows.size:
-            final[self._recall_rows] = self._vote(slot)
-        last = self._last_rows
-        if last.size and got is not None:
-            last_got = got[last]
-            heard = last_got.any(axis=1)
-            k = last_got.shape[1] - 1 - np.argmax(last_got[:, ::-1], axis=1)
-            final[last] = np.where(heard, label[last, k], final[last])
-        self.last_final = np.where(final >= 0, final, self.last_final)
-        self._observe(slot, got, reports, final)
+        The slot is checked before any state changes: every array must
+        be ``(rows, nodes)``, every delivered label a class, and every
+        confidence a confidence-weighted row receives finite and >= 0.
+        """
+        shape = self.shape
+        for name, column in zip(SlotReports._fields, reports):
+            if getattr(column, "shape", None) != shape:
+                raise SimulationError(
+                    f"finish_slot needs {name} as one value per row and node {shape}, "
+                    f"got {np.shape(column)}"
+                )
+        got = reports.completed & reports.delivered
+        entries = got.ravel().nonzero()[0]
+        if entries.size:
+            self._ingest(reports, entries)
+        if self._hooks or self._traced:
+            self._notify(slot, reports, got)
+        self.decisions += self._voting
+        final = self._final.copy()
+        if self._observed_recall:
+            self._observe_votes(slot)
+        self._observe(slot, reports, final)
         return final
 
-    def _receive(self, got: np.ndarray, label: np.ndarray, reports: SlotReports) -> None:
-        """Write delivered reports into recall memory, keeping insertion order."""
-        new = got & ~self._valid
-        if new.any():
-            ranks = self._next_rank[:, None] + np.cumsum(new, axis=1) - 1
-            self._rank[new] = ranks[new]
-            self._next_rank += new.sum(axis=1)
-        self._valid |= got
-        self._label[got] = label[got]
-        self._confidence[got] = reports.confidence[got]
-        self._started[got] = reports.started[got]
-        self.messages_received += got.sum(axis=1)
-        self._stale = True
+    def _ingest(self, reports: SlotReports, entries: np.ndarray) -> None:
+        """Check, store and adapt the delivered reports at the flat
+        ``(row, node)`` indices ``entries``, then revote the recall rows
+        they reached."""
+        n_rows, n_nodes = self.shape
+        rows = entries // n_nodes
+        labels = np.where(reports.reported >= 0, reports.reported, reports.predicted).take(entries)
+        if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= self._n_classes:
+            bad = labels[(labels < 0) | (labels >= self._n_classes)]
+            raise ConfigurationError(f"label {int(bad[0])} out of range")
+        # Only a confidence-weighted row reads the confidence.
+        weighted = self._weighted[rows]
+        scores = np.where(weighted, reports.confidence.take(entries), 0.0)
+        if not (np.minimum.reduce(scores) >= 0.0 and np.maximum.reduce(scores) < math.inf):
+            bad = scores[~(np.isfinite(scores) & (scores >= 0))]
+            raise ConfigurationError(f"confidence must be >= 0 and finite, got {float(bad[0])}")
 
-    def _adapt(self, adapt: np.ndarray, label: np.ndarray, confidence: np.ndarray) -> None:
-        """Fold delivered confidences into the matrices (moving average)."""
-        rows, nodes = np.nonzero(adapt)
-        labels = label[rows, nodes]
-        scores = confidence[rows, nodes]
-        bad = ~(np.isfinite(scores) & (scores >= 0))
-        if bad.any():
-            raise ConfigurationError(
-                f"confidence must be >= 0 and finite, got {float(scores[bad][0])}"
-            )
-        if ((labels < 0) | (labels >= self._n_classes)).any():
-            raise ConfigurationError(f"label {int(labels.max())} out of range")
-        # Rows with a zero alpha adapt nothing and count nothing.
-        live = self._alpha[rows] != 0.0
-        self._stale = True
-        if live.any():
-            rows, nodes, labels, scores = rows[live], nodes[live], labels[live], scores[live]
-            current = self._weights[rows, nodes, labels]
-            self._weights[rows, nodes, labels] = current + self._alpha[rows] * (scores - current)
-            np.add.at(self.confidence_updates, rows, 1)
+        # Recall memory: a new node takes its row's next free slot, and
+        # new nodes of one row take them in node order.
+        memory = self._slot_of.take(entries)
+        if np.minimum.reduce(memory) < 0:
+            new = memory < 0
+            new_rows = rows[new]
+            rank = np.arange(new_rows.size) - np.searchsorted(new_rows, new_rows)
+            memory[new] = new_rows * n_nodes + self._filled[new_rows] + rank
+            self._slot_of.put(entries[new], memory[new])
+            self._filled += np.bincount(new_rows, minlength=n_rows)
+        self._memory_label.put(memory, labels)
+        self._memory_started.put(memory, reports.started.take(entries))
+        if self._weighing:
+            # Moving average at the row's alpha (0 keeps the weight), then
+            # half the transmitted confidence, half the matrix prior.
+            cells = entries * self._n_classes + labels
+            prior = self._weights.take(cells)
+            prior += self._alpha[rows] * (scores - prior)
+            self._weights.put(cells, prior)
+            self._memory_weight.put(memory, np.where(weighted, 0.5 * scores + 0.5 * prior, 1.0))
+        if self._struck:
+            # A completed report is evidence the node is alive again.
+            self._strikes.put(entries, 0)
+            self._backoff_until.put(entries, 0)
+
+        received = np.bincount(rows, minlength=n_rows)
+        self.messages_received += received
+        touched = received.nonzero()[0]
+        # Entries run row by row: a row's last one is its last delivered label.
+        self._final[touched] = labels[np.add.accumulate(received)[touched] - 1]
+        voters = touched[self._recall[touched]]
+        if voters.size:
+            self._final[voters] = self._tally(voters)
+            self._voting[voters] = True
+        self.last_final[touched] = self._final[touched]
+
+    def _tally(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's winning label over its remembered votes.
+
+        A label's score is the running sum of its votes' weights in
+        memory insertion order (one cumulative sum over the slots, so
+        the additions keep that order); the top score wins, ties within
+        ``1e-12`` going to the freshest ``started_slot`` and then to
+        the smaller label.  Every row has at least one vote.
+        """
+        votes = self._memory_label[rows][:, :, None] == self._classes
+        weight = np.where(votes, self._memory_weight[rows][:, :, None], 0.0)
+        score = np.add.accumulate(weight, axis=1)[:, -1]
+        freshest = np.maximum.reduce(
+            np.where(votes, self._memory_started[rows][:, :, None], _UNTIED), axis=1
+        )
+        # Weights are >= 0, so a label without votes never outscores one
+        # with votes, and its ``_UNTIED`` freshness never wins a tie.
+        tied = score - np.maximum.reduce(score, axis=1, keepdims=True) > -1e-12
+        # ``argmax`` takes the first of equal keys: the smaller label.
+        return np.where(tied, freshest, _UNTIED).argmax(axis=1)
+
+    def _notify(self, slot: int, reports: SlotReports, got: np.ndarray) -> None:
+        """Completion hooks and ``confidence.updated`` events, per
+        completed report in node order."""
+        adapted = got & self._adaptive[:, None]
+        label = np.where(reports.reported >= 0, reports.reported, reports.predicted)
+        for r, hook in self._hooks:
+            traced = r in self._traced_set
+            for k in reports.completed[r].nonzero()[0].tolist():
+                hook(self.node_ids[k], slot)
+                if traced and adapted[r, k]:
+                    self._trace_update(slot, r, k, label, reports.confidence)
+        for r in self._traced:
+            if self.rows[r].on_completion is None:
+                for k in adapted[r].nonzero()[0].tolist():
+                    self._trace_update(slot, r, k, label, reports.confidence)
 
     def _trace_update(
         self, slot: int, r: int, k: int, label: np.ndarray, confidence: np.ndarray
@@ -845,101 +913,28 @@ class DecisionEngine:
             {"label": int(label[r, k]), "confidence": float(confidence[r, k])},
         )
 
-    def _vote(self, slot: int) -> np.ndarray:
-        """The recall rows' votes over their memory; ``-1`` for no votes.
-
-        A vote counts as a decision, is observed and is traced on every
-        slot, but it is recomputed only when something it reads moved.
-        """
-        rows = self._recall_rows
-        if self._stale or self._recall_hist:
-            part = self._valid[rows]
-        if self._stale:
-            self._winner = self._tally(rows, part)
-            self._voted = self._winner >= 0
-            self._stale = False
-        self.decisions[rows] += self._voted
-        if self._recall_hist:
-            self._observe_votes(slot, rows, part, self._winner)
-        return self._winner
-
-    def _tally(self, rows: np.ndarray, part: np.ndarray) -> np.ndarray:
-        """Each row's winning label over its remembered votes, or ``-1``.
-
-        Votes are taken in memory insertion order; a label's score is
-        the running sum of its votes' weights from 0.0, then the top
-        score wins, ties within ``1e-12`` going to the freshest
-        ``started_slot`` and then to the smaller label.
-        """
-        n_nodes = self.shape[1]
-        labels = self._label[rows]
-        weight = np.ones(part.shape)
-        weighted = self._weighted_index
-        if weighted.size:
-            # Half the transmitted confidence, half the matrix prior.
-            w_rows = self._weighted_rows
-            prior = self._weights[w_rows[:, None], np.arange(n_nodes), labels[weighted]]
-            weight[weighted] = 0.5 * self._confidence[w_rows] + 0.5 * prior
-
-        index = self._voter_index
-        order = np.argsort(np.where(part, self._rank[rows], _LAST), axis=1, kind="stable")
-        voting = part[index, order]
-        labels = labels[index, order]
-        weight = np.where(voting, weight[index, order], 0.0)
-        started = self._started[rows][index, order]
-        # ``same[:, i, j]``: vote i counts toward vote j's label.
-        same = (labels[:, :, None] == labels[:, None, :]) & voting[:, :, None]
-        score = np.zeros(labels.shape)
-        for i in range(n_nodes):
-            score = score + np.where(same[:, i], weight[:, i, None], 0.0)
-        freshest = np.where(same, started[:, :, None], -1).max(axis=1)
-        top = np.where(voting, score, -np.inf).max(axis=1)
-        tied = voting & (np.abs(score - top[:, None]) < 1e-12)
-        key = np.where(tied, freshest * (self._n_classes + 1) + (self._n_classes - labels), -1)
-        best = np.argmax(key, axis=1)
-        winner = labels[np.arange(rows.size), best]
-        return np.where(voting.any(axis=1), winner, -1)
-
-    def _observe_votes(
-        self,
-        slot: int,
-        rows: np.ndarray,
-        part: np.ndarray,
-        winner: np.ndarray,
-    ) -> None:
-        """Recall-age histograms and ``vote.cast`` events of observed rows."""
-        age = slot - self._started[rows]
-        for i, r in enumerate(rows.tolist()):
-            histogram = self._recall_hist.get(r)
-            if histogram is None:
+    def _observe_votes(self, slot: int) -> None:
+        """Recall-age histograms and ``vote.cast`` events of observed
+        recall rows, in memory insertion order."""
+        for r in self._observed_recall:
+            filled = int(self._filled[r])
+            if not filled:
                 continue
-            ages = age[i][part[i]].tolist()
+            ages = (slot - self._memory_started[r, :filled]).tolist()
+            histogram = self._recall_hist[r]
             for value in ages:
                 histogram.observe(value)
-            if winner[i] >= 0 and r in self._traced_set:
+            if r in self._traced_set:
                 self.rows[r].obs.tracer.append(
                     "vote.cast",
                     slot,
                     None,
-                    {"label": int(winner[i]), "n_votes": len(ages), "max_age": max(ages)},
+                    {"label": int(self._final[r]), "n_votes": filled, "max_age": max(ages)},
                 )
 
-    def _observe(
-        self, slot: int, got: Optional[np.ndarray], reports: SlotReports, final: np.ndarray
-    ) -> None:
-        """The schedulers' feedback: what arrived (``None``: nothing
-        completed), and the final label."""
-        aware = self._aware_rows
-        if aware.size:
-            fallback = self._anticipated[aware]
-            if got is not None:
-                heard = got[aware]
-                cleared = got & self._aware[:, None]
-                self._strikes[cleared] = 0
-                self._backoff_until[cleared] = 0
-                k = heard.shape[1] - 1 - np.argmax(heard[:, ::-1], axis=1)
-                fallback = np.where(heard.any(axis=1), reports.predicted[aware, k], fallback)
-            self._anticipated[aware] = np.where(final[aware] >= 0, final[aware], fallback)
+    def _observe(self, slot: int, reports: SlotReports, final: np.ndarray) -> None:
+        """The protocol schedulers' feedback: what arrived, and the final
+        label (a built-in AAS row anticipates its last final decision)."""
         for r, scheduler in self._protocol:
             label = int(final[r])
             scheduler.observe(

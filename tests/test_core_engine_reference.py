@@ -977,3 +977,151 @@ class TestBatchEngineHazards:
             engine.begin_slot(
                 0, np.ones((1, 3), dtype=bool), online=np.ones((2, 3), dtype=bool)
             )
+
+
+def two_rows() -> DecisionEngine:
+    """An adaptive confidence-weighted row over a majority-recall row."""
+    return DecisionEngine(
+        [
+            EngineRow(policy=origin_policy(3), confidence=confidence_matrix(0.3)),
+            EngineRow(policy=aasr_policy(3), confidence=confidence_matrix(0.0)),
+        ],
+        NODES,
+        rank_table(),
+    )
+
+
+def every_node_reports(shape) -> SlotReports:
+    reports = no_reports(shape)
+    reports.attempted[:] = reports.completed[:] = True
+    reports.predicted[:] = [1, 2, 1]
+    reports.confidence[:] = 0.2
+    return reports
+
+
+def engine_state(engine: DecisionEngine) -> dict:
+    """Every attribute of an engine, arrays by dtype, shape and bytes."""
+    return {
+        name: (value.dtype.str, value.shape, value.tobytes())
+        if isinstance(value, np.ndarray)
+        else value
+        for name, value in vars(engine).items()
+    }
+
+
+def spoil(case: str, reports: SlotReports) -> SlotReports:
+    """One kind of slot ``finish_slot`` must reject."""
+    if case in SlotReports._fields:
+        return reports._replace(**{case: getattr(reports, case)[:1]})
+    if case == "negative label":
+        reports.predicted[0] = [-1, 2, 1]
+    elif case == "corrupted label past the classes":
+        reports.reported[1, 2] = N_CLASSES
+    elif case == "nan confidence":
+        reports.confidence[0, 1] = float("nan")
+    elif case == "negative confidence":
+        reports.confidence[0, 2] = -0.25
+    return reports
+
+
+REJECTED = [
+    *[(field, SimulationError, rf"finish_slot needs {field} .* \(2, 3\), got \(1, 3\)")
+      for field in SlotReports._fields],
+    ("negative label", ConfigurationError, "label -1 out of range"),
+    ("corrupted label past the classes", ConfigurationError, f"label {N_CLASSES} out of range"),
+    ("nan confidence", ConfigurationError, "got nan"),
+    ("negative confidence", ConfigurationError, "got -0.25"),
+]
+
+
+class TestFinishSlotChecksFirst:
+    @pytest.mark.parametrize(
+        "case, error, message", REJECTED, ids=[case for case, _, _ in REJECTED]
+    )
+    def test_rejected_slot_changes_nothing(self, case, error, message):
+        engine, fresh = two_rows(), two_rows()
+        fresh.rows = engine.rows
+        reports = spoil(case, every_node_reports(engine.shape))
+        with pytest.raises(error, match=message):
+            engine.finish_slot(0, reports)
+        assert engine_state(engine) == engine_state(fresh)
+        # The engine still takes a sound slot afterwards.
+        assert engine.finish_slot(0, every_node_reports(engine.shape)).tolist() == [1, 1]
+
+    def test_unread_confidence_is_not_checked(self):
+        # A majority-recall row neither stores nor adapts a confidence.
+        engine = two_rows()
+        reports = every_node_reports(engine.shape)
+        reports.confidence[1] = float("nan")
+        assert engine.finish_slot(0, reports).tolist() == [1, 1]
+        assert engine.messages_received.tolist() == [3, 3]
+
+
+#: Row kinds of the long-horizon drive: the ladder, the protocol rows and
+#: RR12 AAS, which idles three slots in four.
+LONG_KINDS = KINDS + [aas_policy(12)]
+
+
+class TestRowIndependence:
+    """Every row of a batch decides as that row stepped alone does.
+
+    Long runs with offline flags, restarts and zero-alpha rows: a vote
+    reused on an idle slot, a skipped row or a strike must not leak
+    into another row or outlive an idle stretch.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(LONG_KINDS), min_size=2, max_size=24),
+        zero_alpha=st.lists(st.booleans(), min_size=24, max_size=24),
+        n_slots=st.integers(60, 100),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_decide_as_if_alone(self, kinds, zero_alpha, n_slots, seed):
+        rng = np.random.default_rng(seed)
+        alphas = [0.0 if zero else 0.3 for zero in zero_alpha[: len(kinds)]]
+        shared = {alpha: confidence_matrix(alpha) for alpha in (0.0, 0.3)}
+        batch = DecisionEngine(
+            [EngineRow(row_policy(kind), shared[alpha]) for kind, alpha in zip(kinds, alphas)],
+            NODES,
+            rank_table(),
+        )
+        alone = [
+            one_row(row_policy(kind), confidence_matrix(alpha))
+            for kind, alpha in zip(kinds, alphas)
+        ]
+        shape = batch.shape
+        for slot in range(n_slots):
+            for r in np.flatnonzero(rng.random(shape[0]) < 0.03).tolist():
+                batch.restart(r)
+                alone[r].restart(0)
+            ready = rng.random(shape) < 0.6
+            # About three flags in ten are offline; some slots pass none.
+            online = None if rng.random() < 0.2 else rng.random(shape) >= 0.3
+            active = batch.begin_slot(slot, ready, online=online)
+            completed = active & (rng.random(shape) < 0.7)
+            reports = SlotReports(
+                attempted=active,
+                completed=completed,
+                delivered=~(completed & (rng.random(shape) < 0.1)),
+                predicted=rng.integers(0, N_CLASSES, shape),
+                reported=np.where(
+                    rng.random(shape) < 0.1, rng.integers(0, N_CLASSES, shape), -1
+                ),
+                confidence=rng.uniform(0.0, 0.25, shape),
+                started=np.maximum(slot - rng.integers(0, 5, shape), 0),
+            )
+            finals = batch.finish_slot(slot, reports)
+            for r, engine in enumerate(alone):
+                mask = engine.begin_slot(
+                    slot, ready[r : r + 1], online=None if online is None else online[r : r + 1]
+                )
+                assert mask[0].tolist() == active[r].tolist()
+                assert engine.active_ids(0, mask) == batch.active_ids(r, active)
+                own = SlotReports(*(column[r : r + 1] for column in reports))
+                assert engine.finish_slot(slot, own)[0] == finals[r]
+        for r, engine in enumerate(alone):
+            assert batch.last_final[r] == engine.last_final[0]
+            for counter in ("decisions", "messages_received", "restarts", "confidence_updates"):
+                assert getattr(batch, counter)[r] == getattr(engine, counter)[0], counter
+            assert batch.matrix(r).tobytes() == engine.matrix(0).tobytes()

@@ -2,8 +2,12 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from repro.core.engine import DecisionEngine, EngineRow, SlotReports, WireReport
+from repro.core.ensemble.confidence import ConfidenceMatrix
+from repro.core.policies import origin_policy
 from repro.core.scheduling import (
     ActivityAwareScheduler,
     ExtendedRoundRobin,
@@ -11,7 +15,6 @@ from repro.core.scheduling import (
     RankTable,
     SchedulingContext,
 )
-from repro.core.engine import WireReport
 from repro.errors import SchedulingError
 
 NODES = [0, 1, 2]
@@ -103,6 +106,39 @@ class TestExtendedRoundRobin:
         assert policy.cycle_length == 3_000_000
         slots = (0, 1_000_000, 2_999_999, 3_000_000)
         assert [policy.slot_owner(slot) for slot in slots] == [0, 1, None, 0]
+
+    def test_long_cycle_engine_is_not_allocated(self):
+        # A batch row reads its ER-r turns with slot_owner's divmod; it
+        # keeps no table as long as the cycle.
+        matrix = ConfidenceMatrix({n: [0.1, 0.2, 0.3] for n in NODES}, adaptation_alpha=0.05)
+        ready = np.ones((1, len(NODES)), dtype=bool)
+        tracemalloc.start()
+        try:
+            engine = DecisionEngine(
+                [EngineRow(origin_policy(3_000_000), matrix)], NODES, make_rank_table()
+            )
+            owners = []
+            for slot in (0, 1, 1_000_000, 2_999_999, 3_000_000):
+                active = engine.begin_slot(slot, ready)
+                owners.append(engine.active_ids(0, active))
+                reports = SlotReports(
+                    attempted=active,
+                    completed=active.copy(),
+                    delivered=np.ones_like(active),
+                    predicted=np.zeros(active.shape, dtype=np.int64),
+                    reported=np.full(active.shape, -1, dtype=np.int64),
+                    confidence=np.full(active.shape, 0.2),
+                    started=np.full(active.shape, slot, dtype=np.int64),
+                )
+                engine.finish_slot(slot, reports)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        # Slot 0 has no decision yet, so its ER-r owner runs; then AAS
+        # picks class 0's best rested node: node 2, then node 0 while
+        # node 2 rests.
+        assert owners == [[0], [], [2], [], [0]]
 
 
 class TestRankTable:
