@@ -93,9 +93,10 @@ _PLANS = 1024
 class NodeSlotState:
     """One node's state at the top of a slot, as a device reports it.
 
-    The wire record of :mod:`repro.serve`: the engines themselves take
-    the ``ready`` and ``online`` flags (see
-    :meth:`SessionEngine.begin_slot`).  ``online=False`` models a
+    The record a simulated device (:mod:`repro.serve.client`) puts on
+    the wire; the engines themselves take the ``ready`` and ``online``
+    flags (see :meth:`SessionEngine.begin_slot`), which the server reads
+    straight off the wire.  ``online=False`` models a
     dead/browned-out node: the scheduler sees it not-ready and
     unresponsive, and the node is filtered out of the active set even
     if the policy insists on it.
@@ -262,7 +263,25 @@ class SessionEngine:
             scheduler still observes the slot — with ``final=None`` —
             so the session stays consistent, but no decision is made
             and ``last_final`` is unchanged.
+
+        The slot is checked before any state changes, as in
+        :meth:`DecisionEngine.finish_slot`: every delivered label must be
+        a class, and every confidence a confidence-weighted session
+        receives finite and >= 0.
         """
+        n_classes = self.confidence.n_classes
+        for report in reports:
+            if report.completed and report.delivered:
+                label = report.delivered_label
+                if label is None or not 0 <= label < n_classes:
+                    raise ConfigurationError(f"label {label} out of range")
+                confidence = report.confidence
+                if self._weighted and not (
+                    confidence is None or 0.0 <= confidence < math.inf
+                ):
+                    raise ConfigurationError(
+                        f"confidence must be >= 0 and finite, got {confidence}"
+                    )
         trace = self.obs.tracer
         memory = self._memory
         adaptive = self.policy.adaptive_confidence

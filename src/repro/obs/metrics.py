@@ -15,7 +15,9 @@ the values a sequential sweep records.
 
 Counters and histograms are *deterministic* metrics: their merged values
 are a pure function of the simulated runs, independent of wall clock,
-process count or host load (asserted by the test suite).  Gauges and
+process count or host load (asserted by the test suite).  The one
+wall-clock histogram, a serving server's ``serve.latency_ms``, belongs
+to a live server's registry, which no run merges.  Gauges and
 timers are environment-dependent by nature (a timer measures this
 machine, a gauge snapshots whichever process observed last) and are
 excluded from :meth:`MetricsRegistry.deterministic_dict`.

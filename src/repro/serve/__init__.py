@@ -8,9 +8,10 @@ it to streaming devices —
 * :mod:`repro.serve.protocol` — length-prefixed JSON frames;
 * :mod:`repro.serve.session` — per-connection state machine over a
   :class:`~repro.serve.session.ServeProfile` catalog;
-* :mod:`repro.serve.server` — asyncio TCP server with bounded
-  per-session queues, block/shed overload policies, graceful drain and
-  live ``repro.obs.watch`` dashboards;
+* :mod:`repro.serve.server` — asyncio TCP server, one protocol
+  callback per served frame, with a bounded per-session backlog,
+  block/shed overload policies, graceful drain and live
+  ``repro.obs.watch`` dashboards;
 * :mod:`repro.serve.client` — simulated devices, replay tapes and the
   concurrent load generator behind ``benchmarks/bench_serve.py``.
 

@@ -26,7 +26,10 @@ One exchange per scheduling slot::
 
 The decision frame piggybacks the *next* slot's active set, so steady
 state costs one round-trip per slot.  Any protocol violation is answered
-with an ``error`` frame and the connection closes.
+with an ``error`` frame and the connection closes.  Node states cross
+the wire as ``{node_id: [energy, ready, online]}`` in deployment order;
+the server reads them straight into the engine's ready/online flags
+(:func:`flags_from_wire`).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import asyncio
 import json
 import math
 import struct
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import NodeSlotState, WireReport
 from repro.core.policies import AggregationMode, PolicySpec
@@ -44,9 +47,11 @@ from repro.errors import ServeError
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "PREFIX_BYTES",
     "WireReport",
     "encode_frame",
     "decode_frame",
+    "frame_length",
     "read_frame",
     "write_frame",
     "validate_frame",
@@ -54,7 +59,7 @@ __all__ = [
     "policy_to_wire",
     "policy_from_wire",
     "states_to_wire",
-    "states_from_wire",
+    "flags_from_wire",
     "report_to_wire",
     "report_from_wire",
 ]
@@ -68,6 +73,12 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 1 << 20
 
 _LENGTH = struct.Struct(">I")
+
+#: Bytes of the length prefix in front of every frame's payload.
+PREFIX_BYTES = _LENGTH.size
+
+#: One compact encoder for every frame (``json.dumps`` would build one per call).
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 #: ``{frame type: required fields}`` (beyond ``type`` itself).
 FRAME_FIELDS: Dict[str, Sequence[str]] = {
@@ -88,7 +99,7 @@ FRAME_FIELDS: Dict[str, Sequence[str]] = {
 
 def encode_frame(frame: Dict[str, Any]) -> bytes:
     """Serialize one frame to its on-wire bytes (prefix + JSON)."""
-    payload = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+    payload = _ENCODER.encode(frame).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ServeError(
             f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES="
@@ -97,11 +108,32 @@ def encode_frame(frame: Dict[str, Any]) -> bytes:
     return _LENGTH.pack(len(payload)) + payload
 
 
+def frame_length(data: bytes, offset: int = 0) -> int:
+    """The payload length announced by the prefix at ``data[offset:]``.
+
+    A length above :data:`MAX_FRAME_BYTES` is a :class:`ServeError`, so
+    a reader can refuse the frame before buffering any of its payload.
+    """
+    (length,) = _LENGTH.unpack_from(data, offset)
+    if length > MAX_FRAME_BYTES:
+        raise ServeError(
+            f"frame length {length} exceeds MAX_FRAME_BYTES={MAX_FRAME_BYTES}"
+        )
+    return length
+
+
 def decode_frame(payload: bytes) -> Dict[str, Any]:
-    """Parse one frame's JSON payload (the bytes after the prefix)."""
+    """Parse one frame's JSON payload (the bytes after the prefix).
+
+    Bytes that are not UTF-8 JSON are a :class:`ServeError`, and so are
+    the documents ``json`` refuses for size: an integer past python's
+    digit limit (``ValueError``) or arrays nested past the recursion
+    limit (``RecursionError``).
+    """
     try:
         frame = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # UnicodeDecodeError and json.JSONDecodeError are ValueErrors.
         raise ServeError(f"undecodable frame: {error}") from None
     if not isinstance(frame, dict):
         raise ServeError(f"frame must be a JSON object, got {type(frame).__name__}")
@@ -113,7 +145,8 @@ def validate_frame(
 ) -> str:
     """Check a decoded frame's type and required fields; returns the type."""
     kind = frame.get("type")
-    if kind not in FRAME_FIELDS:
+    # An unhashable type (a list, an object) cannot be a dict key.
+    if not isinstance(kind, str) or kind not in FRAME_FIELDS:
         raise ServeError(f"unknown frame type {kind!r}")
     if expected_type is not None and kind != expected_type:
         raise ServeError(f"expected a {expected_type!r} frame, got {kind!r}")
@@ -126,16 +159,12 @@ def validate_frame(
 async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
     """Read one frame; ``None`` on a clean EOF before the prefix."""
     try:
-        prefix = await reader.readexactly(_LENGTH.size)
+        prefix = await reader.readexactly(PREFIX_BYTES)
     except asyncio.IncompleteReadError as error:
         if not error.partial:
             return None  # clean close between frames
         raise ServeError("connection dropped mid-prefix") from None
-    (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ServeError(
-            f"frame length {length} exceeds MAX_FRAME_BYTES={MAX_FRAME_BYTES}"
-        )
+    length = frame_length(prefix)
     try:
         payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError:
@@ -212,12 +241,21 @@ def states_to_wire(states: Dict[int, NodeSlotState]) -> Dict[str, Any]:
     }
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    """A JSON number that reads as a float: ``10**400`` does not."""
+    if isinstance(value, float):
+        return True
+    if not _is_integer(value):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def integer_from_wire(frame: Dict[str, Any], name: str) -> int:
@@ -232,24 +270,31 @@ def integer_from_wire(frame: Dict[str, Any], name: str) -> int:
     return value
 
 
-def states_from_wire(wire: Dict[str, Any]) -> Dict[int, NodeSlotState]:
-    """Rebuild the ordered ``{node_id: NodeSlotState}`` map.
+def flags_from_wire(
+    wire: Any, node_ids: List[int]
+) -> Tuple[List[bool], List[bool]]:
+    """A frame's node states as the engine's ``(ready, online)`` flags.
 
     The wire form is a JSON object of ``[energy, ready, online]`` with a
-    number and two JSON booleans; anything else is a :class:`ServeError`
-    (a string ``"false"`` must not read as ready).
+    number and two JSON booleans, keyed by every node of ``node_ids`` in
+    that (construction) order, which scheduling tie-breaks follow;
+    anything else is a :class:`ServeError` (a string ``"false"`` must
+    not read as ready).  The energy is checked but not kept: no
+    scheduler reads it.
     """
     if not isinstance(wire, dict):
         raise ServeError(
             f"bad node states on the wire: expected an object, got "
             f"{type(wire).__name__}"
         )
-    states = {}
+    order: List[int] = []
+    ready: List[bool] = []
+    online: List[bool] = []
     for node_id, raw in wire.items():
         if not (
             isinstance(raw, (list, tuple))
             and len(raw) == 3
-            and _is_number(raw[0])
+            and _is_real(raw[0])
             and isinstance(raw[1], bool)
             and isinstance(raw[2], bool)
         ):
@@ -258,11 +303,16 @@ def states_from_wire(wire: Dict[str, Any]) -> Dict[int, NodeSlotState]:
                 f"[number, bool, bool], got {raw!r}"
             )
         try:
-            key = int(node_id)
+            order.append(int(node_id))
         except (ValueError, TypeError) as error:
             raise ServeError(f"bad node states on the wire: {error}") from None
-        states[key] = NodeSlotState(energy_j=float(raw[0]), ready=raw[1], online=raw[2])
-    return states
+        ready.append(raw[1])
+        online.append(raw[2])
+    if order != node_ids:
+        raise ServeError(
+            f"states must cover nodes {node_ids} in order, got {order}"
+        )
+    return ready, online
 
 
 def report_to_wire(report: WireReport) -> List[Any]:
@@ -303,7 +353,7 @@ def report_from_wire(wire: Sequence[Any]) -> WireReport:
             f"got {completed!r}/{delivered!r}"
         )
     if confidence is not None and not (
-        _is_number(confidence) and math.isfinite(confidence) and confidence >= 0
+        _is_real(confidence) and math.isfinite(confidence) and confidence >= 0
     ):
         raise ServeError(
             f"bad report on the wire: confidence must be finite and >= 0, "

@@ -12,16 +12,19 @@ advances it one wire exchange at a time:
 * ``bye`` → reply ``bye_ack`` with the session's counters.
 
 The engine is the scalar one — one scheduler, one recall memory, one
-vote: a session is a single run, where the columnar batch engine's
-fixed per-slot cost is 11–14x the scalar step (DESIGN §16).  A
-session hands it only ready/online flags, reports and ``decide``.
+vote: a session is a single run, where a one-row columnar step costs
+about 5x the scalar one (DESIGN §16).  A session hands it only the
+ready/online flags it reads off the wire in deployment order, reports
+and ``decide``.
 
 The session is transport-free (it maps frames to reply frames,
 synchronously), so the protocol state machine is testable without a
-socket and the asyncio server stays a thin pump around it.  Fed the same
-per-slot states and reports as an offline :class:`HARExperiment` run,
-the engine inside produces the byte-identical decision stream — the
-correctness anchor ``bench_serve --smoke`` and the test suite assert.
+socket; the server answers each frame with one :meth:`Session.handle`
+call inside the protocol callback that completed the frame.  Fed the
+same per-slot states and reports as an offline :class:`HARExperiment`
+run, the engine inside produces the byte-identical decision stream —
+the correctness anchor ``bench_serve --smoke`` and the test suite
+assert.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from repro.errors import ConfigurationError, SchedulingError, ServeError
 from repro.obs.observer import NULL_OBS, Observability
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
+    flags_from_wire,
     integer_from_wire,
     policy_from_wire,
     report_from_wire,
-    states_from_wire,
     validate_frame,
 )
 from repro.sim.experiment import SimulationConfig
@@ -230,7 +233,7 @@ class Session:
         seed = integer_from_wire(frame, "seed")
         self.n_windows = n_windows
         self.engine = self.profile.build_engine(self.policy, obs=self.obs)
-        states = self._check_states(states_from_wire(frame["states"]))
+        ready, online = flags_from_wire(frame["states"], self.engine.node_ids)
         tracer = self.obs.tracer
         if tracer.enabled:
             tracer.emit(
@@ -240,7 +243,7 @@ class Session:
                 n_windows=n_windows,
                 n_nodes=len(self.profile.node_ids),
             )
-        active = self._begin_slot(0, states)
+        active = self.engine.begin_slot(0, ready, online=online)
         self.state = SessionState.STREAMING
         self.expected_slot = 0
         return [
@@ -251,24 +254,6 @@ class Session:
                 "active": list(active),
             }
         ]
-
-    def _check_states(self, states: Dict[int, Any]) -> Dict[int, Any]:
-        # Scheduling tie-breaks depend on node order, so the wire must
-        # present states in the deployment's construction order.
-        if list(states) != self.engine.node_ids:
-            raise ServeError(
-                f"states must cover nodes {self.engine.node_ids} in order, "
-                f"got {list(states)}"
-            )
-        return states
-
-    def _begin_slot(self, slot: int, states: Dict[int, Any]) -> List[int]:
-        """Schedule ``slot`` from the device's checked state records."""
-        return self.engine.begin_slot(
-            slot,
-            [state.ready for state in states.values()],
-            online=[state.online for state in states.values()],
-        )
 
     def _check_reports(self, reports: List[WireReport], slot: int) -> List[WireReport]:
         # The engine trusts its inputs: a stranger's node id or a label
@@ -323,6 +308,15 @@ class Session:
         if not isinstance(raw_reports, (list, tuple)):
             raise ServeError(f"reports must be a list, got {type(raw_reports).__name__}")
         reports = self._check_reports([report_from_wire(raw) for raw in raw_reports], slot)
+        # The next slot's states are checked too before anything moves.
+        next_states = frame.get("states")
+        if next_states is not None:
+            if slot + 1 >= self.n_windows:
+                raise ServeError(
+                    f"states supplied with the final window (slot {slot} of "
+                    f"{self.n_windows})"
+                )
+            ready, online = flags_from_wire(next_states, self.engine.node_ids)
         self.windows += 1
         self.completions += sum(1 for report in reports if report.completed)
         if self.metrics is not None:
@@ -341,17 +335,9 @@ class Session:
             self.decisions += 1
             if self.metrics is not None:
                 self.metrics.inc("serve.decisions")
-        next_states = frame.get("states")
         if next_states is not None:
-            if slot + 1 >= self.n_windows:
-                raise ServeError(
-                    f"states supplied with the final window (slot {slot} of "
-                    f"{self.n_windows})"
-                )
             active_next: Optional[List[int]] = list(
-                self._begin_slot(
-                    slot + 1, self._check_states(states_from_wire(next_states))
-                )
+                self.engine.begin_slot(slot + 1, ready, online=online)
             )
         else:
             active_next = None

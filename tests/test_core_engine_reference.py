@@ -16,6 +16,7 @@ is responsive exactly when it is online, as both engines do.
 
 from __future__ import annotations
 
+import pickle
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -1055,6 +1056,65 @@ class TestFinishSlotChecksFirst:
         reports.confidence[1] = float("nan")
         assert engine.finish_slot(0, reports).tolist() == [1, 1]
         assert engine.messages_received.tolist() == [3, 3]
+
+
+#: ``(policy, delivered label, confidence, message)``: slots both engines
+#: reject before changing any state.  Every policy reads the label; only
+#: confidence recall reads the confidence.
+BAD_SLOTS = [
+    (rr_policy(3), 9, 0.2, "label 9 out of range"),
+    (aas_policy(3), 9, 0.2, "label 9 out of range"),
+    (aasr_policy(3), 9, 0.2, "label 9 out of range"),
+    (origin_policy(3), 9, 0.2, "label 9 out of range"),
+    (aasr_policy(3), -1, 0.2, "label -1 out of range"),
+    (origin_policy(3), 1, float("nan"), "got nan"),
+    (origin_policy(3), 1, float("inf"), "got inf"),
+    (origin_policy(3), 1, -0.5, "got -0.5"),
+    (origin_policy(6, adaptive=False), 1, float("nan"), "got nan"),
+]
+
+
+class TestSessionFinishSlotChecksFirst:
+    """The scalar engine rejects what the columnar one rejects, first."""
+
+    @pytest.mark.parametrize(
+        "policy, label, confidence, message",
+        BAD_SLOTS,
+        ids=[f"{p.name}-{label}-{conf}" for p, label, conf, _ in BAD_SLOTS],
+    )
+    def test_bad_slot_rejected_by_both_engines(self, policy, label, confidence, message):
+        alpha = 0.3 if policy.adaptive_confidence else 0.0
+        session = SessionEngine(policy, NODES, rank_table(), confidence_matrix(alpha))
+        batch = one_row(policy, confidence_matrix(alpha))
+        sound = [WireReport(n, 0, 0, completed=True, predicted_label=2, confidence=0.1) for n in NODES]
+        for slot in range(3):
+            session.begin_slot(slot, [True] * 3)
+            batch.begin_slot(slot, np.ones(batch.shape, dtype=bool))
+            reports = [WireReport(r.node_id, slot, slot, True, predicted_label=2, confidence=0.1)
+                       for r in sound]
+            columns = no_reports(batch.shape)
+            columns.attempted[:] = True
+            fill_row(columns, 0, reports)
+            assert session.finish_slot(slot, reports) == batch.finish_slot(slot, columns)[0]
+        session.begin_slot(3, [True] * 3)
+        batch.begin_slot(3, np.ones(batch.shape, dtype=bool))
+        bad = [WireReport(NODES[1], 3, 3, True, predicted_label=label, confidence=confidence)]
+        columns = no_reports(batch.shape)
+        columns.attempted[0, 1] = True
+        fill_row(columns, 0, bad)
+        session_before, batch_before = pickle.dumps(session), engine_state(batch)
+        with pytest.raises(ConfigurationError, match=message):
+            session.finish_slot(3, bad)
+        with pytest.raises(ConfigurationError, match=message):
+            batch.finish_slot(3, columns)
+        assert pickle.dumps(session) == session_before
+        assert engine_state(batch) == batch_before
+        # Both still take the sound slot, and decide it alike.
+        good = [WireReport(NODES[1], 3, 3, True, predicted_label=1, confidence=0.2)]
+        columns = no_reports(batch.shape)
+        columns.attempted[0, 1] = True
+        fill_row(columns, 0, good)
+        assert session.finish_slot(3, good) == batch.finish_slot(3, columns)[0]
 
 
 #: Row kinds of the long-horizon drive: the ladder, the protocol rows and

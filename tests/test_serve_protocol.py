@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import struct
+import sys
 
 import pytest
 
@@ -22,12 +24,12 @@ from repro.serve.protocol import (
     WireReport,
     decode_frame,
     encode_frame,
+    flags_from_wire,
     policy_from_wire,
     policy_to_wire,
     read_frame,
     report_from_wire,
     report_to_wire,
-    states_from_wire,
     states_to_wire,
     validate_frame,
 )
@@ -85,6 +87,35 @@ class TestFraming:
         with pytest.raises(ServeError, match="JSON object"):
             decode_frame(b"[1, 2]")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_integer_past_the_digit_limit_rejected(self):
+        # json raises a plain ValueError, not a JSONDecodeError.
+        with pytest.raises(ServeError, match="undecodable"):
+            decode_frame(b'{"type": "bye", "n": ' + b"9" * 5000 + b"}")
+
+    def test_nesting_past_the_recursion_limit_rejected(self):
+        with pytest.raises(ServeError, match="undecodable"):
+            decode_frame(b'{"type": "bye", "deep": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"type": "bye"},
+            {"type": "decision", "slot": 7, "label": None, "shed": False, "active_next": [0, 2]},
+            {"type": "x", "f": [1e-05, 7.619047619047619e-05, 0.1, -0.0, 1e300, 3]},
+            {"type": "x", "text": "caf\u00e9 \u2014 \U0001f600", "nested": {"a": [True, None]}},
+            {"type": "x", "nan": float("nan"), "inf": float("inf")},
+        ],
+        ids=["bye", "decision", "floats", "unicode", "non-finite"],
+    )
+    def test_encoded_bytes_equal_json_dumps(self, frame):
+        # One shared encoder writes what json.dumps with the same
+        # separators wrote per call.
+        payload = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+        assert encode_frame(frame) == struct.pack(">I", len(payload)) + payload
+
 
 class TestValidation:
     def test_unknown_type_rejected(self):
@@ -96,6 +127,12 @@ class TestValidation:
     def test_missing_fields_rejected(self):
         with pytest.raises(ServeError, match="missing fields"):
             validate_frame({"type": "window", "slot": 0})
+
+    @pytest.mark.parametrize("kind", [["window"], {"window": 1}, 7, None, True])
+    def test_non_string_type_rejected(self, kind):
+        # An unhashable type must not escape as a TypeError.
+        with pytest.raises(ServeError, match="unknown frame type"):
+            validate_frame({"type": kind, "slot": 0, "reports": []})
 
     def test_expected_type_enforced(self):
         frame = {"type": "bye"}
@@ -175,15 +212,45 @@ class TestCodecs:
         }
         wire = states_to_wire(states)
         decoded = decode_frame(encode_frame({"type": "bye", "s": wire})[4:])
-        rebuilt = states_from_wire(decoded["s"])
-        assert list(rebuilt) == [2, 0, 1]  # insertion order survives JSON
-        assert rebuilt == states  # floats exact via shortest-repr round trip
+        # Insertion order survives JSON, floats exact via shortest repr.
+        assert list(decoded["s"].items()) == list(wire.items())
+        assert [value[0] for value in decoded["s"].values()] == [
+            state.energy_j for state in states.values()
+        ]
+        # The flags come out in the deployment's construction order.
+        assert flags_from_wire(decoded["s"], [2, 0, 1]) == (
+            [True, False, True],
+            [True, False, True],
+        )
 
     def test_bad_states_rejected(self):
-        with pytest.raises(ServeError, match="bad node states"):
-            states_from_wire({"0": [1.0]})
-        with pytest.raises(ServeError, match="bad node states"):
-            states_from_wire({"zero": [1.0, True, True]})
+        good = [1e-4, True, True]
+        for wire, message in [
+            ([], "bad node states on the wire: expected an object, got list"),
+            ({"0": [1.0], "1": good, "2": good}, r"node '0' needs \[number, bool, bool\]"),
+            ({"0": good, "1": [1e-4, "false", True], "2": good}, "node '1' needs"),
+            ({"0": good, "1": good, "2": [1e-4, True, 1]}, "node '2' needs"),
+            ({"0": ["1e-4", True, True], "1": good, "2": good}, "node '0' needs"),
+            ({"0": [True, True, True], "1": good, "2": good}, "node '0' needs"),
+            ({"0": [None, True, True], "1": good, "2": good}, "node '0' needs"),
+            # An integer energy that does not fit a float.
+            ({"0": [10**400, True, True], "1": good, "2": good}, "node '0' needs"),
+            ({"zero": good, "1": good, "2": good}, "bad node states on the wire: invalid literal"),
+            # A bad shape anywhere wins over a bad order.
+            ({"2": good, "1": good, "0": [1.0]}, "node '0' needs"),
+            ({"0": good, "1": good}, r"states must cover nodes \[0, 1, 2\] in order, got \[0, 1\]"),
+            ({"0": good, "2": good, "1": good}, r"in order, got \[0, 2, 1\]"),
+            ({"0": good, "1": good, "2": good, "3": good}, r"in order, got \[0, 1, 2, 3\]"),
+            # Two keys naming one node.
+            ({"0": good, "1": good, "01": good, "2": good}, r"in order, got \[0, 1, 1, 2\]"),
+        ]:
+            with pytest.raises(ServeError, match=message):
+                flags_from_wire(wire, [0, 1, 2])
+        # Integral energies and keys int() reads are accepted, as before.
+        assert flags_from_wire({"0": [0, True, False], "01": good, " 2": good}, [0, 1, 2]) == (
+            [True, True, True],
+            [False, True, True],
+        )
 
     def test_report_round_trip(self):
         report = WireReport(
@@ -210,6 +277,9 @@ class TestCodecs:
     def test_bad_report_rejected(self):
         with pytest.raises(ServeError, match="bad report"):
             report_from_wire([1, 2, 3])
+        with pytest.raises(ServeError, match="confidence must be finite"):
+            # An integer confidence that does not fit a float.
+            report_from_wire([0, 0, 0, True, True, 1, 10**400, None])
         with pytest.raises(ServeError, match="bad report"):
             report_from_wire({"node_id": 1})
         with pytest.raises(ServeError, match="bad report"):

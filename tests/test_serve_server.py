@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import os
+import socket
+import struct
 
+import numpy as np
 import pytest
 
 from repro.core.policies import origin_policy
@@ -18,8 +22,9 @@ from repro.serve.client import (
     replay_session,
     run_load,
 )
-from repro.serve.protocol import read_frame, write_frame
-from repro.serve.server import ServeServer
+from repro.serve import server as server_module
+from repro.serve.protocol import MAX_FRAME_BYTES, encode_frame, read_frame, write_frame
+from repro.serve.server import ServeServer, _Connection
 from repro.serve.session import EngineCatalog, ServeProfile
 
 
@@ -134,6 +139,37 @@ class TestLifecycle:
         _, _, orphans = with_server(catalog, body)
         assert orphans == []
 
+    def test_stop_during_a_half_sent_frame(self, catalog, tape):
+        async def go():
+            server = ServeServer(catalog, drain_timeout_s=0.2)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            await write_frame(writer, tape.hello)
+            assert (await read_frame(reader))["type"] == "hello_ack"
+            window = encode_frame(tape.windows[0])
+            writer.write(window[: len(window) // 2])
+            (connection,) = server._connections
+            for _ in range(1000):
+                if connection._buffer:
+                    break
+                await asyncio.sleep(0.001)
+            assert connection._buffer
+            await server.stop()
+            assert connection.lost.done() and connection.transport.is_closing()
+            assert not server._connections
+            try:
+                assert await reader.read() == b""
+            except ConnectionError:
+                pass  # the abort reset the connection
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:
+                pass
+            return [task for task in asyncio.all_tasks() if task is not asyncio.current_task()]
+
+        assert asyncio.run(go()) == []
+
     def test_protocol_violation_answered_then_closed(self, catalog, tape):
         async def body(server):
             reader, writer = await asyncio.open_connection(
@@ -220,6 +256,410 @@ class TestLifecycle:
 
         result, _, _ = with_server(catalog, body)
         assert result.mismatches == 0
+
+
+def raw_frame(payload: bytes) -> bytes:
+    """A length prefix plus ``payload``, whatever the payload holds."""
+    return struct.pack(">I", len(payload)) + payload
+
+
+async def expect_error_then_hangup(reader, message):
+    error = await read_frame(reader)
+    assert error is not None and error["type"] == "error", error
+    assert message in error["message"]
+    assert await read_frame(reader) is None  # server hung up
+    return error
+
+
+class TestHostileFrames:
+    """Frames that once escaped ``Session.handle`` as a python error end
+    in an ``error`` frame, and the server serves the next device."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda tape: encode_frame(dict(tape.windows[0], type=["window"])), "unknown frame type"),
+            (
+                lambda tape: encode_frame(
+                    dict(tape.hello, states={k: [10**400, True, True] for k in tape.hello["states"]})
+                ),
+                "bad node states",
+            ),
+            (lambda tape: raw_frame(b'{"type": "bye", "n": ' + b"9" * 5000 + b"}"), "undecodable"),
+            (
+                lambda tape: raw_frame(b'{"type": "bye", "n": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+                "undecodable",
+            ),
+        ],
+        ids=["list-type", "huge-energy", "integer-past-digit-limit", "deep-nesting"],
+    )
+    def test_first_frame_answered_with_error(self, catalog, tape, build, message):
+        async def body(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(build(tape))
+                await expect_error_then_hangup(reader, message)
+            finally:
+                writer.close()
+            return await replay_session("127.0.0.1", server.port, tape)
+
+        result, _, orphans = with_server(catalog, body)
+        assert result.mismatches == 0
+        assert orphans == []
+
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            ([0, 0, 0, True, True, 1, 10**400, None], "confidence must be finite"),
+            # The message quotes the report; escaped, its repr would
+            # outgrow MAX_FRAME_BYTES.
+            ([0, 0, 0, True, True, "\U0001f600" * 200_000, 0.1, None], "must be integers"),
+        ],
+        ids=["huge-confidence", "huge-quoted-report"],
+    )
+    def test_window_answered_with_error(self, catalog, tape, report, message):
+        async def body(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                await write_frame(writer, tape.hello)
+                assert (await read_frame(reader))["type"] == "hello_ack"
+                frame = dict(tape.windows[0], reports=[report])
+                writer.write(raw_frame(json.dumps(frame, ensure_ascii=False).encode("utf-8")))
+                error = await expect_error_then_hangup(reader, message)
+                assert len(error["message"]) <= server_module.MAX_ERROR_CHARS + 3
+            finally:
+                writer.close()
+            return await replay_session("127.0.0.1", server.port, tape)
+
+        result, _, _ = with_server(catalog, body)
+        assert result.mismatches == 0
+
+
+class FakeTransport(asyncio.Transport):
+    """What a connection sees of its socket: writes, read pauses, closes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.written = bytearray()
+        self.reading = True
+        self.closing = False
+
+    def write(self, data) -> None:
+        self.written += data
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+    def is_reading(self) -> bool:
+        return self.reading
+
+    def close(self) -> None:
+        self.closing = True
+
+    def abort(self) -> None:
+        self.closing = True
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def replies(self):
+        """The frames written so far, decoded."""
+        out, data = [], bytes(self.written)
+        while data:
+            (length,) = struct.unpack(">I", data[:4])
+            out.append(json.loads(data[4 : 4 + length]))
+            data = data[4 + length :]
+        return out
+
+
+def with_connection(catalog, body, **server_kwargs):
+    """Run ``body(connection, transport)`` on a connection over a fake
+    transport: every ``data_received`` call is one socket read."""
+
+    async def go():
+        connection = _Connection(ServeServer(catalog, **server_kwargs))
+        transport = FakeTransport()
+        connection.connection_made(transport)
+        try:
+            return await body(connection, transport)
+        finally:
+            if not connection.lost.done():
+                connection.connection_lost(None)
+
+    return asyncio.run(go())
+
+
+def tiny_windows(count: int):
+    """Valid windows that carry no reports and no next states."""
+    return [encode_frame({"type": "window", "slot": slot, "reports": []}) for slot in range(count)]
+
+
+class TestFraming:
+    """The connection parses frames out of whatever the socket delivers."""
+
+    def test_one_byte_per_write(self, catalog, tape):
+        async def body(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                got = []
+                for frame in [tape.hello] + tape.windows[:20] + [{"type": "bye"}]:
+                    for byte in encode_frame(frame):
+                        writer.write(bytes([byte]))
+                        await writer.drain()
+                        await asyncio.sleep(0)
+                    got.append(await read_frame(reader))
+                return got
+            finally:
+                writer.close()
+
+        got, _, _ = with_server(catalog, body)
+        assert got[0]["active"] == tape.expected_active[0]
+        assert [reply["label"] for reply in got[1:-1]] == tape.expected_labels[:20]
+        assert got[-1]["type"] == "bye_ack"
+
+    def test_one_byte_per_read(self, catalog, tape):
+        async def body(connection, transport):
+            data = b"".join(encode_frame(frame) for frame in [tape.hello] + tape.windows)
+            for index in range(len(data)):
+                connection.data_received(data[index : index + 1])
+            return transport.replies()
+
+        replies = with_connection(catalog, body)
+        assert [reply["label"] for reply in replies[1:]] == tape.expected_labels
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_any_chunking_answers_alike(self, catalog, tape, seed):
+        rng = np.random.default_rng(seed)
+        data = b"".join(encode_frame(frame) for frame in [tape.hello] + tape.windows)
+        cuts = np.sort(rng.choice(len(data), size=rng.integers(1, 200), replace=False))
+
+        async def body(connection, transport):
+            for chunk in np.split(np.frombuffer(data, dtype=np.uint8), cuts):
+                connection.data_received(chunk.tobytes())
+                await asyncio.sleep(0)
+            for _ in range(len(tape.windows)):
+                await asyncio.sleep(0)
+            return transport.replies()
+
+        replies = with_connection(catalog, body, queue_size=3)
+        assert replies[0]["active"] == tape.expected_active[0]
+        assert [reply["label"] for reply in replies[1:]] == tape.expected_labels
+
+    def test_many_frames_in_one_write(self, catalog, tape):
+        async def body(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                frames = [tape.hello] + tape.windows + [{"type": "bye"}]
+                writer.write(b"".join(encode_frame(frame) for frame in frames))
+                return [await read_frame(reader) for _ in frames], await read_frame(reader)
+            finally:
+                writer.close()
+
+        (got, after), server, _ = with_server(catalog, body, obs=Observability())
+        assert [reply["label"] for reply in got[1:-1]] == tape.expected_labels
+        assert not any(reply["shed"] for reply in got[1:-1])  # block never sheds
+        assert got[-1]["type"] == "bye_ack" and after is None
+        assert server.stats()["serve.decisions"] == tape.n_windows
+
+    def test_many_frames_in_one_read_yield_after_queue_size(self, catalog, tape):
+        async def body(connection, transport):
+            frames = [tape.hello] + tape.windows
+            connection.data_received(b"".join(encode_frame(frame) for frame in frames))
+            # One callback answers queue_size frames, pauses reading while
+            # more are buffered, and lets the event loop run the rest.
+            assert len(transport.replies()) == 4
+            assert not transport.reading
+            for _ in range(len(frames)):
+                await asyncio.sleep(0)
+            assert transport.reading
+            return transport.replies()
+
+        replies = with_connection(catalog, body, queue_size=4)
+        assert [reply["label"] for reply in replies[1:]] == tape.expected_labels
+
+    def test_oversized_prefix_answered_before_any_payload(self, catalog, tape):
+        async def body(connection, transport):
+            oversized = struct.pack(">I", MAX_FRAME_BYTES + 1)
+            connection.data_received(encode_frame(tape.hello) + oversized + b"x" * 1000)
+            assert transport.closing  # nothing waited before it: answered at once
+            assert connection._buffer == b""  # the payload was never kept
+            connection.data_received(b"y" * 1000)  # already in flight: dropped
+            assert connection._buffer == b""
+            return transport.replies(), transport.closing
+
+        replies, closing = with_connection(catalog, body)
+        assert [reply["type"] for reply in replies] == ["hello_ack", "error"]
+        assert "MAX_FRAME_BYTES" in replies[1]["message"]
+        assert closing
+
+    def test_oversized_prefix_over_a_socket(self, catalog, tape):
+        async def body(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(encode_frame(tape.hello) + struct.pack(">I", MAX_FRAME_BYTES + 1))
+                assert (await read_frame(reader))["type"] == "hello_ack"
+                await expect_error_then_hangup(reader, "MAX_FRAME_BYTES")
+            finally:
+                writer.close()
+            return await replay_session("127.0.0.1", server.port, tape)
+
+        result, _, _ = with_server(catalog, body)
+        assert result.mismatches == 0
+
+    @pytest.mark.parametrize("cut, message", [(2, "mid-prefix"), (20, "mid-frame")])
+    def test_eof_inside_a_frame(self, catalog, tape, cut, message):
+        async def body(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(encode_frame(tape.hello) + encode_frame(tape.windows[0])[:cut])
+                writer.write_eof()
+                # The frames before the cut are still answered.
+                assert (await read_frame(reader))["type"] == "hello_ack"
+                await expect_error_then_hangup(reader, message)
+            finally:
+                writer.close()
+
+        _, server, orphans = with_server(catalog, body, obs=Observability())
+        assert server.stats()["serve.sessions.closed"] == 1
+        assert orphans == []
+
+    def test_eof_between_frames_closes_quietly(self, catalog, tape):
+        async def body(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(encode_frame(tape.hello) + encode_frame(tape.windows[0]))
+                writer.write_eof()
+                replies = [await read_frame(reader), await read_frame(reader)]
+                assert await read_frame(reader) is None
+                return replies
+            finally:
+                writer.close()
+
+        replies, _, _ = with_server(catalog, body)
+        assert [reply["type"] for reply in replies] == ["hello_ack", "decision"]
+
+
+class TestStalledDevice:
+    """``block``: a device that stops reading stops being read."""
+
+    def test_write_pause_stops_answers_and_reads(self, catalog, tape):
+        async def body(connection, transport):
+            windows = tiny_windows(8)
+            connection.data_received(encode_frame(dict(tape.hello, n_windows=1000)) + windows[0])
+            connection.pause_writing()  # the device stopped reading
+            assert not transport.reading
+            # A read already in flight still lands; it is buffered, not answered.
+            connection.data_received(windows[1] + windows[2] + windows[3][:5])
+            assert len(connection.frames) == 2 and len(connection._buffer) == 5
+            for _ in range(10):
+                await asyncio.sleep(0)
+            assert len(transport.replies()) == 2  # hello_ack and window 0
+            connection.resume_writing()
+            for _ in range(10):
+                await asyncio.sleep(0)
+            assert transport.reading and len(transport.replies()) == 4
+            connection.data_received(windows[3][5:] + b"".join(windows[4:]))
+            return transport.replies(), transport.reading
+
+        replies, reading = with_connection(catalog, body)
+        assert [reply["slot"] for reply in replies[1:]] == list(range(8))
+        assert reading
+
+    def test_reading_pauses_once_queue_size_frames_wait(self, catalog, tape):
+        async def body(connection, transport):
+            frames = [encode_frame(dict(tape.hello, n_windows=1000))] + tiny_windows(7)
+            for frame in frames[:5]:
+                connection.data_received(frame)
+            # The hello waits out its pause; four windows wait behind it.
+            assert len(connection.frames) == 4 and not transport.reading
+            connection.data_received(frames[5][:3])  # in flight: a partial frame
+            assert len(connection.frames) == 4 and len(connection._buffer) == 3
+            while len(transport.replies()) < 5:
+                await asyncio.sleep(0.005)
+            assert transport.reading
+            connection.data_received(frames[5][3:] + frames[6] + frames[7])
+            while len(transport.replies()) < 8:
+                await asyncio.sleep(0.005)
+            return transport.replies()
+
+        replies = with_connection(catalog, body, queue_size=4, worker_pause_s=0.002)
+        assert [reply["slot"] for reply in replies[1:]] == list(range(7))
+
+    def test_stalled_reader_over_a_socket(self, catalog, tape):
+        def buffered(connection):
+            return sum(len(payload) for payload, _ in connection.frames) + len(connection._buffer)
+
+        async def body(server):
+            device = socket.socket()
+            # Small socket buffers, so the server's writes back up quickly.
+            device.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            device.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(device, ("127.0.0.1", server.port))
+            reader, writer = await asyncio.open_connection(sock=device)
+            try:
+                writer.write(encode_frame(dict(tape.hello, n_windows=100_000)))
+                assert (await read_frame(reader))["type"] == "hello_ack"
+                (connection,) = server._connections
+                connection.transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                connection.transport.set_write_buffer_limits(high=4096)
+                writer.transport.pause_reading()  # the device stops reading
+                windows = tiny_windows(60_000)
+                sent = 0
+                while not connection._write_paused:
+                    writer.write(windows[sent])
+                    sent += 1
+                    await asyncio.sleep(0)
+                await asyncio.sleep(0.01)
+                assert not connection.transport.is_reading()
+                held = buffered(connection)
+                # The device keeps writing; the server reads none of it.
+                writer.write(b"".join(windows[sent : sent + 2000]))
+                sent += 2000
+                await asyncio.sleep(0.02)
+                assert not connection.transport.is_reading()
+                assert buffered(connection) == held
+                writer.transport.resume_reading()
+                slots = [(await read_frame(reader))["slot"] for _ in range(sent)]
+                return slots, sent
+            finally:
+                writer.close()
+
+        (slots, sent), _, orphans = with_server(catalog, body)
+        assert slots == list(range(sent))
+        assert orphans == []
+
+
+class TestLatency:
+    def test_metrics_on_server_times_every_window(self, catalog, tape):
+        async def body(server):
+            return await run_load("127.0.0.1", server.port, [tape], 3)
+
+        stats, server, _ = with_server(catalog, body, obs=Observability())
+        histogram = server.obs.metrics.to_dict()["histograms"]["serve.latency_ms"]
+        assert histogram["count"] == stats.windows == 3 * tape.n_windows
+        assert sum(histogram["counts"]) == histogram["count"]
+        assert 0 < histogram["min"] <= histogram["max"]
+
+    def test_metrics_off_server_times_nothing(self, catalog, tape, monkeypatch):
+        calls = []
+
+        def clock():
+            calls.append(1)
+            return 0.0
+
+        monkeypatch.setattr(server_module, "perf_counter", clock)
+
+        async def body(server):
+            return await replay_session("127.0.0.1", server.port, tape)
+
+        result, server, _ = with_server(catalog, body)
+        assert result.mismatches == 0
+        assert calls == []
 
 
 class TestObservability:

@@ -254,6 +254,35 @@ class TestHostileInputs:
         with pytest.raises(ServeError, match="bad node states"):
             fresh(catalog).handle(dict(tape.hello, states=states))
 
+    @pytest.mark.parametrize("kind", [["window"], {"type": "window"}], ids=["list", "object"])
+    def test_unhashable_frame_type_rejected(self, catalog, tape, kind):
+        session = fresh(catalog)
+        session.handle(tape.hello)
+        with pytest.raises(ServeError, match="unknown frame type"):
+            session.handle(dict(tape.windows[0], type=kind))
+        (decision,) = session.handle(tape.windows[0])
+        assert decision["label"] == tape.expected_labels[0]
+
+    def test_energy_too_large_for_a_float_rejected(self, catalog, tape):
+        states = dict(tape.hello["states"])
+        first = next(iter(states))
+        states[first] = [10**400, True, True]
+        with pytest.raises(ServeError, match="bad node states"):
+            fresh(catalog).handle(dict(tape.hello, states=states))
+        session = fresh(catalog)
+        session.handle(tape.hello)
+        with pytest.raises(ServeError, match="bad node states"):
+            session.handle(dict(tape.windows[0], states=states))
+
+    def test_confidence_too_large_for_a_float_rejected(self, catalog, tape, node):
+        session = fresh(catalog)
+        session.handle(tape.hello)
+        bad = completed_report(node, confidence=10**400)
+        with pytest.raises(ServeError, match="confidence must be finite"):
+            session.handle(with_report(tape.windows[0], bad))
+        (decision,) = session.handle(tape.windows[0])
+        assert decision["label"] == tape.expected_labels[0]
+
     def test_origin_rejects_report_from_unknown_node(self, catalog, tape):
         session = fresh(catalog)
         session.handle(tape.hello)
@@ -323,13 +352,14 @@ class TestReportsADeviceCouldSend:
     def node(self, catalog):
         return catalog.get("default").node_ids[0]
 
-    def rejected(self, catalog, tape, reports, match):
-        """Window ``SLOT`` with ``reports`` fails before the engine moves,
-        and the recorded window is still decided as on the tape."""
+    def rejected(self, catalog, tape, reports, match, frame=None):
+        """Window ``SLOT`` with ``reports`` (or ``frame``) fails before the
+        engine moves, and the recorded window is still decided as on the
+        tape."""
         session = fresh(catalog)
         session.handle(tape.hello)
-        for frame in tape.windows[: self.SLOT]:
-            session.handle(frame)
+        for window in tape.windows[: self.SLOT]:
+            session.handle(window)
         engine = session.engine
 
         def state():
@@ -341,8 +371,10 @@ class TestReportsADeviceCouldSend:
             )
 
         before = state()
+        if frame is None:
+            frame = dict(tape.windows[self.SLOT], reports=reports)
         with pytest.raises(ServeError, match=match):
-            session.handle(dict(tape.windows[self.SLOT], reports=reports))
+            session.handle(frame)
         assert state() == before
         (decision,) = session.handle(tape.windows[self.SLOT])
         assert decision["label"] == tape.expected_labels[self.SLOT]
@@ -359,6 +391,19 @@ class TestReportsADeviceCouldSend:
     def test_report_for_another_slot_rejected(self, catalog, rr3_tape, node):
         report = [node, self.SLOT + 1, self.SLOT, True, True, 1, 0.1, None]
         self.rejected(catalog, rr3_tape, [report], "report for slot 6")
+
+    @pytest.mark.parametrize(
+        "states, match",
+        [({"x": 1}, "bad node states"), ([], "bad node states"), ({}, "in order")],
+        ids=["bad-shape", "not-an-object", "no-nodes"],
+    )
+    def test_bad_next_states_rejected_before_the_window_counts(
+        self, catalog, rr3_tape, node, states, match
+    ):
+        # A completed report the engine would ingest, with bad states.
+        report = [node, self.SLOT, self.SLOT, True, True, 1, 0.1, None]
+        frame = dict(rr3_tape.windows[self.SLOT], reports=[report], states=states)
+        self.rejected(catalog, rr3_tape, [report], match, frame=frame)
 
     @pytest.mark.parametrize("started", [-5, SLOT + 1, 40])
     def test_started_slot_outside_the_window_range_rejected(
