@@ -174,7 +174,7 @@ def test_empty_plan_matches_fault_free_baseline(fault_matrix, mhealth_exp, bench
     subject = mhealth_exp.dataset.eval_subjects[seed % 2]
     plain = mhealth_exp.run(origin_policy(12), seed=seed, subject=subject)
     with_plan = fault_matrix["fault-free"][_origin_name()][2][0]
-    assert plain.records == with_plan.records
+    assert plain == with_plan
 
 
 def test_fault_matrix_timing(benchmark, mhealth_exp):

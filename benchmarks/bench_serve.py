@@ -1,34 +1,27 @@
-"""Benchmark the online serving path: identity gate + sessions/core.
+"""Gate the online serving path: served == offline, exact shed accounting.
 
 Exercises ``repro.serve`` end to end against the standard MHEALTH-like
-experiment and writes the machine-readable results to
-``benchmarks/results/BENCH_serve.json``:
+experiment (seed 7, 40 windows):
 
 1. **Identity** — one lockstep :func:`live_session` per policy in the
-   grid (RR, AAS, AAS-R, Origin); the served decision stream *and*
-   active-set stream must be byte-identical to the offline
-   ``HARExperiment.run`` reference.
+   ladder (RR3, AAS6, AAS-R6, Origin6, device seed 9); the served
+   decision stream *and* active-set stream must equal the offline
+   ``HARExperiment.run`` columns.
 2. **Replay identity** — a prerecorded :class:`ReplayTape` pipelined
    through the server under the ``block`` overload policy must
    reproduce its expected labels/actives with zero mismatches.
-3. **Headline** — :func:`run_load` drives ``--sessions`` concurrent
-   replay sessions (>= 100 by default) through one in-process server
-   and reports **sessions/core**: how many always-on devices one CPU
-   core can serve in real time, given one window every
-   ``window_duration_s`` (2.56 s) per device.
+3. **Load** — :func:`run_load` drives 20 concurrent replay sessions
+   over 2 tapes (device seeds 9 and 10) through one in-process server:
+   zero mismatches and, under ``block``, zero shed windows.
 4. **Shed accounting** — a deliberately slow ``shed``-mode server must
    shed at least one window and satisfy ``decisions + shed == windows``.
 
-``--smoke`` shrinks the horizon/session count so CI finishes quickly
-and leaves the committed JSON untouched unless ``--output`` is given;
-the identity, replay and accounting gates all still apply.
-
-Run with ``PYTHONPATH=src python benchmarks/bench_serve.py``.
+Exits nonzero on the first failed check.  Run with
+``PYTHONPATH=src python benchmarks/bench_serve.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import os
 import sys
@@ -39,82 +32,35 @@ from repro.serve.server import ServeServer
 from repro.serve.session import EngineCatalog, ServeProfile
 from repro.sim.experiment import HARExperiment, SimulationConfig
 
-try:
-    from benchmarks.runmeta import WallClock, write_stamped_json
-except ImportError:  # invoked as a script: sibling import
-    from runmeta import WallClock, write_stamped_json
-
-DEFAULT_OUTPUT = os.path.join(os.path.dirname(__file__), "results", "BENCH_serve.json")
-
-
-def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="short horizon + fewer sessions; enforce gates, skip the JSON",
-    )
-    parser.add_argument(
-        "--sessions", type=int, default=None, help="concurrent sessions for the headline"
-    )
-    parser.add_argument(
-        "--tapes", type=int, default=None, help="distinct device tapes to round-robin"
-    )
-    parser.add_argument(
-        "--n-windows", type=int, default=None, help="slots per session"
-    )
-    parser.add_argument("--seed", type=int, default=7, help="experiment seed")
-    parser.add_argument(
-        "--session-seed", type=int, default=9, help="first per-session device seed"
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help=f"JSON destination (default {DEFAULT_OUTPUT}; never written in "
-        "--smoke mode unless given explicitly)",
-    )
-    args = parser.parse_args(argv)
-    if args.sessions is None:
-        args.sessions = 20 if args.smoke else 128
-    if args.tapes is None:
-        args.tapes = 2 if args.smoke else 4
-    if args.n_windows is None:
-        args.n_windows = 40 if args.smoke else 120
-    return args
+SESSIONS = 20
+TAPES = 2
+N_WINDOWS = 40
+EXPERIMENT_SEED = 7
+#: Device seed of the identity sessions and of the first tape.
+SESSION_SEED = 9
 
 
-async def identity_leg(server, experiment, policies, seed):
-    """Lockstep sessions vs offline runs: byte-identical or die."""
-    rows = []
+async def identity_leg(server, experiment, policies):
+    """Lockstep sessions vs offline runs: identical or die."""
     for policy in policies:
         served = await live_session(
-            "127.0.0.1", server.port, experiment, policy, seed=seed
+            "127.0.0.1", server.port, experiment, policy, seed=SESSION_SEED
         )
-        offline = experiment.run(policy, seed=seed)
-        labels = [record.predicted_label for record in offline.records]
-        actives = [list(record.active_nodes) for record in offline.records]
+        offline = experiment.run(policy, seed=SESSION_SEED)
+        labels = [None if label < 0 else label for label in offline.final_label.tolist()]
         if served.labels != labels:
             raise SystemExit(
                 f"FAIL: served decisions diverge from offline run for {policy.name}"
             )
-        if served.actives != actives:
+        if served.actives != [list(ids) for ids in offline.active_nodes]:
             raise SystemExit(
                 f"FAIL: served schedules diverge from offline run for {policy.name}"
             )
-        rows.append(
-            {
-                "policy": policy.name,
-                "windows": len(labels),
-                "decisions": sum(1 for label in served.labels if label is not None),
-                "identical": True,
-            }
-        )
         print(f"identity: {policy.name} byte-identical over {len(labels)} windows")
-    return rows
 
 
-async def load_leg(server, tapes, sessions):
-    """The headline: concurrent replay sessions through one server."""
+async def load_leg(server, tapes):
+    """Concurrent replay sessions through one server."""
     result = await replay_session("127.0.0.1", server.port, tapes[0])
     if result.mismatches:
         raise SystemExit(
@@ -122,24 +68,19 @@ async def load_leg(server, tapes, sessions):
         )
     print("replay: tape byte-identical under block policy")
 
-    stats = await run_load("127.0.0.1", server.port, tapes, sessions)
+    stats = await run_load("127.0.0.1", server.port, tapes, SESSIONS)
     if stats.mismatches:
         raise SystemExit(
-            f"FAIL: {stats.mismatches} mismatches across {sessions} sessions"
+            f"FAIL: {stats.mismatches} mismatches across {SESSIONS} sessions"
         )
     if stats.shed:
         raise SystemExit(
             f"FAIL: block-policy server shed {stats.shed} windows"
         )
-    return {
-        "sessions": stats.sessions,
-        "windows": stats.windows,
-        "decisions": stats.decisions,
-        "wall_s": round(stats.wall_s, 3),
-        "windows_per_s": round(stats.windows_per_s, 1),
-        "sessions_per_core": round(stats.sessions_per_core, 1),
-        "mismatches": 0,
-    }
+    print(
+        f"load: {stats.sessions} sessions, {stats.windows} windows, "
+        f"{stats.windows_per_s:.0f} windows/s, 0 mismatches, 0 shed"
+    )
 
 
 async def shed_leg(catalog, tape):
@@ -168,75 +109,33 @@ async def shed_leg(catalog, tape):
     print(
         f"shed: {shed}/{len(result.shed)} windows shed, accounting exact"
     )
-    return {
-        "windows": result.stats["windows"],
-        "decisions": result.stats["decisions"],
-        "shed": result.stats["shed"],
-        "accounting_exact": True,
-    }
 
 
-async def run_bench(args, experiment, policies):
+async def run_gates(experiment, policies):
     catalog = EngineCatalog([ServeProfile.from_experiment("default", experiment)])
     server = ServeServer(catalog)
     await server.start()
     try:
-        identity = await identity_leg(
-            server, experiment, policies, args.session_seed
-        )
+        await identity_leg(server, experiment, policies)
         tapes = [
-            record_tape(
-                experiment, origin_policy(6), seed=args.session_seed + index
-            )
-            for index in range(args.tapes)
+            record_tape(experiment, origin_policy(6), seed=SESSION_SEED + index)
+            for index in range(TAPES)
         ]
-        load = await load_leg(server, tapes, args.sessions)
+        await load_leg(server, tapes)
     finally:
         await server.stop()
-    shed = await shed_leg(catalog, tapes[0])
-    return identity, load, shed
+    await shed_leg(catalog, tapes[0])
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
+def main() -> int:
     print(
-        f"serve bench: {args.sessions} sessions, {args.n_windows} windows, "
-        f"{args.tapes} tapes" + (" [smoke]" if args.smoke else "")
+        f"serve gate: {SESSIONS} sessions, {N_WINDOWS} windows, {TAPES} tapes, "
+        f"{len(os.sched_getaffinity(0))} cores"
     )
-    with WallClock() as total_clock:
-        config = SimulationConfig(n_windows=args.n_windows)
-        experiment = HARExperiment.standard_mhealth(seed=args.seed, config=config)
-        policies = [rr_policy(3), aas_policy(6), aasr_policy(6), origin_policy(6)]
-        identity, load, shed = asyncio.run(run_bench(args, experiment, policies))
-
-    print(
-        f"headline: {load['sessions']} concurrent sessions, "
-        f"{load['windows_per_s']} windows/s -> "
-        f"{load['sessions_per_core']} sessions/core"
-    )
-
-    payload = {
-        "bench": "serve",
-        "config": {
-            "sessions": args.sessions,
-            "tapes": args.tapes,
-            "n_windows": args.n_windows,
-            "experiment_seed": args.seed,
-            "session_seed": args.session_seed,
-            "smoke": args.smoke,
-        },
-        "sessions_per_core": load["sessions_per_core"],
-        "identity": identity,
-        "load": load,
-        "shed": shed,
-    }
-    output = args.output
-    if output is None and not args.smoke:
-        output = DEFAULT_OUTPUT
-    if output is not None:
-        write_stamped_json(output, payload, wall_time_s=total_clock.elapsed_s)
-        print(f"wrote {output}")
-    print(f"total wall time {total_clock.elapsed_s:.1f} s")
+    config = SimulationConfig(n_windows=N_WINDOWS)
+    experiment = HARExperiment.standard_mhealth(seed=EXPERIMENT_SEED, config=config)
+    policies = [rr_policy(3), aas_policy(6), aasr_policy(6), origin_policy(6)]
+    asyncio.run(run_gates(experiment, policies))
     return 0
 
 

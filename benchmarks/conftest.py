@@ -6,8 +6,7 @@ shared by every bench.  Each bench writes its rendered figure/table to
 ``benchmarks/results/<name>.txt`` so a bench run leaves the reproduced
 paper artifacts on disk (EXPERIMENTS.md is compiled from them), plus a
 ``<name>.metrics.json`` snapshot of the session's observability
-registry (timers, counters, histograms accumulated so far) stamped
-with the run metadata from :mod:`benchmarks.runmeta`.
+registry (timers, counters, histograms accumulated so far).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import os
 import numpy as np
 import pytest
 
-from benchmarks.runmeta import write_stamped_json
 from repro.obs.observer import Observability
 from repro.obs.trace import NULL_TRACER
 from repro.sim.experiment import HARExperiment, SimulationConfig
@@ -63,10 +61,7 @@ def save_result():
         path = os.path.join(RESULTS_DIR, f"{name}.txt")
         with open(path, "w") as handle:
             handle.write(text + "\n")
-        write_stamped_json(
-            os.path.join(RESULTS_DIR, f"{name}.metrics.json"),
-            {"bench": name, "metrics": SESSION_OBS.metrics.to_dict()},
-        )
+        SESSION_OBS.export(metrics_path=os.path.join(RESULTS_DIR, f"{name}.metrics.json"))
         print("\n" + text)
 
     return write

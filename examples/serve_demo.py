@@ -42,8 +42,8 @@ async def demo(experiment) -> None:
             )
             offline = experiment.run(policy, seed=9)
             same = served.labels == [
-                r.predicted_label for r in offline.records
-            ] and served.actives == [list(r.active_nodes) for r in offline.records]
+                None if label < 0 else label for label in offline.final_label.tolist()
+            ] and served.actives == [list(ids) for ids in offline.active_nodes]
             decided = sum(1 for label in served.labels if label is not None)
             print(
                 f"  {policy.name:<12} {'byte-identical' if same else 'DIVERGED'}"

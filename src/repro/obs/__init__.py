@@ -27,9 +27,6 @@ stack:
 ``repro.obs.watch``
     ``python -m repro.obs.watch <run-dir>`` — live terminal dashboard
     tailing an in-flight run's journal + timeseries (read-only).
-``repro.obs.bench``
-    ``python -m repro.obs.bench update|check`` — benchmark trajectory
-    ledger + headline-metric regression gate.
 ``repro.obs.summarize``
     ``python -m repro.obs.summarize trace.jsonl`` — per-run report with
     per-node timelines, top timers and the fault ledger.

@@ -23,7 +23,7 @@ site: callers hold an :class:`~repro.obs.observer.Observability` whose
 no extra work and stay byte-identical.  Recording never reaches into
 the simulation — the recorder only *reads* the registry — so a recorded
 run's results are byte-identical to an unrecorded one by construction
-(asserted by the test suite and the ``bench_perf_sweep --smoke``
+(asserted by the test suite and the ``benchmarks/bench_perf_sweep.py``
 overhead gate, which runs the traced leg with a recorder attached).
 """
 

@@ -13,11 +13,12 @@ it to streaming devices —
   block/shed overload policies, graceful drain and live
   ``repro.obs.watch`` dashboards;
 * :mod:`repro.serve.client` — simulated devices, replay tapes and the
-  concurrent load generator behind ``benchmarks/bench_serve.py``.
+  concurrent load generator behind ``benchmarks/bench_serve.py``'s
+  gates and ``python -m repro.serve load``.
 
 Correctness anchor: a served session fed an offline run's timeline
-produces the byte-identical decision stream (``python -m repro.serve
-replay`` checks it end to end).
+produces the byte-identical decision and active-set streams (``python
+-m repro.serve replay`` checks both end to end).
 """
 
 from repro.serve.client import (

@@ -10,9 +10,10 @@
 experiment entry point), binds a server and serves until interrupted —
 watch it live with ``python -m repro.obs.watch RUN_DIR``.  ``load``
 spawns an in-process server, replays N concurrent prerecorded sessions
-through it and prints throughput (the ``bench_serve`` measurement,
-smoke-sized).  ``replay`` runs one lockstep device against an already
-running server and verifies the served decision stream byte-for-byte
+through it and prints throughput and sessions/core (``perfbench/run.py
+--workload serve_closed`` is where serving is measured).  ``replay``
+runs one lockstep device against an already running server and
+verifies the served decision and active-set streams byte-for-byte
 against the offline ``HARExperiment.run`` on the same timeline.
 """
 
@@ -165,17 +166,19 @@ async def _cmd_replay(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     offline = experiment.run(policy, seed=args.seed)
-    expected = [record.predicted_label for record in offline.records]
+    expected = [None if label < 0 else label for label in offline.final_label.tolist()]
+    schedules = [list(ids) for ids in offline.active_nodes]
     matches = sum(1 for a, b in zip(served.labels, expected) if a == b)
-    identical = served.labels == expected and not any(served.shed)
+    same_schedules = served.actives == schedules
     print(
         f"served {len(served.labels)} decisions ({args.policy}); "
-        f"{matches}/{len(expected)} match offline"
+        f"{matches}/{len(expected)} match offline; active sets "
+        + ("match" if same_schedules else "DIFFER")
     )
-    if identical:
+    if served.labels == expected and same_schedules and not any(served.shed):
         print("byte-identical to HARExperiment.run: OK")
         return 0
-    print("MISMATCH against the offline decision stream")
+    print("MISMATCH against the offline decision and schedule streams")
     return 1
 
 

@@ -20,9 +20,9 @@ core.  Two modes:
   queue — not the network round-trip — is the limit.  :func:`run_load`
   fans N of these out concurrently and reduces them to a
   :class:`LoadStats`, whose ``sessions_per_core``
-  is the headline ``benchmarks/bench_serve.py`` tracks: a real device
-  produces one window per 2.56 s, so a server deciding W windows/s can
-  carry ``W x 2.56`` live sessions per core.
+  is the serving headline ``python -m repro.serve load`` prints: a real
+  device produces one window per 2.56 s, so a server deciding W
+  windows/s can carry ``W x 2.56`` live sessions per core.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ socket; the server answers each frame with one :meth:`Session.handle`
 call inside the protocol callback that completed the frame.  Fed the
 same per-slot states and reports as an offline :class:`HARExperiment`
 run, the engine inside produces the byte-identical decision stream —
-the correctness anchor ``bench_serve --smoke`` and the test suite
-assert.
+the correctness anchor ``benchmarks/bench_serve.py``, ``python -m
+repro.serve replay`` and the test suite assert.
 """
 
 from __future__ import annotations

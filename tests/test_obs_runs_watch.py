@@ -1,4 +1,4 @@
-"""Run registry, live watcher, and bench-trajectory gate tests."""
+"""Run registry and live watcher tests."""
 
 from __future__ import annotations
 
@@ -10,14 +10,6 @@ import shutil
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.bench import (
-    DEFAULT_TOLERANCE,
-    TRAJECTORY_NAME,
-    check,
-    extract_headlines,
-    update,
-)
-from repro.obs.bench import main as bench_main
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runs import DEFAULT_ROOT, RunRegistry, default_root
 from repro.obs.runs import main as runs_main
@@ -272,143 +264,3 @@ class TestWatch:
         frame = render_frame(snapshot)
         assert "3/6 cells (50.0%)" in frame
 
-
-def _write_bench_files(results_dir):
-    results_dir.mkdir(parents=True, exist_ok=True)
-    store = {
-        "bench": "trained_bundle_store_cold_start",
-        "speedup": {"warm_vs_cold": 11.81},
-        "meta": {"git_sha": "abc1234", "timestamp_utc": "2026-01-01T00:00:00Z"},
-    }
-    fleet = {
-        "benchmark": "fleet",  # the one BENCH file with the old key
-        "users_per_second": 180.0,
-        "meta": {"git_sha": "abc1234", "timestamp_utc": "2026-01-01T00:00:00Z"},
-    }
-    chaos = {  # no meta block, like the oldest committed BENCH file
-        "bench": "sweep_resilience_chaos",
-        "supervision": {"overhead_fraction": 0.02},
-    }
-    for name, doc in (
-        ("BENCH_store.json", store),
-        ("BENCH_fleet.json", fleet),
-        ("BENCH_chaos.json", chaos),
-    ):
-        (results_dir / name).write_text(json.dumps(doc))
-    return results_dir
-
-
-class TestBenchTrajectory:
-    def test_extract_headlines_both_name_keys(self, tmp_path):
-        results = _write_bench_files(tmp_path / "results")
-        store = extract_headlines(str(results / "BENCH_store.json"))
-        assert store["bench"] == "trained_bundle_store_cold_start"
-        assert store["git_sha"] == "abc1234"
-        assert store["headlines"] == {"speedup.warm_vs_cold": 11.81}
-        fleet = extract_headlines(str(results / "BENCH_fleet.json"))
-        assert fleet["bench"] == "fleet"
-        assert fleet["headlines"] == {"users_per_second": 180.0}
-        chaos = extract_headlines(str(results / "BENCH_chaos.json"))
-        assert chaos["git_sha"] is None  # meta-less file still records
-
-    def test_extract_rejects_unknown_and_incomplete(self, tmp_path):
-        unknown = tmp_path / "BENCH_mystery.json"
-        unknown.write_text(json.dumps({"bench": "mystery"}))
-        with pytest.raises(ObservabilityError, match="no HEADLINES entry"):
-            extract_headlines(str(unknown))
-        partial = tmp_path / "BENCH_partial.json"
-        partial.write_text(json.dumps({"bench": "fleet"}))
-        with pytest.raises(ObservabilityError, match="users_per_second"):
-            extract_headlines(str(partial))
-
-    def test_update_appends_once(self, tmp_path):
-        results = _write_bench_files(tmp_path / "results")
-        trajectory = str(results / TRAJECTORY_NAME)
-        first = update(str(results), trajectory)
-        assert {r["bench"] for r in first} == {
-            "trained_bundle_store_cold_start",
-            "fleet",
-            "sweep_resilience_chaos",
-        }
-        assert update(str(results), trajectory) == []  # idempotent
-        with open(trajectory) as handle:
-            assert len(handle.readlines()) == 3
-
-    def test_update_appends_again_when_numbers_move(self, tmp_path):
-        results = _write_bench_files(tmp_path / "results")
-        trajectory = str(results / TRAJECTORY_NAME)
-        update(str(results), trajectory)
-        doc = json.loads((results / "BENCH_store.json").read_text())
-        doc["speedup"]["warm_vs_cold"] = 12.5
-        (results / "BENCH_store.json").write_text(json.dumps(doc))
-        appended = update(str(results), trajectory)
-        assert [r["bench"] for r in appended] == ["trained_bundle_store_cold_start"]
-
-    def test_check_passes_without_history_and_within_tolerance(self, tmp_path):
-        results = _write_bench_files(tmp_path / "results")
-        trajectory = str(results / TRAJECTORY_NAME)
-        assert check(str(results), trajectory) == []  # no ledger at all
-        update(str(results), trajectory)
-        # Only the current identity in the ledger: still no baseline.
-        assert check(str(results), trajectory) == []
-
-    def test_check_flags_higher_metric_drop(self, tmp_path):
-        results = _write_bench_files(tmp_path / "results")
-        trajectory = str(results / TRAJECTORY_NAME)
-        golden_past = {
-            "schema_version": 1,
-            "bench": "trained_bundle_store_cold_start",
-            "source": "BENCH_store.json",
-            "git_sha": "older00",
-            "timestamp_utc": "2025-12-01T00:00:00Z",
-            "headlines": {"speedup.warm_vs_cold": 20.0},
-        }
-        with open(trajectory, "w") as handle:
-            handle.write(json.dumps(golden_past) + "\n")
-        regressions = check(str(results), trajectory)
-        assert len(regressions) == 1
-        assert "warm_vs_cold regressed 20 -> 11.81" in regressions[0]
-        # Wide tolerance swallows the same drop.
-        assert check(str(results), trajectory, tolerance=0.9) == []
-
-    def test_check_flags_lower_metric_climb(self, tmp_path):
-        results = _write_bench_files(tmp_path / "results")
-        trajectory = str(results / TRAJECTORY_NAME)
-        golden_past = {
-            "schema_version": 1,
-            "bench": "sweep_resilience_chaos",
-            "source": "BENCH_chaos.json",
-            "git_sha": "older00",
-            "timestamp_utc": "2025-12-01T00:00:00Z",
-            "headlines": {"supervision.overhead_fraction": -0.2},
-        }
-        with open(trajectory, "w") as handle:
-            handle.write(json.dumps(golden_past) + "\n")
-        regressions = check(str(results), trajectory)
-        assert len(regressions) == 1
-        assert "overhead_fraction regressed -0.2 -> 0.02" in regressions[0]
-
-    def test_cli_update_then_gate(self, tmp_path, capsys):
-        results = _write_bench_files(tmp_path / "results")
-        assert bench_main(["--results-dir", str(results), "update"]) == 0
-        assert "appended" in capsys.readouterr().out
-        assert bench_main(["--results-dir", str(results), "check"]) == 0
-        assert "no headline regressions" in capsys.readouterr().out
-        doc = json.loads((results / "BENCH_store.json").read_text())
-        doc["speedup"]["warm_vs_cold"] = 1.0
-        doc["meta"]["git_sha"] = "newer00"
-        (results / "BENCH_store.json").write_text(json.dumps(doc))
-        assert bench_main(["--results-dir", str(results), "check"]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_committed_trajectory_gate_passes(self, capsys):
-        """The repo's own ledger must gate green (CI runs exactly this)."""
-        results = os.path.join(
-            os.path.dirname(__file__), os.pardir, "benchmarks", "results"
-        )
-        assert bench_main(["--results-dir", results, "check"]) == 0
-        out = capsys.readouterr().out
-        assert "no headline regressions" in out
-
-    def test_default_tolerance_is_sane(self):
-        assert 0.0 < DEFAULT_TOLERANCE < 0.5
