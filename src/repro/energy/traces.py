@@ -147,14 +147,16 @@ def slot_energies(
     The simulator's one slot arithmetic: a trace's
     (:meth:`PowerTrace.slot_energies`), a harvester's
     (:meth:`~repro.energy.harvester.Harvester.slot_energies`) and a
-    kernel batch's ``(nodes, samples)`` block of harvest rows.  Each
-    slot sums its ``slot_duration_s / dt_s`` samples times ``dt_s`` —
-    by exact overlap integration when a slot is not a whole number of
-    samples — then scales by ``efficiency`` and ``gain`` and adds the
-    ``supplemental_w`` trickle.  Only whole slots inside the trace
-    count.  With ``n_slots`` the last axis is truncated or zero-padded
-    to that length; padded slots deliver exactly 0.0 J, trickle
-    included.  A row's floats do not depend on the rows beside it.
+    kernel batch's ``(setups, nodes, samples)`` block of harvest rows.
+    Each slot sums its ``slot_duration_s / dt_s`` samples times
+    ``dt_s`` — by exact overlap integration when a slot is not a whole
+    number of samples — then scales by ``efficiency`` and ``gain`` and
+    adds the ``supplemental_w`` trickle (a scalar, or an array that
+    broadcasts against the leading axes: one trickle per setup of a
+    batch).  Only whole slots inside the trace count.  With ``n_slots``
+    the last axis is truncated or zero-padded to that length; padded
+    slots deliver exactly 0.0 J, trickle included.  A row's floats do
+    not depend on the rows beside it.
     """
     check_positive("slot_duration_s", slot_duration_s)
     watts = np.asarray(watts, dtype=np.float64)

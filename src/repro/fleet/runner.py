@@ -143,6 +143,27 @@ def _user_groups(
     ]
 
 
+def _fetch_materials(
+    cache: PredictionCache, users: Sequence[UserSpec], obs: Optional[Observability] = None
+) -> List[RunMaterial]:
+    """Each user's material, fetched from ``cache`` once per distinct key.
+
+    A user's material depends on its seed, slot count, dwell and model
+    variant only (every user runs the default subject); within a cohort
+    that is its ``(seed, dwell)`` :attr:`~repro.fleet.spec.UserSpec.material_key`.
+    """
+    fetched: Dict[tuple, RunMaterial] = {}
+    materials = []
+    for user in users:
+        config = user.config
+        key = (user.seed, config.n_windows, config.dwell_scale, config.use_pruned_models)
+        material = fetched.get(key)
+        if material is None:
+            material = fetched[key] = cache.material(user.seed, config=config, obs=obs)
+        materials.append(material)
+    return materials
+
+
 def simulate_users(
     experiment: HARExperiment,
     users: Sequence[UserSpec],
@@ -161,8 +182,7 @@ def simulate_users(
     if not users:
         return []
     if materials is None:
-        cache = PredictionCache(experiment)
-        materials = [cache.material(user.seed, config=user.config) for user in users]
+        materials = _fetch_materials(PredictionCache(experiment), users)
     return run_group_batch(experiment, _user_groups(users, policies, materials))
 
 
@@ -186,8 +206,9 @@ def shard_aggregate(
     ``(experiment, spec, policies)``, memoized per ``(seed, dwell)`` in
     ``references`` (one dict per worker).  The whole shard is one
     :func:`run_group_batch` call: one group per user, plus one per
-    reference not memoized yet.  Each user's material is fetched once,
-    for its run and its reference.
+    reference not memoized yet, and ``obs`` sees that batch.  Each
+    ``(seed, dwell)`` material is fetched from ``cache`` once, for the
+    runs and the reference on it.
     """
     users = list(spec.users(lo, hi))
     bounds = default_metric_bounds(
@@ -197,7 +218,7 @@ def shard_aggregate(
     aggregate.shards = 1
     cache = cache if cache is not None else PredictionCache(experiment)
     refs = references if references is not None else {}
-    materials = [cache.material(user.seed, config=user.config, obs=obs) for user in users]
+    materials = _fetch_materials(cache, users, obs)
     missing: Dict[Tuple[int, float], RunMaterial] = {}
     for user, material in zip(users, materials):
         if user.material_key not in refs:
@@ -212,7 +233,7 @@ def shard_aggregate(
         )
         for (seed, dwell), material in missing.items()
     )
-    results = run_group_batch(experiment, groups)
+    results = run_group_batch(experiment, groups, obs=obs)
     refs.update(zip(missing, results[len(users):]))
     for user, row in zip(users, results):
         reference_row = refs[user.material_key]

@@ -284,9 +284,11 @@ class CohortSpec:
                 f"n_timelines must be >= 1, got {self.n_timelines}"
             )
         dwell_support = self.dwell_scale.support
-        if dwell_support is not None and any(d <= 0 for d in dwell_support):
+        if dwell_support is not None and not all(
+            math.isfinite(d) and d > 0 for d in dwell_support
+        ):
             raise ConfigurationError(
-                f"dwell_scale support must be positive, got {dwell_support}"
+                f"dwell_scale support must be finite and positive, got {dwell_support}"
             )
 
     # ------------------------------------------------------------------

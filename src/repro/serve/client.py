@@ -99,14 +99,15 @@ class DeviceSim:
             use_pruned_models=config.use_pruned_models,
             subject=self.subject,
         )
-        ((nodes, energies),) = experiment.build_nodes([(self.seed, config)])
-        self.node_ids = [node.node_id for node in nodes]
+        table = experiment.build_nodes([(self.seed, config)])
+        self.node_ids = table.node_ids
+        n_nodes = len(self.node_ids)
         self._position = {node_id: k for k, node_id in enumerate(self.node_ids)}
-        self.kernel = SlotKernel.from_lanes(nodes, energies, range(len(nodes)))
-        self._active = np.zeros(len(nodes), dtype=bool)
+        self.kernel = SlotKernel.from_lanes(table, range(n_nodes))
+        self._active = np.zeros(n_nodes, dtype=bool)
         # The row's lossless link and the label/confidence columns that
         # completed lanes fill each slot.
-        shape = (1, len(nodes))
+        shape = (1, n_nodes)
         self._delivered = np.ones(shape, dtype=bool)
         self._reported = np.full(shape, -1, dtype=np.int64)
         self._predicted = np.zeros(shape, dtype=np.int64)

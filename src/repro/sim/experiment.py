@@ -14,10 +14,13 @@ One scheduling slot = one IMU window (2.56 s by default).  Every slot:
 The same harness runs every configuration of the paper's ladder (plain
 ER-r, AAS, AASR, Origin) — only the :class:`~repro.core.policies.PolicySpec`
 changes.  :class:`HARExperiment` owns the deployment (dataset, trained
-bundle, RF environment, config) and builds a batch's node parameters and
-harvest rows (:meth:`HARExperiment.build_nodes`, one office walk per
-seed); the slot physics of every run, faulted and observed ones
-included, is the lane kernel of :mod:`repro.sim.kernel`.
+bundle, RF environment, config) and builds a batch's lane table
+(:meth:`HARExperiment.build_nodes`): one office walk per seed, the
+harvest rows of a block of setups per slot-sum pass and each config's
+node parameters read once, as arrays, with no per-node object.
+:class:`SimulationConfig` therefore runs the node records' checks
+itself, once per config.  The slot physics of every run, faulted and
+observed ones included, is the lane kernel of :mod:`repro.sim.kernel`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,21 +36,25 @@ from repro.core.policies import PolicySpec
 from repro.datasets.base import HARDataset
 from repro.datasets.body import BodyLocation
 from repro.datasets.subjects import SubjectProfile
-from repro.energy.harvester import Harvester
 from repro.energy.nvp import NonVolatileProcessor
 from repro.energy.storage import Capacitor
-from repro.energy.traces import PowerTrace, PowerTraceGenerator, slot_energies
+from repro.energy.traces import PowerTraceGenerator, slot_energies
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.obs.observer import Observability
+from repro.sim.kernel import LaneTable
 from repro.sim.predcache import RunMaterial, default_subject
 from repro.sim.results import ExperimentResult
 from repro.sim.training import TrainedSensorBundle, TrainingConfig
 from repro.utils.rng import SeedSequenceFactory
+from repro.utils.validation import check_positive
 from repro.wsn.comm import RadioProfile
-from repro.wsn.node import NodeCosts, SensorNode
+from repro.wsn.node import NodeCosts, check_link
 
 logger = logging.getLogger(__name__)
+
+#: Most bytes of watts :meth:`HARExperiment.build_nodes` holds at once.
+_WATTS_BLOCK_BYTES = 1 << 18
 
 #: Calibrated default: uniform RF gain across placements.  The trace
 #: generator already injects per-node variation through independent
@@ -65,7 +72,14 @@ DEFAULT_NODE_GAINS: Dict[BodyLocation, float] = {
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Deployment-level knobs of the EH-WSN simulation."""
+    """Deployment-level knobs of the EH-WSN simulation.
+
+    Construction refuses every value a node record
+    (:class:`~repro.energy.storage.Capacitor`,
+    :class:`~repro.energy.nvp.NonVolatileProcessor`,
+    :class:`~repro.wsn.node.SensorNode`) would, with the record's
+    exception and message, and every non-finite knob.
+    """
 
     n_windows: int = 600
     #: EH nodes use tiny storage: a couple of inferences' worth.  This
@@ -102,12 +116,19 @@ class SimulationConfig:
                 raise ConfigurationError(
                     f"node gain at {location} must be finite and >= 0, got {gain}"
                 )
-        if self.dwell_scale <= 0:
-            raise ConfigurationError(f"dwell_scale must be positive, got {self.dwell_scale}")
-        if self.battery_supplement_w < 0:
+        if not (math.isfinite(self.dwell_scale) and self.dwell_scale > 0):
             raise ConfigurationError(
-                f"battery_supplement_w must be >= 0, got {self.battery_supplement_w}"
+                f"dwell_scale must be finite and positive, got {self.dwell_scale}"
             )
+        if not (math.isfinite(self.battery_supplement_w) and self.battery_supplement_w >= 0):
+            raise ConfigurationError(
+                f"battery_supplement_w must be finite and >= 0, got {self.battery_supplement_w}"
+            )
+        # The node records' own checks, run once per config: a batch's
+        # lane table reads these knobs raw (HARExperiment.build_nodes).
+        Capacitor(self.capacitor_capacity_j, self.capacitor_initial_j, self.capacitor_leakage_w)
+        NonVolatileProcessor(self.checkpoint_overhead, volatile=self.volatile)
+        check_link(self.radio, self.max_task_age_slots)
 
     def gain_for(self, location: BodyLocation) -> float:
         """RF gain at ``location``."""
@@ -218,74 +239,82 @@ class HARExperiment:
     # construction helpers
     # ------------------------------------------------------------------
 
-    def build_nodes(
-        self, setups: Sequence[Tuple[int, SimulationConfig]]
-    ) -> List[Tuple[List[SensorNode], np.ndarray]]:
-        """Each ``(seed, config)`` setup's nodes and harvest rows.
+    def build_nodes(self, setups: Sequence[Tuple[int, SimulationConfig]]) -> LaneTable:
+        """Every ``(seed, config)`` setup's harvest rows and lane parameters.
 
-        Returns one ``(nodes, rows)`` pair per setup, ``rows`` a fresh
-        ``(nodes, n_windows)`` array.  Setups sharing ``(seed,
-        n_windows)`` share one office walk at unit gain (one
-        ``generate_correlated`` call per call of this method); a
-        setup's watts are ``(unit x gain) x trace_scale``, the floats
-        the walk at its own gains would give, scaled.  Node ``k``'s
-        harvester holds row ``k`` of those watts, so its
-        ``slot_energy_vector(n_windows)`` equals ``rows[k]``.
+        Returns one :class:`~repro.sim.kernel.LaneTable` whose setup
+        ``g`` is ``setups[g]``; every setup shares one ``n_windows``.
+        Setups sharing a seed share one office walk at unit gain (one
+        ``generate_correlated`` call per distinct seed).  A setup's watts
+        are ``(unit x gain) x trace_scale``, the floats the walk at its
+        own gains would give, scaled, computed in place for a block of
+        setups at a time (at most ``_WATTS_BLOCK_BYTES``); one
+        :func:`~repro.energy.traces.slot_energies` pass per block sums
+        their ``(nodes, n_windows)`` rows, and the watts are dropped.
+        Each config's parameters are read once and the bundle's
+        inference energies are checked once per call.
         """
         spec = self.dataset.spec
         slot_s = spec.window_duration_s
         locations = list(spec.locations)
-        dt_s = self.trace_generator.dt_s
-        walks: Dict[Tuple[int, int], np.ndarray] = {}
-        built = []
-        for seed, config in setups:
-            key = (int(seed), config.n_windows)
-            unit = walks.get(key)
-            if unit is None:
+        node_ids = [self.bundle.node_id_of(location) for location in locations]
+        configs = [config for _, config in setups]
+        n_windows = configs[0].n_windows
+        for config in configs[1:]:
+            if config.n_windows != n_windows:
+                raise ConfigurationError(
+                    f"all groups of a batch must share n_windows "
+                    f"({config.n_windows} != {n_windows})"
+                )
+        walk_of: Dict[int, int] = {}
+        walks = []
+        for seed, _ in setups:
+            if int(seed) not in walk_of:
+                walk_of[int(seed)] = len(walks)
                 traces = self.trace_generator.generate_correlated(
-                    config.n_windows * slot_s,
+                    n_windows * slot_s,
                     [1.0] * len(locations),
-                    SeedSequenceFactory(key[0]).generator("traces"),
+                    SeedSequenceFactory(int(seed)).generator("traces"),
                 )
-                unit = walks[key] = np.stack([trace.watts for trace in traces])
-            gains = np.array([config.gain_for(location) for location in locations])
-            watts = (unit * gains[:, None]) * config.trace_scale
-            rows = slot_energies(
+                walks.append(np.stack([trace.watts for trace in traces]))
+        units = np.stack(walks)
+        walk_index = np.array([walk_of[int(seed)] for seed, _ in setups])
+        gains = np.array(
+            [[config.gain_for(location) for location in locations] for config in configs]
+        )[:, :, None]
+        scales = np.array([config.trace_scale for config in configs])[:, None, None]
+        supplements = np.array([config.battery_supplement_w for config in configs])[:, None, None]
+        rows = np.empty((len(configs), len(locations), n_windows))
+        # A block of setups at a time: one watts array for a whole
+        # cohort batch (6 MB at 256 users) raises glibc's mmap threshold
+        # when freed, and every later array of that size then stays on
+        # the heap, which only grows unit after unit.
+        step = max(1, _WATTS_BLOCK_BYTES // units[0].nbytes)
+        for lo in range(0, len(configs), step):
+            block = slice(lo, lo + step)
+            watts = units[walk_index[block]]
+            watts *= gains[block]
+            watts *= scales[block]
+            rows[block] = slot_energies(
                 watts,
-                dt_s,
+                self.trace_generator.dt_s,
                 slot_s,
-                n_slots=config.n_windows,
-                supplemental_w=config.battery_supplement_w,
+                n_slots=n_windows,
+                supplemental_w=supplements[block],
             )
-            energies = self.bundle.inference_energies(pruned=config.use_pruned_models)
-            nodes = []
-            for location, node_watts in zip(locations, watts):
-                node_id = self.bundle.node_id_of(location)
-                nodes.append(
-                    SensorNode(
-                        node_id=node_id,
-                        location=location,
-                        inference_energy_j=energies[node_id],
-                        harvester=Harvester(
-                            PowerTrace(dt_s, node_watts),
-                            supplemental_w=config.battery_supplement_w,
-                        ),
-                        capacitor=Capacitor(
-                            config.capacitor_capacity_j,
-                            config.capacitor_initial_j,
-                            config.capacitor_leakage_w,
-                        ),
-                        nvp=NonVolatileProcessor(
-                            config.checkpoint_overhead, volatile=config.volatile
-                        ),
-                        radio=config.radio,
-                        costs=config.costs,
-                        slot_duration_s=slot_s,
-                        max_task_age_slots=config.max_task_age_slots,
-                    )
-                )
-            built.append((nodes, rows))
-        return built
+        work = {}
+        for pruned in {config.use_pruned_models for config in configs}:
+            energies = self.bundle.inference_energies(pruned=pruned)
+            work[pruned] = [
+                check_positive("inference_energy_j", energies[node_id]) for node_id in node_ids
+            ]
+        return LaneTable.of_configs(
+            node_ids,
+            rows,
+            [work[config.use_pruned_models] for config in configs],
+            configs,
+            slot_s,
+        )
 
     # ------------------------------------------------------------------
     # runs

@@ -20,15 +20,21 @@ wipe → result-message draw.
   and ``finish_slot`` once per slot each, with ``(rows, nodes)`` flag
   and report arrays read off the lanes.
 
-A batch builds its lanes once: one
-:meth:`~repro.sim.experiment.HARExperiment.build_nodes` call draws each
-distinct office walk of the batch once and writes every group's harvest
-rows from it, each group folds its fault plan into its own rows, and
-one :meth:`SlotKernel.from_lanes` call makes every lane.  Its outcome
-stays columnar too: every run's :class:`~repro.sim.results.ExperimentResult`
-is its row of the batch's ``(rows, slots)`` arrays (final label,
-attempts, completions, dropped messages) plus its active-node tuples,
-so neither end of a batch builds a per-slot object.
+A batch builds its lanes once, as arrays: one
+:meth:`~repro.sim.experiment.HARExperiment.build_nodes` call returns a
+:class:`LaneTable` for every group at once — the harvest rows of every
+``(group, node)``, written from one office walk per distinct seed a
+block of groups per slot-sum pass, and each config read once —
+each group folds its fault plan into its own rows, and one
+:meth:`SlotKernel.from_lanes` call gathers every lane from the table.
+No per-node object is built; :meth:`SlotKernel.from_nodes` turns
+hand-built :class:`~repro.wsn.node.SensorNode` records into the same
+table.  The outcome stays columnar too: every run's
+:class:`~repro.sim.results.ExperimentResult` is its row of the batch's
+``(rows, slots)`` arrays (final label, attempts, completions, dropped
+messages) plus its active-node tuples, and its ``NodeStats`` come from
+the lane counter columns, read once per batch, so neither end of a
+batch builds a per-slot object.
 
 Link accounting is lane arithmetic too: every completion sends one
 result message, whose radio energy accumulates per lane, message by
@@ -58,15 +64,18 @@ Observed runs synthesize the node trace events (``window.sensed``,
 ``nvp.*``, ``inference.*``, ``message.*``) and metrics from lane state,
 one trace buffer per run; the buffers join the caller's tracer in run
 order after the batch, so every run stays contiguous and turning
-observability on changes neither the physics nor the batching.
+observability on changes neither the physics nor the batching.  An
+observed batch also times its set-up (lane table to row tables) as one
+``kernel.setup`` timer; an unobserved one reads no clock.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-import time
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -102,6 +111,169 @@ class SlotEvents:
     sense_paid: np.ndarray  # float64: IMU draw actually paid
     burst_consumed: np.ndarray  # float64: NVP burst energy drawn
     comm_paid: np.ndarray  # float64: radio draw actually paid
+
+
+#: A :class:`LaneTable`'s parameter columns in :func:`_lane_params`
+#: order, with their dtypes.
+_PARAM_COLUMNS = (
+    ("capacity_j", np.float64),
+    ("initial_j", np.float64),
+    ("leak_j", np.float64),
+    ("idle_j", np.float64),
+    ("sense_j", np.float64),
+    ("useful_fraction", np.float64),
+    ("volatile", bool),
+    ("comm_cost_j", np.float64),
+    ("max_task_age_slots", np.float64),
+    ("message_bytes", np.int64),
+)
+
+
+def _lane_params(
+    *,
+    capacity_j: float,
+    initial_j: float,
+    leakage_w: float,
+    slot_duration_s: float,
+    costs,
+    checkpoint_overhead: float,
+    volatile: bool,
+    radio,
+    max_task_age_slots: Optional[int],
+) -> tuple:
+    """One deployment's lane parameters, in :data:`_PARAM_COLUMNS` order.
+
+    The kernel's one derivation from raw parameters, for a config and
+    for a :class:`~repro.wsn.node.SensorNode` alike: the initial charge
+    clamped to capacity, the leak over one slot, the NVP's useful
+    fraction, one result message's radio cost and ``inf`` for no task
+    age limit.
+    """
+    capacity_j = float(capacity_j)
+    return (
+        capacity_j,
+        min(float(initial_j), capacity_j),
+        leakage_w * slot_duration_s,
+        costs.idle_j,
+        costs.sense_j,
+        1.0 - checkpoint_overhead,
+        volatile,
+        radio.message_cost_j(costs.result_message_bytes),
+        math.inf if max_task_age_slots is None else float(max_task_age_slots),
+        costs.result_message_bytes,
+    )
+
+
+@dataclass
+class LaneTable:
+    """Harvest rows and lane parameters of a batch's ``(setup, node)`` pairs.
+
+    A *setup* is one deployment of ``node_ids`` (a batch group's
+    ``(seed, config)``).  ``energies`` is ``(setups, nodes, n_slots)``;
+    every other column is ``(setups, nodes)``: capacity, initial charge
+    (clamped to capacity), leak per slot, idle and sense draws, the
+    inference's work, the NVP's useful fraction, volatility, the cost
+    and size of one result message, and the task age limit (``inf`` =
+    none).  :meth:`SlotKernel.from_lanes` gathers lanes from it.
+    """
+
+    node_ids: List[int]
+    energies: np.ndarray
+    task_work_j: np.ndarray
+    capacity_j: np.ndarray
+    initial_j: np.ndarray
+    leak_j: np.ndarray
+    idle_j: np.ndarray
+    sense_j: np.ndarray
+    useful_fraction: np.ndarray
+    volatile: np.ndarray
+    comm_cost_j: np.ndarray
+    max_task_age_slots: np.ndarray
+    message_bytes: np.ndarray
+
+    @property
+    def n_slots(self) -> int:
+        return self.energies.shape[2]
+
+    @classmethod
+    def _build(cls, node_ids, energies, task_work_j, params, *, per_node: bool) -> "LaneTable":
+        """The table of one :func:`_lane_params` tuple per setup (or, with
+        ``per_node``, per node), broadcast to ``(setups, nodes)`` columns."""
+        energies = np.asarray(energies, dtype=np.float64)
+        shape = energies.shape[:2]
+
+        def column(values, dtype=np.float64) -> np.ndarray:
+            values = np.asarray(values, dtype=dtype)
+            if values.ndim == 1:
+                values = values[None, :] if per_node else values[:, None]
+            return np.array(np.broadcast_to(values, shape))
+
+        return cls(
+            node_ids=list(node_ids),
+            energies=energies,
+            task_work_j=column(task_work_j),
+            **{
+                name: column(values, dtype)
+                for (name, dtype), values in zip(_PARAM_COLUMNS, zip(*params))
+            },
+        )
+
+    @classmethod
+    def of_configs(
+        cls,
+        node_ids: Sequence[int],
+        energies: np.ndarray,
+        task_work_j: np.ndarray,
+        configs: Sequence,
+        slot_duration_s: float,
+    ) -> "LaneTable":
+        """One setup per :class:`~repro.sim.experiment.SimulationConfig`,
+        each config read once; ``task_work_j`` is ``(setups, nodes)``."""
+        return cls._build(
+            node_ids,
+            energies,
+            task_work_j,
+            [
+                _lane_params(
+                    capacity_j=config.capacitor_capacity_j,
+                    initial_j=config.capacitor_initial_j,
+                    leakage_w=config.capacitor_leakage_w,
+                    slot_duration_s=slot_duration_s,
+                    costs=config.costs,
+                    checkpoint_overhead=config.checkpoint_overhead,
+                    volatile=config.volatile,
+                    radio=config.radio,
+                    max_task_age_slots=config.max_task_age_slots,
+                )
+                for config in configs
+            ],
+            per_node=False,
+        )
+
+    @classmethod
+    def of_nodes(cls, nodes: Sequence[SensorNode], n_slots: int) -> "LaneTable":
+        """One setup of hand-built node records, each harvesting its own
+        :meth:`~repro.wsn.node.SensorNode.slot_energy_vector`."""
+        return cls._build(
+            [node.node_id for node in nodes],
+            np.stack([node.slot_energy_vector(n_slots) for node in nodes])[None],
+            [node.inference_energy_j for node in nodes],
+            [
+                _lane_params(
+                    capacity_j=node.capacitor.capacity_j,
+                    initial_j=node.capacitor.initial_j,
+                    leakage_w=node.capacitor.leakage_w,
+                    slot_duration_s=node.slot_duration_s,
+                    costs=node.costs,
+                    checkpoint_overhead=node.nvp.checkpoint_overhead,
+                    volatile=node.nvp.volatile,
+                    radio=node.radio,
+                    max_task_age_slots=node.max_task_age_slots,
+                )
+                for node in nodes
+            ],
+            per_node=True,
+        )
 
 
 class SlotKernel:
@@ -184,56 +356,46 @@ class SlotKernel:
     def from_nodes(
         cls, nodes: Sequence[SensorNode], *, n_runs: int, n_slots: int
     ) -> "SlotKernel":
-        """Lanes for ``n_runs`` identical runs over freshly built nodes.
+        """Lanes for ``n_runs`` identical runs over hand-built node records.
 
         Lane ``r * len(nodes) + k`` is run ``r``'s copy of ``nodes[k]``,
         harvesting the node's own
-        :meth:`~repro.wsn.node.SensorNode.slot_energy_vector`.
+        :meth:`~repro.wsn.node.SensorNode.slot_energy_vector`; the
+        records become a one-setup :class:`LaneTable` first
+        (:meth:`LaneTable.of_nodes`).
         """
         if n_runs < 1:
             raise SimulationError(f"n_runs must be >= 1, got {n_runs}")
         return cls.from_lanes(
-            nodes,
-            np.stack([node.slot_energy_vector(n_slots) for node in nodes]),
-            np.tile(np.arange(len(nodes)), n_runs),
+            LaneTable.of_nodes(nodes, n_slots), np.tile(np.arange(len(nodes)), n_runs)
         )
 
     @classmethod
-    def from_lanes(
-        cls, nodes: Sequence[SensorNode], slot_energies: np.ndarray, lanes: Sequence[int]
-    ) -> "SlotKernel":
-        """Fresh lanes over node templates: lane ``i`` is ``nodes[lanes[i]]``.
+    def from_lanes(cls, table: LaneTable, lanes: Sequence[int]) -> "SlotKernel":
+        """Fresh lanes gathered from ``table``: lane ``i`` is its flat
+        ``(setup, node)`` entry ``lanes[i]``, i.e. ``setup * n_nodes + node``.
 
-        ``slot_energies`` holds one ``(n_slots,)`` harvest row per node
-        (a kernel batch folds its fault plan's dropouts and outages into
-        them first); each node's capacitor's initial charge seeds its
-        lanes.  Lanes never interact, so a lane advances the same
-        whichever nodes share the kernel.
+        A kernel batch folds its fault plans' dropouts and outages into
+        the table's harvest rows first.  Lanes never interact, so a lane
+        advances the same whichever entries share the kernel.
         """
         lanes = np.asarray(lanes, dtype=np.int64)
 
-        def per_lane(values, dtype=np.float64) -> np.ndarray:
-            return np.asarray(values, dtype=dtype)[lanes]
+        def gather(column: np.ndarray) -> np.ndarray:
+            return column.reshape(-1)[lanes]
 
         return cls(
-            slot_energies=np.asarray(slot_energies, dtype=np.float64)[lanes],
-            capacity_j=per_lane([n.capacitor.capacity_j for n in nodes]),
-            initial_j=per_lane([n.capacitor.initial_j for n in nodes]),
-            leak_j=per_lane([n.capacitor.leakage_w * n.slot_duration_s for n in nodes]),
-            idle_j=per_lane([n.costs.idle_j for n in nodes]),
-            sense_j=per_lane([n.costs.sense_j for n in nodes]),
-            task_work_j=per_lane([n.inference_energy_j for n in nodes]),
-            useful_fraction=per_lane([n.nvp.useful_fraction for n in nodes]),
-            volatile=per_lane([n.nvp.volatile for n in nodes], dtype=bool),
-            comm_cost_j=per_lane(
-                [n.radio.message_cost_j(n.costs.result_message_bytes) for n in nodes]
-            ),
-            max_task_age_slots=per_lane(
-                [
-                    np.inf if n.max_task_age_slots is None else float(n.max_task_age_slots)
-                    for n in nodes
-                ]
-            ),
+            slot_energies=table.energies.reshape(-1, table.n_slots)[lanes],
+            capacity_j=gather(table.capacity_j),
+            initial_j=gather(table.initial_j),
+            leak_j=gather(table.leak_j),
+            idle_j=gather(table.idle_j),
+            sense_j=gather(table.sense_j),
+            task_work_j=gather(table.task_work_j),
+            useful_fraction=gather(table.useful_fraction),
+            volatile=gather(table.volatile),
+            comm_cost_j=gather(table.comm_cost_j),
+            max_task_age_slots=gather(table.max_task_age_slots),
         )
 
     # ------------------------------------------------------------------
@@ -349,19 +511,11 @@ class SlotKernel:
     # results
     # ------------------------------------------------------------------
 
-    def lane_stats(self, lane: int) -> NodeStats:
-        """One lane's counters as a plain-python :class:`NodeStats`."""
-        return NodeStats(
-            slots=int(self.slots[lane]),
-            active_slots=int(self.active_slots[lane]),
-            attempts_started=int(self.attempts_started[lane]),
-            completions=int(self.completions[lane]),
-            failed_active_slots=int(self.failed_active_slots[lane]),
-            harvested_j=float(self.harvested_j[lane]),
-            consumed_j=float(self.consumed_j[lane]),
-            comm_j=float(self.comm_j[lane]),
-            leaked_j=float(self.leaked_j[lane]),
-        )
+    def node_stats(self) -> List[NodeStats]:
+        """Every lane's counters as a plain-python :class:`NodeStats`, in
+        lane order; each counter column is read once."""
+        columns = [getattr(self, stat.name).tolist() for stat in fields(NodeStats)]
+        return [NodeStats(*counters) for counters in zip(*columns)]
 
 
 # ---------------------------------------------------------------------------
@@ -524,26 +678,16 @@ class BatchGroup:
 
 @dataclass
 class _GroupState:
-    """One group's prepared objects.
+    """One group's prepared runs over its :class:`LaneTable` setup.
 
-    ``energies`` holds each node's ``(n_slots,)`` harvest row, with the
-    group's fault plan folded in.  ``position`` maps a node id to its
-    index in construction order (its lane offset inside each run's
-    block); ``message_bytes`` is each node's result-message size.
+    ``node_ids`` is the batch's deployment in construction order and
+    ``message_bytes`` each node's result-message size.
     """
 
-    nodes: List[SensorNode]
     node_ids: List[int]
-    energies: np.ndarray
+    message_bytes: List[int]
     material: RunMaterial
     runs: List[_RunState]
-    n_slots: int
-    position: Dict[int, int] = field(init=False)
-    message_bytes: List[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.position = {node_id: k for k, node_id in enumerate(self.node_ids)}
-        self.message_bytes = [node.costs.result_message_bytes for node in self.nodes]
 
 
 def _run_obs(obs: Observability) -> Observability:
@@ -558,17 +702,17 @@ def _prepare_group(
     experiment,
     group: BatchGroup,
     config,
-    nodes: List[SensorNode],
-    energies: np.ndarray,
+    table: LaneTable,
+    setup: int,
     obs: Observability,
 ) -> tuple:
-    """Materialize one group's material and runs over its built nodes.
+    """Materialize one group's material and runs over its table setup.
 
-    ``nodes`` and ``energies`` are the group's node records and harvest
-    rows from :meth:`~repro.sim.experiment.HARExperiment.build_nodes`;
-    the group's fault plan folds into ``energies`` in place.  Returns
-    ``(_GroupState, rows)``, ``rows`` holding one
-    :class:`~repro.core.engine.EngineRow` per run.
+    ``table`` is the batch's :class:`LaneTable` from
+    :meth:`~repro.sim.experiment.HARExperiment.build_nodes` and
+    ``setup`` the group's index in it; the group's fault plan folds
+    into its harvest rows in place.  Returns ``(_GroupState, rows)``,
+    ``rows`` holding one :class:`~repro.core.engine.EngineRow` per run.
     """
     policies = list(group.policies)
     run_seed = int(group.seed)
@@ -596,7 +740,7 @@ def _prepare_group(
             subject=subject,
         )
 
-    node_ids = [node.node_id for node in nodes]
+    node_ids = table.node_ids
     n_slots = config.n_windows
     plan = group.faults if group.faults is not None else FaultPlan()
 
@@ -605,7 +749,7 @@ def _prepare_group(
     for spec in policies:
         run_obs = _run_obs(obs)
         engine = None
-        links: List[Optional[Callable]] = [None] * len(nodes)
+        links: List[Optional[Callable]] = [None] * len(node_ids)
         if plan.faults:
             # Each run compiles its own engine: its link-loss chains draw
             # from the seed's "faults" stream, never from another run's.
@@ -631,7 +775,7 @@ def _prepare_group(
                 policy=spec.name,
                 seed=run_seed,
                 n_windows=n_slots,
-                n_nodes=len(nodes),
+                n_nodes=len(node_ids),
             )
         if run_obs.enabled:
             # Registered up front: an observed run reports the histogram
@@ -648,16 +792,15 @@ def _prepare_group(
     if runs[0].faults is not None:
         # Dropouts and outages are static schedules: fold them into
         # each node's harvest timeline, which every run's lane shares.
+        energies = table.energies[setup]
         for k, node_id in enumerate(node_ids):
             energies[k] = runs[0].faults.slot_energies(node_id, energies[k])
 
     state = _GroupState(
-        nodes=nodes,
         node_ids=node_ids,
-        energies=energies,
+        message_bytes=table.message_bytes[setup].tolist(),
         material=material,
         runs=runs,
-        n_slots=n_slots,
     )
     return state, rows
 
@@ -748,8 +891,8 @@ def run_group_batch(
     The mega-batch entry point: groups may differ in seed, traces,
     capacitor sizing, gains, dwell, material and fault plan — each
     contributes its own ``policies x nodes`` lane block to the batch's
-    one :class:`SlotKernel` (built in one :meth:`SlotKernel.from_lanes`
-    call over every group's nodes and harvest rows), so the whole
+    one :class:`SlotKernel` (gathered in one :meth:`SlotKernel.from_lanes`
+    call from the batch's :class:`LaneTable`), so the whole
     cohort's physics advances with one numpy statement per rule per
     slot, and every run is one row of a single columnar
     :class:`~repro.core.engine.DecisionEngine`, called once per slot for
@@ -763,68 +906,56 @@ def run_group_batch(
     ``HARExperiment.run`` — per-lane physics is elementwise, and every
     engine row decides from its own row of state only.
 
-    ``obs`` records every run's metrics into its registry and, when it
-    traces, appends each run's events to its tracer after the batch, in
-    run order.  All groups must share one slot count
-    (``config.n_windows``) and one deployment (node ids).
+    ``obs`` records every run's metrics into its registry, the batch's
+    set-up (lane table, groups, engine, kernel and row tables) as one
+    ``kernel.setup`` timer and each run's share of the batch as an
+    ``experiment.run`` timer; when it traces, it appends each run's
+    events to its tracer after the batch, in run order.  All groups must
+    share one slot count (``config.n_windows``).
     """
     groups = list(groups)
     if not groups:
         return []
     obs = obs if obs is not None else NULL_OBS
-    clock_start = time.perf_counter() if obs.enabled else 0.0
+    clock_start = perf_counter() if obs.enabled else 0.0
 
     configs = []
     for group in groups:
         if not group.policies:
             raise ConfigurationError("a batch group needs at least one policy")
         configs.append(group.config if group.config is not None else experiment.config)
-    # One office walk per distinct (seed, n_windows) for the whole batch.
-    built = experiment.build_nodes(
+    # One office walk per distinct seed for the whole batch.
+    table = experiment.build_nodes(
         [(group.seed, config) for group, config in zip(groups, configs)]
     )
     states: List[_GroupState] = []
     rows: List[EngineRow] = []
-    for group, config, (nodes, energies) in zip(groups, configs, built):
-        state, group_rows = _prepare_group(experiment, group, config, nodes, energies, obs)
+    for g, (group, config) in enumerate(zip(groups, configs)):
+        state, group_rows = _prepare_group(experiment, group, config, table, g, obs)
         states.append(state)
         rows.extend(group_rows)
-    n_slots = states[0].n_slots
-    node_ids = states[0].node_ids
-    for state in states[1:]:
-        if state.n_slots != n_slots:
-            raise ConfigurationError(
-                f"all groups of a batch must share n_windows "
-                f"({state.n_slots} != {n_slots})"
-            )
-        if state.node_ids != node_ids:
-            raise ConfigurationError("all groups of a batch must share one deployment")
+    n_slots = table.n_slots
+    node_ids = table.node_ids
     engine = DecisionEngine(rows, node_ids, experiment.bundle.rank_table)
     runs = [run for state in states for run in state.runs]
     shape = engine.shape
     n_rows, n_nodes = shape
     # Lane ``r * n_nodes + k`` is row ``r``'s copy of its group's node ``k``.
+    setup_of_row = np.repeat(np.arange(len(states)), [len(state.runs) for state in states])
     kernel = SlotKernel.from_lanes(
-        [node for state in states for node in state.nodes],
-        np.concatenate([state.energies for state in states]),
-        [
-            g * n_nodes + k
-            for g, state in enumerate(states)
-            for _ in state.runs
-            for k in range(n_nodes)
-        ],
+        table, (setup_of_row[:, None] * n_nodes + np.arange(n_nodes)).reshape(-1)
     )
+    # A node id's index in construction order: its lane offset in a run's block.
+    position = {node_id: k for k, node_id in enumerate(node_ids)}
     for r, run in enumerate(runs):
         run.row = r
-    for state in states:
-        for run in state.runs:
-            if run.faults is not None:
-                run.restart = functools.partial(engine.restart, run.row)
-                run.power_down = functools.partial(
-                    _power_down, kernel, run, state.position, n_nodes
-                )
+        if run.faults is not None:
+            run.restart = functools.partial(engine.restart, r)
+            run.power_down = functools.partial(_power_down, kernel, run, position, n_nodes)
     tables = _RowTables(states, node_ids, n_slots)
     material_of_row = tables.material_of_row
+    if obs.enabled:
+        obs.metrics.timer("kernel.setup").record(perf_counter() - clock_start)
 
     logger.debug(
         "kernel batch: %d group(s), %d lanes x %d slots",
@@ -918,6 +1049,7 @@ def run_group_batch(
     active_rows = inverse.reshape(n_slots, n_rows).T
     sent = kernel.completions.reshape(shape)
     lost = dropped.sum(axis=0)
+    lane_stats = kernel.node_stats()
     activities = experiment.dataset.spec.activities
     results: List[List[ExperimentResult]] = []
     for state in states:
@@ -952,9 +1084,7 @@ def run_group_batch(
                     if r in protocol_active
                     else tuple(active_sets[active_rows[r]].tolist())
                 ),
-                node_stats={
-                    node_id: kernel.lane_stats(base + k) for k, node_id in enumerate(node_ids)
-                },
+                node_stats=dict(zip(node_ids, lane_stats[base:base + n_nodes])),
                 comm_energy_j=sum(link_energy[base:base + n_nodes].tolist()),
                 confidence_updates=int(engine.confidence_updates[r]),
                 fault_stats=fault_stats,
@@ -964,7 +1094,7 @@ def run_group_batch(
             group_results.append(result)
         results.append(group_results)
     if obs.enabled:
-        share = (time.perf_counter() - clock_start) / len(runs)
+        share = (perf_counter() - clock_start) / len(runs)
         timer = obs.metrics.timer("experiment.run")
         for run in runs:
             timer.record(share)

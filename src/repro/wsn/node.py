@@ -14,9 +14,16 @@ Because the NVP checkpoints, an inference may span several active slots;
 the report then names the slot whose window was actually classified
 (``started_slot``), which is how recall staleness enters the system.
 
-:class:`SensorNode` is the parameter record of one node; the slot
-physics above runs as a lane of :class:`repro.sim.kernel.SlotKernel`,
-which reads these records in :meth:`~repro.sim.kernel.SlotKernel.from_nodes`.
+:class:`SensorNode` is the parameter record of one hand-built node.
+The slot physics above runs as a lane of
+:class:`repro.sim.kernel.SlotKernel`, gathered from a
+:class:`~repro.sim.kernel.LaneTable`:
+:meth:`~repro.sim.kernel.SlotKernel.from_nodes` turns records into one,
+and an experiment's batch builds its table straight from its configs
+(:meth:`~repro.sim.experiment.HARExperiment.build_nodes`) with no record
+at all, so :class:`~repro.sim.experiment.SimulationConfig` runs the
+records' checks once per config (:func:`check_link` is the record's
+own radio and task-age check).
 """
 
 from __future__ import annotations
@@ -83,6 +90,15 @@ class NodeStats:
         return total
 
 
+def check_link(radio: RadioProfile, max_task_age_slots: Optional[int]) -> None:
+    """Raise unless ``radio`` is a :class:`RadioProfile` and
+    ``max_task_age_slots`` is ``None`` or at least 1."""
+    if not isinstance(radio, RadioProfile):
+        raise ConfigurationError("radio must be a RadioProfile")
+    if max_task_age_slots is not None and max_task_age_slots < 1:
+        raise SimulationError("max_task_age_slots must be >= 1 or None")
+
+
 class SensorNode:
     """One energy-harvesting HAR sensor node's parameters.
 
@@ -124,13 +140,10 @@ class SensorNode:
         self.harvester = harvester
         self.capacitor = capacitor
         self.nvp = nvp
-        if not isinstance(radio, RadioProfile):
-            raise ConfigurationError("radio must be a RadioProfile")
+        check_link(radio, max_task_age_slots)
         self.radio = radio
         self.costs = costs
         self.slot_duration_s = check_positive("slot_duration_s", slot_duration_s)
-        if max_task_age_slots is not None and max_task_age_slots < 1:
-            raise SimulationError("max_task_age_slots must be >= 1 or None")
         self.max_task_age_slots = max_task_age_slots
 
     def slot_energy_vector(self, n_slots: int) -> np.ndarray:

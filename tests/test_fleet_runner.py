@@ -177,14 +177,29 @@ class TestMaterialSharing:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fleet_times_each_material_build(self, tiny_experiment, workers):
-        # Continuous dwell gives every user its own material, so the
-        # build count does not depend on which worker ran which shard.
-        spec = self._continuous_spec(tiny_experiment, 6)
-        obs = Observability(tracer=NULL_TRACER)
-        FleetRunner(tiny_experiment, spec, shard_size=3).run(workers=workers, obs=obs)
-        exported = obs.metrics.to_dict()
-        assert exported["timers"]["predcache.build_material"]["calls"] == spec.size
+        # Continuous dwell gives every user its own material and its own
+        # reference, so the build and run counts do not depend on which
+        # worker ran which shard.  At 32 slots inferences complete, so
+        # the batches fill rows.
+        spec = self._continuous_spec(tiny_experiment, 6, n_windows=32)
+        runner = FleetRunner(tiny_experiment, spec, shard_size=3)
+
+        def metrics(workers):
+            obs = Observability(tracer=NULL_TRACER)
+            runner.run(workers=workers, obs=obs)
+            return obs.metrics
+
+        observed = metrics(workers)
+        exported = observed.to_dict()
+        timers = exported["timers"]
+        assert timers["predcache.build_material"]["calls"] == spec.size
         assert exported["gauges"]["predcache.misses"] >= 1
+        # Each shard's batch is timed: its set-up once, each run's share
+        # (every user's and every reference's) and its fills.
+        assert timers["kernel.setup"]["calls"] == len(runner.shards())
+        assert timers["experiment.run"]["calls"] == 2 * spec.size
+        assert timers["predcache.fill"]["calls"] >= 1
+        assert observed.deterministic_dict() == metrics(1).deterministic_dict()
 
 
 class TestFleetRunner:

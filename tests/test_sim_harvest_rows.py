@@ -1,16 +1,17 @@
 """Per-user set-up: one office walk per seed, harvest rows per group.
 
-``HARExperiment.build_nodes`` draws each distinct ``(seed, n_windows)``
-walk of a batch once, at unit gain, and derives every setup's harvest
-rows from it.  Gated here:
+``HARExperiment.build_nodes`` draws each distinct seed's walk of a batch
+once, at unit gain, and derives every setup's harvest rows of its
+:class:`~repro.sim.kernel.LaneTable` from it.  Gated here:
 
 * identity: every setup's rows equal, byte for byte, an oracle built
   from public calls only — the walk at the setup's own gains, a trace
-  scaled by ``trace_scale`` and a harvester's slot energies — and each
-  node's ``slot_energy_vector`` equals its row;
+  scaled by ``trace_scale`` and a harvester's slot energies — and the
+  slot energy vector of a node record built on that harvester;
 * the walk count: a cohort shard draws one walk per timeline seed;
-* rows are per group: a faulted group folds its dropouts into its own
-  rows, never into those of a group sharing its seed;
+* rows are per group: no two setups' rows share memory, and a faulted
+  group folds its dropouts into its own rows, never into those of a
+  group sharing its seed;
 * a served device harvests the rows a batch gives the same setup.
 """
 
@@ -25,6 +26,8 @@ from hypothesis import strategies as st
 
 from repro.core.policies import origin_policy, rr_policy
 from repro.energy.harvester import Harvester
+from repro.energy.nvp import NonVolatileProcessor
+from repro.energy.storage import Capacitor
 from repro.energy.traces import PowerTrace, PowerTraceGenerator
 from repro.faults import FaultPlan, HarvesterDropout
 from repro.fleet import CohortSpec
@@ -33,6 +36,7 @@ from repro.serve.client import DeviceSim
 from repro.sim.experiment import HARExperiment, SimulationConfig
 from repro.sim.kernel import BatchGroup, run_group_batch, run_policy_batch
 from repro.utils.rng import SeedSequenceFactory
+from repro.wsn.node import SensorNode
 
 #: ``(fading_sigma, dt_s)``: the calibrated generator, one without
 #: fading, one whose sample divides the 2.56 s slot four times and one
@@ -40,8 +44,8 @@ from repro.utils.rng import SeedSequenceFactory
 GENERATORS = [(0.7, 0.32), (0.0, 0.32), (0.7, 0.64), (0.7, 0.3)]
 
 
-def _oracle_rows(experiment: HARExperiment, seed: int, config: SimulationConfig):
-    """A setup's harvest rows from public calls, one node at a time."""
+def oracle_nodes(experiment: HARExperiment, seed: int, config: SimulationConfig):
+    """A setup's node records from public calls, one node at a time."""
     spec = experiment.dataset.spec
     slot_s = spec.window_duration_s
     locations = list(spec.locations)
@@ -51,13 +55,32 @@ def _oracle_rows(experiment: HARExperiment, seed: int, config: SimulationConfig)
         [config.gain_for(location) for location in locations],
         SeedSequenceFactory(seed).generator("traces"),
     )
-    return [
-        Harvester(
-            PowerTrace(generator.dt_s, trace.watts * config.trace_scale),
-            supplemental_w=config.battery_supplement_w,
-        ).slot_energies(slot_s, n_slots=config.n_windows)
-        for trace in traces
-    ]
+    energies = experiment.bundle.inference_energies(pruned=config.use_pruned_models)
+    nodes = []
+    for location, trace in zip(locations, traces):
+        node_id = experiment.bundle.node_id_of(location)
+        nodes.append(
+            SensorNode(
+                node_id=node_id,
+                location=location,
+                inference_energy_j=energies[node_id],
+                harvester=Harvester(
+                    PowerTrace(generator.dt_s, trace.watts * config.trace_scale),
+                    supplemental_w=config.battery_supplement_w,
+                ),
+                capacitor=Capacitor(
+                    config.capacitor_capacity_j,
+                    config.capacitor_initial_j,
+                    config.capacitor_leakage_w,
+                ),
+                nvp=NonVolatileProcessor(config.checkpoint_overhead, volatile=config.volatile),
+                radio=config.radio,
+                costs=config.costs,
+                slot_duration_s=slot_s,
+                max_task_age_slots=config.max_task_age_slots,
+            )
+        )
+    return nodes
 
 
 def _assert_same_bytes(fast: np.ndarray, slow: np.ndarray) -> None:
@@ -72,9 +95,9 @@ gains = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=3.0))
 @st.composite
 def setups(draw, locations):
     """A batch's ``(seed, config)`` setups over a small seed pool."""
-    windows = draw(st.lists(st.sampled_from([5, 8]), min_size=2, max_size=6))
+    n_windows = draw(st.sampled_from([5, 8]))
     out = []
-    for n_windows in windows:
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
         config = SimulationConfig(
             n_windows=n_windows,
             node_gains={location: draw(gains) for location in locations},
@@ -96,17 +119,19 @@ class TestHarvestRowIdentity:
             trace_generator=PowerTraceGenerator(fading_sigma=fading_sigma, dt_s=dt_s),
         )
         batch = data.draw(setups(list(tiny_dataset.spec.locations)))
-        built = experiment.build_nodes(batch)
-        assert len(built) == len(batch)
-        for (seed, config), (nodes, rows) in zip(batch, built):
-            assert rows.shape == (len(nodes), config.n_windows)
-            for node, row, oracle in zip(nodes, rows, _oracle_rows(experiment, seed, config)):
-                _assert_same_bytes(row, oracle)
-                _assert_same_bytes(node.slot_energy_vector(config.n_windows), row)
+        table = experiment.build_nodes(batch)
+        slot_s = tiny_dataset.spec.window_duration_s
+        assert table.energies.shape[0] == len(batch)
+        for (seed, config), rows in zip(batch, table.energies):
+            assert rows.shape == (len(table.node_ids), config.n_windows)
+            n_slots = config.n_windows
+            for node, row in zip(oracle_nodes(experiment, seed, config), rows):
+                _assert_same_bytes(row, node.harvester.slot_energies(slot_s, n_slots=n_slots))
+                _assert_same_bytes(node.slot_energy_vector(n_slots), row)
 
     def test_each_setup_owns_its_rows(self, tiny_experiment):
         config = tiny_experiment.config
-        (_, first), (_, second) = tiny_experiment.build_nodes([(4, config), (4, config)])
+        first, second = tiny_experiment.build_nodes([(4, config), (4, config)]).energies
         _assert_same_bytes(first, second)
         assert not np.shares_memory(first, second)
 
@@ -155,7 +180,6 @@ class TestServedDeviceRows:
         config = replace(tiny_experiment.config, n_windows=30)
         sim = DeviceSim(tiny_experiment, seed=11, n_windows=30)
         other = replace(config, trace_scale=1.7)
-        built = tiny_experiment.build_nodes([(11, other), (11, config), (12, config)])
-        nodes, rows = built[1]
-        assert sim.node_ids == [node.node_id for node in nodes]
-        _assert_same_bytes(sim.kernel.slot_energies, rows)
+        table = tiny_experiment.build_nodes([(11, other), (11, config), (12, config)])
+        assert sim.node_ids == table.node_ids
+        _assert_same_bytes(sim.kernel.slot_energies, table.energies[1])

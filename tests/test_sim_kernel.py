@@ -33,8 +33,15 @@ from repro.energy.traces import PowerTrace
 from repro.faults import Brownout, FaultPlan, HarvesterDropout, NodeDeath, PacketLoss
 from repro.obs.observer import Observability
 from repro.obs.summarize import split_runs
+from repro.obs.trace import NULL_TRACER
 from repro.sim.experiment import HARExperiment, SimulationConfig
-from repro.sim.kernel import BatchGroup, SlotKernel, run_group_batch, run_policy_batch
+from repro.sim.kernel import (
+    BatchGroup,
+    LaneTable,
+    SlotKernel,
+    run_group_batch,
+    run_policy_batch,
+)
 from repro.sim.sweep import PolicySweep
 from repro.wsn.comm import RadioProfile
 from repro.wsn.node import NodeCosts, SensorNode
@@ -123,7 +130,7 @@ class TestEnergyLedger:
         # while its capacitor drained — the ledger leaked silently.
         node = _make_node(initial_j=20e-6)
         kernel = _drive(SlotKernel.from_nodes([node], n_runs=1, n_slots=10), [False] * 10)
-        stats = kernel.lane_stats(0)
+        stats = kernel.node_stats()[0]
         assert stats.active_slots == 0
         assert stats.consumed_j == pytest.approx(10 * node.costs.idle_j)
         assert stats.leaked_j > 0.0
@@ -135,7 +142,7 @@ class TestEnergyLedger:
         node = _make_node(seed=3, initial_j=initial)
         schedule = np.random.default_rng(42).random(64) < 0.6
         kernel = _drive(SlotKernel.from_nodes([node], n_runs=1, n_slots=64), schedule)
-        stats = kernel.lane_stats(0)
+        stats = kernel.node_stats()[0]
         balance = initial + stats.harvested_j - stats.consumed_j - stats.leaked_j
         assert balance == pytest.approx(kernel.stored[0], abs=1e-15)
 
@@ -152,7 +159,7 @@ class TestEnergyLedger:
         node = _make_node(seed=5, initial_j=4e-6, **overrides)
         schedule = np.random.default_rng(1).random(64) < 0.8
         kernel = _drive(SlotKernel.from_nodes([node], n_runs=1, n_slots=64), schedule)
-        stats = kernel.lane_stats(0)
+        stats = kernel.node_stats()[0]
         balance = 4e-6 + stats.harvested_j - stats.consumed_j - stats.leaked_j
         assert balance == pytest.approx(kernel.stored[0], abs=1e-15)
 
@@ -291,28 +298,26 @@ class TestLaneIndependence:
     )
     def test_lane_alone_equals_lane_stacked(self, overrides):
         # A lane's floats do not depend on which lanes share its kernel:
-        # node 0 alone, and as lanes 1 and 3 of one kernel built in one
-        # call over three nodes' harvest rows.
+        # node 0 alone, and as lanes 1 and 3 of one kernel gathered in
+        # one call from a table of three nodes.
         rng = np.random.default_rng(9)
         lanes = [2, 0, 1, 0]
         schedules = rng.random((len(lanes), 64)) < 0.7
         schedules[3] = schedules[1]
         nodes = [_make_node(seed=21 + k, **overrides) for k in range(3)]
         alone = SlotKernel.from_nodes(nodes[:1], n_runs=1, n_slots=64)
-        stacked = SlotKernel.from_lanes(
-            nodes, np.stack([node.slot_energy_vector(64) for node in nodes]), lanes
-        )
+        stacked = SlotKernel.from_lanes(LaneTable.of_nodes(nodes, 64), lanes)
         for slot in range(64):
             alone.advance(slot, schedules[1:2, slot])
             stacked.advance(slot, schedules[:, slot])
         for lane in (1, 3):
-            assert alone.lane_stats(0) == stacked.lane_stats(lane)
+            assert alone.node_stats()[0] == stacked.node_stats()[lane]
             assert alone.stored[0] == stacked.stored[lane]
 
     def test_all_idle_schedule(self):
         node = _make_node(seed=2, initial_j=6e-6)
         kernel = _drive(SlotKernel.from_nodes([node], n_runs=1, n_slots=32), [False] * 32)
-        stats = kernel.lane_stats(0)
+        stats = kernel.node_stats()[0]
         assert stats.slots == 32
         assert stats.active_slots == stats.attempts_started == stats.completions == 0
         assert stats.consumed_j > 0.0  # the idle draw
@@ -324,13 +329,13 @@ class TestLanePowerDown:
         kernel = SlotKernel.from_nodes([node], n_runs=1, n_slots=8)
         kernel.advance(0, np.ones(1, dtype=bool))
         assert kernel.in_progress[0]
-        before = kernel.lane_stats(0)
+        before = kernel.node_stats()[0]
         assert kernel.power_down(0) is True
         assert kernel.stored[0] == 0.0
         assert not kernel.in_progress[0]
         assert kernel.done_work[0] == 0.0
         # The drained charge leaves no ledger entry.
-        assert kernel.lane_stats(0) == before
+        assert kernel.node_stats()[0] == before
         assert kernel.power_down(0) is False  # nothing left to lose
 
     def test_offline_slot_only_counts_the_slot(self):
@@ -340,9 +345,9 @@ class TestLanePowerDown:
         kernel.advance(0, np.zeros(1, dtype=bool))
         kernel.power_down(0)
         kernel.slot_energies[0, 1:] = 0.0
-        before = kernel.lane_stats(0)
+        before = kernel.node_stats()[0]
         kernel.advance(1, np.zeros(1, dtype=bool))
-        after = kernel.lane_stats(0)
+        after = kernel.node_stats()[0]
         assert after.slots == before.slots + 1
         assert after.harvested_j == before.harvested_j
         assert after.consumed_j == before.consumed_j
@@ -627,3 +632,39 @@ class TestSweepKernelPath:
         assert all(
             "synthetic cell failure" in cell.cause for cell in report.failed
         )
+
+
+class TestSetupTimer:
+    """A batch's lane set-up is one ``kernel.setup`` timer, and only when observed."""
+
+    GROUPS = [
+        BatchGroup(policies=GRID[:2], seed=7),
+        BatchGroup(policies=[origin_policy(12)], seed=8),
+    ]
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        import repro.sim.kernel as kernel_mod
+
+        calls = []
+
+        def ticking():
+            calls.append(1)
+            return float(len(calls))
+
+        monkeypatch.setattr(kernel_mod, "perf_counter", ticking)
+        return calls
+
+    def test_observed_batch_times_its_setup_once(self, tiny_experiment, clock):
+        obs = Observability(tracer=NULL_TRACER)
+        run_group_batch(tiny_experiment, self.GROUPS, obs=obs)
+        setup = obs.metrics.to_dict()["timers"]["kernel.setup"]
+        # The batch reads the clock at its start, after its set-up and
+        # at its end; the set-up is the first tick to the second.
+        assert len(clock) == 3
+        assert setup["calls"] == 1
+        assert setup["total_s"] == 1.0
+
+    def test_unobserved_batch_times_nothing(self, tiny_experiment, clock):
+        run_group_batch(tiny_experiment, self.GROUPS)
+        assert clock == []

@@ -49,7 +49,7 @@ class TestCommLink:
         cost = 1.5e-6 + 6 * 0.25e-6
         assert lane.comm_cost_j[0] == pytest.approx(cost)
         assert events.comm_paid[0] == lane.comm_cost_j[0]
-        assert lane.lane_stats(0).comm_j == pytest.approx(cost)
+        assert lane.node_stats()[0].comm_j == pytest.approx(cost)
 
     def test_cost_linear_in_bytes(self):
         ble = RadioProfile.ble()

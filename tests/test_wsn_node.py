@@ -69,7 +69,7 @@ class NodeLane:
 
     @property
     def stats(self):
-        return self.kernel.lane_stats(0)
+        return self.kernel.node_stats()[0]
 
     def idle(self, slot):
         self.kernel.advance(slot, np.zeros(1, dtype=bool))
